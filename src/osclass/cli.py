@@ -16,7 +16,7 @@ import numpy as np
 
 from . import degree1, formulas, io, metric, osdist, unitary
 from .errors import CapacityError, InputFormatError, OsclassError
-from .opsys import AmplifiedElement, amplified_norm
+from .opsys import amplified_norm
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -26,8 +26,6 @@ EXIT_CAPACITY = 4
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="osclass", description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count for parallelizable enumeration (results are schedule-independent)")
     parser.add_argument("--timing", action="store_true",
                         help="include wall time in the report (breaks byte-identical output)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -148,18 +146,11 @@ def _cmd_deg1(args) -> tuple[dict, int]:
 
 def _cmd_norm(args) -> tuple[dict, int]:
     system = io.parse_system(io.load_json(args.system))
-    obj = io.load_json(args.element)
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise InputFormatError('element file needs a "coeffs" key')
-    coeffs = np.array(
-        [[[io.parse_complex(c) for c in vecs] for vecs in row] for row in obj["coeffs"]],
-        dtype=np.complex128,
-    )
-    level = int(obj.get("level", coeffs.shape[0]))
-    if args.level is not None and args.level != level:
-        raise InputFormatError(f"--level {args.level} does not match element level {level}")
-    value = amplified_norm(system, AmplifiedElement(level=level, coeffs=coeffs))
-    return {"norm": value, "level": level, "system_dim": system.dim}, EXIT_OK
+    element = io.parse_element(io.load_json(args.element))
+    if args.level is not None and args.level != element.level:
+        raise InputFormatError(f"--level {args.level} does not match element level {element.level}")
+    value = amplified_norm(system, element)
+    return {"norm": value, "level": element.level, "system_dim": system.dim}, EXIT_OK
 
 
 def _cmd_osdist(args) -> tuple[dict, int]:
@@ -203,43 +194,45 @@ def _cmd_gh_theory(args) -> tuple[dict, int]:
     return {"fingerprint": list(fp), "depth": args.depth, "length": int(fp.size)}, EXIT_OK
 
 
+def _check(name: str, predicted: np.ndarray, expected: np.ndarray) -> dict:
+    resid = float(np.max(np.abs(predicted - expected)))
+    return {"check": name, "residual": resid, "pass": resid <= 1e-7}
+
+
+@io.as_input_error
 def _replay_certificates(report: dict, argv: list) -> list:
-    """Re-check the replayable residuals embedded in a report."""
+    """Re-check both halves of the replayable certificates embedded in a report."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        raise InputFormatError(f"cannot parse the echoed command {argv}") from exc
     checks = []
     cert = report.get("certificate")
-    if report.get("verdict") == "Isomorphic" and isinstance(cert, dict) and "bijection" in cert:
-        u = io.parse_matrix(io.load_json(argv[argv.index("unitary-cois") + 1]))
-        v = io.parse_matrix(io.load_json(argv[argv.index("unitary-cois") + 2]))
-        zs = unitary.spectrum(u).points()
-        ws = unitary.spectrum(v).points()
-        perm = np.array([int(i) for i in cert["bijection"]])
-        coeffs = np.array([complex(c[0], c[1]) for c in cert["forward_coeffs"]])
-        predicted = coeffs[0] + coeffs[1] * zs + coeffs[2] * zs.conj()
-        resid = float(np.max(np.abs(predicted - ws[perm])))
-        checks.append({"check": "forward span coefficients", "residual": resid,
-                       "pass": resid <= 1e-7})
-    if report.get("homeomorphic") and isinstance(report.get("witness"), dict):
-        w = report["witness"]
-        d = io.parse_point_set(io.load_json(argv[argv.index("deg1") + 1]))
-        e = io.parse_point_set(io.load_json(argv[argv.index("deg1") + 2]))
-        perm = np.array([int(i) for i in w["bijection"]])
-        if "forward" in w and w["forward"] is not None:
-            coeffs = np.array(
-                [[complex(c[0], c[1]) for c in row] for row in w["forward"]["coeffs"]]
-            )
-            fwd = degree1.DegreeOneMap(ambient=d.ambient, coeffs=coeffs)
-            resid = float(np.max(np.abs(fwd.apply(d) - e.points[perm])))
-            checks.append({"check": "degree-1 forward map", "residual": resid,
-                           "pass": resid <= 1e-7})
+    witness = report.get("witness")
+    if (args.command == "unitary-cois" and report.get("verdict") == "Isomorphic"
+            and isinstance(cert, dict) and "bijection" in cert):
+        zs = unitary.spectrum(io.parse_matrix(io.load_json(args.left)), args.tol).points()
+        ws = unitary.spectrum(io.parse_matrix(io.load_json(args.right)), args.tol).points()
+        perm = io.parse_bijection(cert["bijection"], zs.size)
+        for half, src, dst in (("forward", zs, ws[perm]), ("backward", ws, zs[np.argsort(perm)])):
+            a, b, c = (io.parse_complex(x) for x in cert[f"{half}_coeffs"])
+            checks.append(_check(f"{half} span coefficients", a + b * src + c * src.conj(), dst))
+    if (args.command == "deg1" and report.get("homeomorphic")
+            and isinstance(witness, dict) and "forward" in witness):
+        d = io.parse_point_set(io.load_json(args.left))
+        e = io.parse_point_set(io.load_json(args.right))
+        perm = io.parse_bijection(witness["bijection"], d.size)
+        for half, src, dst in (("forward", d, e.points[perm]),
+                               ("backward", e, d.points[np.argsort(perm)])):
+            coeffs = [[io.parse_complex(c) for c in row] for row in witness[half]["coeffs"]]
+            fitted = degree1.DegreeOneMap(ambient=src.ambient, coeffs=coeffs)
+            checks.append(_check(f"degree-1 {half} map", fitted.apply(src), dst))
     return checks
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    import json as _json
-
-    with open(args.report, "r", encoding="utf-8") as fh:
-        stored = _json.load(fh)
-    argv = [str(a) for a in stored.get("command", [])]
+    stored = io.load_json(args.report)
+    argv = [str(a) for a in stored.get("command", [])] if isinstance(stored, dict) else []
     if not argv:
         raise InputFormatError("report carries no command echo to replay")
     from io import StringIO
@@ -288,8 +281,8 @@ def run(argv=None, stdout=None) -> int:
         payload, code = {"error": {"kind": "capacity", "message": str(exc)}}, EXIT_CAPACITY
     except (OsclassError, OSError) as exc:
         payload, code = {"error": {"kind": type(exc).__name__, "message": str(exc)}}, EXIT_INVALID
-    # echo from the subcommand onward: worker/timing settings are runtime
-    # details and must not perturb the report bytes
+    # echo from the subcommand onward: the timing flag is a runtime detail
+    # and must not perturb the report bytes
     echo = argv[argv.index(args.command):]
     report = {"command": echo}
     report.update(payload)

@@ -4,20 +4,19 @@ A degree-1 map on a subset of C^n sends each coordinate to a combination of
 the monomials ``z_i conj(z_j)`` (with ``z_0 = 1``) and has all pairwise
 products of output coordinates in the same monomial span.  For finite sets
 both conditions are span-membership tests against the monomial evaluation
-matrix, and the homeomorphism decision enumerates bijections, requiring a
+matrix, and the homeomorphism decision sweeps all bijections, requiring a
 degree-1 map in each direction.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import opsys
 from .errors import CapacityError, DimensionError
-from .linalg import TOL_NUM
+from .linalg import TOL_NUM, bijection_sweep, span_membership
 
 #: Default bijection caps (points), by ambient dimension.
 DEFAULT_CAP_DIM1 = 8
@@ -88,20 +87,22 @@ def monomial_matrix(d: PointSet) -> np.ndarray:
     Columns are ordered (i, j)-lexicographically for 0 <= i, j <= n with
     ``z_0 = 1``; row r evaluates at point r.
     """
-    m, n = d.size, d.ambient
-    aug = np.hstack([np.ones((m, 1), dtype=np.complex128), d.points])  # z_0 = 1
-    cols = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            cols.append(aug[:, i] * aug[:, j].conj())
-    return np.column_stack(cols)
+    aug = np.hstack([np.ones((d.size, 1), dtype=np.complex128), d.points])  # z_0 = 1
+    n = d.ambient + 1
+    return np.column_stack([aug[:, i] * aug[:, j].conj() for i in range(n) for j in range(n)])
 
 
-def _in_colspace(pinv_m: np.ndarray, m_mat: np.ndarray, v: np.ndarray, tol: float):
-    coeffs = pinv_m @ v
-    resid = float(np.linalg.norm(m_mat @ coeffs - v))
-    ok = resid <= tol * (1.0 + float(np.linalg.norm(v)))
-    return ok, coeffs, resid
+def _coords_and_products(points: np.ndarray) -> np.ndarray:
+    """Columns: each coordinate, then every product ``p_k conj(p_l)``."""
+    n = points.shape[1]
+    prods = [points[:, k] * points[:, l].conj() for k in range(n) for l in range(n)]
+    return np.column_stack([points] + prods)
+
+
+def _degree_one_map(mat: np.ndarray, vals: np.ndarray, tol: float) -> DegreeOneMap:
+    """The map whose coordinates fit ``vals`` over the monomial matrix ``mat``."""
+    coeffs, _, _ = span_membership(vals, mat.T, tol)
+    return DegreeOneMap(ambient=vals.shape[1], coeffs=coeffs.T)
 
 
 def is_degree_one_assignment(d: PointSet, values, tol: float = TOL_NUM):
@@ -116,101 +117,56 @@ def is_degree_one_assignment(d: PointSet, values, tol: float = TOL_NUM):
         vals = vals.reshape(-1, 1)
     if vals.shape != (d.size, d.ambient):
         raise DimensionError(f"values must have shape ({d.size}, {d.ambient}), got {vals.shape}")
-    mat = monomial_matrix(d)
-    pinv = np.linalg.pinv(mat, rcond=1e-13)
-    return _assignment_with(d, vals, mat, pinv, tol)
+    coeffs, _, ok = span_membership(_coords_and_products(vals), monomial_matrix(d).T, tol)
+    if not ok.all():
+        return None
+    return DegreeOneMap(ambient=d.ambient, coeffs=coeffs[:, :d.ambient].T)
 
 
-def _assignment_with(d: PointSet, vals: np.ndarray, mat: np.ndarray,
-                     pinv: np.ndarray, tol: float):
-    """Assignment test with the monomial matrix and its pseudoinverse precomputed."""
-    coeffs = np.zeros((d.ambient, (d.ambient + 1) ** 2), dtype=np.complex128)
-    for k in range(d.ambient):
-        ok, c, _ = _in_colspace(pinv, mat, vals[:, k], tol)
-        if not ok:
-            return None
-        coeffs[k] = c
-    for k in range(d.ambient):
-        for l in range(d.ambient):
-            ok, _, _ = _in_colspace(pinv, mat, vals[:, k] * vals[:, l].conj(), tol)
-            if not ok:
-                return None
-    return DegreeOneMap(ambient=d.ambient, coeffs=coeffs)
-
-
-def _distance_profiles(points: np.ndarray) -> np.ndarray:
-    m = points.shape[0]
-    prof = np.zeros((m, m - 1)) if m > 1 else np.zeros((m, 0))
-    for i in range(m):
-        ds = sorted(np.linalg.norm(points[j] - points[i]) for j in range(m) if j != i)
-        prof[i] = ds
-    return prof
-
-
-def _ordered_bijections(d: PointSet, e: PointSet):
-    """All bijections d -> e, cheapest-looking candidates first.
-
-    Candidates are sorted by the mismatch of sorted pairwise-distance profiles
-    of the matched points; enumeration stays exhaustive, only the order
-    changes.  Ties keep lexicographic permutation order, so the enumeration is
-    deterministic.
-    """
-    m = d.size
-    pd = _distance_profiles(d.points)
-    pe = _distance_profiles(e.points)
-    scored = []
-    for rank, perm in enumerate(itertools.permutations(range(m))):
-        score = sum(float(np.linalg.norm(pd[i] - pe[perm[i]])) for i in range(m))
-        scored.append((score, rank, perm))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return [perm for _, _, perm in scored]
+def _check_sizes(d: PointSet, e: PointSet, cap: int | None) -> bool:
+    """Whether a bijection search is needed; raises on mismatch or past the cap."""
+    if d.ambient != e.ambient:
+        raise DimensionError("point sets must share the ambient dimension")
+    if d.size != e.size:
+        return False
+    if cap is None:
+        cap = DEFAULT_CAP_DIM1 if d.ambient == 1 else DEFAULT_CAP_DIMN
+    if d.size > cap:
+        raise CapacityError(f"point count {d.size} exceeds cap {cap}")
+    return True
 
 
 def degree_one_homeomorphic(d: PointSet, e: PointSet, tol: float = TOL_NUM,
                             cap: int | None = None) -> Deg1Decision:
     """Decide whether two finite point sets are degree-1 homeomorphic.
 
-    Enumerates bijections in a fixed deterministic order and accepts the first
-    one admitting a degree-1 map in each direction; a negative verdict means
-    all bijections were exhausted.
+    Sweeps the bijections in lexicographic order (:func:`bijection_sweep`) and
+    accepts the first one admitting a degree-1 map in each direction; a
+    negative verdict means all bijections were exhausted.
     """
-    if d.ambient != e.ambient:
-        raise DimensionError("point sets must share the ambient dimension")
-    if d.size != e.size:
+    if not _check_sizes(d, e, cap):
         return Deg1Decision(homeomorphic=False, tried=0)
-    if cap is None:
-        cap = DEFAULT_CAP_DIM1 if d.ambient == 1 else DEFAULT_CAP_DIMN
-    if d.size > cap:
-        raise CapacityError(f"point count {d.size} exceeds cap {cap}")
-    mat_d = monomial_matrix(d)
-    pinv_d = np.linalg.pinv(mat_d, rcond=1e-13)
-    mat_e = monomial_matrix(e)
-    pinv_e = np.linalg.pinv(mat_e, rcond=1e-13)
-    tried = 0
-    for perm in _ordered_bijections(d, e):
-        tried += 1
-        p = np.array(perm)
-        fwd = _assignment_with(d, e.points[p], mat_d, pinv_d, tol)
-        if fwd is None:
-            continue
-        inv = np.empty(d.size, dtype=int)
-        inv[p] = np.arange(d.size)
-        bwd = _assignment_with(e, d.points[inv], mat_e, pinv_e, tol)
-        if bwd is None:
-            continue
-        fwd_resid = float(np.max(np.abs(fwd.apply(d) - e.points[p])))
-        bwd_resid = float(np.max(np.abs(bwd.apply(e) - d.points[inv])))
-        return Deg1Decision(
-            homeomorphic=True,
-            witness={
-                "bijection": list(perm),
-                "forward": fwd,
-                "backward": bwd,
-                "residuals": [fwd_resid, bwd_resid],
-            },
-            tried=tried,
-        )
-    return Deg1Decision(homeomorphic=False, tried=tried)
+    mat_d, mat_e = monomial_matrix(d), monomial_matrix(e)
+    bijection, tried, _ = bijection_sweep(mat_d, mat_e, _coords_and_products(d.points),
+                                          _coords_and_products(e.points), tol)
+    if bijection is None:
+        return Deg1Decision(homeomorphic=False, tried=tried)
+    p = np.array(bijection)
+    inv = np.argsort(p)
+    fwd = _degree_one_map(mat_d, e.points[p], tol)
+    bwd = _degree_one_map(mat_e, d.points[inv], tol)
+    fwd_resid = float(np.max(np.abs(fwd.apply(d) - e.points[p])))
+    bwd_resid = float(np.max(np.abs(bwd.apply(e) - d.points[inv])))
+    return Deg1Decision(
+        homeomorphic=True,
+        witness={
+            "bijection": bijection,
+            "forward": fwd,
+            "backward": bwd,
+            "residuals": [fwd_resid, bwd_resid],
+        },
+        tried=tried,
+    )
 
 
 def normal_system(d: PointSet) -> opsys.OperatorSystemSpan:
@@ -219,13 +175,10 @@ def normal_system(d: PointSet) -> opsys.OperatorSystemSpan:
     With ``V_k`` the diagonal matrix of k-th coordinates, builds the span of
     the identity, the ``V_k`` with adjoints, and all products ``V_i V_j*``.
     """
-    m, n = d.size, d.ambient
+    n = d.ambient
     vs = [np.diag(d.points[:, k]) for k in range(n)]
-    generators = list(vs)
-    for i in range(n):
-        for j in range(n):
-            generators.append(vs[i] @ vs[j].conj().T)
-    return opsys.build_system(generators, include_identity=True)
+    products = [vs[i] @ vs[j].conj().T for i in range(n) for j in range(n)]
+    return opsys.build_system(vs + products, include_identity=True)
 
 
 def _function_span(system: opsys.OperatorSystemSpan) -> np.ndarray:
@@ -242,31 +195,10 @@ def deg1_via_opsys(d: PointSet, e: PointSet, tol: float = TOL_NUM,
     correspondence between isomorphisms of the generated algebras carrying one
     system onto the other and degree-1 homeomorphisms of the spectra.
     """
-    if d.ambient != e.ambient:
-        raise DimensionError("point sets must share the ambient dimension")
-    if d.size != e.size:
+    if not _check_sizes(d, e, cap):
         return Deg1Decision(homeomorphic=False, tried=0)
-    if cap is None:
-        cap = DEFAULT_CAP_DIM1 if d.ambient == 1 else DEFAULT_CAP_DIMN
-    if d.size > cap:
-        raise CapacityError(f"point count {d.size} exceeds cap {cap}")
     fd = _function_span(normal_system(d))
     fe = _function_span(normal_system(e))
-    # complementary projectors: membership is a residual-norm check
-    comp_d = np.eye(d.size) - fd @ np.linalg.pinv(fd, rcond=1e-13)
-    comp_e = np.eye(e.size) - fe @ np.linalg.pinv(fe, rcond=1e-13)
-    scale_e = tol * np.maximum(1.0, np.linalg.norm(fe, axis=0))
-    scale_d = tol * np.maximum(1.0, np.linalg.norm(fd, axis=0))
-    tried = 0
-    for perm in _ordered_bijections(d, e):
-        tried += 1
-        p = np.array(perm)
-        inv = np.empty(d.size, dtype=int)
-        inv[p] = np.arange(d.size)
-        # g in span(E) pulled back along the bijection must land in span(D)
-        if np.any(np.linalg.norm(comp_d @ fe[p], axis=0) > scale_e):
-            continue
-        if np.any(np.linalg.norm(comp_e @ fd[inv], axis=0) > scale_d):
-            continue
-        return Deg1Decision(homeomorphic=True, witness={"bijection": list(perm)}, tried=tried)
-    return Deg1Decision(homeomorphic=False, tried=tried)
+    bijection, tried, _ = bijection_sweep(fd, fe, fd, fe, tol)
+    witness = None if bijection is None else {"bijection": bijection}
+    return Deg1Decision(homeomorphic=witness is not None, witness=witness, tried=tried)

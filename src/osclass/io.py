@@ -7,14 +7,30 @@ identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 
 from .degree1 import PointSet
-from .errors import InputFormatError
+from .errors import InputFormatError, OsclassError
 from .metric import FiniteStructure
-from .opsys import OperatorSystemSpan, build_system
+from .opsys import AmplifiedElement, OperatorSystemSpan, build_system
+
+
+def as_input_error(parse):
+    """Report a value of the wrong type or shape met by ``parse`` as InputFormatError."""
+
+    @functools.wraps(parse)
+    def checked(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except OsclassError:
+            raise
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise InputFormatError(f"malformed input: {exc}") from exc
+
+    return checked
 
 
 def parse_complex(obj) -> complex:
@@ -25,6 +41,7 @@ def parse_complex(obj) -> complex:
     raise InputFormatError(f"expected a complex number as [re, im], got {obj!r}")
 
 
+@as_input_error
 def parse_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "rows" not in obj:
         raise InputFormatError('expected a matrix object with a "rows" key')
@@ -38,6 +55,7 @@ def parse_matrix(obj) -> np.ndarray:
     return np.array(data, dtype=np.complex128)
 
 
+@as_input_error
 def parse_system(obj) -> OperatorSystemSpan:
     if not isinstance(obj, dict) or "generators" not in obj:
         raise InputFormatError('expected a system object with a "generators" key')
@@ -51,6 +69,7 @@ def parse_system(obj) -> OperatorSystemSpan:
     return system
 
 
+@as_input_error
 def parse_point_set(obj) -> PointSet:
     if not isinstance(obj, dict) or "points" not in obj:
         raise InputFormatError('expected a point set object with a "points" key')
@@ -79,6 +98,7 @@ def _parse_table(spec, arity: int, size: int) -> np.ndarray:
     raise InputFormatError("relation table must be a nested list or an index-keyed object")
 
 
+@as_input_error
 def parse_structure(obj) -> FiniteStructure:
     if not isinstance(obj, dict) or "metric" not in obj:
         raise InputFormatError('expected a structure object with a "metric" key')
@@ -91,6 +111,26 @@ def parse_structure(obj) -> FiniteStructure:
         relations[name] = _parse_table(rel["table"], int(rel["arity"]), size)
     domains = tuple(tuple(int(i) for i in d) for d in obj.get("domains") or [])
     return FiniteStructure(metric=metric, relations=relations, domains=domains)
+
+
+@as_input_error
+def parse_element(obj) -> AmplifiedElement:
+    """An element of M_n(X): an n x n array of coefficient vectors."""
+    if not isinstance(obj, dict) or "coeffs" not in obj:
+        raise InputFormatError('element file needs a "coeffs" key')
+    coeffs = np.array(
+        [[[parse_complex(c) for c in vecs] for vecs in row] for row in obj["coeffs"]],
+        dtype=np.complex128,
+    )
+    return AmplifiedElement(level=int(obj.get("level", coeffs.shape[0])), coeffs=coeffs)
+
+
+def parse_bijection(obj, size: int) -> np.ndarray:
+    """A permutation of ``range(size)`` given as a list of indices."""
+    if not (isinstance(obj, list) and all(isinstance(i, int) for i in obj)
+            and sorted(obj) == list(range(size))):
+        raise InputFormatError(f"expected a permutation of range({size}), got {obj!r}")
+    return np.array(obj, dtype=int)
 
 
 def load_json(path: str):

@@ -3,11 +3,12 @@
 Matrices are plain ``numpy`` arrays with ``complex128`` entries; every function
 validates shape and finiteness before computing.  These routines are the
 substrate for all higher modules: operator norms, spectra of normal matrices,
-span membership, and numerical rank.
+span membership, the exhaustive bijection sweep, and numerical rank.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,24 +91,99 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
 
 
 def span_membership(v, basis, tol: float = TOL_NUM):
-    """Minimum-norm least-squares coefficients of ``v`` in ``span(basis)``.
+    """Least-squares span test: the one membership rule of the package.
 
-    Returns the coefficient vector ``c`` with ``||sum c_j b_j - v|| <= tol *
-    max(1, ||v||)``, or ``None`` when the least-squares residual misses that
-    bound.
+    ``basis`` lists the spanning vectors (one per row).  The minimum-norm
+    least-squares coefficients of a target are accepted when the residual
+    satisfies ``||sum c_j b_j - v|| <= tol * max(1, ||v||)``.
+
+    A single target vector gives its coefficients, or ``None`` when it misses
+    the bound.  A 2-d ``v`` holds one target per column and gives the triple
+    ``(coeffs, residuals, accepted)`` with one coefficient column, residual
+    and verdict per target.
     """
-    w = as_vector(v)
-    cols = [as_vector(b) for b in basis]
-    if not cols:
-        raise DimensionError("basis must be nonempty")
-    if any(c.size != w.size for c in cols):
+    target = np.asarray(v, dtype=np.complex128)
+    batched = target.ndim == 2
+    if not batched:
+        target = target.ravel()
+    rows = np.asarray(basis, dtype=np.complex128)
+    if rows.size == 0 or target.size == 0:
+        raise DimensionError("basis and target must be nonempty")
+    mat = rows.reshape(rows.shape[0], -1).T
+    if mat.shape[0] != target.shape[0]:
         raise DimensionError("basis vectors must match the length of v")
-    mat = np.column_stack(cols)
-    coeffs = np.linalg.pinv(mat, rcond=1e-13) @ w
-    residual = np.linalg.norm(mat @ coeffs - w)
-    if residual <= tol * max(1.0, np.linalg.norm(w)):
-        return coeffs
-    return None
+    if not (np.isfinite(mat).all() and np.isfinite(target).all()):
+        raise DimensionError("span test inputs have non-finite entries")
+    coeffs = np.linalg.pinv(mat, rcond=1e-13) @ target
+    resid = np.linalg.norm(mat @ coeffs - target, axis=0)
+    accepted = resid <= tol * np.maximum(1.0, np.linalg.norm(target, axis=0))
+    if batched:
+        return coeffs, resid, accepted
+    return coeffs if accepted else None
+
+
+#: Bijections per numpy block in :func:`bijection_sweep`.
+SWEEP_BLOCK = 4096
+
+
+def lex_bijections(m: int, block: int = SWEEP_BLOCK):
+    """All permutations of ``range(m)`` in lexicographic order, as int blocks."""
+    perms_iter = itertools.permutations(range(m))
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(perms_iter, block))
+        perms = np.fromiter(flat, dtype=np.intp).reshape(-1, m)
+        if not perms.shape[0]:
+            return
+        yield perms
+
+
+def _transport_residuals(span: np.ndarray, values: np.ndarray, perms: np.ndarray,
+                         tol: float):
+    """Worst residual and verdict of ``values[p]`` in ``span`` for each row p."""
+    b, m = perms.shape
+    k = values.shape[1]
+    targets = values[perms].transpose(1, 0, 2).reshape(m, b * k)
+    _, resid, ok = span_membership(targets, span.T, tol)
+    return resid.reshape(b, k).max(axis=1), ok.reshape(b, k).all(axis=1)
+
+
+def bijection_sweep(span_a, span_b, values_a, values_b,
+                    tol: float = TOL_NUM) -> tuple[list | None, int, np.ndarray]:
+    """Exhaustive search for a bijection carrying each function span onto the other.
+
+    The m rows of every argument are the points of two m-point sets A and B;
+    the columns of ``span_a``/``span_b`` span a space of functions on A/B.  A
+    bijection p (point i of A to point ``p[i]`` of B) passes when every column
+    of ``values_b[p]`` lies in the span on A and every column of
+    ``values_a[p^-1]`` lies in the span on B, under :func:`span_membership`.
+    All m! bijections are visited in lexicographic order, a block of them at a
+    time, and the sweep stops after the block holding the first pass.
+
+    Returns ``(bijection, tried, residuals)``: the first passing bijection
+    (``None`` when none passes), the number of bijections checked up to and
+    including it, and per checked bijection the worst forward and backward
+    column residual, one row each.
+    """
+    span_a, span_b = np.asarray(span_a), np.asarray(span_b)
+    values_a = np.asarray(values_a).reshape(span_a.shape[0], -1)
+    values_b = np.asarray(values_b).reshape(span_b.shape[0], -1)
+    m = span_a.shape[0]
+    if span_b.shape[0] != m:
+        raise DimensionError("both point sets must have the same size")
+    chunks = []
+    tried = 0
+    for perms in lex_bijections(m):
+        fwd, fwd_ok = _transport_residuals(span_a, values_b, perms, tol)
+        bwd, bwd_ok = _transport_residuals(span_b, values_a, np.argsort(perms, axis=1), tol)
+        resids = np.column_stack([fwd, bwd])
+        passing = np.flatnonzero(fwd_ok & bwd_ok)
+        if passing.size:
+            r = int(passing[0])
+            chunks.append(resids[:r + 1])
+            return perms[r].tolist(), tried + r + 1, np.concatenate(chunks)
+        chunks.append(resids)
+        tried += perms.shape[0]
+    return None, tried, np.concatenate(chunks)
 
 
 def gram_rank(vectors, tol: float = TOL_NUM) -> int:

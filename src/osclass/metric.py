@@ -246,13 +246,7 @@ def correspondence_extension(m: FiniteStructure, n: FiniteStructure, pairs,
     The table ``psi(x, y) = eps + min over (x', y') in pairs of
     (d(x, x') + d(y', y))`` is the standard metric amalgamation extension.
     """
-    out = np.full((m.size, n.size), np.inf)
-    for x in range(m.size):
-        for y in range(n.size):
-            out[x, y] = eps + min(
-                m.metric[x, xp] + n.metric[yp, y] for xp, yp in pairs
-            )
-    return out
+    return eps + _gap_table(m, n, pairs)
 
 
 def _gap_table(m: FiniteStructure, n: FiniteStructure, pairs) -> np.ndarray:

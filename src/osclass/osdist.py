@@ -19,7 +19,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import DimensionError, NotComparableError
-from .linalg import gram_rank, op_norm
+from .linalg import gram_rank, op_norm, span_membership
 from .opsys import OperatorSystemSpan, build_system
 
 #: Condition-number bound past which a candidate map is treated as singular.
@@ -293,13 +293,11 @@ def _unitary_from_params(v: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(1j * h)
 
 
-def _conjugation_residual(wt: np.ndarray, ws_basis: list, v: np.ndarray) -> float:
+def _conjugation_residual(wt: np.ndarray, ws_rows: np.ndarray, v: np.ndarray) -> float:
     """Distance from U W_t U* to span{I, W_s, W_s*}, optimal over coefficients."""
     u = _unitary_from_params(v)
-    target = (u @ wt @ u.conj().T).reshape(-1)
-    mat = np.column_stack([b.reshape(-1) for b in ws_basis])
-    coeffs = np.linalg.pinv(mat) @ target
-    return float(np.linalg.norm(mat @ coeffs - target))
+    _, resid, _ = span_membership((u @ wt @ u.conj().T).reshape(-1, 1), ws_rows)
+    return float(resid[0])
 
 
 def wt_classify(t: float, s: float, variant: str = "three_by_three",
@@ -336,13 +334,14 @@ def wt_classify(t: float, s: float, variant: str = "three_by_three",
     wt = wt_matrix(pt)
     ws = wt_matrix(ps)
     basis = [np.eye(2, dtype=np.complex128), ws, ws.conj().T]
+    rows = np.array([b.reshape(-1) for b in basis])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     best = np.inf
     best_v = np.zeros(4)
     starts = [np.zeros(4)] + [rng.uniform(-np.pi, np.pi, 4) for _ in range(restarts - 1)]
     for sp in starts:
         res = scipy.optimize.minimize(
-            lambda v: _conjugation_residual(wt, basis, v), sp,
+            lambda v: _conjugation_residual(wt, rows, v), sp,
             method="Nelder-Mead", options={"maxfev": 400, "xatol": 1e-12, "fatol": 1e-14},
         )
         if res.fun < best:
@@ -356,13 +355,12 @@ def wt_classify(t: float, s: float, variant: str = "three_by_three",
         # of {I, W_t, W_t*} onto the span of {I, W_s, W_s*}, not just W_t into it.
         u = _unitary_from_params(best_v)
         image = u @ wt @ u.conj().T
-        mat = np.column_stack([b.reshape(-1) for b in basis])
-        coeffs = np.linalg.pinv(mat, rcond=1e-13) @ image.reshape(-1)
-        onto = gram_rank([b.reshape(-1) for b in basis]
+        coeffs, _, _ = span_membership(image.reshape(-1, 1), rows)
+        onto = gram_rank(list(rows)
                          + [(u @ g @ u.conj().T).reshape(-1)
                             for g in (np.eye(2, dtype=np.complex128), wt, wt.conj().T)]) == 3
         cert["unitary"] = u
-        cert["coefficients"] = coeffs
+        cert["coefficients"] = coeffs[:, 0]
         cert["spans_match"] = bool(onto)
         if onto:
             return CoisDecision("Isomorphic", "oracle", cert)

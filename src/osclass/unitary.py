@@ -5,7 +5,7 @@ The complete invariant is the spectrum on the unit circle up to rigid motions
 extracts spectra, canonicalizes them as circular gap sequences, searches for
 witnessing motions, and decides complete order isomorphism either through the
 cardinality/rigid-motion fast path or through an exact finite-spectrum oracle
-that enumerates spectrum bijections and tests the three-term span conditions.
+that sweeps spectrum bijections and tests the three-term span conditions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DimensionError, NotUnitaryError
-from .linalg import TOL_NUM, as_matrix, eig_normal, op_norm
+from .linalg import (TOL_NUM, as_matrix, bijection_sweep, eig_normal, lex_bijections,
+                     op_norm, span_membership)
 
 TWO_PI = 2.0 * np.pi
 
@@ -224,48 +225,6 @@ def cois_unitary_theorem(u, v, tol: float = TOL_NUM) -> CoisDecision:
     return CoisDecision("NotIsomorphic", method, {"reason": "no rigid motion matches the spectra"})
 
 
-def _span_fit(target: np.ndarray, points: np.ndarray):
-    """Least-squares fit of ``target`` in span{1, z, conj z} at the given points."""
-    mat = np.column_stack([np.ones_like(points), points, points.conj()])
-    coeffs = np.linalg.pinv(mat, rcond=1e-13) @ target
-    resid = float(np.linalg.norm(mat @ coeffs - target))
-    return coeffs, resid
-
-
-def _bijection_order(ss: CircleSet, tt: CircleSet, tol: float):
-    """All bijections as index permutations, rigid-motion candidates first."""
-    m = ss.size
-    preferred = []
-    seen = set()
-    for reflect in (False, True):
-        base = (-tt.angles) % TWO_PI if reflect else tt.angles
-        for j in range(m):
-            rot = (ss.angles[0] - base[j]) % TWO_PI
-            moved = (base + rot) % TWO_PI
-            # match each source angle to its nearest moved target angle
-            perm = []
-            used = set()
-            ok = True
-            for a in ss.angles:
-                dists = [circle_dist(a, mb) for mb in moved]
-                idx = int(np.argmin(dists))
-                if idx in used or dists[idx] > max(tol, 1e-6):
-                    ok = False
-                    break
-                used.add(idx)
-                perm.append(idx)
-            if ok:
-                key = tuple(perm)
-                if key not in seen:
-                    seen.add(key)
-                    preferred.append(key)
-    for perm in itertools.permutations(range(m)):
-        if perm not in seen:
-            seen.add(perm)
-            preferred.append(perm)
-    return preferred
-
-
 def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int = 9) -> CoisDecision:
     """Exact finite-spectrum oracle for complete order isomorphism.
 
@@ -273,9 +232,9 @@ def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int = 9) -> CoisDecisio
     isomorphism extends to a *-isomorphism of the generated commutative
     C*-algebras, i.e. a bijection ``h`` of the spectra.  The span condition
     becomes: ``h`` lies in span{1, z, conj z} on the source spectrum and
-    ``h^-1`` in span{1, w, conj w} on the target.  All bijections are
-    enumerated (rigid-motion candidates first) with a fixed deterministic
-    order, so the first accepted certificate is schedule-independent.
+    ``h^-1`` in span{1, w, conj w} on the target.  The bijections are swept
+    in lexicographic order (:func:`bijection_sweep`), so the first accepted
+    certificate is schedule-independent.
     """
     ss, tt = spectrum(u, tol), spectrum(v, tol)
     m = ss.size
@@ -284,43 +243,32 @@ def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int = 9) -> CoisDecisio
     if m > cap:
         raise CapacityError(f"spectrum size {m} exceeds enumeration cap {cap}")
     zs, ws = ss.points(), tt.points()
-    accept = max(tol, 1e-8) * np.sqrt(m)
-    order = _bijection_order(ss, tt, tol)
-    perms = np.array(order, dtype=int)
-    invs = np.argsort(perms, axis=1)
-    # residual of the least-squares fit = norm of the complementary projection
-    mat_f = np.column_stack([np.ones_like(zs), zs, zs.conj()])
-    mat_b = np.column_stack([np.ones_like(ws), ws, ws.conj()])
-    comp_f = np.eye(m) - mat_f @ np.linalg.pinv(mat_f, rcond=1e-13)
-    comp_b = np.eye(m) - mat_b @ np.linalg.pinv(mat_b, rcond=1e-13)
-    fwd_targets = ws[perms]  # row r: h(z_i) = w_{perms[r, i]}
-    bwd_targets = zs[invs]  # row r: h^-1(w_j) = z_{invs[r, j]}
-    fwd_resids = np.linalg.norm(comp_f @ fwd_targets.T, axis=0)
-    bwd_resids = np.linalg.norm(comp_b @ bwd_targets.T, axis=0)
-    passing = np.nonzero((fwd_resids <= accept) & (bwd_resids <= accept))[0]
-    if passing.size:
-        r = int(passing[0])
-        fwd_coeffs, fwd_resid = _span_fit(fwd_targets[r], zs)
-        bwd_coeffs, bwd_resid = _span_fit(bwd_targets[r], ws)
+    span_z = np.column_stack([np.ones_like(zs), zs, zs.conj()])
+    span_w = np.column_stack([np.ones_like(ws), ws, ws.conj()])
+    accept = max(tol, 1e-8)
+    bijection, tried, resids = bijection_sweep(span_z, span_w, zs, ws, accept)
+    if bijection is not None:
+        p = np.array(bijection)
+        fwd_coeffs, fwd_resid, _ = span_membership(ws[p, None], span_z.T, accept)
+        bwd_coeffs, bwd_resid, _ = span_membership(zs[np.argsort(p), None], span_w.T, accept)
         return CoisDecision(
             "Isomorphic", "oracle",
             {
-                "bijection": list(order[r]),
-                "forward_coeffs": fwd_coeffs,
-                "backward_coeffs": bwd_coeffs,
-                "residuals": [fwd_resid, bwd_resid],
+                "bijection": bijection,
+                "forward_coeffs": fwd_coeffs[:, 0],
+                "backward_coeffs": bwd_coeffs[:, 0],
+                "residuals": [float(fwd_resid[0]), float(bwd_resid[0])],
             },
         )
-    if len(order) <= 720:
+    if tried <= 720:
         failures = [
-            {"bijection": list(order[r]),
-             "residuals": [float(fwd_resids[r]), float(bwd_resids[r])]}
-            for r in range(len(order))
+            {"bijection": perm, "residuals": [float(f), float(b)]}
+            for perm, (f, b) in zip(next(lex_bijections(m, 720)).tolist(), resids)
         ]
         return CoisDecision("NotIsomorphic", "oracle", {"failed_bijections": failures})
     summary = {
-        "failed_count": len(order),
-        "min_residuals": [float(np.min(fwd_resids)), float(np.min(bwd_resids))],
+        "failed_count": tried,
+        "min_residuals": [float(x) for x in resids.min(axis=0)],
     }
     return CoisDecision("NotIsomorphic", "oracle", summary)
 

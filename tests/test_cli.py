@@ -192,10 +192,7 @@ class TestDeterminism:
         argv = ["unitary-cois", fu, fv, "--oracle"]
         _, _, a = call(argv)
         _, _, b = call(argv)
-        _, _, c = call(["--jobs", "4"] + argv)
-        d = call(["--jobs", "1"] + argv)[2]
         assert a == b
-        assert c == d == a  # worker settings never reach the report
 
     def test_timing_flag_adds_wall_time(self, tmp_path):
         fu = matrix_file(tmp_path, "u.json", np.diag([1.0, 1j]))
@@ -246,6 +243,97 @@ class TestVerify:
         assert code == EXIT_OK
         assert any(c["check"].startswith("forward") and c["pass"]
                    for c in vrep["certificate_checks"])
+
+
+def ellipse_pair():
+    """A 4-point spectral pair related by a real-affine map, not a rigid motion."""
+    ea, eb = 1.2, 0.9
+    x = np.sqrt((1 - 1 / eb ** 2) / (1 / ea ** 2 - 1 / eb ** 2))
+    y = np.sqrt(1 - x ** 2)
+    ws = np.array([x + 1j * y, -x + 1j * y, -x - 1j * y, x - 1j * y])
+    return ws.real / ea + 1j * ws.imag / eb, ws
+
+
+def stored_report(tmp_path, argv, name="report.json"):
+    _, rep, text = call(argv)
+    path = tmp_path / name
+    path.write_text(text + "\n")
+    return rep, path
+
+
+class TestVerifyCertificates:
+    def test_options_before_positionals(self, tmp_path):
+        zs, ws = ellipse_pair()
+        fu = matrix_file(tmp_path, "u.json", np.diag(zs))
+        fv = matrix_file(tmp_path, "v.json", np.diag(ws))
+        rep, path = stored_report(tmp_path, ["unitary-cois", "--oracle", "--tol", "1e-9", fu, fv])
+        assert rep["verdict"] == "Isomorphic"
+        code, vrep, _ = call(["verify", str(path)])
+        assert code == EXIT_OK
+        assert vrep["verified"] is True
+        assert {c["check"] for c in vrep["certificate_checks"]} == {
+            "forward span coefficients", "backward span coefficients"}
+
+    def test_degree_one_witness_replays_both_halves(self, tmp_path):
+        z = np.array([0.3 + 1j, -2.0, 0.5j, 1.0, 2.0 - 1j])
+        fd = points_file(tmp_path, "d.json", z.reshape(-1, 1))
+        fe = points_file(tmp_path, "e.json", (2 * z.conj() + 1j).reshape(-1, 1))
+        _, path = stored_report(tmp_path, ["deg1", fd, fe])
+        code, vrep, _ = call(["verify", str(path)])
+        assert code == EXIT_OK
+        assert [c["check"] for c in vrep["certificate_checks"]] == [
+            "degree-1 forward map", "degree-1 backward map"]
+
+    @pytest.mark.parametrize("kind,half", [("oracle", "forward"), ("oracle", "backward"),
+                                           ("deg1", "forward"), ("deg1", "backward")])
+    def test_tampered_coefficient_fails_its_half(self, tmp_path, kind, half):
+        from osclass.io import canonical_report
+
+        if kind == "oracle":
+            zs, ws = ellipse_pair()
+            fu = matrix_file(tmp_path, "u.json", np.diag(zs))
+            fv = matrix_file(tmp_path, "v.json", np.diag(ws))
+            rep, _ = stored_report(tmp_path, ["unitary-cois", fu, fv, "--oracle"])
+            rep["certificate"][f"{half}_coeffs"][1][0] += 0.5
+            name = f"{half} span coefficients"
+        else:
+            z = np.array([0.3 + 1j, -2.0, 0.5j, 1.0, 2.0 - 1j])
+            fd = points_file(tmp_path, "d.json", z.reshape(-1, 1))
+            fe = points_file(tmp_path, "e.json", (2 * z + 1j).reshape(-1, 1))
+            rep, _ = stored_report(tmp_path, ["deg1", fd, fe])
+            rep["witness"][half]["coeffs"][0][2][0] += 0.5
+            name = f"degree-1 {half} map"
+        path = tmp_path / "tampered.json"
+        path.write_text(canonical_report(rep) + "\n")
+        code, vrep, _ = call(["verify", str(path)])
+        assert code == EXIT_INVALID
+        assert vrep["verified"] is False
+        verdicts = {c["check"]: c["pass"] for c in vrep["certificate_checks"]}
+        assert verdicts.pop(name) is False
+        assert list(verdicts.values()) == [True]  # the other half still replays
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_malformed_report_exits_invalid(tmp_path, text):
+    p = tmp_path / "report.json"
+    p.write_text(text)
+    code, rep, _ = call(["verify", str(p)])
+    assert code == EXIT_INVALID
+    assert rep["error"]["kind"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("command,obj", [
+    ("deg1", {"dim": "x", "points": [[[0, 0]], [[1, 0]]]}),
+    ("gh-theory", {"metric": "abc"}),
+    ("gh-theory", {"metric": [[0, 1], [1, 0]], "domains": [["a"]]}),
+])
+def test_malformed_json_values_exit_invalid(tmp_path, command, obj):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    argv = [command, str(p), str(p)] if command == "deg1" else [command, str(p)]
+    code, rep, _ = call(argv)
+    assert code == EXIT_INVALID
+    assert rep["error"]["kind"] == "InputFormatError"
 
 
 def test_unknown_subcommand_is_invalid():
