@@ -157,12 +157,14 @@ def bijection_sweep(span_a, span_b, values_a, values_b,
     of ``values_b[p]`` lies in the span on A and every column of
     ``values_a[p^-1]`` lies in the span on B, under :func:`span_membership`.
     All m! bijections are visited in lexicographic order, a block of them at a
-    time, and the sweep stops after the block holding the first pass.
+    time.  The sweep does not stop at the first pass, so its cost is m! span
+    tests whatever the input and wherever its witness falls in the order.
 
     Returns ``(bijection, tried, residuals)``: the first passing bijection
-    (``None`` when none passes), the number of bijections checked up to and
-    including it, and per checked bijection the worst forward and backward
-    column residual, one row each.
+    (``None`` when none passes), its 1-based lexicographic rank (m! when none
+    passes), i.e. the number of bijections checked up to and including it,
+    and per such bijection the worst forward and backward column residual,
+    one row each.
     """
     span_a, span_b = np.asarray(span_a), np.asarray(span_b)
     values_a = np.asarray(values_a).reshape(span_a.shape[0], -1)
@@ -171,19 +173,16 @@ def bijection_sweep(span_a, span_b, values_a, values_b,
     if span_b.shape[0] != m:
         raise DimensionError("both point sets must have the same size")
     chunks = []
-    tried = 0
+    first, tried = None, 0
     for perms in lex_bijections(m):
         fwd, fwd_ok = _transport_residuals(span_a, values_b, perms, tol)
         bwd, bwd_ok = _transport_residuals(span_b, values_a, np.argsort(perms, axis=1), tol)
-        resids = np.column_stack([fwd, bwd])
+        chunks.append(np.column_stack([fwd, bwd]))
         passing = np.flatnonzero(fwd_ok & bwd_ok)
-        if passing.size:
-            r = int(passing[0])
-            chunks.append(resids[:r + 1])
-            return perms[r].tolist(), tried + r + 1, np.concatenate(chunks)
-        chunks.append(resids)
-        tried += perms.shape[0]
-    return None, tried, np.concatenate(chunks)
+        if first is None:
+            first = perms[passing[0]].tolist() if passing.size else None
+            tried += int(passing[0]) + 1 if passing.size else perms.shape[0]
+    return first, tried, np.concatenate(chunks)[:tried]
 
 
 def gram_rank(vectors, tol: float = TOL_NUM) -> int:
