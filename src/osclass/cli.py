@@ -180,10 +180,8 @@ def _cmd_family(args) -> tuple[dict, int]:
 def _cmd_gh_dist(args) -> tuple[dict, int]:
     m = io.parse_structure(io.load_json(args.left))
     n = io.parse_structure(io.load_json(args.right))
-    per_level = {
-        str(k): metric.dk_bruteforce(m, n, k, cap=args.cap) for k in range(1, args.kmax + 1)
-    }
-    value = sum(2.0 ** (-int(k)) * v for k, v in per_level.items())
+    value, levels = metric._weighted_dk(m, n, args.kmax, args.cap)
+    per_level = {str(k): v for k, v in enumerate(levels, start=1)}
     return {"distance": value, "per_level": per_level,
             "tolerances": {"kmax": args.kmax, "cap": args.cap}}, EXIT_OK
 

@@ -9,7 +9,6 @@ weighted Gromov-Hausdorff sum.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +82,8 @@ class FiniteStructure:
         if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
             raise DimensionError(f"metric must be a nonempty square table, got {d.shape}")
         m = d.shape[0]
+        if not np.all(np.isfinite(d)):
+            raise DimensionError("metric has non-finite entries")
         if np.any(np.abs(np.diag(d)) > METRIC_SLACK):
             raise DimensionError("metric diagonal must be zero")
         if np.any(np.abs(d - d.T) > METRIC_SLACK):
@@ -90,17 +91,18 @@ class FiniteStructure:
         if np.any(d < -METRIC_SLACK):
             raise DimensionError("metric must be nonnegative")
         for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if d[i, j] > d[i, k] + d[k, j] + METRIC_SLACK:
-                        raise DimensionError(
-                            f"triangle inequality fails at ({i},{j},{k})"
-                        )
+            # entry (j, k): d(i, j) > d(i, k) + d(k, j), one row i at a time
+            bad = np.argwhere(d[i, :, None] > d[i, None, :] + d.T + METRIC_SLACK)
+            if bad.size:
+                j, k = bad[0]
+                raise DimensionError(f"triangle inequality fails at ({i},{j},{k})")
         rels = {}
         for name, table in self.relations.items():
             t = np.asarray(table, dtype=np.float64)
             if t.shape != (m,) * t.ndim:
                 raise DimensionError(f"relation {name!r} table must be cubical in size {m}")
+            if not np.all(np.isfinite(t)):
+                raise DimensionError(f"relation {name!r} has non-finite entries")
             if self.signature is not None:
                 sym = self.signature.relation(name)
                 if t.ndim != sym.arity:
@@ -205,18 +207,24 @@ def eps_of_bijection(psi: ApproxIsometry) -> float:
     return max(float(np.max(np.min(p, axis=1))), float(np.max(np.min(p, axis=0))))
 
 
-def _graph_metric(structure: FiniteStructure, name: str) -> tuple[list, np.ndarray]:
-    """Tuples of the relation graph and the max-metric (including the value)."""
-    t = structure.table(name)
-    arity = t.ndim
-    pts = list(itertools.product(range(structure.size), repeat=arity))
-    n = len(pts)
-    g = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            coord = max(structure.metric[pts[a][i], pts[b][i]] for i in range(arity))
-            g[a, b] = max(coord, abs(t[pts[a]] - t[pts[b]]))
-    return pts, g
+def _on_axes(a: np.ndarray, i: int, r: int) -> np.ndarray:
+    """The last two axes of ``a`` spread over axes i and r + i of 2r broadcast axes."""
+    shape = [1] * (2 * r)
+    shape[i], shape[r + i] = a.shape[-2:]
+    return a.reshape(a.shape[:-2] + tuple(shape))
+
+
+def _lift_table(psi: np.ndarray, tm: np.ndarray, tn: np.ndarray) -> np.ndarray:
+    """Entry (x-tuple, y-tuple): max of ``psi`` on matched coordinates and the value gap.
+
+    Tuples run over all index tuples of the two relation tables in
+    ``itertools.product`` order.
+    """
+    r = tm.ndim
+    table = np.abs(tm.reshape(tm.shape + (1,) * r) - tn.reshape((1,) * r + tn.shape))
+    for i in range(r):
+        table = np.maximum(table, _on_axes(psi, i, r))
+    return table.reshape(tm.size, tn.size)
 
 
 def lift_relation(psi: ApproxIsometry, name: str, m: FiniteStructure,
@@ -224,19 +232,14 @@ def lift_relation(psi: ApproxIsometry, name: str, m: FiniteStructure,
     """The lifted approximate isometry between the graphs of a relation.
 
     Entry at (x-tuple, y-tuple) is the max of the psi values of the matched
-    coordinates and the gap between the two relation values.
+    coordinates and the gap between the two relation values; each graph
+    carries the max-metric of its coordinates and values.
     """
     tm, tn = m.table(name), n.table(name)
     if tm.ndim != tn.ndim:
         raise DimensionError(f"relation {name!r} has mismatched arities")
-    pts_m, gm = _graph_metric(m, name)
-    pts_n, gn = _graph_metric(n, name)
-    table = np.zeros((len(pts_m), len(pts_n)))
-    for a, xb in enumerate(pts_m):
-        for b, yb in enumerate(pts_n):
-            coord = max(psi.psi[xb[i], yb[i]] for i in range(tm.ndim))
-            table[a, b] = max(coord, abs(tm[xb] - tn[yb]))
-    return ApproxIsometry(psi=table, dx=gm, dy=gn)
+    return ApproxIsometry(psi=_lift_table(psi.psi, tm, tn),
+                          dx=_lift_table(m.metric, tm, tm), dy=_lift_table(n.metric, tn, tn))
 
 
 def correspondence_extension(m: FiniteStructure, n: FiniteStructure, pairs,
@@ -249,68 +252,79 @@ def correspondence_extension(m: FiniteStructure, n: FiniteStructure, pairs,
     return eps + _gap_table(m, n, pairs)
 
 
+def _gap_tables(dx: np.ndarray, dy: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Per mask, the min over its cells (x', y') of ``dx[x, x'] + dy[y', y]``."""
+    sums = dx[:, None, :, None] + dy.T[None, :, None, :]
+    return np.where(masks[:, None, None], sums, np.inf).min(axis=(3, 4))
+
+
 def _gap_table(m: FiniteStructure, n: FiniteStructure, pairs) -> np.ndarray:
     """min over pairs of d(x, x') + d(y', y); the eps-free part of the extension."""
-    out = np.full((m.size, n.size), np.inf)
-    for x in range(m.size):
-        for y in range(n.size):
-            out[x, y] = min(m.metric[x, xp] + n.metric[yp, y] for xp, yp in pairs)
-    return out
+    mask = np.zeros((m.size, n.size), dtype=bool)
+    mask[tuple(np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T)] = True
+    return _gap_tables(m.metric, n.metric, mask[None])[0]
 
 
-def _eps_of_correspondence(m: FiniteStructure, n: FiniteStructure, pairs,
-                           dom_m, dom_n, names, slack: float = 1e-9) -> float:
-    """Critical epsilon at which the extension of a full correspondence passes.
+#: Entries in the widest array of one block of the d_k sweep: candidate masks
+#: are decoded this many cells at a time and scored this many table entries
+#: at a time, so the sweep's memory stays flat however many candidates it has.
+DK_BLOCK_ENTRIES = 1 << 16
+
+
+def _correspondence_blocks(p: int, q: int):
+    """Full correspondences between p and q points, as boolean (B, p, q) masks.
+
+    While ``p * q <= EXHAUSTIVE_PAIR_LIMIT`` these are all cell sets covering
+    every row and column: bit ``a * q + b`` of each integer 1 .. 2^(pq) - 1
+    marks cell (a, b).  Beyond that they are the graphs of the onto maps from
+    the larger side to the smaller (the first side when sizes tie): the
+    base-s digits of 0 .. s^L - 1, most significant first, are the images of
+    the L larger-side points.  ``DK_BLOCK_ENTRIES // (p * q)`` integers are
+    decoded at a time.
+    """
+    chunk = max(1, DK_BLOCK_ENTRIES // max(1, p * q))
+    if p * q <= EXHAUSTIVE_PAIR_LIMIT:
+        cells = 1 << np.arange(p * q).reshape(p, q)
+        lines = np.concatenate([cells.sum(axis=1), cells.sum(axis=0)])
+        stop = 1 << (p * q)
+        for start in range(1, stop, chunk):
+            ints = np.arange(start, min(start + chunk, stop))
+            ints = ints[(ints[:, None] & lines != 0).all(axis=1)]
+            yield (ints[:, None] >> np.arange(p * q) & 1).astype(bool).reshape(-1, p, q)
+        return
+    big, small = max(p, q), min(p, q)
+    powers, stop = small ** np.arange(big - 1, -1, -1), small ** big
+    for start in range(0, stop, chunk):
+        images = np.arange(start, min(start + chunk, stop))[:, None] // powers % small
+        images = images[np.bitwise_or.reduce(1 << images, axis=1) == (1 << small) - 1]
+        masks = images[:, :, None] == np.arange(small)
+        yield masks if p >= q else masks.transpose(0, 2, 1)
+
+
+def _critical_eps(masks: np.ndarray, dx: np.ndarray, dy: np.ndarray, value_gaps,
+                  slack: float = 1e-9) -> np.ndarray:
+    """Critical epsilon at which the extension of each full correspondence passes.
 
     Combines the Katetov-validity threshold of the extension with the
     epsilon-bijection thresholds of every lifted relation in the sublanguage,
     where lifted matching is only possible along pairs at zero gap.
+    ``value_gaps`` holds, per relation, its arity r and the table of
+    ``|R(x-tuple) - R(y-tuple)|`` over the domain tuples.
     """
-    g = _gap_table(m, n, pairs)
-    eps = 0.0
+    g = _gap_tables(dx, dy, masks)
     # Katetov validity: d(x, x~) <= 2 eps + g(x, y) + g(x~, y), both sides.
-    for x, xt in itertools.product(dom_m, repeat=2):
-        for y in dom_n:
-            eps = max(eps, (m.metric[x, xt] - g[x, y] - g[xt, y]) / 2.0)
-    for y, yt in itertools.product(dom_n, repeat=2):
-        for x in dom_m:
-            eps = max(eps, (n.metric[y, yt] - g[x, y] - g[x, yt]) / 2.0)
-    matched = {x: [y for y in dom_n if g[x, y] <= slack] for x in dom_m}
-    matched_rev = {y: [x for x in dom_m if g[x, y] <= slack] for y in dom_n}
-    for name in sorted(names):
-        tm, tn = m.table(name), n.table(name)
-        arity = tm.ndim
-        for xb in itertools.product(dom_m, repeat=arity):
-            cands = itertools.product(*(matched[x] for x in xb))
-            eps = max(eps, min(abs(tm[xb] - tn[yb]) for yb in cands))
-        for yb in itertools.product(dom_n, repeat=arity):
-            cands = itertools.product(*(matched_rev[y] for y in yb))
-            eps = max(eps, min(abs(tm[xb] - tn[yb]) for xb in cands))
-    return max(eps, 0.0)
-
-
-def _full_correspondences(dom_m, dom_n):
-    """All subsets of dom_m x dom_n covering every row and column."""
-    cells = list(itertools.product(dom_m, dom_n))
-    for mask in range(1, 1 << len(cells)):
-        pairs = [cells[i] for i in range(len(cells)) if mask >> i & 1]
-        if {p[0] for p in pairs} == set(dom_m) and {p[1] for p in pairs} == set(dom_n):
-            yield pairs
-
-
-def _surjection_graphs(dom_m, dom_n):
-    """Graphs of surjections from the larger domain onto the smaller one."""
-    if len(dom_m) >= len(dom_n):
-        big, small, flip = dom_m, dom_n, False
-    else:
-        big, small, flip = dom_n, dom_m, True
-    for img in itertools.product(small, repeat=len(big)):
-        if set(img) != set(small):
-            continue
-        pairs = [(b, i) for b, i in zip(big, img)]
-        if flip:
-            pairs = [(i, b) for b, i in pairs]
-        yield pairs
+    eps = np.maximum(
+        ((dx[None, :, :, None] - g[:, :, None, :] - g[:, None, :, :]) / 2.0).max(axis=(1, 2, 3)),
+        ((dy[None, None] - g[:, :, :, None] - g[:, :, None, :]) / 2.0).max(axis=(1, 2, 3)))
+    matched = g <= slack
+    for r, gaps in value_gaps:
+        joint = np.ones((len(g),) + (1,) * (2 * r), dtype=bool)
+        for i in range(r):
+            joint = joint & _on_axes(matched, i, r)
+        cost = np.where(joint.reshape(len(g), *gaps.shape), gaps, np.inf)
+        eps = np.maximum(eps, np.maximum(cost.min(axis=2).max(axis=1),
+                                         cost.min(axis=1).max(axis=1)))
+    return np.maximum(eps, 0.0)
 
 
 def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
@@ -319,7 +333,9 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
 
     Minimizes the critical epsilon of the Katetov extension over full
     correspondences between the level-k domains; exhaustive while the domain
-    product is small, restricted to surjection graphs beyond that.
+    product is small, restricted to surjection graphs beyond that.  The
+    correspondences are scored a numpy block at a time, and the search stops
+    after the first block that reaches 0.
     """
     dom_m, dom_n = m.domain(k), n.domain(k)
     if len(dom_m) > cap or len(dom_n) > cap:
@@ -331,21 +347,38 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
         names = set(sig.sublanguage(k)) | {"d"}
     else:
         names = {"d"} | set(m.relations)
-    if len(dom_m) * len(dom_n) <= EXHAUSTIVE_PAIR_LIMIT:
-        candidates = _full_correspondences(dom_m, dom_n)
-    else:
-        candidates = _surjection_graphs(dom_m, dom_n)
+    p, q = len(dom_m), len(dom_n)
+    value_gaps = []
+    for name in sorted(names):
+        tm, tn = m.table(name), n.table(name)
+        if tm.ndim != tn.ndim:
+            raise DimensionError(f"relation {name!r} has mismatched arities")
+        tm, tn = tm[np.ix_(*[dom_m] * tm.ndim)], tn[np.ix_(*[dom_n] * tn.ndim)]
+        value_gaps.append((tm.ndim, np.abs(tm.reshape(-1, 1) - tn.reshape(1, -1))))
+    # widest per-candidate array: the gap sums (pq)^2 or a relation's gap table
+    width = max([1, (p * q) ** 2] + [t.size for _, t in value_gaps])
+    dx, dy = m.metric[np.ix_(dom_m, dom_m)], n.metric[np.ix_(dom_n, dom_n)]
+    block = max(1, DK_BLOCK_ENTRIES // width)
     best = np.inf
-    for pairs in candidates:
-        best = min(best, _eps_of_correspondence(m, n, pairs, dom_m, dom_n, names))
-        if best == 0.0:
-            break
+    for masks in _correspondence_blocks(p, q):
+        for start in range(0, len(masks), block):
+            eps = _critical_eps(masks[start:start + block], dx, dy, value_gaps)
+            best = min(best, float(eps.min()))
+            if best == 0.0:
+                return best
     if not np.isfinite(best):
         raise DimensionError("no full correspondence exists between the domains")
-    return float(best)
+    return best
+
+
+def _weighted_dk(m: FiniteStructure, n: FiniteStructure, k_max: int,
+                 cap: int) -> tuple[float, list]:
+    """``sum_{k <= k_max} 2^-k d_k(m, n)`` and the per-level values d_1 .. d_kmax."""
+    levels = [dk_bruteforce(m, n, k, cap) for k in range(1, k_max + 1)]
+    return sum(2.0 ** (-k) * v for k, v in enumerate(levels, start=1)), levels
 
 
 def dgh_structures(m: FiniteStructure, n: FiniteStructure, k_max: int = 3,
                    cap: int = DEFAULT_DK_CAP) -> float:
     """Truncated weighted sum ``sum_{k <= k_max} 2^-k d_k(m, n)``."""
-    return float(sum(2.0 ** (-k) * dk_bruteforce(m, n, k, cap) for k in range(1, k_max + 1)))
+    return float(_weighted_dk(m, n, k_max, cap)[0])

@@ -223,7 +223,7 @@ def test_8_structure_distance_and_fingerprints():
     d2 = FiniteStructure(np.array([[0.0, 2.0], [2.0, 0.0]]))
     assert np.max(np.abs(universal_fingerprint(d1, 3)
                          - universal_fingerprint(d2, 3))) > 0
-    assert time.monotonic() - start < 30.0
+    assert time.monotonic() - start < 5.0
 
 
 def test_9_cli_reports_are_byte_identical(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from osclass.cli import (EXIT_CAPACITY, EXIT_INVALID, EXIT_OK, EXIT_UNKNOWN,
                          run)
+from osclass.io import canonical_report
 
 
 def call(argv):
@@ -215,12 +216,15 @@ class TestVerify:
 
     def test_detects_tampering(self, tmp_path):
         fu = matrix_file(tmp_path, "u.json", np.diag([1.0, -1.0, 1j]))
-        _, _, text = call(["canon", fu])
-        tampered = text.replace("3", "4", 1)
+        _, report, _ = call(["canon", fu])
+        # change a computed value, never the echoed command (whose input
+        # path must keep pointing at the matrix file)
+        report["size"] += 1
         report_path = tmp_path / "tampered.json"
-        report_path.write_text(tampered + "\n")
+        report_path.write_text(canonical_report(report) + "\n")
         code, rep, _ = call(["verify", str(report_path)])
         assert code == EXIT_INVALID
+        assert rep["replay_identical"] is False
         assert rep["verified"] is False
 
     def test_replays_isomorphism_certificate(self, tmp_path):
@@ -287,8 +291,6 @@ class TestVerifyCertificates:
     @pytest.mark.parametrize("kind,half", [("oracle", "forward"), ("oracle", "backward"),
                                            ("deg1", "forward"), ("deg1", "backward")])
     def test_tampered_coefficient_fails_its_half(self, tmp_path, kind, half):
-        from osclass.io import canonical_report
-
         if kind == "oracle":
             zs, ws = ellipse_pair()
             fu = matrix_file(tmp_path, "u.json", np.diag(zs))

@@ -45,6 +45,13 @@ class TestFiniteStructure:
         with pytest.raises(DimensionError):
             FiniteStructure(np.array([[0.5, 1.0], [1.0, 0.0]]))
 
+    def test_rejects_non_finite_entries(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DimensionError):
+                FiniteStructure(np.array([[0.0, bad], [bad, 0.0]]))
+            with pytest.raises(DimensionError):
+                FiniteStructure(TWO_D1.metric, relations={"R": np.array([0.0, bad])})
+
     def test_nested_domains(self):
         s = FiniteStructure(PATH3, domains=((0,), (0, 1), (0, 1, 2)))
         assert s.domain(2) == (0, 1)
