@@ -198,12 +198,8 @@ def _check(name: str, predicted: np.ndarray, expected: np.ndarray) -> dict:
 
 
 @io.as_input_error
-def _replay_certificates(report: dict, argv: list) -> list:
+def _replay_certificates(report: dict, args) -> list:
     """Re-check both halves of the replayable certificates embedded in a report."""
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        raise InputFormatError(f"cannot parse the echoed command {argv}") from exc
     checks = []
     cert = report.get("certificate")
     witness = report.get("witness")
@@ -233,6 +229,14 @@ def _cmd_verify(args) -> tuple[dict, int]:
     argv = [str(a) for a in stored.get("command", [])] if isinstance(stored, dict) else []
     if not argv:
         raise InputFormatError("report carries no command echo to replay")
+    try:
+        echoed = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        raise InputFormatError(f"cannot parse the echoed command {argv}") from exc
+    if echoed.command == "verify":
+        # the echo of a verify report can name that very file, and replaying
+        # it would then recurse without end
+        raise InputFormatError("the echoed command is verify; verify the report it checked")
     from io import StringIO
 
     buf = StringIO()
@@ -241,7 +245,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     with open(args.report, "r", encoding="utf-8") as fh:
         original = fh.read().strip()
     identical = fresh == original
-    checks = _replay_certificates(stored, argv)
+    checks = _replay_certificates(stored, echoed)
     ok = identical and all(c["pass"] for c in checks)
     return {
         "replay_identical": identical,

@@ -181,11 +181,6 @@ def normal_system(d: PointSet) -> opsys.OperatorSystemSpan:
     return opsys.build_system(vs + products, include_identity=True)
 
 
-def _function_span(system: opsys.OperatorSystemSpan) -> np.ndarray:
-    """Diagonals of the basis: the system as a space of functions on the points."""
-    return np.column_stack([np.diag(b) for b in system.basis])
-
-
 def deg1_via_opsys(d: PointSet, e: PointSet, tol: float = TOL_NUM,
                    cap: int | None = None) -> Deg1Decision:
     """Degree-1 homeomorphism decided through the operator-system function spans.
@@ -197,8 +192,8 @@ def deg1_via_opsys(d: PointSet, e: PointSet, tol: float = TOL_NUM,
     """
     if not _check_sizes(d, e, cap):
         return Deg1Decision(homeomorphic=False, tried=0)
-    fd = _function_span(normal_system(d))
-    fe = _function_span(normal_system(e))
+    # the diagonals of each basis: the system as a space of functions on the points
+    fd, fe = (np.diagonal(normal_system(s).basis, axis1=1, axis2=2).T for s in (d, e))
     bijection, tried, _ = bijection_sweep(fd, fe, fd, fe, tol)
     witness = None if bijection is None else {"bijection": bijection}
     return Deg1Decision(homeomorphic=witness is not None, witness=witness, tried=tried)

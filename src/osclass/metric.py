@@ -56,8 +56,9 @@ class Signature:
         object.__setattr__(self, "relations", tuple(self.relations))
 
     def sublanguage(self, k: int) -> frozenset:
-        idx = min(k, len(self.sublanguages)) - 1
-        return self.sublanguages[idx]
+        if k < 1:
+            raise DimensionError(f"levels start at 1, got {k}")
+        return self.sublanguages[min(k, len(self.sublanguages)) - 1]
 
     def relation(self, name: str) -> RelationSymbol:
         for r in self.relations:
@@ -130,8 +131,9 @@ class FiniteStructure:
         return int(self.metric.shape[0])
 
     def domain(self, k: int) -> tuple:
-        idx = min(k, len(self.domains)) - 1
-        return self.domains[idx]
+        if k < 1:
+            raise DimensionError(f"levels start at 1, got {k}")
+        return self.domains[min(k, len(self.domains)) - 1]
 
     def table(self, name: str) -> np.ndarray:
         if name == "d":
@@ -373,8 +375,19 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
 
 def _weighted_dk(m: FiniteStructure, n: FiniteStructure, k_max: int,
                  cap: int) -> tuple[float, list]:
-    """``sum_{k <= k_max} 2^-k d_k(m, n)`` and the per-level values d_1 .. d_kmax."""
-    levels = [dk_bruteforce(m, n, k, cap) for k in range(1, k_max + 1)]
+    """``sum_{k <= k_max} 2^-k d_k(m, n)`` and the per-level values d_1 .. d_kmax.
+
+    d_k depends on k only through the two level-k domains and the level-k
+    sublanguage, so levels that share all three share one search.
+    """
+    sig = m.signature or n.signature
+    searched: dict = {}
+    levels = []
+    for k in range(1, k_max + 1):
+        key = (m.domain(k), n.domain(k), sig.sublanguage(k) if sig is not None else None)
+        if key not in searched:
+            searched[key] = dk_bruteforce(m, n, k, cap)
+        levels.append(searched[key])
     return sum(2.0 ** (-k) * v for k, v in enumerate(levels, start=1)), levels
 
 

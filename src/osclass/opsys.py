@@ -23,12 +23,13 @@ class OperatorSystemSpan:
 
     Attributes:
         ambient_dim: k, the size of the ambient matrix algebra.
-        basis: linearly independent k x k matrices spanning the system.
+        basis: an (N, k, k) array of linearly independent k x k matrices
+            spanning the system.
         unit_coeffs: coefficients expressing the identity I_k in the basis.
     """
 
     ambient_dim: int
-    basis: tuple
+    basis: np.ndarray
     unit_coeffs: np.ndarray
 
     @property
@@ -36,14 +37,22 @@ class OperatorSystemSpan:
         return len(self.basis)
 
     def assemble(self, coeffs) -> np.ndarray:
-        """The matrix sum_j coeffs_j basis_j."""
-        c = np.asarray(coeffs, dtype=np.complex128).ravel()
-        if c.size != self.dim:
-            raise DimensionError(f"expected {self.dim} coefficients, got {c.size}")
-        out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
-        for cj, bj in zip(c, self.basis):
-            out += cj * bj
-        return out
+        """The nk x nk matrix sum_ij E_ij (x) (sum_m coeffs_ijm basis_m).
+
+        ``coeffs`` is an (n, n, N) array of coefficient vectors, an element of
+        M_n(X); a length-N vector is the level-1 case and gives the k x k
+        matrix sum_m coeffs_m basis_m.
+        """
+        c = np.asarray(coeffs, dtype=np.complex128)
+        k, nn = self.ambient_dim, self.dim
+        if c.ndim == 1:
+            c = c.reshape(1, 1, -1)
+        if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[2] != nn:
+            raise DimensionError(f"expected {nn} coefficients or an (n, n, {nn}) array, "
+                                 f"got shape {np.shape(coeffs)}")
+        n = c.shape[0]
+        blocks = (c.reshape(n * n, nn) @ self.basis.reshape(nn, k * k)).reshape(n, n, k, k)
+        return blocks.transpose(0, 2, 1, 3).reshape(n * k, n * k)
 
     def unit(self) -> np.ndarray:
         return self.assemble(self.unit_coeffs)
@@ -131,7 +140,9 @@ def build_system(generators, include_identity: bool = True, tol: float = TOL_NUM
     if not basis:
         raise EmptySystemError("generators span the zero space")
     unit = find_unit_coeffs(basis, tol)
-    return OperatorSystemSpan(ambient_dim=k, basis=tuple(basis), unit_coeffs=unit)
+    stacked = np.array(basis)
+    stacked.setflags(write=False)
+    return OperatorSystemSpan(ambient_dim=k, basis=stacked, unit_coeffs=unit)
 
 
 def is_operator_system(matrices, tol: float = TOL_NUM) -> SystemCheck:
@@ -169,21 +180,9 @@ def find_unit_coeffs(basis, tol: float = TOL_NUM) -> np.ndarray:
     return coeffs
 
 
-def assemble_amplified(x: OperatorSystemSpan, a: AmplifiedElement) -> np.ndarray:
-    """The nk x nk matrix sum_ij E_ij otimes (coeffs_ij . basis)."""
-    n, k = a.level, x.ambient_dim
-    if a.coeffs.shape[2] != x.dim:
-        raise DimensionError(f"coefficient vectors must have length {x.dim}")
-    out = np.zeros((n * k, n * k), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            out[i * k:(i + 1) * k, j * k:(j + 1) * k] = x.assemble(a.coeffs[i, j])
-    return out
-
-
 def amplified_norm(x: OperatorSystemSpan, a: AmplifiedElement) -> float:
     """Norm of an element of M_n(X), computed in the concrete representation."""
-    return op_norm(assemble_amplified(x, a))
+    return op_norm(x.assemble(a.coeffs))
 
 
 def min_os_norm(ball: PolyhedralDualBall, x) -> float:

@@ -73,35 +73,17 @@ class DistanceReport:
     converged: dict = field(default_factory=dict)
 
 
-def _amplification_generators(x: OperatorSystemSpan, level: int) -> np.ndarray:
-    """Stacked matrices E_ij (x) basis_m, flattened over (i, j, m)."""
-    n, k, nn = level, x.ambient_dim, x.dim
-    gens = np.zeros((n * n * nn, n * k, n * k), dtype=np.complex128)
-    idx = 0
-    for i in range(n):
-        for j in range(n):
-            for m in range(nn):
-                gens[idx, i * k:(i + 1) * k, j * k:(j + 1) * k] = x.basis[m]
-                idx += 1
-    return gens
-
-
 def _ratio_function(x: OperatorSystemSpan, y: OperatorSystemSpan,
                     u: np.ndarray, level: int):
-    """The homogeneous ratio ||assemble_Y(u c)|| / ||assemble_X(c)||."""
-    gx = _amplification_generators(x, level)
-    gy = _amplification_generators(y, level)
-    nn = x.dim
+    """The homogeneous ratio ||assemble_Y(c u^T)|| / ||assemble_X(c)|| on M_level(X)."""
 
     def ratio(cflat: np.ndarray) -> float:
-        c = cflat.reshape(level, level, nn)
-        denom_mat = np.tensordot(c.reshape(-1), gx, axes=1)
+        c = cflat.reshape(level, level, x.dim)
+        denom_mat = x.assemble(c)
         denom = op_norm(denom_mat) if np.any(denom_mat) else 0.0
         if denom < 1e-14:
             return 0.0
-        cu = np.einsum("ab,ijb->ija", u, c)
-        num = op_norm(np.tensordot(cu.reshape(-1), gy, axes=1))
-        return num / denom
+        return op_norm(y.assemble(c @ u.T)) / denom
 
     return ratio
 
@@ -141,10 +123,7 @@ def amplified_map_norm(x: OperatorSystemSpan, y: OperatorSystemSpan, u,
             best = r
         return -r
 
-    unit_c = np.zeros((level, level, nn), dtype=np.complex128)
-    for i in range(level):
-        unit_c[i, i] = x.unit_coeffs
-    start_points = [_complex_to_real(unit_c)]
+    start_points = [_complex_to_real(np.eye(level)[:, :, None] * x.unit_coeffs)]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     for _ in range(max(0, starts - 1)):
         start_points.append(rng.standard_normal(2 * level * level * nn))

@@ -324,6 +324,15 @@ def test_malformed_report_exits_invalid(tmp_path, text):
     assert rep["error"]["kind"] == "InputFormatError"
 
 
+@pytest.mark.parametrize("prefix", [[], ["--timing"]])
+def test_verify_report_naming_itself_exits_invalid(tmp_path, prefix):
+    p = tmp_path / "v.json"
+    p.write_text(json.dumps({"command": prefix + ["verify", str(p)]}))
+    code, rep, _ = call(["verify", str(p)])
+    assert code == EXIT_INVALID
+    assert rep["error"]["kind"] == "InputFormatError"
+
+
 @pytest.mark.parametrize("command,obj", [
     ("deg1", {"dim": "x", "points": [[[0, 0]], [[1, 0]]]}),
     ("gh-theory", {"metric": "abc"}),

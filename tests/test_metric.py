@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from osclass import metric
 from osclass.errors import CapacityError, DimensionError
 from osclass.metric import (ApproxIsometry, FiniteStructure, Signature,
                             RelationSymbol, correspondence_extension,
@@ -174,6 +175,15 @@ class TestDk:
         lvl2 = dk_bruteforce(s, t, k=2)
         assert lvl1 <= lvl2  # the bigger domain exposes the distance-2 pair
 
+    @pytest.mark.parametrize("k", [0, -1, -5])
+    def test_levels_below_one_rejected(self, k):
+        s = FiniteStructure(PATH3, domains=((0, 1), (0, 1, 2)))
+        with pytest.raises(DimensionError):
+            dk_bruteforce(s, s, k=k)
+        sig = Signature(sublanguages=({"d"}, {"d"}))
+        with pytest.raises(DimensionError):
+            sig.sublanguage(k)
+
 
 class TestDgh:
     def test_zero_for_relabelings(self):
@@ -201,3 +211,18 @@ class TestDgh:
         total = dgh_structures(s, t, k_max=3)
         parts = [dk_bruteforce(s, t, k) for k in (1, 2, 3)]
         assert total == pytest.approx(sum(2.0 ** (-k) * p for k, p in zip((1, 2, 3), parts)))
+
+    @pytest.mark.parametrize("domains,searches", [((), 1), (((0, 1), (0, 1, 2)), 2)])
+    def test_levels_with_equal_domains_share_one_search(self, monkeypatch, domains, searches):
+        s = FiniteStructure(PATH3, domains=domains)
+        t = FiniteStructure(1.5 * PATH3, domains=domains)
+        expected = sum(2.0 ** (-k) * dk_bruteforce(s, t, k) for k in (1, 2, 3))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dk_bruteforce(*args)
+
+        monkeypatch.setattr(metric, "dk_bruteforce", counted)
+        assert dgh_structures(s, t, k_max=3) == expected
+        assert len(calls) == searches

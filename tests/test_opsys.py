@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from osclass import osdist
 from osclass.errors import DimensionError, EmptySystemError, NoUnitError
 from osclass.opsys import (AmplifiedElement, PolyhedralDualBall, amplified_norm,
-                           assemble_amplified, build_system, find_unit_coeffs,
-                           is_operator_system, min_os_norm)
+                           build_system, find_unit_coeffs, is_operator_system,
+                           min_os_norm)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -36,8 +37,38 @@ def test_assemble_matches_hand_sum():
     c = np.array([1.0, 2.0, 3.0])
     expected = np.eye(2) + 2 * E12 + 3 * E21
     assert np.allclose(sys2.assemble(c), expected)
-    with pytest.raises(DimensionError):
-        sys2.assemble([1.0])
+    rng = np.random.default_rng(5)
+    sys3 = build_system([rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))])
+    for n in (1, 2, 3):
+        c = rng.standard_normal((n, n, 3)) + 1j * rng.standard_normal((n, n, 3))
+        hand = sum(np.kron(np.eye(n)[:, [i]] @ np.eye(n)[[j]],
+                           sum(c[i, j, m] * sys3.basis[m] for m in range(3)))
+                   for i in range(n) for j in range(n))
+        assert np.allclose(sys3.assemble(c), hand)
+    for bad in ([1.0], np.zeros((3, 1)), np.zeros((2, 3, 3)), np.zeros((2, 2, 2)),
+                np.zeros((1, 1, 1, 3))):
+        with pytest.raises(DimensionError):
+            sys2.assemble(bad)
+
+
+def test_inner_ratio_is_a_quotient_of_amplified_norms():
+    # the d_n inner ascent and `norm` build M_n(X) through the same assemble,
+    # so a ratio equals the quotient of the two amplified norms to the bit
+    rng = np.random.default_rng(11)
+    for k in (2, 3):
+        for _ in range(4):
+            x = build_system([rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))])
+            y = build_system([rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))])
+            nn = x.dim
+            u = rng.standard_normal((nn, nn)) + 1j * rng.standard_normal((nn, nn))
+            for level in (1, 2, 3):
+                ratio = osdist._ratio_function(x, y, u, level)
+                for _ in range(5):
+                    c = (rng.standard_normal((level, level, nn))
+                         + 1j * rng.standard_normal((level, level, nn)))
+                    quotient = (amplified_norm(y, AmplifiedElement(level, c @ u.T))
+                                / amplified_norm(x, AmplifiedElement(level, c)))
+                    assert ratio(c) == quotient
 
 
 class TestIsOperatorSystem:
@@ -88,7 +119,7 @@ class TestAmplifiedNorm:
         coeffs[0, 1, 1] = 1.0  # E12 in the (0,1) block
         coeffs[1, 1, 0] = 1.0
         a = AmplifiedElement(level=2, coeffs=coeffs)
-        big = assemble_amplified(self.sys, a)
+        big = self.sys.assemble(a.coeffs)
         assert big.shape == (4, 4)
         # independent dense oracle
         oracle = np.zeros((4, 4), dtype=complex)
