@@ -16,6 +16,7 @@ import numpy as np
 
 from . import degree1, formulas, io, metric, osdist, unitary
 from .errors import CapacityError, InputFormatError, OsclassError
+from .linalg import gram_rank
 from .opsys import amplified_norm
 
 EXIT_OK = 0
@@ -70,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["3x3", "2x2"], default="3x3")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=128)
+    p.add_argument("--seed", type=int, default=0, help="ignored; echoed in the report")
+    p.add_argument("--restarts", type=int, default=128, help="ignored")
 
     p = sub.add_parser("gh-dist", help="brute-force weighted distance between structures")
     p.add_argument("left")
@@ -174,7 +175,7 @@ def _cmd_family(args) -> tuple[dict, int]:
     dec = osdist.wt_classify(args.t, args.s, variant, restarts=args.restarts, seed=args.seed)
     payload = _decision_payload(dec)
     payload.update({"t": args.t, "s": args.s, "variant": args.variant, "seed": args.seed})
-    return payload, EXIT_UNKNOWN if dec.verdict == "Unknown" else EXIT_OK
+    return payload, EXIT_OK
 
 
 def _cmd_gh_dist(args) -> tuple[dict, int]:
@@ -221,6 +222,16 @@ def _replay_certificates(report: dict, args) -> list:
             coeffs = [[io.parse_complex(c) for c in row] for row in witness[half]["coeffs"]]
             fitted = degree1.DegreeOneMap(ambient=src.ambient, coeffs=coeffs)
             checks.append(_check(f"degree-1 {half} map", fitted.apply(src), dst))
+    if args.command == "family" and args.variant == "2x2" and isinstance(cert, dict):
+        u = io.parse_matrix({"rows": cert["unitary"]})
+        a, b, c = (io.parse_complex(x) for x in cert["coefficients"])
+        wt, ws = (osdist.wt_matrix(osdist.WtParams(x, "two_by_two")) for x in (args.t, args.s))
+        eye = np.eye(2)
+        moved = [u @ g @ u.conj().T for g in (eye, wt, wt.conj().T)]
+        onto = gram_rank([g.reshape(-1) for g in [eye, ws, ws.conj().T] + moved])
+        checks.append(_check("W_t unitary", u.conj().T @ u, eye))
+        checks.append(_check("W_t coefficients", moved[1], a * eye + b * ws + c * ws.conj().T))
+        checks.append(_check("W_t onto rank", np.array(onto), np.array(3)))
     return checks
 
 

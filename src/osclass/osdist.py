@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .errors import DimensionError, NotComparableError
@@ -267,18 +266,6 @@ def commutant_dimension(matrices, tol: float = 1e-9) -> int:
     return k * k - rank
 
 
-def _unitary_from_params(v: np.ndarray) -> np.ndarray:
-    h = np.array([[v[0], v[2] + 1j * v[3]], [v[2] - 1j * v[3], v[1]]], dtype=np.complex128)
-    return scipy.linalg.expm(1j * h)
-
-
-def _conjugation_residual(wt: np.ndarray, ws_rows: np.ndarray, v: np.ndarray) -> float:
-    """Distance from U W_t U* to span{I, W_s, W_s*}, optimal over coefficients."""
-    u = _unitary_from_params(v)
-    _, resid, _ = span_membership((u @ wt @ u.conj().T).reshape(-1, 1), ws_rows)
-    return float(resid[0])
-
-
 def wt_classify(t: float, s: float, variant: str = "three_by_three",
                 tol: float = 1e-9, restarts: int = 128, seed: int = 0) -> "CoisDecision":
     """Decide complete order isomorphism within a W family.
@@ -286,16 +273,20 @@ def wt_classify(t: float, s: float, variant: str = "three_by_three",
     The 3x3 family is decided exactly: a trace-preserving unitary conjugation
     forces the identity coefficient to zero, then the product trace forces one
     of the off-coefficients to zero, and matching the singular-value multisets
-    {0, 1, t} vs {0, |b|, |b| s} leaves only s = t.  The 2x2 family has no
-    worked identities, so the verdict comes from a seeded multi-start search
-    for a unitary conjugation landing in the target span and is labeled
-    method = "oracle".
+    {0, 1, t} vs {0, |b|, |b| s} leaves only s = t.  The 2x2 family is
+    mutually isomorphic: span{I, W_t, W_t*} is the set of A with
+    tr(H_t A) = 0 for the traceless Hermitian H_t = [[t, -1], [-1, -t]], and
+    U = Q_s Q_t^T, built from the eigenvectors of H_t and H_s, gives
+    U H_t U* = c H_s with c > 0, so conjugation by U carries one span onto
+    the other.  The certificate holds U, the fit of U W_t U* in
+    span{I, W_s, W_s*} and the onto check.
+    ``restarts`` and ``seed`` are accepted and ignored; no verdict is searched.
     """
     from .unitary import CoisDecision  # local import to avoid a cycle
 
     pt, ps = WtParams(t, variant), WtParams(s, variant)
+    wt = wt_matrix(pt)
     if variant == "three_by_three":
-        wt = wt_matrix(pt)
         sing_t = sorted(np.linalg.svd(wt, compute_uv=False))
         sing_s = sorted(np.linalg.svd(wt_matrix(ps), compute_uv=False))
         cert = {
@@ -309,38 +300,21 @@ def wt_classify(t: float, s: float, variant: str = "three_by_three",
             return CoisDecision("Isomorphic", "theorem-fast-path", cert)
         return CoisDecision("NotIsomorphic", "theorem-fast-path", cert)
 
-    # 2x2 variant: optimization oracle over unitary conjugations.
-    wt = wt_matrix(pt)
+    # H_t has eigenvalues -/+ sqrt(1 + t^2), so eigh lists both pairs in matching order
+    qt, qs = (np.linalg.eigh(np.array([[x, -1.0], [-1.0, -x]]))[1] for x in (t, s))
+    u = (qs @ qt.T).astype(np.complex128)
     ws = wt_matrix(ps)
-    basis = [np.eye(2, dtype=np.complex128), ws, ws.conj().T]
-    rows = np.array([b.reshape(-1) for b in basis])
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    best = np.inf
-    best_v = np.zeros(4)
-    starts = [np.zeros(4)] + [rng.uniform(-np.pi, np.pi, 4) for _ in range(restarts - 1)]
-    for sp in starts:
-        res = scipy.optimize.minimize(
-            lambda v: _conjugation_residual(wt, rows, v), sp,
-            method="Nelder-Mead", options={"maxfev": 400, "xatol": 1e-12, "fatol": 1e-14},
-        )
-        if res.fun < best:
-            best, best_v = float(res.fun), res.x
-        if best < 1e-13:
-            break
-    cert = {"best_residual": best, "restarts": restarts, "seed": seed,
-            "unitary_params": list(map(float, best_v))}
-    if best <= max(tol, 1e-7):
-        # Replay the witness: the recovered unitary must carry the whole span
-        # of {I, W_t, W_t*} onto the span of {I, W_s, W_s*}, not just W_t into it.
-        u = _unitary_from_params(best_v)
-        image = u @ wt @ u.conj().T
-        coeffs, _, _ = span_membership(image.reshape(-1, 1), rows)
-        onto = gram_rank(list(rows)
-                         + [(u @ g @ u.conj().T).reshape(-1)
-                            for g in (np.eye(2, dtype=np.complex128), wt, wt.conj().T)]) == 3
-        cert["unitary"] = u
-        cert["coefficients"] = coeffs[:, 0]
-        cert["spans_match"] = bool(onto)
-        if onto:
-            return CoisDecision("Isomorphic", "oracle", cert)
-    return CoisDecision("NotIsomorphic", "oracle", cert)
+    eye = np.eye(2, dtype=np.complex128)
+    rows = np.array([eye.reshape(-1), ws.reshape(-1), ws.conj().T.reshape(-1)])
+    coeffs, resid, _ = span_membership((u @ wt @ u.conj().T).reshape(-1, 1), rows)
+    moved = [(u @ g @ u.conj().T).reshape(-1) for g in (eye, wt, wt.conj().T)]
+    cert = {
+        "unitary": u,
+        "coefficients": coeffs[:, 0],
+        "residual": float(resid[0]),
+        "spans_match": gram_rank(list(rows) + moved) == 3,
+        "analysis": "span{I, W_t, W_t*} = {A : tr(H_t A) = 0} for H_t = [[t,-1],[-1,-t]]; "
+                    "U = Q_s Q_t^T maps eigenvectors of H_t to those of H_s, so "
+                    "U H_t U* is a positive multiple of H_s and U carries span onto span",
+    }
+    return CoisDecision("Isomorphic", "theorem-fast-path", cert)

@@ -10,7 +10,6 @@ that sweeps spectrum bijections and tests the three-term span conditions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,7 +171,9 @@ def canonical_form(s: CircleSet) -> CanonicalNecklace:
 
 
 def _hausdorff_angles(a: np.ndarray, b: np.ndarray) -> float:
-    d = np.array([[circle_dist(x, y) for y in b] for x in a])
+    # the float operations of circle_dist, broadcast over the (|a|, |b|) table
+    d = np.abs(a[:, None] - b[None, :]) % TWO_PI
+    d = np.minimum(d, TWO_PI - d)
     return max(float(np.max(np.min(d, axis=1))), float(np.max(np.min(d, axis=0))))
 
 
@@ -304,11 +305,9 @@ def four_point_obstruction(u, v, tol: float = TOL_NUM) -> dict:
     zs, ws = ss.points(), tt.points()
     fixed = np.column_stack([np.ones(4, dtype=np.complex128), ws, ws.conj()])
     records = []
-    for perm in itertools.permutations(range(4)):
-        assignment = zs[np.array(perm)]
-        mat = np.column_stack([assignment, fixed])
-        det = complex(np.linalg.det(mat))
-        records.append({"assignment": list(perm), "determinant": det})
+    for perm in next(lex_bijections(4)):
+        det = complex(np.linalg.det(np.column_stack([zs[perm], fixed])))
+        records.append({"assignment": perm.tolist(), "determinant": det})
     min_mod = min(abs(r["determinant"]) for r in records)
     return {
         "determinants": records,

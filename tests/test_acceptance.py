@@ -2,9 +2,10 @@
 
 Each test covers one headline guarantee of the package: the 4-point spectral
 pair, agreement of the fast path with the exact oracle at scale, necklace
-invariance, the 3x3 W_t grid, the degree-1 decision, estimator sanity for the
-operator-system distance, the minimal matrix norms, the finite-structure
-distance and fingerprint, and byte-level determinism of the CLI.
+invariance, the 3x3 and 2x2 W_t grids, the degree-1 decision, estimator
+sanity for the operator-system distance, the minimal matrix norms, the
+finite-structure distance and fingerprint, and byte-level determinism of the
+CLI.
 """
 
 import itertools
@@ -82,6 +83,22 @@ def test_3_canonical_form_invariant_under_rigid_perturbations():
         assert np.max(np.abs(base.gaps - perturbed.gaps)) <= 1e-9
 
 
+def replay_wt2(t, s, cert):
+    """Why a 2x2 W_t certificate fails to replay at 1e-7, or None."""
+    u = np.asarray(cert["unitary"], dtype=complex)
+    c = np.asarray(cert["coefficients"], dtype=complex)
+    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-7:
+        return "not unitary"
+    wt = np.array([[1, 0], [t, 0]], dtype=complex)
+    ws = np.array([[1, 0], [s, 0]], dtype=complex)
+    image = u @ wt @ u.conj().T
+    if np.max(np.abs(image - (c[0] * np.eye(2) + c[1] * ws + c[2] * ws.conj().T))) > 1e-7:
+        return "coefficients miss"
+    span = [np.eye(2), ws, ws.conj().T] + [u @ g @ u.conj().T for g in (np.eye(2), wt, wt.conj().T)]
+    sv = np.linalg.svd(np.column_stack([g.reshape(-1) for g in span]), compute_uv=False)
+    return None if int(np.sum(sv > 1e-9 * sv[0])) == 3 else "not onto"
+
+
 def test_4_wt_grid_and_invariants():
     start = time.monotonic()
     ts = np.round(np.linspace(0.1, 1.0, 10), 10)
@@ -89,12 +106,20 @@ def test_4_wt_grid_and_invariants():
         for s in ts:
             dec = wt_classify(float(t), float(s))
             assert (dec.verdict == "Isomorphic") == (t == s), (t, s)
+            dec = wt_classify(float(t), float(s), "two_by_two")
+            assert (dec.verdict, dec.method) == ("Isomorphic", "theorem-fast-path"), (t, s)
+            assert replay_wt2(float(t), float(s), dec.certificate) is None, (t, s)
         w = wt_matrix(WtParams(float(t)))
         sv = np.sort(np.linalg.svd(w, compute_uv=False))
         assert np.max(np.abs(sv - np.array([0.0, t, 1.0]))) <= 1e-12
         tau1, tau2 = trace_invariants(wt_system(WtParams(float(t))), w)
         assert tau1 == 0 and tau2 == 0
         assert commutant_dimension([w, w.conj().T]) == 1
+    # the 2x2 family is one class across (0, 1]: 200 seeded pairs off the grid
+    for t, s in np.random.default_rng(44).uniform(1e-3, 1.0, (200, 2)):
+        dec = wt_classify(float(t), float(s), "two_by_two")
+        assert (dec.verdict, dec.method) == ("Isomorphic", "theorem-fast-path"), (t, s)
+        assert replay_wt2(float(t), float(s), dec.certificate) is None, (t, s)
     assert time.monotonic() - start < 5.0
 
 

@@ -154,11 +154,14 @@ class TestFamily:
         assert code == EXIT_OK
         assert rep["verdict"] == "Isomorphic"
 
-    def test_2x2_reports_oracle_method(self):
+    def test_2x2_reports_theorem_method(self):
+        # --seed and --restarts are accepted and ignored
         code, rep, _ = call(["family", "wt", "--variant", "2x2", "--t", "0.3",
-                             "--s", "0.7", "--restarts", "32"])
+                             "--s", "0.7", "--seed", "5", "--restarts", "16"])
         assert code == EXIT_OK
-        assert rep["method"] == "oracle"
+        assert (rep["verdict"], rep["method"]) == ("Isomorphic", "theorem-fast-path")
+        _, plain, _ = call(["family", "wt", "--variant", "2x2", "--t", "0.3", "--s", "0.7"])
+        assert plain["certificate"] == rep["certificate"]
 
     def test_out_of_range(self):
         code, rep, _ = call(["family", "wt", "--variant", "3x3", "--t", "0", "--s", "0.5"])
@@ -313,6 +316,32 @@ class TestVerifyCertificates:
         verdicts = {c["check"]: c["pass"] for c in vrep["certificate_checks"]}
         assert verdicts.pop(name) is False
         assert list(verdicts.values()) == [True]  # the other half still replays
+
+
+WT2_ARGV = ["family", "wt", "--variant", "2x2", "--t", "0.2", "--s", "0.9"]
+WT2_CHECKS = ["W_t unitary", "W_t coefficients", "W_t onto rank"]
+
+
+class TestVerifyWt2:
+    def test_certificate_replays(self, tmp_path):
+        _, path = stored_report(tmp_path, WT2_ARGV)
+        code, vrep, _ = call(["verify", str(path)])
+        assert code == EXIT_OK
+        assert vrep["verified"] is True
+        assert [c["check"] for c in vrep["certificate_checks"]] == WT2_CHECKS
+        assert all(c["pass"] for c in vrep["certificate_checks"])
+
+    def test_tampered_coefficient_fails(self, tmp_path):
+        rep, _ = stored_report(tmp_path, WT2_ARGV)
+        rep["certificate"]["coefficients"][1][0] += 0.5
+        path = tmp_path / "tampered.json"
+        path.write_text(canonical_report(rep) + "\n")
+        code, vrep, _ = call(["verify", str(path)])
+        assert code == EXIT_INVALID
+        assert vrep["verified"] is False
+        verdicts = {c["check"]: c["pass"] for c in vrep["certificate_checks"]}
+        assert verdicts == {"W_t unitary": True, "W_t coefficients": False,
+                            "W_t onto rank": True}
 
 
 @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])

@@ -66,11 +66,28 @@ class TestWtClassify3x3:
         assert np.allclose(sv_t, [0.0, 0.3, 1.0]) and np.allclose(sv_s, [0.0, 0.7, 1.0])
 
 
+def annihilator(t):
+    """H_t: span{I, W_t, W_t*} in M_2 is the set of A with tr(H_t A) = 0."""
+    return np.array([[t, -1.0], [-1.0, -t]])
+
+
 class TestWtClassify2x2:
     def test_matching_parameters(self):
         dec = wt_classify(0.5, 0.5, "two_by_two", restarts=16)
         assert dec.verdict == "Isomorphic"
-        assert dec.method == "oracle"
+        assert dec.method == "theorem-fast-path"
+
+    def test_tiny_parameter_is_isomorphic(self):
+        # the seeded search answered NotIsomorphic here after about 10 s
+        t, s = 1.0, 1e-9
+        dec = wt_classify(t, s, "two_by_two")
+        assert dec.verdict == "Isomorphic"
+        assert dec.method == "theorem-fast-path"
+        u = dec.certificate["unitary"]
+        assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+        moved = u @ annihilator(t) @ u.conj().T
+        scale = np.sqrt((1 + t * t) / (1 + s * s))
+        assert np.max(np.abs(moved - scale * annihilator(s))) <= 1e-12
 
     def test_distinct_parameters_are_still_conjugate(self):
         # independent oracle: the span of {I, W_t, W_t*} in M_2 is the
@@ -80,10 +97,8 @@ class TestWtClassify2x2:
         # onto a positive multiple of the other, so the spans match and the
         # family is mutually isomorphic despite the distinct parameters.
         t, s = 0.3, 0.7
-        ct = np.array([[t, -1.0], [-1.0, -t]])
-        cs = np.array([[s, -1.0], [-1.0, -s]])
-        _, qt = np.linalg.eigh(ct)
-        _, qs = np.linalg.eigh(cs)
+        _, qt = np.linalg.eigh(annihilator(t))
+        _, qs = np.linalg.eigh(annihilator(s))
         u = qs @ qt.conj().T
         wt = wt_matrix(WtParams(t, "two_by_two"))
         ws = wt_matrix(WtParams(s, "two_by_two"))
@@ -94,7 +109,7 @@ class TestWtClassify2x2:
 
         dec = wt_classify(t, s, "two_by_two", restarts=64)
         assert dec.verdict == "Isomorphic"
-        assert dec.certificate["best_residual"] < 1e-10
+        assert dec.certificate["residual"] < 1e-10
         assert dec.certificate["spans_match"]
         uu = dec.certificate["unitary"]
         assert np.allclose(uu @ uu.conj().T, np.eye(2), atol=1e-10)

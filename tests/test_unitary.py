@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from osclass import unitary
 from osclass.errors import CapacityError, DimensionError, NotUnitaryError
 from osclass.unitary import (TWO_PI, CircleSet, canonical_form, circle_dist,
                              cois_unitary_oracle, cois_unitary_theorem,
@@ -104,6 +105,41 @@ class TestRigidEquivalent:
         s = CircleSet(np.array([0.0, 1.0]))
         t = CircleSet(np.array([0.0, 1.0, 2.0]))
         assert rigid_equivalent(s, t) is None
+
+
+def scalar_hausdorff(a, b):
+    """Reference for unitary._hausdorff_angles: one circle_dist call per pair."""
+    d = np.array([[circle_dist(x, y) for y in b] for x in a])
+    return max(float(np.max(np.min(d, axis=1))), float(np.max(np.min(d, axis=0))))
+
+
+def hausdorff_inputs(rng, m):
+    """Random, rigidly moved, jittered and regular-polygon angle sets of size m."""
+    a = np.sort(rng.uniform(0, TWO_PI, m))
+    poly = np.arange(m) * TWO_PI / m
+    yield a, np.sort(rng.uniform(0, TWO_PI, m))
+    yield a, np.sort((a + rng.uniform(0, TWO_PI)) % TWO_PI)
+    yield a, np.sort((a + rng.normal(0, 1e-9, m)) % TWO_PI)
+    yield poly, np.sort((poly + rng.uniform(0, TWO_PI)) % TWO_PI)
+    yield poly, np.sort((-poly + 0.5) % TWO_PI)
+
+
+class TestHausdorffAngles:
+    def test_matches_the_scalar_loop(self):
+        rng = np.random.default_rng(11)
+        for m in (1, 2, 3, 5, 8, 20, 40, 80):
+            for a, b in hausdorff_inputs(rng, m):
+                assert unitary._hausdorff_angles(a, b) == scalar_hausdorff(a, b), m
+
+    def test_rigid_equivalent_picks_the_same_motion(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for m in (5, 6, 10, 20, 40):
+            for a, b in hausdorff_inputs(rng, m):
+                s, t = CircleSet(a), CircleSet(b)
+                fast = rigid_equivalent(s, t)
+                with monkeypatch.context() as patched:
+                    patched.setattr(unitary, "_hausdorff_angles", scalar_hausdorff)
+                    assert rigid_equivalent(s, t) == fast, m
 
 
 class TestTheoremFastPath:
