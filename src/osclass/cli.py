@@ -16,7 +16,7 @@ import numpy as np
 
 from . import degree1, formulas, io, metric, osdist, unitary
 from .errors import CapacityError, InputFormatError, OsclassError
-from .linalg import gram_rank
+from .linalg import gram_rank, span_membership
 from .opsys import amplified_norm
 
 EXIT_OK = 0
@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("--oracle", action="store_true", help="use the exact bijection oracle")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--cap", type=int, default=9)
+    p.add_argument("--cap", type=int, default=20)
 
     p = sub.add_parser("deg1", help="degree-1 homeomorphism decision for two point sets")
     p.add_argument("left")
@@ -205,13 +205,24 @@ def _replay_certificates(report: dict, args) -> list:
     cert = report.get("certificate")
     witness = report.get("witness")
     if (args.command == "unitary-cois" and report.get("verdict") == "Isomorphic"
-            and isinstance(cert, dict) and "bijection" in cert):
-        zs = unitary.spectrum(io.parse_matrix(io.load_json(args.left)), args.tol).points()
-        ws = unitary.spectrum(io.parse_matrix(io.load_json(args.right)), args.tol).points()
-        perm = io.parse_bijection(cert["bijection"], zs.size)
-        for half, src, dst in (("forward", zs, ws[perm]), ("backward", ws, zs[np.argsort(perm)])):
-            a, b, c = (io.parse_complex(x) for x in cert[f"{half}_coeffs"])
-            checks.append(_check(f"{half} span coefficients", a + b * src + c * src.conj(), dst))
+            and isinstance(cert, dict) and ("bijection" in cert or "motion" in cert)):
+        ss = unitary.spectrum(io.parse_matrix(io.load_json(args.left)), args.tol)
+        tt = unitary.spectrum(io.parse_matrix(io.load_json(args.right)), args.tol)
+        if "motion" in cert:
+            reflect = cert["motion"]["reflect"]
+            if not isinstance(reflect, bool):
+                raise InputFormatError(f"motion reflect must be true or false, got {reflect!r}")
+            motion = unitary.RigidMotion(float(cert["motion"]["rotation"]), reflect)
+            resid = unitary._hausdorff_angles(motion.apply_angles(tt.angles), ss.angles)
+            checks.append(_check("rigid motion", np.array(resid), np.array(0.0)))
+        else:
+            zs, ws = ss.points(), tt.points()
+            perm = io.parse_bijection(cert["bijection"], zs.size)
+            for half, src, dst in (("forward", zs, ws[perm]),
+                                   ("backward", ws, zs[np.argsort(perm)])):
+                a, b, c = (io.parse_complex(x) for x in cert[f"{half}_coeffs"])
+                checks.append(_check(f"{half} span coefficients",
+                                     a + b * src + c * src.conj(), dst))
     if (args.command == "deg1" and report.get("homeomorphic")
             and isinstance(witness, dict) and "forward" in witness):
         d = io.parse_point_set(io.load_json(args.left))
@@ -220,8 +231,13 @@ def _replay_certificates(report: dict, args) -> list:
         for half, src, dst in (("forward", d, e.points[perm]),
                                ("backward", e, d.points[np.argsort(perm)])):
             coeffs = [[io.parse_complex(c) for c in row] for row in witness[half]["coeffs"]]
-            fitted = degree1.DegreeOneMap(ambient=src.ambient, coeffs=coeffs)
-            checks.append(_check(f"degree-1 {half} map", fitted.apply(src), dst))
+            out = degree1.DegreeOneMap(ambient=src.ambient, coeffs=coeffs).apply(src)
+            checks.append(_check(f"degree-1 {half} map", out, dst))
+            # a degree-1 map also has every product out_k conj(out_l) in the span
+            mono = degree1.monomial_matrix(src)
+            prods = degree1._coords_and_products(out)[:, src.ambient:]
+            fit, _, _ = span_membership(prods, mono.T)
+            checks.append(_check(f"degree-1 {half} products", mono @ fit, prods))
     if args.command == "family" and args.variant == "2x2" and isinstance(cert, dict):
         u = io.parse_matrix({"rows": cert["unitary"]})
         a, b, c = (io.parse_complex(x) for x in cert["coefficients"])

@@ -4,8 +4,8 @@ A degree-1 map on a subset of C^n sends each coordinate to a combination of
 the monomials ``z_i conj(z_j)`` (with ``z_0 = 1``) and has all pairwise
 products of output coordinates in the same monomial span.  For finite sets
 both conditions are span-membership tests against the monomial evaluation
-matrix, and the homeomorphism decision sweeps all bijections, requiring a
-degree-1 map in each direction.
+matrix, and the homeomorphism decision searches the bijections for one with
+a degree-1 map in each direction.
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ from . import opsys
 from .errors import CapacityError, DimensionError
 from .linalg import TOL_NUM, bijection_sweep, span_membership
 
-#: Default bijection caps (points), by ambient dimension.
-DEFAULT_CAP_DIM1 = 8
+#: Default bijection caps (points), by ambient dimension.  Beyond dimension 1
+#: the monomial span has rank up to 9, and a frame that large saves nothing
+#: below 10 points.
+DEFAULT_CAP_DIM1 = 12
 DEFAULT_CAP_DIMN = 6
 
 
@@ -140,14 +142,14 @@ def degree_one_homeomorphic(d: PointSet, e: PointSet, tol: float = TOL_NUM,
                             cap: int | None = None) -> Deg1Decision:
     """Decide whether two finite point sets are degree-1 homeomorphic.
 
-    Sweeps the bijections in lexicographic order (:func:`bijection_sweep`) and
-    accepts the first one admitting a degree-1 map in each direction; a
-    negative verdict means all bijections were exhausted.
+    Accepts the lexicographically first bijection admitting a degree-1 map in
+    each direction (:func:`bijection_sweep`); a negative verdict means no
+    bijection admits one.
     """
     if not _check_sizes(d, e, cap):
         return Deg1Decision(homeomorphic=False, tried=0)
     mat_d, mat_e = monomial_matrix(d), monomial_matrix(e)
-    bijection, tried, _ = bijection_sweep(mat_d, mat_e, _coords_and_products(d.points),
+    bijection, tried = bijection_sweep(mat_d, mat_e, _coords_and_products(d.points),
                                           _coords_and_products(e.points), tol)
     if bijection is None:
         return Deg1Decision(homeomorphic=False, tried=tried)
@@ -194,6 +196,6 @@ def deg1_via_opsys(d: PointSet, e: PointSet, tol: float = TOL_NUM,
         return Deg1Decision(homeomorphic=False, tried=0)
     # the diagonals of each basis: the system as a space of functions on the points
     fd, fe = (np.diagonal(normal_system(s).basis, axis1=1, axis2=2).T for s in (d, e))
-    bijection, tried, _ = bijection_sweep(fd, fe, fd, fe, tol)
+    bijection, tried = bijection_sweep(fd, fe, fd, fe, tol)
     witness = None if bijection is None else {"bijection": bijection}
     return Deg1Decision(homeomorphic=witness is not None, witness=witness, tried=tried)

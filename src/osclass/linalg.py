@@ -3,12 +3,13 @@
 Matrices are plain ``numpy`` arrays with ``complex128`` entries; every function
 validates shape and finiteness before computing.  These routines are the
 substrate for all higher modules: operator norms, spectra of normal matrices,
-span membership, the exhaustive bijection sweep, and numerical rank.
+span membership, the exact bijection search, and numerical rank.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,19 +123,32 @@ def span_membership(v, basis, tol: float = TOL_NUM):
     return coeffs if accepted else None
 
 
-#: Bijections per numpy block in :func:`bijection_sweep`.
+#: Bijections, or frame assignments times predicted rows, per numpy block of
+#: :func:`bijection_sweep`.
 SWEEP_BLOCK = 4096
+
+#: Below this many points :func:`bijection_sweep` tests all m! <= 120
+#: bijections, which costs less than building a frame.
+FRAME_MIN_POINTS = 6
+
+#: Relative float slack added to the match radius of :func:`bijection_sweep`.
+MATCH_SLACK = 1e-10
+
+
+def _lex_arrangements(m: int, r: int, block: int):
+    """All injective maps ``range(r) -> range(m)`` in lexicographic order, as int blocks."""
+    perms_iter = itertools.permutations(range(m), r)
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(perms_iter, block))
+        perms = np.fromiter(flat, dtype=np.intp).reshape(-1, r)
+        if not perms.shape[0]:
+            return
+        yield perms
 
 
 def lex_bijections(m: int, block: int = SWEEP_BLOCK):
     """All permutations of ``range(m)`` in lexicographic order, as int blocks."""
-    perms_iter = itertools.permutations(range(m))
-    while True:
-        flat = itertools.chain.from_iterable(itertools.islice(perms_iter, block))
-        perms = np.fromiter(flat, dtype=np.intp).reshape(-1, m)
-        if not perms.shape[0]:
-            return
-        yield perms
+    return _lex_arrangements(m, m, block)
 
 
 def _transport_residuals(span: np.ndarray, values: np.ndarray, perms: np.ndarray,
@@ -147,24 +161,106 @@ def _transport_residuals(span: np.ndarray, values: np.ndarray, perms: np.ndarray
     return resid.reshape(b, k).max(axis=1), ok.reshape(b, k).all(axis=1)
 
 
+def _frame(span: np.ndarray):
+    """Frame rows F of the column space of ``span``, P = Q Q_F^-1 and ``||P||``.
+
+    Q is an orthonormal basis of the space that :func:`span_membership`'s
+    pseudoinverse projects onto (singular values above ``1e-13`` times the
+    largest; half that cutoff here keeps every such direction whatever the
+    rounding), so every function f of that space is ``P f[F]``, and
+    ``||P|| = 1 / s_min(Q_F)``.  F is picked by pivoted QR of Q*, which keeps
+    Q_F well conditioned.  Small sets, and spans of rank 0 or m, take every row
+    as frame (P = I).
+    """
+    m = span.shape[0]
+    if m >= FRAME_MIN_POINTS:
+        u, s, _ = np.linalg.svd(span, full_matrices=False)
+        r = int(np.sum(s > 0.5e-13 * s[0]))
+        if 0 < r < m:
+            q = u[:, :r]
+            piv = scipy.linalg.qr(q.conj().T, pivoting=True, mode="r", check_finite=False)[1]
+            frame = np.sort(piv[:r])
+            s_min = np.linalg.svd(q[frame], compute_uv=False)[-1]
+            return frame, q @ np.linalg.inv(q[frame]), 1.0 / s_min
+    return np.arange(m), np.eye(m), 1.0
+
+
+def _extend(frames: np.ndarray, frame: np.ndarray, rest: np.ndarray, ext: np.ndarray,
+            values: np.ndarray, radius: float) -> np.ndarray:
+    """The bijections p with ``p[frame]`` a row of ``frames`` and each other
+    ``p[i]`` an unused row of ``values`` within ``radius`` of ``(ext values[p[frame]])_i``."""
+    b, m = frames.shape[0], values.shape[0]
+    pred = ext[rest] @ values[frames]  # (b, m - r, k)
+    dist2 = np.zeros((b, rest.size, m))
+    for c in range(values.shape[1]):
+        dist2 += np.abs(pred[:, :, c, None] - values[:, c]) ** 2
+    used = np.zeros((b, m), dtype=bool)
+    used[np.arange(b)[:, None], frames] = True
+    near = (dist2 <= radius * radius) & ~used[:, None, :]
+    counts = near.sum(axis=2)
+    single = (counts == 1).all(axis=1)
+    out = np.empty((int(single.sum()), m), dtype=np.intp)
+    out[:, frame] = frames[single]
+    out[:, rest] = near[single].argmax(axis=2)
+    found = [out[(np.sort(out, axis=1) == np.arange(m)).all(axis=1)]]
+    # rows with several targets in reach: points closer than the radius
+    for j in np.flatnonzero((counts > 0).all(axis=1) & ~single):
+        for pick in itertools.product(*(np.flatnonzero(row) for row in near[j])):
+            if len(set(pick)) == len(pick):
+                p = np.empty(m, dtype=np.intp)
+                p[frame], p[rest] = frames[j], pick
+                found.append(p[None])
+    return np.vstack(found)
+
+
+def _lex_rank(p: list) -> int:
+    """1-based position of the permutation ``p`` in lexicographic order."""
+    rank, left = 0, sorted(p)
+    for i, x in enumerate(p):
+        rank += left.index(x) * math.factorial(len(p) - 1 - i)
+        left.remove(x)
+    return rank + 1
+
+
+def _frame_candidates(span_a: np.ndarray, values_b: np.ndarray, tol: float):
+    """Blocks of bijections p that hold every p with ``values_b[p]`` in the span.
+
+    Frame and extend: the span on A has rank r, and r frame rows F fix each of
+    its functions, ``f = P f[F]`` (:func:`_frame`).  Column c of
+    ``values_b[p]`` lies within ``rho_c = tol * max(1, ||values_b[:, c]||)``
+    of the span whatever p is, so for such a p row i of ``P values_b[p[F]]``
+    lies within ``(1 + ||P||) ||rho||`` of ``values_b[p[i]]``.  The m!/(m-r)!
+    injective assignments of the frame rows are walked in numpy blocks, and
+    every other row takes the unused targets within that radius (plus a float
+    slack).
+    """
+    m = span_a.shape[0]
+    frame, ext, ext_norm = _frame(span_a)
+    rest = np.delete(np.arange(m), frame)
+    col_norms = np.linalg.norm(values_b, axis=0)
+    rho = np.linalg.norm(tol * np.maximum(1.0, col_norms))
+    radius = (1.0 + ext_norm) * (rho + MATCH_SLACK * max(1.0, col_norms.max()))
+    for frames in _lex_arrangements(m, frame.size, max(1, SWEEP_BLOCK // max(1, rest.size))):
+        yield _extend(frames, frame, rest, ext, values_b, radius) if rest.size else frames
+
+
 def bijection_sweep(span_a, span_b, values_a, values_b,
-                    tol: float = TOL_NUM) -> tuple[list | None, int, np.ndarray]:
-    """Exhaustive search for a bijection carrying each function span onto the other.
+                    tol: float = TOL_NUM) -> tuple[list | None, int]:
+    """Exact search for a bijection carrying each function span onto the other.
 
     The m rows of every argument are the points of two m-point sets A and B;
     the columns of ``span_a``/``span_b`` span a space of functions on A/B.  A
     bijection p (point i of A to point ``p[i]`` of B) passes when every column
     of ``values_b[p]`` lies in the span on A and every column of
     ``values_a[p^-1]`` lies in the span on B, under :func:`span_membership`.
-    All m! bijections are visited in lexicographic order, a block of them at a
-    time.  The sweep does not stop at the first pass, so its cost is m! span
-    tests whatever the input and wherever its witness falls in the order.
+    Every passing bijection is among the frame-and-extend candidates of
+    :func:`_frame_candidates`, which get the two-sided test; their number
+    grows like m!/(m-r)! for a span of rank r, not like m!.
 
-    Returns ``(bijection, tried, residuals)``: the first passing bijection
-    (``None`` when none passes), its 1-based lexicographic rank (m! when none
-    passes), i.e. the number of bijections checked up to and including it,
-    and per such bijection the worst forward and backward column residual,
-    one row each.
+    Returns ``(bijection, tried)``: the lexicographically first passing
+    bijection (``None`` when none passes) and its 1-based lexicographic rank,
+    i.e. the number of bijections up to and including it in that order (m!
+    when none passes).
     """
     span_a, span_b = np.asarray(span_a), np.asarray(span_b)
     values_a = np.asarray(values_a).reshape(span_a.shape[0], -1)
@@ -172,17 +268,18 @@ def bijection_sweep(span_a, span_b, values_a, values_b,
     m = span_a.shape[0]
     if span_b.shape[0] != m:
         raise DimensionError("both point sets must have the same size")
-    chunks = []
-    first, tried = None, 0
-    for perms in lex_bijections(m):
-        fwd, fwd_ok = _transport_residuals(span_a, values_b, perms, tol)
-        bwd, bwd_ok = _transport_residuals(span_b, values_a, np.argsort(perms, axis=1), tol)
-        chunks.append(np.column_stack([fwd, bwd]))
-        passing = np.flatnonzero(fwd_ok & bwd_ok)
-        if first is None:
-            first = perms[passing[0]].tolist() if passing.size else None
-            tried += int(passing[0]) + 1 if passing.size else perms.shape[0]
-    return first, tried, np.concatenate(chunks)[:tried]
+    passing = []
+    for cands in _frame_candidates(span_a, values_b, tol):
+        if cands.shape[0]:
+            cands = cands[_transport_residuals(span_a, values_b, cands, tol)[1]]
+        if cands.shape[0]:
+            inverse = np.argsort(cands, axis=1)
+            cands = cands[_transport_residuals(span_b, values_a, inverse, tol)[1]]
+        passing += cands.tolist()
+    if not passing:
+        return None, math.factorial(m)
+    first = min(passing)
+    return first, _lex_rank(first)
 
 
 def gram_rank(vectors, tol: float = TOL_NUM) -> int:

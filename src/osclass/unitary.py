@@ -5,7 +5,7 @@ The complete invariant is the spectrum on the unit circle up to rigid motions
 extracts spectra, canonicalizes them as circular gap sequences, searches for
 witnessing motions, and decides complete order isomorphism either through the
 cardinality/rigid-motion fast path or through an exact finite-spectrum oracle
-that sweeps spectrum bijections and tests the three-term span conditions.
+that searches spectrum bijections for the three-term span conditions.
 """
 
 from __future__ import annotations
@@ -226,16 +226,18 @@ def cois_unitary_theorem(u, v, tol: float = TOL_NUM) -> CoisDecision:
     return CoisDecision("NotIsomorphic", method, {"reason": "no rigid motion matches the spectra"})
 
 
-def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int = 9) -> CoisDecision:
+def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int = 20) -> CoisDecision:
     """Exact finite-spectrum oracle for complete order isomorphism.
 
     Both systems contain the generator products, so a complete order
     isomorphism extends to a *-isomorphism of the generated commutative
     C*-algebras, i.e. a bijection ``h`` of the spectra.  The span condition
     becomes: ``h`` lies in span{1, z, conj z} on the source spectrum and
-    ``h^-1`` in span{1, w, conj w} on the target.  The bijections are swept
-    in lexicographic order (:func:`bijection_sweep`), so the first accepted
-    certificate is schedule-independent.
+    ``h^-1`` in span{1, w, conj w} on the target.  Any three points of a
+    circle fix such an ``h``, so :func:`bijection_sweep` walks the m(m-1)(m-2)
+    images of a 3-point frame and returns the lexicographically first passing
+    bijection.  A negative lists every bijection with its residuals when
+    m! <= 720 and reports ``failed_count = m!`` beyond that.
     """
     ss, tt = spectrum(u, tol), spectrum(v, tol)
     m = ss.size
@@ -247,7 +249,7 @@ def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int = 9) -> CoisDecisio
     span_z = np.column_stack([np.ones_like(zs), zs, zs.conj()])
     span_w = np.column_stack([np.ones_like(ws), ws, ws.conj()])
     accept = max(tol, 1e-8)
-    bijection, tried, resids = bijection_sweep(span_z, span_w, zs, ws, accept)
+    bijection, tried = bijection_sweep(span_z, span_w, zs, ws, accept)
     if bijection is not None:
         p = np.array(bijection)
         fwd_coeffs, fwd_resid, _ = span_membership(ws[p, None], span_z.T, accept)
@@ -261,17 +263,14 @@ def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int = 9) -> CoisDecisio
                 "residuals": [float(fwd_resid[0]), float(bwd_resid[0])],
             },
         )
-    if tried <= 720:
-        failures = [
-            {"bijection": perm, "residuals": [float(f), float(b)]}
-            for perm, (f, b) in zip(next(lex_bijections(m, 720)).tolist(), resids)
-        ]
-        return CoisDecision("NotIsomorphic", "oracle", {"failed_bijections": failures})
-    summary = {
-        "failed_count": tried,
-        "min_residuals": [float(x) for x in resids.min(axis=0)],
-    }
-    return CoisDecision("NotIsomorphic", "oracle", summary)
+    if tried > 720:
+        return CoisDecision("NotIsomorphic", "oracle", {"failed_count": tried})
+    perms = next(lex_bijections(m, 720))
+    _, fwd, _ = span_membership(ws[perms].T, span_z.T, accept)
+    _, bwd, _ = span_membership(zs[np.argsort(perms, axis=1)].T, span_w.T, accept)
+    failures = [{"bijection": perm, "residuals": [float(f), float(b)]}
+                for perm, f, b in zip(perms.tolist(), fwd, bwd)]
+    return CoisDecision("NotIsomorphic", "oracle", {"failed_bijections": failures})
 
 
 def validate_unitary_image(alpha: complex, beta: complex, gamma: complex,

@@ -67,7 +67,7 @@ def test_2_fast_path_oracle_and_canonical_form_agree_at_scale():
         assert thm.verdict == orc.verdict, f"pair {i}: {thm.verdict} vs {orc.verdict}"
         same_necklace = canonical_form(spectrum(u)) == canonical_form(spectrum(v))
         assert same_necklace == (thm.verdict == "Isomorphic"), f"pair {i}"
-    assert time.monotonic() - start < 30.0
+    assert time.monotonic() - start < 5.0
 
 
 def test_3_canonical_form_invariant_under_rigid_perturbations():
@@ -148,7 +148,7 @@ def test_5_degree_one_decision_invariance_and_agreement():
         assert degree_one_homeomorphic(d, conj).homeomorphic == dec.homeomorphic
         if dec.homeomorphic:
             assert max(dec.witness["residuals"]) <= 1e-8
-    assert time.monotonic() - start < 60.0
+    assert time.monotonic() - start < 10.0
 
 
 def test_6_distance_estimator_sanity():

@@ -289,7 +289,9 @@ class TestVerifyCertificates:
         code, vrep, _ = call(["verify", str(path)])
         assert code == EXIT_OK
         assert [c["check"] for c in vrep["certificate_checks"]] == [
-            "degree-1 forward map", "degree-1 backward map"]
+            "degree-1 forward map", "degree-1 forward products",
+            "degree-1 backward map", "degree-1 backward products"]
+        assert all(c["pass"] for c in vrep["certificate_checks"])
 
     @pytest.mark.parametrize("kind,half", [("oracle", "forward"), ("oracle", "backward"),
                                            ("deg1", "forward"), ("deg1", "backward")])
@@ -315,7 +317,52 @@ class TestVerifyCertificates:
         assert vrep["verified"] is False
         verdicts = {c["check"]: c["pass"] for c in vrep["certificate_checks"]}
         assert verdicts.pop(name) is False
-        assert list(verdicts.values()) == [True]  # the other half still replays
+        assert verdicts and all(verdicts.values())  # every other check still replays
+
+    def test_forged_map_fails_the_products_check(self, tmp_path):
+        # w = |z|^2 is a fit over the monomials, so the map check passes, but
+        # |w|^2 = |z|^4 is outside their span: no degree-1 map sends z to w
+        z = np.array([0.3 + 1j, -2.0, 0.5j, 1.0, 2.0 - 1j])
+        fd = points_file(tmp_path, "d.json", z.reshape(-1, 1))
+        fe = points_file(tmp_path, "e.json", (np.abs(z) ** 2 + 0j).reshape(-1, 1))
+        rep, _ = stored_report(tmp_path, ["deg1", fd, fe])
+        assert rep["homeomorphic"] is False
+        modulus = {"ambient": 1, "coeffs": [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}
+        rep["homeomorphic"] = True
+        rep["witness"] = {"bijection": list(range(5)), "forward": modulus, "backward": modulus}
+        path = tmp_path / "forged.json"
+        path.write_text(canonical_report(rep) + "\n")
+        code, vrep, _ = call(["verify", str(path)])
+        assert code == EXIT_INVALID
+        verdicts = {c["check"]: c["pass"] for c in vrep["certificate_checks"]}
+        assert verdicts["degree-1 forward map"] is True
+        assert verdicts["degree-1 forward products"] is False
+
+    def test_rigid_motion_replays(self, tmp_path):
+        a = np.array([0.0, 0.8, 1.7, 3.1, 5.0])
+        fu = matrix_file(tmp_path, "u.json", np.diag(np.exp(1j * a)))
+        fv = matrix_file(tmp_path, "v.json", np.diag(np.exp(1j * (0.4 - a))))
+        rep, path = stored_report(tmp_path, ["unitary-cois", fu, fv])
+        assert rep["certificate"]["motion"]["reflect"] is True
+        code, vrep, _ = call(["verify", str(path)])
+        assert code == EXIT_OK
+        [check] = vrep["certificate_checks"]
+        assert check["check"] == "rigid motion" and check["pass"] is True
+        assert check["residual"] <= 1e-7
+
+    def test_tampered_rotation_fails_the_motion_check(self, tmp_path):
+        a = np.array([0.0, 0.8, 1.7, 3.1, 5.0])
+        fu = matrix_file(tmp_path, "u.json", np.diag(np.exp(1j * a)))
+        fv = matrix_file(tmp_path, "v.json", np.diag(np.exp(1j * (a + 0.4))))
+        rep, _ = stored_report(tmp_path, ["unitary-cois", fu, fv])
+        rep["certificate"]["motion"]["rotation"] += 0.5
+        path = tmp_path / "tampered.json"
+        path.write_text(canonical_report(rep) + "\n")
+        code, vrep, _ = call(["verify", str(path)])
+        assert code == EXIT_INVALID
+        assert vrep["verified"] is False
+        [check] = vrep["certificate_checks"]
+        assert check["check"] == "rigid motion" and check["pass"] is False
 
 
 WT2_ARGV = ["family", "wt", "--variant", "2x2", "--t", "0.2", "--s", "0.9"]

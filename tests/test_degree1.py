@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from osclass.errors import CapacityError, DimensionError
-from osclass.degree1 import (DegreeOneMap, PointSet, deg1_via_opsys,
+from osclass.degree1 import (DEFAULT_CAP_DIM1, DegreeOneMap, PointSet, deg1_via_opsys,
                              degree_one_homeomorphic, is_degree_one_assignment,
                              monomial_matrix, normal_system)
 
@@ -131,7 +131,7 @@ class TestHomeomorphismDecision:
 
     def test_cap(self):
         rng = np.random.default_rng(8)
-        d = PointSet(1, random_points(rng, 9))
+        d = PointSet(1, random_points(rng, DEFAULT_CAP_DIM1 + 1))
         with pytest.raises(CapacityError):
             degree_one_homeomorphic(d, d)
 
