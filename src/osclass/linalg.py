@@ -287,6 +287,10 @@ def gram_rank(vectors, tol: float = TOL_NUM) -> int:
 
     Counts singular values of the stacked matrix exceeding ``tol`` times the
     largest one.
+
+    Raises:
+        DimensionError: if the singular values overflow (a norm past the
+            float range), which would otherwise read as rank 0.
     """
     cols = [as_vector(v) for v in vectors]
     if not cols:
@@ -295,6 +299,8 @@ def gram_rank(vectors, tol: float = TOL_NUM) -> int:
     if any(c.size != n for c in cols):
         raise DimensionError("vectors must have equal lengths")
     s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+    if not np.all(np.isfinite(s)):
+        raise DimensionError("singular values overflow; the vectors are too large to rank")
     if s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))

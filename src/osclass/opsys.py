@@ -44,15 +44,24 @@ class OperatorSystemSpan:
         matrix sum_m coeffs_m basis_m.
         """
         c = np.asarray(coeffs, dtype=np.complex128)
-        k, nn = self.ambient_dim, self.dim
         if c.ndim == 1:
             c = c.reshape(1, 1, -1)
-        if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[2] != nn:
-            raise DimensionError(f"expected {nn} coefficients or an (n, n, {nn}) array, "
-                                 f"got shape {np.shape(coeffs)}")
-        n = c.shape[0]
-        blocks = (c.reshape(n * n, nn) @ self.basis.reshape(nn, k * k)).reshape(n, n, k, k)
-        return blocks.transpose(0, 2, 1, 3).reshape(n * k, n * k)
+        if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[2] != self.dim:
+            raise DimensionError(f"expected {self.dim} coefficients or an (n, n, {self.dim}) "
+                                 f"array, got shape {np.shape(coeffs)}")
+        return self._assemble(c)
+
+    def _assemble(self, c: np.ndarray) -> np.ndarray:
+        """``assemble`` on an (..., n, n, N) complex stack, giving (..., nk, nk).
+
+        Each element is one (n^2, N) x (N, k^2) product, stacked and never
+        flattened into one product, so it has the bits of assembling it alone.
+        """
+        k, nn = self.ambient_dim, self.dim
+        lead, n = c.shape[:-3], c.shape[-2]
+        blocks = c.reshape(*lead, n * n, nn) @ self.basis.reshape(nn, k * k)
+        blocks = blocks.reshape(*lead, n, n, k, k).swapaxes(-3, -2)
+        return blocks.reshape(*lead, n * k, n * k)
 
     def unit(self) -> np.ndarray:
         return self.assemble(self.unit_coeffs)

@@ -8,6 +8,16 @@ estimator: inner norms are lower-biased ratio ascents, outer values are
 best-found objectives.  Definitive non-isomorphism verdicts come from the
 exact classifiers (unitary spectra, the 3x3 W_t trace/singular-value
 argument), never from these estimates.
+
+Both searches are Nelder-Mead, run by one private lockstep minimiser
+(:func:`_nelder_mead`) that advances every start's simplex together and
+reproduces scipy's ``minimize(method="Nelder-Mead")`` iterate for iterate.
+Each simplex phase is one batched objective call: the outer search
+evaluates all its restarts' maps at once, and each such call runs the
+forward and backward inner ascents of all those maps as one lockstep
+search, whose ratios go through one stacked ``assemble`` and one stacked
+SVD per system.  Estimates, maps and reports are those of one scipy run per
+start, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,14 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DimensionError, NotComparableError
-from .linalg import gram_rank, op_norm, span_membership
+# op_norm stays importable from here: the benchmark's tracer test reads osdist.op_norm
+from .linalg import gram_rank, op_norm, span_membership  # noqa: F401
 from .opsys import OperatorSystemSpan, build_system
 
 #: Condition-number bound past which a candidate map is treated as singular.
 COND_BOUND = 1e12
+
+#: Most initial-simplex vertices in one lockstep batch of inner ascents.  The
+#: outer search evaluates its maps in batches of this size, which bounds the
+#: memory of a many-restart search; larger batches save no time.
+_BATCH_VERTICES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -72,29 +87,170 @@ class DistanceReport:
     converged: dict = field(default_factory=dict)
 
 
-def _ratio_function(x: OperatorSystemSpan, y: OperatorSystemSpan,
-                    u: np.ndarray, level: int):
-    """The homogeneous ratio ||assemble_Y(c u^T)|| / ||assemble_X(c)|| on M_level(X)."""
+def _top_singular(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of every matrix of a stack, as ``op_norm`` finds it."""
+    if not np.isfinite(stack).all():
+        raise DimensionError("matrix has non-finite entries")
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
-    def ratio(cflat: np.ndarray) -> float:
-        c = cflat.reshape(level, level, x.dim)
-        denom_mat = x.assemble(c)
-        denom = op_norm(denom_mat) if np.any(denom_mat) else 0.0
-        if denom < 1e-14:
-            return 0.0
-        return op_norm(y.assemble(c @ u.T)) / denom
 
-    return ratio
+def _ratios(x: OperatorSystemSpan, y: OperatorSystemSpan, maps: np.ndarray,
+            c: np.ndarray) -> np.ndarray:
+    """The ratios ||assemble_Y(c_i u_i^T)|| / ||assemble_X(c_i)|| for a stack.
+
+    ``c`` is an (m, n, n, N) stack of elements of M_n(X) and ``maps`` the
+    (m, N, N) stack of their maps.  An element whose denominator is below
+    1e-14 has ratio 0.  Each ratio has the bits of the one-element quotient
+    of ``op_norm`` values: the products are stacked, never flattened.
+    """
+    denom = _top_singular(x._assemble(c))
+    num = _top_singular(y._assemble(c @ maps.swapaxes(-1, -2)[:, None]))
+    small = denom < 1e-14
+    return np.where(small, 0.0, num / np.where(small, 1.0, denom))
 
 
 def _real_to_complex(v: np.ndarray) -> np.ndarray:
-    h = v.size // 2
-    return v[:h] + 1j * v[h:]
+    h = v.shape[-1] // 2
+    return v[..., :h] + 1j * v[..., h:]
 
 
 def _complex_to_real(c: np.ndarray) -> np.ndarray:
     f = c.reshape(-1)
     return np.concatenate([f.real, f.imag])
+
+
+# scipy's Nelder-Mead coefficients with ``adaptive`` off: reflection,
+# expansion, contraction, shrink; and its initial-simplex steps
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+
+
+def _nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
+    """Minimise ``fun`` from every row of ``x0`` at once, as scipy would from each.
+
+    Every start follows scipy 1.17's ``minimize(method="Nelder-Mead")``
+    (``adaptive`` off, no bounds) iterate for iterate: the same simplex
+    arithmetic, sorts and ``maxfev`` rules.  A call past the budget is
+    refused and ends that start, which keeps its best vertex and value; the
+    initial simplex is cut short when ``maxfev < N + 1``; the
+    ``xatol``/``fatol`` test runs before each iteration.  (scipy also moves
+    the vertex whose call a cut shrink refused; no result reads it.)
+
+    The starts advance in lockstep: each phase (initial simplex, reflection,
+    expansion or contraction, shrink) makes one call ``fun(points, owner)``
+    with the points of every start that needs one, ``owner`` naming each
+    point's start in nondecreasing order, so ``fun`` must give a point the
+    value it would give it alone.
+
+    Returns ``(x, fval, f0)``: scipy's ``res.x`` and ``res.fun`` for every
+    start, and the value at the start itself.
+    """
+    b, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    diag = np.arange(n)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
+    fsim = np.full((b, n + 1), np.inf)
+    first = min(n + 1, maxfev)
+    owner = np.repeat(np.arange(b), first)
+    fsim[:, :first] = fun(sim[:, :first].reshape(-1, n), owner).reshape(b, first)
+    f0 = fsim[:, 0].copy()
+    x_end, f_end = np.empty((b, n)), np.empty(b)
+    # the rows still running: their start ids, simplices and call counts
+    ids, fcalls = np.arange(b), np.full(b, first)
+    rows = ids[:, None]
+    for _ in range(2):  # scipy sorts the initial simplex twice
+        ind = np.argsort(fsim, axis=1)
+        sim, fsim = sim[rows, ind], fsim[rows, ind]
+    while True:
+        # scipy's loop condition, then its convergence test
+        stop = ((fcalls >= maxfev)
+                | ((np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= xatol)
+                   & (np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= fatol)))
+        if stop.any():
+            x_end[ids[stop]], f_end[ids[stop]] = sim[stop, 0], np.min(fsim[stop], axis=1)
+            go = ~stop
+            ids, fcalls, sim, fsim = ids[go], fcalls[go], sim[go], fsim[go]
+            rows = np.arange(ids.size)[:, None]
+            if not ids.size:
+                return x_end, f_end, f0
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        worst = sim[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = fun(xr, ids)
+        fcalls += 1
+        # scipy's branches, written with its comparisons so that NaN goes the same way
+        expand = fxr < fsim[:, 0]
+        put = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~put & (fxr < fsim[:, -1])
+        shrink = np.zeros(ids.size, bool)
+        # a call past the budget is refused: that row keeps its simplex
+        second = np.flatnonzero(~put & (fcalls < maxfev))
+        if second.size:
+            e, o = expand[second], outside[second]
+            xb, xw = xbar[second], worst[second]
+            pts = np.where(e[:, None], (1 + _RHO * _CHI) * xb - _RHO * _CHI * xw,
+                           np.where(o[:, None], (1 + _PSI * _RHO) * xb - _PSI * _RHO * xw,
+                                    (1 - _PSI) * xb + _PSI * xw))
+            f2 = fun(pts, ids[second])
+            fcalls[second] += 1
+            take = ((e & (f2 < fxr[second])) | (o & (f2 <= fxr[second]))
+                    | (~e & ~o & (f2 < fsim[second, -1])))
+            # xr and fxr now hold each row's new vertex: an expansion keeps xr
+            # unless xe is better, a contraction that fails shrinks instead
+            xr[second[take]], fxr[second[take]] = pts[take], f2[take]
+            put[second] = e | take
+            shrink[second] = ~(e | take)
+        sim[put, -1], fsim[put, -1] = xr[put], fxr[put]
+        if shrink.any():
+            r = np.flatnonzero(shrink)
+            # a shrink cut short by the budget moves only the vertices it evaluated
+            ev = np.arange(1, n + 1) <= (maxfev - fcalls[r])[:, None]
+            sr, fr = sim[r], fsim[r]
+            sr[:, 1:] = np.where(ev[:, :, None], sr[:, :1] + _SIGMA * (sr[:, 1:] - sr[:, :1]),
+                                 sr[:, 1:])
+            if ev.any():
+                fr[:, 1:][ev] = fun(sr[:, 1:][ev], np.repeat(ids[r], ev.sum(1)))
+                fcalls[r] += ev.sum(1)
+            sim[r], fsim[r] = sr, fr
+        ind = np.argsort(fsim, axis=1)
+        sim, fsim = sim[rows, ind], fsim[rows, ind]
+
+
+def _ascents(groups, level: int, starts: int, iters: int, seed: int) -> list:
+    """Best ratio the seeded inner ascent finds for every map of every group.
+
+    ``groups`` lists ``(x, y, maps)`` with ``maps`` an (m, N, N) stack of maps
+    from X to Y.  Every map is ascended from the unit element ``I_n (x) e_X``
+    and ``starts - 1`` seeded random elements, the same for every map, and all
+    these ascents run as one lockstep Nelder-Mead.  Returns one (m,) array of
+    best ratios per group.
+    """
+    nn = groups[0][0].dim
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    noise = [rng.standard_normal(2 * level * level * nn) for _ in range(max(0, starts - 1))]
+    per_map = 1 + len(noise)
+    x0, bounds = [], [0]
+    for x, _, maps in groups:
+        unit = _complex_to_real(np.eye(level)[:, :, None] * x.unit_coeffs)
+        x0 += [unit, *noise] * len(maps)
+        bounds.append(bounds[-1] + per_map * len(maps))
+    best = np.zeros(bounds[-1] // per_map)
+
+    def neg(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        c = _real_to_complex(points).reshape(-1, level, level, nn)
+        cut = np.searchsorted(owner, bounds)
+        r = np.concatenate([
+            _ratios(x, y, maps[owner[lo:hi] // per_map - start // per_map], c[lo:hi])
+            for (x, y, maps), lo, hi, start in zip(groups, cut, cut[1:], bounds) if hi > lo])
+        np.fmax.at(best, owner // per_map, r)
+        return -r
+
+    x0 = np.array(x0)
+    if iters > 0:
+        _nelder_mead(neg, x0, iters, 1e-10, 1e-12)
+    else:
+        neg(x0, np.arange(len(x0)))
+    return np.split(best, [b // per_map for b in bounds[1:-1]])
 
 
 def amplified_map_norm(x: OperatorSystemSpan, y: OperatorSystemSpan, u,
@@ -105,56 +261,53 @@ def amplified_map_norm(x: OperatorSystemSpan, y: OperatorSystemSpan, u,
     Maximizes the homogeneous norm ratio over elements of M_n(X) by
     Nelder-Mead ascent from seeded random starts plus the deterministic unit
     element ``I_n (x) e_X``; every evaluated point is a true ratio, so the
-    estimate never exceeds the supremum.
+    estimate never exceeds the supremum.  All starts run as one lockstep
+    search (:func:`_nelder_mead`): each simplex step evaluates every start's
+    ratio in one stacked ``assemble`` and one stacked SVD, with the same
+    iterates and values as separate scipy Nelder-Mead runs.
     """
     um = u.matrix if isinstance(u, LinearMapCoords) else np.asarray(u, dtype=np.complex128)
     if um.shape != (x.dim, y.dim) or x.dim != y.dim:
         raise DimensionError("map coordinates must be N x N for both systems")
-    ratio = _ratio_function(x, y, um, level)
-    nn = x.dim
-
-    best = 0.0
-
-    def neg(v: np.ndarray) -> float:
-        nonlocal best
-        r = ratio(_real_to_complex(v).reshape(level, level, nn))
-        if r > best:
-            best = r
-        return -r
-
-    start_points = [_complex_to_real(np.eye(level)[:, :, None] * x.unit_coeffs)]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for _ in range(max(0, starts - 1)):
-        start_points.append(rng.standard_normal(2 * level * level * nn))
-    for sp in start_points:
-        if iters > 0:
-            scipy.optimize.minimize(
-                neg, sp, method="Nelder-Mead",
-                options={"maxfev": iters, "xatol": 1e-10, "fatol": 1e-12},
-            )
-        else:
-            neg(sp)
-    return best
+    return float(_ascents([(x, y, um[None])], level, starts, iters, seed)[0][0])
 
 
 def _objective(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int,
                inner_starts: int, inner_iters: int, seed: int):
-    """The max-of-three d_n objective as a function of real map parameters."""
+    """The max-of-three d_n objective on a stack of real map parameters.
 
-    def f(v: np.ndarray) -> float:
-        um = _real_to_complex(v).reshape(x.dim, x.dim)
-        u = LinearMapCoords(um)
-        if not np.all(np.isfinite(um.real)) or not np.all(np.isfinite(um.imag)) \
-                or u.condition() > COND_BOUND:
-            return 1e6
+    A map that is not finite or whose condition number exceeds
+    ``COND_BOUND`` scores 1e6 with no inner work.  The forward ascents
+    (X to Y under u) and backward ascents (Y to X under u^-1) of all other
+    maps run as one lockstep search, in batches of maps holding at most
+    ``_BATCH_VERTICES`` initial-simplex vertices.
+    """
+    nn = x.dim
+
+    def f(points: np.ndarray, _owner=None) -> np.ndarray:
+        um = _real_to_complex(points).reshape(-1, nn, nn)
+        out = np.full(len(um), 1e6)
+        ok = np.flatnonzero(np.isfinite(um).all(axis=(1, 2)))
+        if ok.size:
+            s = np.linalg.svd(um[ok], compute_uv=False)
+            zero = s[:, -1] == 0.0
+            cond = np.where(zero, np.inf, s[:, 0] / np.where(zero, 1.0, s[:, -1]))
+            ok = ok[~(cond > COND_BOUND)]
+        if not ok.size:
+            return out
+        um = um[ok]
         uinv = np.linalg.inv(um)
-        unit_gap = op_norm(y.assemble(um @ x.unit_coeffs) - y.unit())
-        fwd = amplified_map_norm(x, y, um, level, inner_starts, inner_iters, seed)
-        bwd = amplified_map_norm(y, x, uinv, level, inner_starts, inner_iters, seed)
-        terms = [unit_gap]
-        terms.append(np.log(fwd) if fwd > 0 else -np.inf)
-        terms.append(np.log(bwd) if bwd > 0 else -np.inf)
-        return float(max(terms))
+        gaps = _top_singular(y._assemble((um @ x.unit_coeffs)[:, None, None]) - y.unit())
+        # each map opens 2 * starts inner simplices of 2 n^2 N + 1 vertices
+        step = max(1, _BATCH_VERTICES // (2 * max(1, inner_starts) * (2 * level * level * nn + 1)))
+        parts = [_ascents([(x, y, um[i:i + step]), (y, x, uinv[i:i + step])],
+                          level, inner_starts, inner_iters, seed)
+                 for i in range(0, len(um), step)]
+        fwd, bwd = (np.concatenate(p) for p in zip(*parts))
+        for i, gap, fw, bw in zip(ok, gaps, fwd.tolist(), bwd.tolist()):
+            terms = [gap, np.log(fw) if fw > 0 else -np.inf, np.log(bw) if bw > 0 else -np.inf]
+            out[i] = float(max(terms))
+        return out
 
     return f
 
@@ -168,7 +321,10 @@ def dn_search(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int = 1,
     The identity map is always among the starts, so for a pair of systems
     built from conjugate generator lists the reported value is near zero
     without any search.  The value is a best-found objective, not a certified
-    bound.
+    bound.  All restarts advance as one lockstep Nelder-Mead
+    (:func:`_nelder_mead`), and every objective call runs the inner ascents
+    of all its maps as one lockstep search, so the values, the best record
+    and its map are those of running the restarts one after another.
     """
     if x.dim != y.dim:
         raise NotComparableError(
@@ -181,20 +337,19 @@ def dn_search(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int = 1,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     while len(starts) < max(restarts, len(starts)):
         starts.append(eye + 0.7 * rng.standard_normal(2 * nn * nn))
+    x0 = np.array(starts)
+    if outer_iters > 0:
+        xs, fs, f0 = _nelder_mead(f, x0, outer_iters, 1e-9, 1e-12)
+    else:
+        xs, fs, f0 = x0, np.full(len(x0), np.inf), f(x0)
     best_val = np.inf
-    best_v = starts[0]
-    for sp in starts:
-        v0 = f(sp)
-        if v0 < best_val:
-            best_val, best_v = v0, sp
-        if outer_iters > 0:
-            res = scipy.optimize.minimize(
-                f, sp, method="Nelder-Mead",
-                options={"maxfev": outer_iters, "xatol": 1e-9, "fatol": 1e-12},
-            )
-            if res.fun < best_val:
-                best_val, best_v = float(res.fun), res.x
-    best_map = _real_to_complex(np.asarray(best_v)).reshape(nn, nn)
+    best_v = x0[0]
+    for i in range(len(x0)):
+        if f0[i] < best_val:
+            best_val, best_v = float(f0[i]), x0[i]
+        if fs[i] < best_val:
+            best_val, best_v = float(fs[i]), xs[i]
+    best_map = _real_to_complex(best_v).reshape(nn, nn)
     return {
         "level": level,
         "estimate": float(best_val),

@@ -142,6 +142,18 @@ class TestOsdist:
         assert rep["weighted"] <= 1e-6
         assert len(rep["per_level"]) == 2
 
+    def test_overflowing_generator_exits_invalid(self, tmp_path):
+        # finite entries whose norm passes the float range overflow the rank
+        # test's SVD; that used to read as rank 0, silently dropping the
+        # generator and reporting a 1-dim system
+        fs = tmp_path / "big.json"
+        fs.write_text(json.dumps({"generators": [{"rows": [[[1e308, 0]] * 2] * 2}]}))
+        code, rep, _ = call(["osdist", str(fs), str(fs), "--levels", "1",
+                               "--restarts", "1"])
+        assert code == EXIT_INVALID
+        assert rep["error"]["kind"] == "DimensionError"
+        assert "overflow" in rep["error"]["message"]
+
 
 class TestFamily:
     def test_3x3_off_diagonal(self):
