@@ -9,6 +9,7 @@ tolerances.  Exit codes: 0 computed, 2 invalid input, 3 Unknown verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -25,7 +26,9 @@ EXIT_UNKNOWN = 3
 EXIT_CAPACITY = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(prog="osclass", description=__doc__)
     parser.add_argument("--timing", action="store_true",
                         help="include wall time in the report (breaks byte-identical output)")
@@ -298,9 +301,8 @@ _HANDLERS = {
 def run(argv=None, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code else EXIT_OK
     start = time.monotonic()

@@ -27,7 +27,7 @@ def as_input_error(parse):
             return parse(*args, **kwargs)
         except OsclassError:
             raise
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
+        except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InputFormatError(f"malformed input: {exc}") from exc
 
     return checked
@@ -41,6 +41,28 @@ def parse_complex(obj) -> complex:
     raise InputFormatError(f"expected a complex number as [re, im], got {obj!r}")
 
 
+def _complex_array(obj, ndim: int) -> np.ndarray | None:
+    """``obj`` as an ndim-dimensional complex array of [re, im] pairs, or None.
+
+    One ``np.array`` call reads the whole nested list.  Only a numeric array of
+    shape (..., 2) is taken, and its planes are copied into the real and
+    imaginary parts with no arithmetic, so every entry has the bits
+    ``complex(re, im)`` gives (-0.0, NaN and inf included).  Anything else
+    (bare reals, ragged rows, huge integers, junk) gives None, and the caller
+    parses entry by entry for the result or the error message.
+    """
+    try:
+        arr = np.array(obj)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    if arr.dtype.kind not in "biuf" or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        return None
+    out = np.empty(arr.shape[:-1], dtype=np.complex128)
+    out.real = arr[..., 0]
+    out.imag = arr[..., 1]
+    return out
+
+
 @as_input_error
 def parse_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "rows" not in obj:
@@ -48,6 +70,9 @@ def parse_matrix(obj) -> np.ndarray:
     rows = obj["rows"]
     if not isinstance(rows, list) or not rows:
         raise InputFormatError('"rows" must be a nonempty list')
+    fast = _complex_array(rows, 2)
+    if fast is not None:
+        return fast
     data = [[parse_complex(e) for e in row] for row in rows]
     widths = {len(r) for r in data}
     if len(widths) != 1:
@@ -76,9 +101,11 @@ def parse_point_set(obj) -> PointSet:
     pts = obj["points"]
     if not isinstance(pts, list) or not pts:
         raise InputFormatError('"points" must be a nonempty list')
-    data = [[parse_complex(c) for c in p] for p in pts]
+    data = _complex_array(pts, 2)
+    if data is None:
+        data = [[parse_complex(c) for c in p] for p in pts]
     dim = int(obj.get("dim", len(data[0])))
-    return PointSet(ambient=dim, points=np.array(data, dtype=np.complex128))
+    return PointSet(ambient=dim, points=np.asarray(data, dtype=np.complex128))
 
 
 def _parse_table(spec, arity: int, size: int) -> np.ndarray:
@@ -118,10 +145,12 @@ def parse_element(obj) -> AmplifiedElement:
     """An element of M_n(X): an n x n array of coefficient vectors."""
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise InputFormatError('element file needs a "coeffs" key')
-    coeffs = np.array(
-        [[[parse_complex(c) for c in vecs] for vecs in row] for row in obj["coeffs"]],
-        dtype=np.complex128,
-    )
+    coeffs = _complex_array(obj["coeffs"], 3)
+    if coeffs is None:
+        coeffs = np.array(
+            [[[parse_complex(c) for c in vecs] for vecs in row] for row in obj["coeffs"]],
+            dtype=np.complex128,
+        )
     return AmplifiedElement(level=int(obj.get("level", coeffs.shape[0])), coeffs=coeffs)
 
 

@@ -118,7 +118,9 @@ def build_system(generators, include_identity: bool = True, tol: float = TOL_NUM
     Basis extraction is greedy in a fixed order (identity first, then each
     generator followed by its adjoint, in input order), skipping any candidate
     that does not increase the numerical rank.  This makes ``unit_coeffs``
-    reproducible across runs.
+    reproducible across runs.  The rank test sees every candidate at unit
+    norm, so a generator's scale does not decide whether it is kept; the
+    basis keeps the candidates as given.
     """
     gens = [as_matrix(g) for g in generators]
     if not gens and not include_identity:
@@ -138,14 +140,17 @@ def build_system(generators, include_identity: bool = True, tol: float = TOL_NUM
         candidates.append(g)
         candidates.append(g.conj().T)
     basis: list[np.ndarray] = []
+    normed: list[np.ndarray] = []  # the basis vectors at unit norm, for the rank test
     for c in candidates:
-        if np.linalg.norm(c) == 0.0:
+        norm = np.linalg.norm(c)
+        if norm == 0.0:
             continue
-        if not basis:
+        if not np.isfinite(norm):
+            raise DimensionError("generator norm overflows the float range")
+        v = vec(c) / norm
+        if not basis or gram_rank(normed + [v], tol) > len(basis):
             basis.append(c)
-            continue
-        if gram_rank([vec(b) for b in basis] + [vec(c)], tol) > len(basis):
-            basis.append(c)
+            normed.append(v)
     if not basis:
         raise EmptySystemError("generators span the zero space")
     unit = find_unit_coeffs(basis, tol)

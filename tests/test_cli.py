@@ -5,6 +5,7 @@ from io import StringIO
 import numpy as np
 import pytest
 
+from osclass import cli
 from osclass.cli import (EXIT_CAPACITY, EXIT_INVALID, EXIT_OK, EXIT_UNKNOWN,
                          run)
 from osclass.io import canonical_report
@@ -433,6 +434,39 @@ def test_malformed_json_values_exit_invalid(tmp_path, command, obj):
     code, rep, _ = call(argv)
     assert code == EXIT_INVALID
     assert rep["error"]["kind"] == "InputFormatError"
+
+
+HUGE = 10 ** 400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize("command,obj", [
+    ("spectrum", {"rows": [[[HUGE, 0]]]}),
+    ("deg1", {"dim": 1, "points": [[[HUGE, 0]], [[1, 0]]]}),
+    ("norm", {"level": 1, "coeffs": [[[[HUGE, 0], [1, 0], [0, 0]]]]}),
+    ("gh-theory", {"metric": [[0, HUGE], [HUGE, 0]]}),
+])
+def test_integer_past_the_float_range_exits_invalid(tmp_path, command, obj):
+    p, system = tmp_path / "huge.json", tmp_path / "system.json"
+    p.write_text(json.dumps(obj))
+    system.write_text(json.dumps({"generators": [{"rows": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}]}))
+    argv = {"deg1": ["deg1", str(p), str(p)],
+            "norm": ["norm", str(system), "--element", str(p)]}.get(command, [command, str(p)])
+    code, rep, _ = call(argv)
+    assert code == EXIT_INVALID
+    assert rep["error"]["kind"] == "InputFormatError"
+    assert "too large" in rep["error"]["message"]
+
+
+def test_run_and_verify_share_one_parser(tmp_path):
+    parser = cli._build_parser()
+    before = cli._build_parser.cache_info()
+    f = matrix_file(tmp_path, "u.json", np.diag([1.0, 1j]))
+    p = tmp_path / "r.json"
+    p.write_text(call(["spectrum", f])[2])
+    assert call(["verify", str(p)])[1]["verified"]
+    after = cli._build_parser.cache_info()
+    assert cli._build_parser() is parser
+    assert after.misses == before.misses
 
 
 def test_unknown_subcommand_is_invalid():

@@ -1,9 +1,10 @@
 """Property tests of the JSON dialect through ``cli.run``.
 
-Generated system, element and matrix objects, well formed or not, go through
-``norm``, ``osdist`` and ``spectrum``.  Every run must end in a report with
-exit 0 or 2: malformed or unusable input is an input error, never a crash.
-The examples are derandomized so the suite stays reproducible.
+Generated system, element, matrix, point-set and structure objects, well
+formed or not, go through ``norm``, ``osdist``, ``spectrum``, ``deg1``,
+``gh-dist`` and ``gh-theory``.  Every run must end in a report with exit 0 or
+2: malformed or unusable input is an input error, never a crash.  The
+examples are derandomized so the suite stays reproducible.
 """
 
 import json
@@ -23,7 +24,8 @@ FUZZ = settings(derandomize=True, max_examples=60, deadline=None, database=None,
 
 moderate = st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0))
 reals = st.one_of(moderate, st.floats(allow_nan=True, allow_infinity=True),
-                  st.sampled_from([1e308, -1e200, 1e154, 1e-320, 0.0]))
+                  st.sampled_from([1e308, -1e200, 1e154, 1e-320, 0.0, 2 ** 64 + 1,
+                                   10 ** 400, -10 ** 400]))
 junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                  st.lists(st.integers(-2, 2), max_size=3), st.just({}))
 entries = st.one_of(reals, st.lists(reals, min_size=2, max_size=2), junk)
@@ -94,6 +96,59 @@ def system_pair(draw):
     return left, draw(systems() if other else systems(k, gens))
 
 
+@st.composite
+def point_sets(draw):
+    """A {"points": ...} object: m points in C^dim, sometimes ragged or junk."""
+    shape = draw(st.sampled_from(["clean", "clean", "dirty", "ragged", "junk"]))
+    if shape == "junk":
+        return draw(st.one_of(junk, st.fixed_dictionaries({"points": junk})))
+    if shape == "ragged":
+        obj = {"points": draw(st.lists(st.lists(entries, max_size=3), max_size=4))}
+    else:
+        m, dim = draw(st.integers(1, 6)), draw(st.integers(1, 2))
+        cell = st.lists(scalars if shape == "clean" else entries, min_size=dim, max_size=dim)
+        obj = {"points": draw(st.lists(cell, min_size=m, max_size=m))}
+    if draw(st.integers(0, 3)) == 3:
+        obj["dim"] = draw(st.one_of(st.integers(0, 3), reals, junk))
+    return obj
+
+
+def tables(size, arity, values):
+    table = values
+    for _ in range(arity):
+        table = st.lists(table, min_size=size, max_size=size)
+    return table
+
+
+@st.composite
+def structures(draw):
+    """A {"metric": ...} object with optional relations and domains."""
+    shape = draw(st.sampled_from(["metric", "metric", "dirty", "ragged", "junk"]))
+    if shape == "junk":
+        return draw(st.one_of(junk, st.fixed_dictionaries({"metric": junk})))
+    n = draw(st.integers(1, 4))
+    if shape == "ragged":
+        obj = {"metric": draw(st.lists(st.lists(reals, max_size=4), max_size=4))}
+    elif shape == "dirty":
+        obj = {"metric": draw(tables(n, 2, st.one_of(reals, junk)))}
+    else:
+        # distances on a line are a metric
+        xs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        obj = {"metric": [[abs(a - b) for b in xs] for a in xs]}
+    if draw(st.integers(0, 2)) == 2:
+        arity = draw(st.integers(0, 3))
+        table = draw(st.one_of(tables(n, arity, st.floats(0.0, 1.0)), tables(n, arity, reals),
+                               st.dictionaries(st.sampled_from(["0", "1,0", "0,0", "x", "9"]),
+                                               reals, max_size=2),
+                               junk))
+        rel = draw(st.sampled_from([{"arity": arity, "table": table}, {"table": table}, table]))
+        obj["relations"] = {"R": rel}
+    if draw(st.integers(0, 3)) == 3:
+        obj["domains"] = draw(st.one_of(
+            st.lists(st.lists(st.integers(-1, n), max_size=n), max_size=2), junk))
+    return obj
+
+
 def run_on(files: dict, argv: list):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -130,3 +185,21 @@ def test_norm_never_crashes(case):
 def test_osdist_never_crashes(pair):
     left, right = pair
     run_on({"a": left, "b": right}, ["osdist", "a", "b", "--levels", "1", "--restarts", "1"])
+
+
+@FUZZ
+@given(point_sets(), point_sets(), st.booleans())
+def test_deg1_never_crashes(left, right, via_opsys):
+    run_on({"a": left, "b": right}, ["deg1", "a", "b"] + ["--via-opsys"] * via_opsys)
+
+
+@FUZZ
+@given(structures(), structures())
+def test_gh_dist_never_crashes(left, right):
+    run_on({"a": left, "b": right}, ["gh-dist", "a", "b", "--kmax", "2", "--cap", "4"])
+
+
+@FUZZ
+@given(structures())
+def test_gh_theory_never_crashes(structure):
+    run_on({"s": structure}, ["gh-theory", "s", "--depth", "2"])

@@ -25,6 +25,18 @@ def test_build_system_skips_dependent_candidates():
     assert sys2.dim == 2
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e9, 1e10, 1e-10])
+def test_build_system_keeps_generators_at_any_scale(scale):
+    # the rank test used to be relative to the largest candidate, so a large
+    # generator pushed the identity below it and a small one fell below the
+    # identity; each was dropped without a word
+    g = np.array([[0.3, 1], [-0.5, 0.2j]]) * scale
+    system = build_system([g])
+    assert system.dim == 3
+    assert np.array_equal(system.basis[1], g) and np.array_equal(system.basis[2], g.conj().T)
+    assert np.allclose(system.unit(), np.eye(2), atol=1e-10)
+
+
 def test_build_system_empty_raises():
     with pytest.raises(EmptySystemError):
         build_system([], include_identity=True)

@@ -142,6 +142,96 @@ class TestHausdorffAngles:
                     assert rigid_equivalent(s, t) == fast, m
 
 
+def sweep_rigid_equivalent(s, t, tol=1e-8):
+    """Reference for rigid_equivalent: all 2m candidates, each with the full
+    Hausdorff table, in the same order and with the same strict < choice."""
+    if s.size != t.size:
+        return None
+    best, best_resid = None, np.inf
+    for reflect in (False, True):
+        base = (-t.angles) % TWO_PI if reflect else t.angles
+        for j in range(t.size):
+            rot = (s.angles[0] - base[j]) % TWO_PI
+            moved = np.sort((base + rot) % TWO_PI)
+            resid = unitary._hausdorff_angles(moved, s.angles)
+            if resid <= tol and resid < best_resid:
+                best = unitary.RigidMotion(rotation=float(rot), reflect=reflect)
+                best_resid = resid
+    return best
+
+
+def motion_inputs(rng, m, tol, polygons=True):
+    """Rigid images, reflections, generic draws, images moved by about tol
+    and jittered regular polygons, all of size m."""
+    a = np.sort(rng.uniform(0, TWO_PI, m))
+    poly = np.arange(m) * TWO_PI / m + rng.uniform(-3e-10, 3e-10, m)
+    rot = rng.uniform(0, TWO_PI)
+    yield a, (a + rot) % TWO_PI
+    yield a, (-a + rot) % TWO_PI
+    yield a, rng.uniform(0, TWO_PI, m)
+    yield a, (a + rot + rng.uniform(-tol, tol, m)) % TWO_PI
+    yield a, (-a + rot + rng.uniform(-2 * tol, 2 * tol, m)) % TWO_PI
+    if polygons:
+        yield poly, (poly + rot) % TWO_PI
+        yield poly, (-poly + rot) % TWO_PI
+
+
+class TestScreenedRigidEquivalent:
+    # polygons pass every candidate through the screen, so the largest size
+    # runs without them, and at one tolerance, to keep the test short
+    @pytest.mark.parametrize("m,tols", [(5, (1e-8, 1e-6, 1e-3)), (6, (1e-8, 1e-5, 1e-3)),
+                                        (7, (1e-8, 1e-4)), (12, (1e-8, 1e-6, 1e-3)),
+                                        (40, (1e-8, 1e-4, 1e-3)), (80, (1e-8, 1e-3)),
+                                        (120, (1e-8,)), (200, (1e-3,))])
+    def test_matches_the_full_sweep(self, m, tols):
+        rng = np.random.default_rng(m)
+        for tol in tols:
+            for a, b in motion_inputs(rng, m, tol, polygons=m < 200):
+                s, t = CircleSet(a), CircleSet(b)
+                assert rigid_equivalent(s, t, tol) == sweep_rigid_equivalent(s, t, tol), (m, tol)
+
+    def test_screen_leaves_at_most_the_true_motion(self, monkeypatch):
+        calls = []
+        full_table = unitary._hausdorff_angles
+        monkeypatch.setattr(unitary, "_hausdorff_angles",
+                            lambda a, b: calls.append(a.size) or full_table(a, b))
+        rng = np.random.default_rng(3)
+        for m in (5, 20, 80):
+            for a, b in list(motion_inputs(rng, m, 1e-8))[:3]:
+                calls.clear()
+                rigid_equivalent(CircleSet(a), CircleSet(b))
+                assert len(calls) <= 1, m
+
+    def test_jittered_polygon_tests_every_candidate(self, monkeypatch):
+        calls = []
+        full_table = unitary._hausdorff_angles
+        monkeypatch.setattr(unitary, "_hausdorff_angles",
+                            lambda a, b: calls.append(a.size) or full_table(a, b))
+        poly = np.arange(9) * TWO_PI / 9 + np.random.default_rng(4).uniform(-3e-10, 3e-10, 9)
+        assert rigid_equivalent(CircleSet(poly), CircleSet((poly + 1.0) % TWO_PI)) is not None
+        assert len(calls) == 18
+
+
+def test_necklace_equality_is_a_dihedral_match():
+    # near-regular polygons put the tolerance-aware minimum rotation at a
+    # different start for a moved copy; == must still see one necklace
+    rng = np.random.default_rng(2000)
+    for _ in range(2000):
+        m = int(rng.integers(4, 9))
+        a = np.arange(m) * TWO_PI / m + rng.uniform(-3e-10, 3e-10, m)
+        rot, reflect = rng.uniform(0, TWO_PI), bool(rng.integers(2))
+        s, t = CircleSet(a), CircleSet(((-a if reflect else a) + rot) % TWO_PI)
+        assert rigid_equivalent(s, t) is not None
+        assert canonical_form(s) == canonical_form(t)
+
+
+def test_necklace_equality_rejects_other_gap_orders():
+    s = CircleSet(np.array([0.0, 1.0, 2.5, 4.0]))
+    t = CircleSet(np.array([0.0, 1.0, 2.0, 4.0]))
+    assert canonical_form(s) != canonical_form(t)
+    assert canonical_form(s) == canonical_form(CircleSet((2.0 - s.angles) % TWO_PI))
+
+
 class TestTheoremFastPath:
     def test_small_spectra_decided_by_cardinality(self):
         u = np.diag([1.0, -1.0])
