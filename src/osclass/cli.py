@@ -2,8 +2,7 @@
 
 Every subcommand reads JSON inputs, dispatches to the compute modules, and
 prints a single machine-readable report with certificates, seeds, and
-tolerances.  Exit codes: 0 computed, 2 invalid input, 3 Unknown verdict,
-4 capacity exceeded.
+tolerances.  Exit codes: 0 computed, 2 invalid input, 4 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -22,8 +21,14 @@ from .opsys import amplified_norm
 
 EXIT_OK = 0
 EXIT_INVALID = 2
-EXIT_UNKNOWN = 3
 EXIT_CAPACITY = 4
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
 
 
 @functools.cache
@@ -36,24 +41,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="spectrum of a unitary as sorted circle angles")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     p = sub.add_parser("canon", help="canonical necklace of a unitary's spectrum")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     p = sub.add_parser("unitary-cois", help="complete order isomorphism decision for two unitaries")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--oracle", action="store_true", help="use the exact bijection oracle")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--cap", type=int, default=20)
+    p.add_argument("--oracle", action="store_true", help="ignored; every size is decided exactly")
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--cap", type=int, default=20, help="ignored; echoed in the report")
 
     p = sub.add_parser("deg1", help="degree-1 homeomorphism decision for two point sets")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--via-opsys", action="store_true",
                    help="decide through the operator-system function spans")
 
@@ -117,16 +122,12 @@ def _cmd_unitary_cois(args) -> tuple[dict, int]:
     u = io.parse_matrix(io.load_json(args.left))
     v = io.parse_matrix(io.load_json(args.right))
     dec = unitary.cois_unitary_theorem(u, v, tol=args.tol)
-    if dec.verdict == "Unknown" and args.oracle:
-        dec = unitary.cois_unitary_oracle(u, v, tol=args.tol, cap=args.cap)
     payload = _decision_payload(dec)
     payload["tolerances"] = {"tol": args.tol, "cap": args.cap}
+    # the theorem calls the oracle on two 4-point spectra only
     if dec.verdict == "NotIsomorphic" and dec.method == "oracle":
-        try:
-            payload["obstruction"] = unitary.four_point_obstruction(u, v, tol=args.tol)
-        except OsclassError:
-            pass
-    return payload, EXIT_UNKNOWN if dec.verdict == "Unknown" else EXIT_OK
+        payload["obstruction"] = unitary.four_point_obstruction(u, v, tol=args.tol)
+    return payload, EXIT_OK
 
 
 def _cmd_deg1(args) -> tuple[dict, int]:
@@ -256,8 +257,8 @@ def _replay_certificates(report: dict, args) -> list:
 
 def _cmd_verify(args) -> tuple[dict, int]:
     stored = io.load_json(args.report)
-    argv = [str(a) for a in stored.get("command", [])] if isinstance(stored, dict) else []
-    if not argv:
+    argv = stored.get("command") if isinstance(stored, dict) else None
+    if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
         raise InputFormatError("report carries no command echo to replay")
     try:
         echoed = _build_parser().parse_args(argv)

@@ -146,11 +146,6 @@ def _lex_arrangements(m: int, r: int, block: int):
         yield perms
 
 
-def lex_bijections(m: int, block: int = SWEEP_BLOCK):
-    """All permutations of ``range(m)`` in lexicographic order, as int blocks."""
-    return _lex_arrangements(m, m, block)
-
-
 def _transport_residuals(span: np.ndarray, values: np.ndarray, perms: np.ndarray,
                          tol: float):
     """Worst residual and verdict of ``values[p]`` in ``span`` for each row p."""

@@ -159,9 +159,7 @@ def katetov_check(f, x: FiniteStructure, slack: float = METRIC_SLACK) -> bool:
     v = np.asarray(f, dtype=np.float64).ravel()
     if v.size != x.size:
         raise DimensionError(f"expected {x.size} values, got {v.size}")
-    diff = np.abs(v[:, None] - v[None, :])
-    total = v[:, None] + v[None, :]
-    return bool(np.all(diff <= x.metric + slack) and np.all(x.metric <= total + slack))
+    return _katetov_table(v, x.metric, slack)
 
 
 @dataclass(frozen=True)
@@ -380,6 +378,8 @@ def _weighted_dk(m: FiniteStructure, n: FiniteStructure, k_max: int,
     d_k depends on k only through the two level-k domains and the level-k
     sublanguage, so levels that share all three share one search.
     """
+    if k_max < 1:
+        raise DimensionError(f"the weighted sum needs at least 1 level, got {k_max}")
     sig = m.signature or n.signature
     searched: dict = {}
     levels = []

@@ -371,6 +371,8 @@ def dgh_weighted(x: OperatorSystemSpan, y: OperatorSystemSpan, n_max: int = 3,
 
     Level n + 1 is warm-started from level n's best map.
     """
+    if n_max < 1:
+        raise DimensionError(f"the weighted sum needs at least 1 level, got {n_max}")
     per_level = []
     warm = []
     for level in range(1, n_max + 1):

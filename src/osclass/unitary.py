@@ -10,13 +10,13 @@ that searches spectrum bijections for the three-term span conditions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError, NotUnitaryError
-from .linalg import (TOL_NUM, as_matrix, bijection_sweep, eig_normal, lex_bijections,
-                     op_norm, span_membership)
+from .linalg import TOL_NUM, as_matrix, bijection_sweep, eig_normal, op_norm, span_membership
 
 TWO_PI = 2.0 * np.pi
 
@@ -25,6 +25,11 @@ SPECTRUM_DEDUP_TOL = 1e-8
 
 #: Slack for tolerance-aware lexicographic comparison of gap sequences.
 NECKLACE_SLACK = 1e-9
+
+
+def _floored(tol: float) -> float:
+    """The threshold of every exact test here: ``tol``, but never below 1e-8."""
+    return max(tol, 1e-8)
 
 
 def circle_dist(a: float, b: float) -> float:
@@ -107,7 +112,7 @@ class RigidMotion:
 class CoisDecision:
     """Outcome of a complete-order-isomorphism decision."""
 
-    verdict: str  # "Isomorphic" | "NotIsomorphic" | "Unknown"
+    verdict: str  # "Isomorphic" | "NotIsomorphic"
     method: str  # "theorem-fast-path" | "oracle"
     certificate: dict | None = field(default=None)
 
@@ -124,9 +129,9 @@ def spectrum(u, tol: float = TOL_NUM) -> CircleSet:
     defect = op_norm(m.conj().T @ m - np.eye(m.shape[0]))
     if defect > tol:
         raise NotUnitaryError(defect, tol)
-    eigs = eig_normal(m, tol=max(tol, 1e-8)).eigenvalues
+    eigs = eig_normal(m, tol=_floored(tol)).eigenvalues
     moduli = np.abs(eigs)
-    if np.any(np.abs(moduli - 1.0) > max(tol, 1e-8) * 10):
+    if np.any(np.abs(moduli - 1.0) > _floored(tol) * 10):
         raise NotUnitaryError(float(np.max(np.abs(moduli - 1.0))), tol)
     angles = np.sort(np.angle(eigs / moduli) % TWO_PI)
     deduped = [angles[0]]
@@ -239,12 +244,11 @@ def rigid_equivalent(s: CircleSet, t: CircleSet, tol: float = 1e-8):
 
 
 def cois_unitary_theorem(u, v, tol: float = TOL_NUM) -> CoisDecision:
-    """Fast-path complete-order-isomorphism decision for two unitaries.
+    """Exact complete-order-isomorphism decision for two unitaries.
 
-    Small spectra (either side with at most 3 points) are decided by
-    cardinality alone; spectra with at least 5 points on both sides by rigid
-    equivalence of the spectra.  When a 4-point spectrum is involved and no
-    rigid motion matches, the verdict is Unknown: the 4-point case is open.
+    Up to 3 points on either side the cardinalities decide, and from 5
+    points on a rigid motion between the spectra does; two 4-point spectra
+    with no rigid motion between them get the oracle's decision.
     """
     ss, tt = spectrum(u, tol), spectrum(v, tol)
     m, mp = ss.size, tt.size
@@ -253,15 +257,38 @@ def cois_unitary_theorem(u, v, tol: float = TOL_NUM) -> CoisDecision:
         if m == mp:
             return CoisDecision("Isomorphic", method, {"cardinality": m})
         return CoisDecision("NotIsomorphic", method, {"cardinalities": [m, mp]})
-    motion = rigid_equivalent(ss, tt, tol=max(tol, 1e-8))
+    motion = rigid_equivalent(ss, tt, tol=_floored(tol))
     if motion is not None:
         return CoisDecision(
             "Isomorphic", method,
             {"motion": {"rotation": motion.rotation, "reflect": motion.reflect}},
         )
-    if m == 4 or mp == 4:
-        return CoisDecision("Unknown", method, {"reason": "4-point spectra without a rigid motion"})
+    if m == mp == 4:
+        return _bijection_decision(ss, tt, tol)
     return CoisDecision("NotIsomorphic", method, {"reason": "no rigid motion matches the spectra"})
+
+
+def _bijection_decision(ss: CircleSet, tt: CircleSet, tol: float) -> CoisDecision:
+    """The oracle's decision on two spectra of the same size."""
+    zs, ws = ss.points(), tt.points()
+    span_z = np.column_stack([np.ones_like(zs), zs, zs.conj()])
+    span_w = np.column_stack([np.ones_like(ws), ws, ws.conj()])
+    accept = _floored(tol)
+    bijection, tried = bijection_sweep(span_z, span_w, zs, ws, accept)
+    if bijection is None:
+        return CoisDecision("NotIsomorphic", "oracle", {"failed_count": tried})
+    p = np.array(bijection)
+    fwd_coeffs, fwd_resid, _ = span_membership(ws[p, None], span_z.T, accept)
+    bwd_coeffs, bwd_resid, _ = span_membership(zs[np.argsort(p), None], span_w.T, accept)
+    return CoisDecision(
+        "Isomorphic", "oracle",
+        {
+            "bijection": bijection,
+            "forward_coeffs": fwd_coeffs[:, 0],
+            "backward_coeffs": bwd_coeffs[:, 0],
+            "residuals": [float(fwd_resid[0]), float(bwd_resid[0])],
+        },
+    )
 
 
 def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int = 20) -> CoisDecision:
@@ -274,8 +301,7 @@ def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int = 20) -> CoisDecisi
     ``h^-1`` in span{1, w, conj w} on the target.  Any three points of a
     circle fix such an ``h``, so :func:`bijection_sweep` walks the m(m-1)(m-2)
     images of a 3-point frame and returns the lexicographically first passing
-    bijection.  A negative lists every bijection with its residuals when
-    m! <= 720 and reports ``failed_count = m!`` beyond that.
+    bijection.  A negative reports ``failed_count = m!``.
     """
     ss, tt = spectrum(u, tol), spectrum(v, tol)
     m = ss.size
@@ -283,32 +309,7 @@ def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int = 20) -> CoisDecisi
         return CoisDecision("NotIsomorphic", "oracle", {"cardinalities": [m, tt.size]})
     if m > cap:
         raise CapacityError(f"spectrum size {m} exceeds enumeration cap {cap}")
-    zs, ws = ss.points(), tt.points()
-    span_z = np.column_stack([np.ones_like(zs), zs, zs.conj()])
-    span_w = np.column_stack([np.ones_like(ws), ws, ws.conj()])
-    accept = max(tol, 1e-8)
-    bijection, tried = bijection_sweep(span_z, span_w, zs, ws, accept)
-    if bijection is not None:
-        p = np.array(bijection)
-        fwd_coeffs, fwd_resid, _ = span_membership(ws[p, None], span_z.T, accept)
-        bwd_coeffs, bwd_resid, _ = span_membership(zs[np.argsort(p), None], span_w.T, accept)
-        return CoisDecision(
-            "Isomorphic", "oracle",
-            {
-                "bijection": bijection,
-                "forward_coeffs": fwd_coeffs[:, 0],
-                "backward_coeffs": bwd_coeffs[:, 0],
-                "residuals": [float(fwd_resid[0]), float(bwd_resid[0])],
-            },
-        )
-    if tried > 720:
-        return CoisDecision("NotIsomorphic", "oracle", {"failed_count": tried})
-    perms = next(lex_bijections(m, 720))
-    _, fwd, _ = span_membership(ws[perms].T, span_z.T, accept)
-    _, bwd, _ = span_membership(zs[np.argsort(perms, axis=1)].T, span_w.T, accept)
-    failures = [{"bijection": perm, "residuals": [float(f), float(b)]}
-                for perm, f, b in zip(perms.tolist(), fwd, bwd)]
-    return CoisDecision("NotIsomorphic", "oracle", {"failed_bijections": failures})
+    return _bijection_decision(ss, tt, tol)
 
 
 def validate_unitary_image(alpha: complex, beta: complex, gamma: complex,
@@ -325,7 +326,7 @@ def validate_unitary_image(alpha: complex, beta: complex, gamma: complex,
         abs(alpha * np.conj(beta) + np.conj(alpha) * gamma),
         abs(np.conj(beta) * gamma),
     ]
-    return all(c <= max(tol, 1e-8) for c in checks)
+    return all(c <= _floored(tol) for c in checks)
 
 
 def four_point_obstruction(u, v, tol: float = TOL_NUM) -> dict:
@@ -342,12 +343,12 @@ def four_point_obstruction(u, v, tol: float = TOL_NUM) -> dict:
     zs, ws = ss.points(), tt.points()
     fixed = np.column_stack([np.ones(4, dtype=np.complex128), ws, ws.conj()])
     records = []
-    for perm in next(lex_bijections(4)):
-        det = complex(np.linalg.det(np.column_stack([zs[perm], fixed])))
-        records.append({"assignment": perm.tolist(), "determinant": det})
+    for perm in itertools.permutations(range(4)):
+        det = complex(np.linalg.det(np.column_stack([zs[list(perm)], fixed])))
+        records.append({"assignment": list(perm), "determinant": det})
     min_mod = min(abs(r["determinant"]) for r in records)
     return {
         "determinants": records,
-        "all_nonzero": min_mod > max(tol, 1e-8),
+        "all_nonzero": min_mod > _floored(tol),
         "min_modulus": min_mod,
     }

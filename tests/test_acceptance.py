@@ -293,6 +293,6 @@ def test_9_cli_reports_are_byte_identical(tmp_path):
         for _ in range(2):
             buf = StringIO()
             code = run(argv, stdout=buf)
-            assert code in (EXIT_OK, 3), argv  # Unknown is fine, crashes are not
+            assert code == EXIT_OK, argv
             outputs.append(buf.getvalue())
         assert len(set(outputs)) == 1, f"report bytes drifted for {argv}"

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from osclass import cli
-from osclass.cli import (EXIT_CAPACITY, EXIT_INVALID, EXIT_OK, EXIT_UNKNOWN,
-                         run)
+from osclass.cli import EXIT_CAPACITY, EXIT_INVALID, EXIT_OK, run
 from osclass.io import canonical_report
 
 
@@ -71,12 +70,14 @@ class TestSpectrumAndCanon:
 
 
 class TestUnitaryCois:
-    def test_four_point_pair_without_oracle_is_unknown(self, tmp_path):
+    def test_four_point_pair_without_oracle_is_decided(self, tmp_path):
         fu = matrix_file(tmp_path, "u.json", FOUR_POINT_U)
         fv = matrix_file(tmp_path, "v.json", FOUR_POINT_V)
         code, rep, _ = call(["unitary-cois", fu, fv])
-        assert code == EXIT_UNKNOWN
-        assert rep["verdict"] == "Unknown"
+        assert code == EXIT_OK
+        assert (rep["verdict"], rep["method"]) == ("NotIsomorphic", "oracle")
+        assert rep["certificate"] == {"failed_count": 24}
+        assert rep["obstruction"]["all_nonzero"] is True
 
     def test_four_point_pair_with_oracle(self, tmp_path):
         fu = matrix_file(tmp_path, "u.json", FOUR_POINT_U)
@@ -84,17 +85,44 @@ class TestUnitaryCois:
         code, rep, _ = call(["unitary-cois", fu, fv, "--oracle"])
         assert code == EXIT_OK
         assert rep["verdict"] == "NotIsomorphic"
-        assert len(rep["certificate"]["failed_bijections"]) == 24
+        assert rep["certificate"] == {"failed_count": 24}
         assert len(rep["obstruction"]["determinants"]) == 24
         assert rep["obstruction"]["all_nonzero"] is True
+        _, plain, _ = call(["unitary-cois", fu, fv])
+        assert {**plain, "command": rep["command"]} == rep
 
-    def test_capacity_exit(self, tmp_path):
-        # a 4-point Unknown pair escalates to the oracle, which refuses caps < 4
+    def test_cap_is_inert(self, tmp_path):
+        # --oracle and --cap are accepted and echoed; the decision ignores them
         fu = matrix_file(tmp_path, "u.json", FOUR_POINT_U)
         fv = matrix_file(tmp_path, "v.json", FOUR_POINT_V)
         code, rep, _ = call(["unitary-cois", fu, fv, "--oracle", "--cap", "3"])
-        assert code == EXIT_CAPACITY
-        assert rep["error"]["kind"] == "capacity"
+        assert code == EXIT_OK
+        assert rep["certificate"] == {"failed_count": 24}
+        assert rep["tolerances"] == {"tol": 1e-9, "cap": 3}
+
+    def test_four_against_five_points_is_not_isomorphic(self, tmp_path):
+        fu = matrix_file(tmp_path, "u.json", FOUR_POINT_U)
+        fv = matrix_file(tmp_path, "v.json", np.diag(np.exp(1j * np.arange(5.0))))
+        code, rep, _ = call(["unitary-cois", fu, fv])
+        assert code == EXIT_OK
+        assert (rep["verdict"], rep["method"]) == ("NotIsomorphic", "theorem-fast-path")
+        assert "obstruction" not in rep
+
+
+@pytest.mark.parametrize("command", ["spectrum", "canon", "unitary-cois", "deg1"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "1e400", "x"])
+def test_tolerance_must_be_finite_and_nonnegative(tmp_path, command, tol):
+    # an affine 5-point pair: with --tol nan, deg1 used to answer homeomorphic false
+    z = np.array([0.3 + 1j, -2.0, 0.5j, 1.0, 2.0 - 1j])
+    if command == "deg1":
+        files = [points_file(tmp_path, "d.json", z.reshape(-1, 1)),
+                 points_file(tmp_path, "e.json", (2 * z + 1j).reshape(-1, 1))]
+    else:
+        files = [matrix_file(tmp_path, "u.json", np.diag(np.exp(1j * np.arange(5.0))))]
+        files *= 2 if command == "unitary-cois" else 1
+    assert call([command, *files, "--tol=0"])[1] is not None  # 0 passes the parser
+    code, rep, _ = call([command, *files, f"--tol={tol}"])
+    assert code == EXIT_INVALID and rep is None
 
 
 class TestDeg1:
@@ -245,8 +273,8 @@ class TestVerify:
 
     def test_replays_isomorphism_certificate(self, tmp_path):
         # 4-point pair related by the real-affine map z -> 1.05 z + 0.15 conj z
-        # (an ellipse meeting the circle at four points): the fast path says
-        # Unknown, the oracle proves Isomorphic, and verify replays the fit
+        # (an ellipse meeting the circle at four points): no rigid motion
+        # matches, the oracle proves Isomorphic, and verify replays the fit
         ea, eb = 1.2, 0.9
         x = np.sqrt((1 - 1 / eb ** 2) / (1 / ea ** 2 - 1 / eb ** 2))
         y = np.sqrt(1 - x ** 2)
@@ -254,15 +282,16 @@ class TestVerify:
         zs = ws.real / ea + 1j * ws.imag / eb
         fu = matrix_file(tmp_path, "u.json", np.diag(zs))
         fv = matrix_file(tmp_path, "v.json", np.diag(ws))
-        argv = ["unitary-cois", fu, fv, "--oracle"]
+        argv = ["unitary-cois", fu, fv]
         _, rep, text = call(argv)
-        assert rep["verdict"] == "Isomorphic"
+        assert (rep["verdict"], rep["method"]) == ("Isomorphic", "oracle")
         report_path = tmp_path / "iso.json"
         report_path.write_text(text + "\n")
         code, vrep, _ = call(["verify", str(report_path)])
         assert code == EXIT_OK
-        assert any(c["check"].startswith("forward") and c["pass"]
-                   for c in vrep["certificate_checks"])
+        assert vrep["verified"] is True
+        assert [c["check"] for c in vrep["certificate_checks"]] == [
+            "forward span coefficients", "backward span coefficients"]
 
 
 def ellipse_pair():
@@ -455,6 +484,34 @@ def test_integer_past_the_float_range_exits_invalid(tmp_path, command, obj):
     assert code == EXIT_INVALID
     assert rep["error"]["kind"] == "InputFormatError"
     assert "too large" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("command", [5, None, "canon", [], [5], ["canon", None], {"0": "canon"}])
+def test_command_echo_must_be_a_list_of_strings(tmp_path, command):
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps({"command": command}))
+    code, rep, _ = call(["verify", str(p)])
+    assert code == EXIT_INVALID
+    assert rep["error"] == {"kind": "InputFormatError",
+                            "message": "report carries no command echo to replay"}
+
+
+class TestLevelsBelowOne:
+    @pytest.mark.parametrize("levels", ["0", "-2"])
+    def test_osdist(self, tmp_path, levels):
+        fs = tmp_path / "sys.json"
+        fs.write_text(json.dumps(
+            {"generators": [{"rows": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}]}))
+        code, rep, _ = call(["osdist", str(fs), str(fs), "--levels", levels, "--restarts", "1"])
+        assert code == EXIT_INVALID
+        assert rep["error"]["kind"] == "DimensionError"
+
+    @pytest.mark.parametrize("kmax", ["0", "-2"])
+    def test_gh_dist(self, tmp_path, kmax):
+        m = structure_file(tmp_path, "m.json", [[0.0, 1.0], [1.0, 0.0]])
+        code, rep, _ = call(["gh-dist", m, m, "--kmax", kmax])
+        assert code == EXIT_INVALID
+        assert rep["error"]["kind"] == "DimensionError"
 
 
 def test_run_and_verify_share_one_parser(tmp_path):

@@ -2,7 +2,8 @@
 
 Generated system, element, matrix, point-set and structure objects, well
 formed or not, go through ``norm``, ``osdist``, ``spectrum``, ``deg1``,
-``gh-dist`` and ``gh-theory``.  Every run must end in a report with exit 0 or
+``gh-dist`` and ``gh-theory``, and stored reports with one field replaced or
+deleted go through ``verify``.  Every run must end in a report with exit 0 or
 2: malformed or unusable input is an input error, never a crash.  The
 examples are derandomized so the suite stays reproducible.
 """
@@ -14,6 +15,8 @@ from contextlib import redirect_stderr
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -149,11 +152,11 @@ def structures(draw):
     return obj
 
 
-def run_on(files: dict, argv: list):
-    with tempfile.TemporaryDirectory() as tmp:
+def run_on(files: dict, argv: list, tmp: str | None = None):
+    with tempfile.TemporaryDirectory() as scratch:
         paths = {}
         for name, obj in files.items():
-            paths[name] = str(Path(tmp) / f"{name}.json")
+            paths[name] = str(Path(tmp or scratch) / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(obj))
         out, err = StringIO(), StringIO()
         with redirect_stderr(err):
@@ -162,7 +165,7 @@ def run_on(files: dict, argv: list):
     assert "Traceback" not in err.getvalue()
     report = json.loads(out.getvalue())
     assert report["command"][0] == argv[0]
-    if code == EXIT_INVALID:
+    if code == EXIT_INVALID and "verified" not in report:  # verify fails without an error
         assert set(report["error"]) == {"kind", "message"}
     return report
 
@@ -203,3 +206,66 @@ def test_gh_dist_never_crashes(left, right):
 @given(structures())
 def test_gh_theory_never_crashes(structure):
     run_on({"s": structure}, ["gh-theory", "s", "--depth", "2"])
+
+
+def _diag(angles):
+    return {"rows": [[[math.cos(t), math.sin(t)] if i == j else [0.0, 0.0]
+                      for j in range(len(angles))] for i, t in enumerate(angles)]}
+
+
+@pytest.fixture(scope="module")
+def stored_reports(tmp_path_factory):
+    """One report of each kind that carries a certificate, and its input directory."""
+    tmp = tmp_path_factory.mktemp("reports")
+    # a 4-point pair related by a real-affine map (the oracle's fit), a
+    # reflected 5-point pair (a rigid motion) and an affine deg1 pair
+    x = math.sqrt((1 - 1 / 0.9 ** 2) / (1 / 1.2 ** 2 - 1 / 0.9 ** 2))
+    y = math.sqrt(1 - x ** 2)
+    ws = np.array([x + 1j * y, -x + 1j * y, -x - 1j * y, x - 1j * y])
+    zs = ws.real / 1.2 + 1j * ws.imag / 0.9
+    five = [0.0, 0.8, 1.7, 3.1, 5.0]
+    z = [[0.3, 1.0], [-2.0, 0.0], [0.0, 0.5], [1.0, 0.0], [2.0, -1.0]]
+    files = {"zs": _diag(np.angle(zs)), "ws": _diag(np.angle(ws)),
+             "a": _diag(five), "b": _diag([0.4 - t for t in five]),
+             "d": {"dim": 1, "points": [[p] for p in z]},
+             "e": {"dim": 1, "points": [[[2 * re, 2 * im + 1]] for re, im in z]}}
+    commands = {"oracle": ["unitary-cois", "zs", "ws"], "motion": ["unitary-cois", "a", "b"],
+                "deg1": ["deg1", "d", "e"],
+                "wt2": ["family", "wt", "--variant", "2x2", "--t", "0.2", "--s", "0.9"]}
+    reports = {name: run_on(files, argv, str(tmp)) for name, argv in commands.items()}
+    assert reports["oracle"]["method"] == "oracle"
+    assert reports["motion"]["certificate"]["motion"]["reflect"] is True
+    assert reports["deg1"]["homeomorphic"] is True
+    return tmp, reports
+
+
+def field_paths(obj, prefix=()):
+    """The path of every key and list entry under ``obj``."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+DELETE = object()
+
+
+@FUZZ
+@given(st.data())
+def test_verify_never_crashes(stored_reports, data):
+    tmp, reports = stored_reports
+    name = data.draw(st.sampled_from(sorted(reports)))
+    report = json.loads(json.dumps(reports[name]))
+    path = data.draw(st.sampled_from(list(field_paths(report))))
+    value = data.draw(st.one_of(st.just(DELETE), entries))
+    *parents, last = path
+    node = report
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    rep = run_on({"mutated": report}, ["verify", "mutated"], str(tmp))
+    if "error" not in rep:
+        assert set(rep) == {"command", "replay_identical", "certificate_checks", "verified"}

@@ -130,10 +130,7 @@ def check_oracle(u, v):
     cert = dec.certificate
     if first is None:
         assert tried == math.factorial(zs.size)
-        failed = cert.get("failed_bijections")
-        assert cert.get("failed_count", len(failed or ())) == tried
-        for entry in failed or ():
-            assert max(entry["residuals"]) > 1e-8 * np.sqrt(zs.size)
+        assert cert == {"failed_count": tried}
         return
     assert cert["bijection"] == first
     p = np.array(first)

@@ -255,16 +255,23 @@ class TestTheoremFastPath:
         v = np.diag(np.exp(1j * np.sort(rng.uniform(0, TWO_PI, 5))))
         assert cois_unitary_theorem(u, v).verdict == "NotIsomorphic"
 
-    def test_four_point_pair_stays_open(self):
+    def test_four_point_pair_goes_to_the_oracle(self):
         dec = cois_unitary_theorem(FOUR_POINT_U, FOUR_POINT_V)
-        assert dec.verdict == "Unknown"
+        assert (dec.verdict, dec.method) == ("NotIsomorphic", "oracle")
+        assert dec == cois_unitary_oracle(FOUR_POINT_U, FOUR_POINT_V)
+
+    def test_four_against_five_points(self):
+        five = np.diag(np.exp(1j * np.arange(5.0)))
+        for u, v in ((FOUR_POINT_U, five), (five, FOUR_POINT_V)):
+            dec = cois_unitary_theorem(u, v)
+            assert (dec.verdict, dec.method) == ("NotIsomorphic", "theorem-fast-path")
 
 
 class TestOracle:
     def test_settles_the_four_point_pair(self):
         dec = cois_unitary_oracle(FOUR_POINT_U, FOUR_POINT_V)
         assert dec.verdict == "NotIsomorphic"
-        assert len(dec.certificate["failed_bijections"]) == 24
+        assert dec.certificate == {"failed_count": 24}
 
     def test_rotation_pair_has_pure_coefficients(self):
         a = np.array([0.1, 1.1, 2.3, 3.6, 5.1])
@@ -298,9 +305,12 @@ class TestOracle:
         ws = np.array([x + 1j * y, -x + 1j * y, -x - 1j * y, x - 1j * y])
         zs = ws.real / ea + 1j * ws.imag / eb
         u, v = np.diag(zs), np.diag(ws)
-        assert cois_unitary_theorem(u, v).verdict == "Unknown"
-        dec = cois_unitary_oracle(u, v)
-        assert dec.verdict == "Isomorphic"
+        assert rigid_equivalent(spectrum(u), spectrum(v)) is None
+        dec = cois_unitary_theorem(u, v)
+        assert (dec.verdict, dec.method) == ("Isomorphic", "oracle")
+        orc = cois_unitary_oracle(u, v)
+        assert dec.certificate["bijection"] == orc.certificate["bijection"]
+        assert np.array_equal(dec.certificate["forward_coeffs"], orc.certificate["forward_coeffs"])
         alpha, beta, gamma = dec.certificate["forward_coeffs"]
         assert abs(alpha) < 1e-9
         assert beta == pytest.approx((ea + eb) / 2, abs=1e-9)
