@@ -121,12 +121,14 @@ def _cmd_canon(args) -> tuple[dict, int]:
 def _cmd_unitary_cois(args) -> tuple[dict, int]:
     u = io.parse_matrix(io.load_json(args.left))
     v = io.parse_matrix(io.load_json(args.right))
-    dec = unitary.cois_unitary_theorem(u, v, tol=args.tol)
+    # the spectra are extracted once and shared by the decision and the obstruction
+    ss, tt = unitary.spectrum(u, tol=args.tol), unitary.spectrum(v, tol=args.tol)
+    dec = unitary.cois_unitary_theorem(ss, tt, tol=args.tol)
     payload = _decision_payload(dec)
     payload["tolerances"] = {"tol": args.tol, "cap": args.cap}
     # the theorem calls the oracle on two 4-point spectra only
     if dec.verdict == "NotIsomorphic" and dec.method == "oracle":
-        payload["obstruction"] = unitary.four_point_obstruction(u, v, tol=args.tol)
+        payload["obstruction"] = unitary.four_point_obstruction(ss, tt, tol=args.tol)
     return payload, EXIT_OK
 
 

@@ -6,6 +6,15 @@ and sup/inf quantifiers tagged with a domain index.  On finite structures the
 quantifiers evaluate as max/min over the domain, so every sentence has an
 exact value; the canonically enumerated universal sentences give a theory
 fingerprint that separates non-isomorphic structures.
+
+:func:`eval_formula` evaluates one formula by recursion over assignments and
+is the reference.  :func:`universal_fingerprint` gets the same floats another
+way: it evaluates each distinct quantifier-free term once, as a numpy array
+over all assignments of the variables to the first domain, built from its
+children's arrays, and takes each sentence's value as the first maximal
+entry of its term's array.  The assignments go in blocks of a fixed number of
+term values (``_BLOCK_ENTRIES``, 2^16, so 512 KiB of values plus a few times
+that in temporaries), so memory stays flat however large the domain is.
 """
 
 from __future__ import annotations
@@ -158,6 +167,8 @@ def eval_formula(phi: Formula, m: FiniteStructure, assignment: dict | None = Non
             return _clip(float(node.const) * ev(node.arg, env))
         if isinstance(node, (Sup, Inf)):
             dom = m.domain(node.domain)
+            if not dom:
+                raise DimensionError(f"quantifier over the empty domain {node.domain}")
             agg = max if isinstance(node, Sup) else min
             return agg(ev(node.body, {**env, node.variable: i}) for i in dom)
         raise DimensionError(f"unknown formula node {type(node).__name__}")
@@ -241,12 +252,109 @@ def close_universally(term: Formula, domain: int = 1) -> Formula:
     return phi
 
 
+#: Term values held at once by :func:`universal_fingerprint`: the assignments
+#: are walked in blocks of ``_BLOCK_ENTRIES // len(terms)``, so memory stays
+#: flat however many assignments the first domain has.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _term_plan(terms: list):
+    """Bottom-up evaluation plan of an enumerated term list.
+
+    Returns the atoms as ``(row, atom)`` pairs and the other terms as groups
+    ``(kind, rows, left, right, consts)`` (row index arrays, and a column of
+    the ``AddConst``/``Scale`` constants), one group per connective and
+    height, in increasing height.  Every child is lower than its parent, so
+    a group is one numpy pass over rows computed before it.  Children are
+    found by object identity: the enumeration builds every term once and
+    reuses that object wherever it is a child.
+    """
+    row = {id(t): i for i, t in enumerate(terms)}
+    height, atoms, groups = [], [], {}
+    for i, t in enumerate(terms):
+        kind = type(t)
+        if kind is Atom:
+            height.append(0)
+            atoms.append((i, t))
+            continue
+        if kind is Max or kind is Min:
+            left, right, const = row[id(t.left)], row[id(t.right)], 0.0
+        else:
+            left = right = row[id(t.arg)]
+            const = float(t.const)
+        height.append(1 + max(height[left], height[right]))
+        groups.setdefault((height[i], kind), []).append((i, left, right, const))
+    plan = []
+    for (_, kind), records in sorted(groups.items(), key=lambda g: g[0][0]):
+        rows, left, right, consts = zip(*records)
+        plan.append((kind, np.array(rows), np.array(left), np.array(right),
+                     np.array(consts)[:, None]))
+    return atoms, plan
+
+
 def universal_fingerprint(m: FiniteStructure, depth: int = 3) -> np.ndarray:
     """Evaluations of the canonically enumerated restricted universal sentences.
 
     The enumeration is nested in ``depth``, so a depth-d fingerprint is a
     prefix of the depth-(d+1) one; isomorphic structures have identical
-    fingerprints at every depth.
+    fingerprints at every depth.  The entry of each term ``t`` of
+    :func:`enumerate_universal_terms` is bit for bit
+    ``eval_formula(close_universally(t), m)``, signed zeros included.
+
+    Each distinct term is evaluated once, as an array over all assignments of
+    x1..xV to the points of ``m.domain(1)`` (V the most variables of an
+    atom), built from its children's arrays: an atom is one fancy index into
+    its table, ``AddConst`` and ``Scale`` clip ``a + q`` and ``q * a``, and
+    ``Max`` and ``Min`` keep the left value unless the right one is strictly
+    larger or smaller, as Python's ``max`` and ``min`` do.  The sentence
+    value is the first maximal entry in C order of the assignments.
+
+    That equals the nested ``Sup`` of :func:`close_universally`.  The atoms'
+    variable tuples are in first-occurrence normal form, so an atom's free
+    variables are x1..xj in that order, and the free variables of
+    ``Max(a, b)`` and ``Min(a, b)`` (those of a, then the new ones of b) are
+    again a prefix x1..xj in order.  So the closure quantifies x1 outermost
+    through xj innermost, over the domain in increasing order.  Python's
+    ``max`` keeps the first of equal values, so the inner ``Sup`` returns, for
+    each prefix, the value at the first xj attaining the maximum, and by
+    induction the nested value is the value at the lexicographically first
+    (x1..xj) attaining the maximum.  The term's array does not depend on
+    x(j+1)..xV, so the first maximal V-assignment in C order starts with that
+    same prefix, and equal values are the same floats up to the sign of zero,
+    which is exactly what the choice of the first one settles.
+
+    The assignments are walked in C-order blocks of ``_BLOCK_ENTRIES //
+    len(terms)``, with a running first-wins maximum, so at most about
+    ``_BLOCK_ENTRIES`` term values (a few times that in temporaries) are held
+    at once.
     """
+    dom = np.asarray(m.domain(1), dtype=np.intp)
+    if dom.size == 0:
+        raise DimensionError("the first domain is empty, so universal sentences have no value")
     terms = enumerate_universal_terms(m.signature, depth, m)
-    return np.array([eval_formula(close_universally(t), m) for t in terms])
+    atoms, plan = _term_plan(terms)
+    nvars = max(len(a.free_vars()) for _, a in atoms)
+    tables = [(r, m.table(a.relation), [int(v[1:]) - 1 for v in a.variables]) for r, a in atoms]
+    total = dom.size ** nvars
+    block = max(1, _BLOCK_ENTRIES // len(terms))
+    values = np.empty((len(terms), min(block, total)))
+    rows = np.arange(len(terms))
+    best = None
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        points = dom[np.array(np.unravel_index(np.arange(start, stop), (dom.size,) * nvars))]
+        v = values[:, :stop - start]
+        for r, table, slots in tables:
+            v[r] = table[tuple(points[s] for s in slots)]
+        for kind, out, left, right, q in plan:
+            a = v[left]
+            if kind is AddConst:
+                v[out] = np.clip(a + q, -CONNECTIVE_BOUND, CONNECTIVE_BOUND)
+            elif kind is Scale:
+                v[out] = np.clip(q * a, -CONNECTIVE_BOUND, CONNECTIVE_BOUND)
+            else:
+                b = v[right]
+                v[out] = np.where(b > a if kind is Max else b < a, b, a)
+        top = v[rows, v.argmax(axis=1)]
+        best = top if best is None else np.where(top > best, top, best)
+    return best

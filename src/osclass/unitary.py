@@ -243,14 +243,20 @@ def rigid_equivalent(s: CircleSet, t: CircleSet, tol: float = 1e-8):
     return best
 
 
+def _as_spectrum(u, tol: float) -> CircleSet:
+    """``u`` when it is a spectrum already, else the spectrum of the unitary ``u``."""
+    return u if isinstance(u, CircleSet) else spectrum(u, tol)
+
+
 def cois_unitary_theorem(u, v, tol: float = TOL_NUM) -> CoisDecision:
     """Exact complete-order-isomorphism decision for two unitaries.
 
+    ``u`` and ``v`` are unitaries or their spectra as :class:`CircleSet`s.
     Up to 3 points on either side the cardinalities decide, and from 5
     points on a rigid motion between the spectra does; two 4-point spectra
     with no rigid motion between them get the oracle's decision.
     """
-    ss, tt = spectrum(u, tol), spectrum(v, tol)
+    ss, tt = _as_spectrum(u, tol), _as_spectrum(v, tol)
     m, mp = ss.size, tt.size
     method = "theorem-fast-path"
     if min(m, mp) <= 3:
@@ -336,8 +342,9 @@ def four_point_obstruction(u, v, tol: float = TOL_NUM) -> dict:
     target spectrum, reports the determinant of the 4 x 4 matrix with columns
     (assignment, ones, target spectrum, conjugate target spectrum).  A nonzero
     determinant certifies the assignment is outside span{I, V, V*}.
+    ``u`` and ``v`` are unitaries or their spectra as :class:`CircleSet`s.
     """
-    ss, tt = spectrum(u, tol), spectrum(v, tol)
+    ss, tt = _as_spectrum(u, tol), _as_spectrum(v, tol)
     if ss.size != 4 or tt.size != 4:
         raise DimensionError("both spectra must have exactly 4 points")
     zs, ws = ss.points(), tt.points()

@@ -5,7 +5,7 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from osclass import cli
+from osclass import cli, unitary
 from osclass.cli import EXIT_CAPACITY, EXIT_INVALID, EXIT_OK, run
 from osclass.io import canonical_report
 
@@ -99,6 +99,16 @@ class TestUnitaryCois:
         assert code == EXIT_OK
         assert rep["certificate"] == {"failed_count": 24}
         assert rep["tolerances"] == {"tol": 1e-9, "cap": 3}
+
+    def test_four_point_negative_extracts_each_spectrum_once(self, tmp_path, monkeypatch):
+        calls = []
+        spectrum = unitary.spectrum
+        monkeypatch.setattr(unitary, "spectrum", lambda *a, **k: calls.append(1) or spectrum(*a, **k))
+        fu = matrix_file(tmp_path, "u.json", FOUR_POINT_U)
+        fv = matrix_file(tmp_path, "v.json", FOUR_POINT_V)
+        code, rep, _ = call(["unitary-cois", fu, fv])
+        assert code == EXIT_OK and "obstruction" in rep
+        assert len(calls) == 2
 
     def test_four_against_five_points_is_not_isomorphic(self, tmp_path):
         fu = matrix_file(tmp_path, "u.json", FOUR_POINT_U)
@@ -222,6 +232,16 @@ class TestGh:
         assert code == EXIT_OK and code2 == EXIT_OK
         assert t1["length"] == t2["length"]
         assert t1["fingerprint"] != t2["fingerprint"]
+
+    def test_theory_on_empty_first_domain_exits_invalid(self, tmp_path):
+        # every universal sentence quantifies over the first domain, so it
+        # has no value there; this used to end in a ValueError traceback
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps({"metric": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+                                 "domains": [[], [0, 1, 2]]}))
+        code, rep, _ = call(["gh-theory", str(p)])
+        assert code == EXIT_INVALID
+        assert rep["error"]["kind"] == "DimensionError"
 
     def test_capacity(self, tmp_path):
         big = structure_file(tmp_path, "big.json",

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from osclass import formulas
 from osclass.errors import DimensionError
 from osclass.formulas import (AddConst, Atom, Formula, Inf, Max, Min, Scale,
                               Sup, close_universally, enumerate_universal_terms,
@@ -103,6 +104,81 @@ class TestFingerprint:
         f2 = universal_fingerprint(PATH3, depth=2)
         f3 = universal_fingerprint(PATH3, depth=3)
         assert np.allclose(f3[:f2.size], f2)
+
+
+#: Relation values with ties across the sign of zero and below zero.
+SIGNED_VALUES = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+def panel_structure(seed, size, arities, domains=(), signed_metric=False):
+    """Points on a line with random relation tables of the given arities.
+
+    With ``signed_metric`` the zero distances (the diagonal and coincident
+    points) are stored as -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    line = rng.integers(0, 3, size).astype(float)
+    d = np.abs(line[:, None] - line[None, :])
+    if signed_metric:
+        d[d == 0] = -0.0
+    rels = {f"R{a}": rng.choice(SIGNED_VALUES[:5 if signed_metric else 6], (size,) * a)
+            for a in arities}
+    return FiniteStructure(d, rels, domains=domains)
+
+
+def reference_fingerprint(m, depth):
+    terms = enumerate_universal_terms(m.signature, depth, m)
+    return np.array([eval_formula(close_universally(t), m) for t in terms])
+
+
+FINGERPRINT_PANEL = {
+    # the first domain is a proper subset of the points
+    "nested": (panel_structure(1, 4, (1, 2), domains=((0, 2), (0, 1, 2, 3))), 5),
+    "signed": (panel_structure(5, 4, (1, 2), signed_metric=True), 5),
+    # arity 4 exceeds max_vars = 3, so its atoms repeat variables
+    "arity3-4": (panel_structure(2, 3, (3, 4)), 3),
+    "one-point": (panel_structure(3, 1, (1, 2, 3, 4), signed_metric=True), 3),
+    "one-point-deep": (panel_structure(4, 1, (1, 2)), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINT_PANEL))
+def test_fingerprint_bytes_match_eval_formula(name):
+    m, max_depth = FINGERPRINT_PANEL[name]
+    for depth in range(1, max_depth + 1):
+        want = reference_fingerprint(m, depth)
+        assert universal_fingerprint(m, depth).tobytes() == want.tobytes(), depth
+
+
+def test_fingerprint_panel_has_zeros_of_both_signs():
+    # the byte comparison above only tells signed zeros apart if some occur
+    fps = np.concatenate([universal_fingerprint(m, d) for m, d in FINGERPRINT_PANEL.values()])
+    zeros = fps[fps == 0]
+    assert np.any(np.signbit(zeros)) and not np.all(np.signbit(zeros))
+
+
+@pytest.mark.parametrize("values", [[-0.0, 0.0], [0.0, -0.0]])
+def test_fingerprint_keeps_the_first_of_tied_zeros(values):
+    m = FiniteStructure(np.array([[0.0, 1.0], [1.0, 0.0]]), {"R": np.array(values)})
+    keys = [t.key() for t in enumerate_universal_terms(None, 1, m)]
+    value = universal_fingerprint(m, 1)[keys.index(("atom", "R", ("x1",)))]
+    assert value == 0 and np.signbit(value) == np.signbit(values[0])
+
+
+def test_fingerprint_bytes_match_with_one_assignment_per_block(monkeypatch):
+    # the running first-wins maximum across blocks keeps the sign of zero too
+    monkeypatch.setattr(formulas, "_BLOCK_ENTRIES", 1)
+    for name in ("nested", "signed"):
+        m, _ = FINGERPRINT_PANEL[name]
+        assert universal_fingerprint(m, 4).tobytes() == reference_fingerprint(m, 4).tobytes()
+
+
+def test_fingerprint_rejects_an_empty_first_domain():
+    m = FiniteStructure(PATH3.metric, domains=((), (0, 1, 2)))
+    with pytest.raises(DimensionError):
+        universal_fingerprint(m, 2)
+    with pytest.raises(DimensionError):
+        eval_formula(close_universally(Atom("d", ("x1", "x2"))), m)
 
 
 def test_formula_base_class_is_abstract():

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from osclass.cli import EXIT_INVALID, EXIT_OK, run
@@ -146,8 +146,11 @@ def structures(draw):
                                junk))
         rel = draw(st.sampled_from([{"arity": arity, "table": table}, {"table": table}, table]))
         obj["relations"] = {"R": rel}
-    if draw(st.integers(0, 3)) == 3:
+    if draw(st.booleans()):
+        # valid chains first, among them an empty first domain
         obj["domains"] = draw(st.one_of(
+            st.just([[], list(range(n))]),
+            st.integers(1, n).map(lambda k: [list(range(k)), list(range(n))]),
             st.lists(st.lists(st.integers(-1, n), max_size=n), max_size=2), junk))
     return obj
 
@@ -204,6 +207,7 @@ def test_gh_dist_never_crashes(left, right):
 
 @FUZZ
 @given(structures())
+@example({"metric": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "domains": [[], [0, 1, 2]]})
 def test_gh_theory_never_crashes(structure):
     run_on({"s": structure}, ["gh-theory", "s", "--depth", "2"])
 
