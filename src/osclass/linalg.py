@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NotNormalError
 
@@ -62,16 +61,45 @@ def op_norm(a) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+#: Slope theta of the Hermitian pencil ``H + theta K`` of :func:`eig_normal`.
+#: atan(theta) is no rational multiple of pi, so no two vertices of a regular
+#: polygon with a vertex at 1 share a pencil value.
+_PENCIL_THETA = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Pencil eigenvalues within this many ``||a||`` of their neighbour form one
+#: cluster in :func:`eig_normal`.
+_CLUSTER_GAP = 1e-6
+
+
 def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
     """Eigendecomposition of a normal matrix with an orthonormal eigenbasis.
 
-    Uses a unitary (Schur) triangularization followed by diagonal extraction;
-    the off-diagonal part of the triangular factor is the normality defect and
-    must be small relative to ``||a||``.
+    For a normal A, H = (A + A*)/2 and K = (A - A*)/2i commute and share A's
+    eigenvectors, so ``eigh`` of the Hermitian pencil H + theta K (theta =
+    ``_PENCIL_THETA``) finds them, showing each eigenvalue lam as
+    Re lam + theta Im lam (Bunse-Gerstner, Byers & Mehrmann, SIAM J. Matrix
+    Anal. Appl. 14, 1993).  Two steps repair what the pencil cannot see:
+
+    - Clusters.  Distinct eigenvalues can land on one pencil value, and
+      near-equal pencil values mix their eigenvectors.  A run of pencil
+      eigenvalues each within ``_CLUSTER_GAP * ||a||`` of the next is a
+      cluster, and its compressed block Q_c* A Q_c is diagonalised by its
+      Schur vectors (``eig``'s eigenvectors, orthonormalised by QR in order).
+    - Between clusters, rounding in ``eigh`` mixes two eigenvectors by about
+      eps ||a|| / (pencil gap), which costs that times their eigenvalue
+      distance in the residual.  With B = Q* A Q, the basis Q (I + X), X the
+      skew-Hermitian part of ``B_ij / (B_jj - B_ii)`` over pairs in
+      different clusters, removes that mix to first order.  Such a pair's
+      pencil gap exceeds the cluster gap, so ``|B_jj - B_ii|`` exceeds it
+      over ``|1 - i theta|``.
+
+    The eigenvalues are the diagonal of B.  The residual ``||A Q - Q Lam||``
+    is checked in the Frobenius norm, which bounds the operator norm.
 
     Raises:
         DimensionError: if ``a`` is not square.
-        NotNormalError: if ``a a* - a* a`` exceeds ``tol * ||a||^2``.
+        NotNormalError: if ``a a* - a* a`` exceeds ``tol * ||a||^2``, or if the
+            residual exceeds ``max(tol, sqrt(defect)) * ||a|| * 10``.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -83,12 +111,29 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
     defect = op_norm(m @ m.conj().T - m.conj().T @ m) / nrm**2
     if defect > tol:
         raise NotNormalError(defect, tol)
-    t, q = scipy.linalg.schur(m, output="complex")
-    # For a normal matrix the Schur form is diagonal up to the defect.
-    off = t - np.diag(np.diag(t))
-    if op_norm(off) > max(tol, np.sqrt(defect)) * nrm * 10:
-        raise NotNormalError(op_norm(off) / nrm**2, tol)
-    return SpectralDecomposition(np.diag(t).copy(), q)
+    half = m * (0.5 - 0.5j * _PENCIL_THETA)
+    w, q = np.linalg.eigh(half + half.conj().T)  # H + theta K
+    label = np.r_[0, np.cumsum(np.diff(w) > _CLUSTER_GAP * nrm)]
+    for c in np.flatnonzero(np.bincount(label) > 1):
+        qc = q[:, label == c]
+        v = np.linalg.eig(qc.conj().T @ m @ qc)[1]
+        q[:, label == c] = qc @ np.linalg.qr(v)[0]
+    aq = m @ q
+    b = q.conj().T @ aq
+    lam = np.diag(b).copy()
+    x = np.divide(b, lam - lam[:, None], out=np.zeros_like(b), where=label[:, None] != label)
+    x = (x - x.conj().T) / 2
+    q = q + q @ x
+    resid = np.linalg.norm(aq + aq @ x - q * lam)
+    if resid > max(tol, np.sqrt(defect)) * nrm * 10:
+        raise NotNormalError(resid / nrm**2, tol)
+    return SpectralDecomposition(lam, q)
+
+
+#: Most multiply-adds per product in a batched :func:`span_membership`:
+#: OpenBLAS hands a product past 2^16 of them to its thread pool, and on these
+#: thin matrices the hand-off costs milliseconds and saves microseconds.
+_SERIAL_PRODUCT = 1 << 16
 
 
 def span_membership(v, basis, tol: float = TOL_NUM):
@@ -101,7 +146,11 @@ def span_membership(v, basis, tol: float = TOL_NUM):
     A single target vector gives its coefficients, or ``None`` when it misses
     the bound.  A 2-d ``v`` holds one target per column and gives the triple
     ``(coeffs, residuals, accepted)`` with one coefficient column, residual
-    and verdict per target.
+    and verdict per target.  Many targets are taken in chunks of a power of
+    two (at least 64) columns, of at most ``_SERIAL_PRODUCT`` multiply-adds
+    per product where the basis allows; chunks that start at multiples of 64
+    give BLAS's kernels the same column blocks, so every column has the bits
+    of one product over all targets.
     """
     target = np.asarray(v, dtype=np.complex128)
     batched = target.ndim == 2
@@ -115,8 +164,21 @@ def span_membership(v, basis, tol: float = TOL_NUM):
         raise DimensionError("basis vectors must match the length of v")
     if not (np.isfinite(mat).all() and np.isfinite(target).all()):
         raise DimensionError("span test inputs have non-finite entries")
-    coeffs = np.linalg.pinv(mat, rcond=1e-13) @ target
-    resid = np.linalg.norm(mat @ coeffs - target, axis=0)
+    pinv = np.linalg.pinv(mat, rcond=1e-13)
+    if batched:
+        n = target.shape[1]
+        step = 1 << max(6, (_SERIAL_PRODUCT // mat.size).bit_length() - 1)
+        cuts = list(range(step, n, step))
+        if cuts and n - cuts[-1] == 1:
+            cuts.pop()  # numpy multiplies a lone column as a vector, with other bits
+        coeffs = np.empty((mat.shape[1], n), dtype=np.complex128)
+        resid = np.empty(n)
+        for part in map(slice, [0] + cuts, cuts + [n]):
+            coeffs[:, part] = pinv @ target[:, part]
+            resid[part] = np.linalg.norm(mat @ coeffs[:, part] - target[:, part], axis=0)
+    else:
+        coeffs = pinv @ target
+        resid = np.linalg.norm(mat @ coeffs - target, axis=0)
     accepted = resid <= tol * np.maximum(1.0, np.linalg.norm(target, axis=0))
     if batched:
         return coeffs, resid, accepted
@@ -163,9 +225,12 @@ def _frame(span: np.ndarray):
     pseudoinverse projects onto (singular values above ``1e-13`` times the
     largest; half that cutoff here keeps every such direction whatever the
     rounding), so every function f of that space is ``P f[F]``, and
-    ``||P|| = 1 / s_min(Q_F)``.  F is picked by pivoted QR of Q*, which keeps
-    Q_F well conditioned.  Small sets, and spans of rank 0 or m, take every row
-    as frame (P = I).
+    ``||P|| = 1 / s_min(Q_F)``.  F is picked by a greedy row pivot of Q, the
+    pivot order of a column-pivoted QR of Q*: each pick is the row farthest
+    from the span of the rows picked before, which keeps Q_F well
+    conditioned.  Any r independent rows would do, since the search radius
+    uses the true ``s_min(Q_F)``.  Small sets, and spans of rank 0 or m, take
+    every row as frame (P = I).
     """
     m = span.shape[0]
     if m >= FRAME_MIN_POINTS:
@@ -173,8 +238,17 @@ def _frame(span: np.ndarray):
         r = int(np.sum(s > 0.5e-13 * s[0]))
         if 0 < r < m:
             q = u[:, :r]
-            piv = scipy.linalg.qr(q.conj().T, pivoting=True, mode="r", check_finite=False)[1]
-            frame = np.sort(piv[:r])
+            rest, picked = q.copy(), []
+            left = (rest.real**2 + rest.imag**2).sum(axis=1)  # squared residual norms
+            for _ in range(r):
+                i = int(left.argmax())
+                pivot = rest[i].conj() / np.sqrt(left[i])
+                proj = rest @ pivot
+                rest -= proj[:, None] * pivot.conj()
+                left -= proj.real**2 + proj.imag**2
+                left[i] = -np.inf
+                picked.append(i)
+            frame = np.sort(picked)
             s_min = np.linalg.svd(q[frame], compute_uv=False)[-1]
             return frame, q @ np.linalg.inv(q[frame]), 1.0 / s_min
     return np.arange(m), np.eye(m), 1.0

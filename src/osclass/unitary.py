@@ -144,7 +144,7 @@ def spectrum(u, tol: float = TOL_NUM) -> CircleSet:
     return CircleSet(np.array(deduped))
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray, slack: float = NECKLACE_SLACK) -> bool:
+def _lex_less(a, b, slack: float = NECKLACE_SLACK) -> bool:
     """Tolerance-aware strict lexicographic comparison."""
     for x, y in zip(a, b):
         if x < y - slack:
@@ -155,14 +155,20 @@ def _lex_less(a: np.ndarray, b: np.ndarray, slack: float = NECKLACE_SLACK) -> bo
 
 
 def _min_rotation(seq: np.ndarray) -> np.ndarray:
-    """Lexicographically least cyclic rotation under the tolerance-aware order."""
+    """Lexicographically least cyclic rotation under the tolerance-aware order.
+
+    The m rotations come from one index table.  The scan compares them in
+    turn against the best so far: the tolerance order is not transitive, so
+    the scan order decides the result.
+    """
     m = seq.size
-    best = seq
+    rots = seq[(np.arange(m)[:, None] + np.arange(m)) % m]
+    rows = rots.tolist()  # the same floats, compared without numpy scalars
+    best = 0
     for r in range(1, m):
-        cand = np.roll(seq, -r)
-        if _lex_less(cand, best):
-            best = cand
-    return best
+        if _lex_less(rows[r], rows[best]):
+            best = r
+    return rots[best]
 
 
 def canonical_form(s: CircleSet) -> CanonicalNecklace:

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -549,3 +554,24 @@ def test_run_and_verify_share_one_parser(tmp_path):
 def test_unknown_subcommand_is_invalid():
     code, _, _ = call(["frobnicate"])
     assert code == EXIT_INVALID
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    f = matrix_file(tmp_path, "u.json", np.roll(np.eye(5), 1, axis=0))
+    script = textwrap.dedent(f"""
+        import io, json, sys
+        import osclass.cli
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        assert not scipy_modules(), scipy_modules()
+        out = io.StringIO()
+        assert osclass.cli.run(["spectrum", {f!r}], stdout=out) == 0
+        assert len(json.loads(out.getvalue())["angles"]) == 5
+        assert not scipy_modules(), scipy_modules()
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from osclass import linalg
 from osclass.errors import DimensionError, NotNormalError
 from osclass.linalg import (eig_normal, gram_rank, kron, op_norm,
                             span_membership, vec)
@@ -61,12 +63,99 @@ class TestEigNormal:
         assert np.allclose(np.abs(dec.eigenvalues), 1.0, atol=1e-12)
 
     def test_rejects_non_normal(self):
-        with pytest.raises(NotNormalError):
-            eig_normal([[0, 1], [0, 0]])
+        for a in ([[0, 1], [0, 0]], [[1, 1e-3], [0, 1j]],
+                  np.diag(np.exp(1j * np.arange(5))) + np.diag([1e-4] * 4, 1)):
+            with pytest.raises(NotNormalError):
+                eig_normal(a)
 
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionError):
             eig_normal(np.ones((2, 3)))
+
+
+# --- eig_normal against complex Schur ----------------------------------------
+
+def haar(rng, m):
+    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def framed(rng, eigenvalues):
+    """A normal matrix with the given eigenvalues in a Haar-random eigenbasis."""
+    v = haar(rng, len(eigenvalues))
+    return (v * np.asarray(eigenvalues, dtype=np.complex128)) @ v.conj().T
+
+
+def pencil_collision(theta, lam, step):
+    """``lam + step (i - theta)``: the same value of Re + theta Im as ``lam``."""
+    return lam + step * (1j - theta)
+
+
+def normal_panel():
+    rng = np.random.default_rng(41)
+    for m in list(range(1, 41)) + [50, 64, 80, 100, 120, 150, 200]:
+        yield f"haar-m{m}", haar(rng, m)
+    circle = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+    yield "multiplicity-circle", framed(rng, np.repeat(circle, [3, 1, 2, 4]))
+    yield "multiplicity-scalar", framed(rng, np.full(6, np.exp(0.7j)))
+    plane = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    yield "multiplicity-plane", framed(rng, np.repeat(plane, [2, 5, 1]))
+    for psi in (0.0, 0.4, np.pi / 2, np.arctan2(1.0, -linalg._PENCIL_THETA)):
+        lam = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
+        lam[1] = lam[0] + 1e-9 * np.exp(1j * psi)
+        lam[3] = lam[2] + 1e-9 * np.exp(1j * (psi + 1.0))
+        yield f"near-pair-psi{psi:.2f}", framed(rng, lam)
+    for m in (3, 4, 5, 6, 8, 12, 24):
+        poly = np.exp(2j * np.pi * np.arange(m) / m)
+        yield f"polygon-m{m}", framed(rng, poly)
+        yield f"polygon-m{m}-diag", np.diag(poly * np.exp(0.3j))
+    for m in (1, 2, 7, 30):
+        h = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        yield f"hermitian-m{m}", h + h.conj().T
+        yield f"skew-hermitian-m{m}", 1j * (h + h.conj().T)
+        yield f"normal-m{m}", framed(rng, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    theta = linalg._PENCIL_THETA
+    # two points of the circle mirrored in the pencil's direction
+    phi, beta = np.arctan(theta), 0.9
+    lam = np.exp(1j * np.r_[phi + beta, phi - beta, rng.uniform(0, 2 * np.pi, 5)])
+    yield "collision-circle", framed(rng, lam)
+    lam = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    lam[1] = pencil_collision(theta, lam[0], 0.8)
+    lam[2] = pencil_collision(theta, lam[0], -1.3)
+    yield "collision-plane", framed(rng, lam)
+    yield "collision-diag", np.diag([1.0 + 0j, pencil_collision(theta, 1.0, 2.0), 0.5j])
+
+
+NORMAL_PANEL = list(normal_panel())
+
+
+def decomposition_errors(a, eigenvalues, q):
+    m = a.shape[0]
+    rec = np.linalg.norm(a - (q * eigenvalues) @ q.conj().T, 2) / np.linalg.norm(a, 2)
+    orth = np.linalg.norm(q.conj().T @ q - np.eye(m), 2)
+    return rec, orth
+
+
+@pytest.mark.parametrize("name,a", NORMAL_PANEL, ids=[c[0] for c in NORMAL_PANEL])
+def test_eig_normal_is_as_accurate_as_schur(name, a):
+    dec = eig_normal(a)
+    t, z = scipy.linalg.schur(a, output="complex")
+    rec, orth = decomposition_errors(a, dec.eigenvalues, dec.eigenvectors)
+    ref_rec, ref_orth = decomposition_errors(a, np.diag(t), z)
+    eps = np.finfo(float).eps  # Schur is exact on a diagonal input
+    assert rec <= 10 * max(ref_rec, eps), (rec, ref_rec)
+    assert orth <= 10 * max(ref_orth, eps), (orth, ref_orth)
+    # the same eigenvalues, to the Hausdorff distance
+    dist = np.abs(dec.eigenvalues[:, None] - np.diag(t))
+    assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-12 * np.linalg.norm(a, 2)
+
+
+def test_pencil_collision_lands_on_one_pencil_value():
+    theta = linalg._PENCIL_THETA
+    lam1, lam2 = 1.0 + 0j, pencil_collision(theta, 1.0, 2.0)
+    pencil = [z.real + theta * z.imag for z in (lam1, lam2)]
+    assert abs(lam1 - lam2) > 1 and pencil[0] == pytest.approx(pencil[1], abs=1e-15)
 
 
 class TestSpanMembership:
@@ -84,6 +173,19 @@ class TestSpanMembership:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             span_membership([1, 0], [[1, 0, 0]])
+
+    def test_wide_batch_has_the_bits_of_one_product(self):
+        rng = np.random.default_rng(9)
+        basis = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        n = 3 * 2048 + 1  # several chunks, the last with one extra column
+        target = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+        target[:, ::3] = basis.T @ rng.standard_normal((4, target[:, ::3].shape[1]))
+        coeffs, resid, ok = span_membership(target, basis)
+        mat = basis.T
+        ref = np.linalg.pinv(mat, rcond=1e-13) @ target
+        assert np.array_equal(coeffs, ref)
+        assert np.array_equal(resid, np.linalg.norm(mat @ ref - target, axis=0))
+        assert ok[::3].all() and not ok[1::3].any()
 
 
 def test_gram_rank_counts_independent_directions():
