@@ -18,11 +18,8 @@ from . import opsys
 from .errors import CapacityError, DimensionError
 from .linalg import TOL_NUM, bijection_sweep, span_membership
 
-#: Default bijection caps (points), by ambient dimension.  Beyond dimension 1
-#: the monomial span has rank up to 9, and a frame that large saves nothing
-#: below 10 points.
-DEFAULT_CAP_DIM1 = 12
-DEFAULT_CAP_DIMN = 6
+#: Most coordinate differences per numpy block of the coincidence check.
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -39,10 +36,15 @@ class PointSet:
             p = p.reshape(-1, 1)
         if p.ndim != 2 or p.shape[1] != self.ambient or p.shape[0] == 0:
             raise DimensionError(f"points must have shape (m, {self.ambient}), got {p.shape}")
-        for i in range(p.shape[0]):
-            for j in range(i + 1, p.shape[0]):
-                if np.linalg.norm(p[i] - p[j]) <= self.tol:
-                    raise DimensionError(f"points {i} and {j} coincide within tol")
+        m = p.shape[0]
+        step = max(1, _PAIR_BLOCK // max(1, p.size))
+        for lo in range(0, m, step):
+            rows = np.arange(lo, min(lo + step, m))
+            close = np.linalg.norm(p[rows, None] - p, axis=2) <= self.tol
+            close &= np.arange(m) > rows[:, None]  # each pair once, as i < j
+            if close.any():
+                i, j = np.unravel_index(np.argmax(close), close.shape)
+                raise DimensionError(f"points {rows[i]} and {j} coincide within tol")
         object.__setattr__(self, "points", p)
 
     @property
@@ -126,14 +128,12 @@ def is_degree_one_assignment(d: PointSet, values, tol: float = TOL_NUM):
 
 
 def _check_sizes(d: PointSet, e: PointSet, cap: int | None) -> bool:
-    """Whether a bijection search is needed; raises on mismatch or past the cap."""
+    """Whether a bijection search is needed; raises on mismatch or past an explicit cap."""
     if d.ambient != e.ambient:
         raise DimensionError("point sets must share the ambient dimension")
     if d.size != e.size:
         return False
-    if cap is None:
-        cap = DEFAULT_CAP_DIM1 if d.ambient == 1 else DEFAULT_CAP_DIMN
-    if d.size > cap:
+    if cap is not None and d.size > cap:
         raise CapacityError(f"point count {d.size} exceeds cap {cap}")
     return True
 

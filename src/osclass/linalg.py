@@ -8,13 +8,13 @@ span membership, the exact bijection search, and numerical rank.
 
 from __future__ import annotations
 
-import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotNormalError
+from .errors import CapacityError, DimensionError, NotNormalError
 
 #: Default relative tolerance used across the package.
 TOL_NUM = 1e-9
@@ -185,101 +185,12 @@ def span_membership(v, basis, tol: float = TOL_NUM):
     return coeffs if accepted else None
 
 
-#: Bijections, or frame assignments times predicted rows, per numpy block of
-#: :func:`bijection_sweep`.
-SWEEP_BLOCK = 4096
+#: Most nodes (partial bijections) one :func:`bijection_sweep` may visit.
+SEARCH_NODE_BUDGET = 1_000_000
 
-#: Below this many points :func:`bijection_sweep` tests all m! <= 120
-#: bijections, which costs less than building a frame.
-FRAME_MIN_POINTS = 6
-
-#: Relative float slack added to the match radius of :func:`bijection_sweep`.
-MATCH_SLACK = 1e-10
-
-
-def _lex_arrangements(m: int, r: int, block: int):
-    """All injective maps ``range(r) -> range(m)`` in lexicographic order, as int blocks."""
-    perms_iter = itertools.permutations(range(m), r)
-    while True:
-        flat = itertools.chain.from_iterable(itertools.islice(perms_iter, block))
-        perms = np.fromiter(flat, dtype=np.intp).reshape(-1, r)
-        if not perms.shape[0]:
-            return
-        yield perms
-
-
-def _transport_residuals(span: np.ndarray, values: np.ndarray, perms: np.ndarray,
-                         tol: float):
-    """Worst residual and verdict of ``values[p]`` in ``span`` for each row p."""
-    b, m = perms.shape
-    k = values.shape[1]
-    targets = values[perms].transpose(1, 0, 2).reshape(m, b * k)
-    _, resid, ok = span_membership(targets, span.T, tol)
-    return resid.reshape(b, k).max(axis=1), ok.reshape(b, k).all(axis=1)
-
-
-def _frame(span: np.ndarray):
-    """Frame rows F of the column space of ``span``, P = Q Q_F^-1 and ``||P||``.
-
-    Q is an orthonormal basis of the space that :func:`span_membership`'s
-    pseudoinverse projects onto (singular values above ``1e-13`` times the
-    largest; half that cutoff here keeps every such direction whatever the
-    rounding), so every function f of that space is ``P f[F]``, and
-    ``||P|| = 1 / s_min(Q_F)``.  F is picked by a greedy row pivot of Q, the
-    pivot order of a column-pivoted QR of Q*: each pick is the row farthest
-    from the span of the rows picked before, which keeps Q_F well
-    conditioned.  Any r independent rows would do, since the search radius
-    uses the true ``s_min(Q_F)``.  Small sets, and spans of rank 0 or m, take
-    every row as frame (P = I).
-    """
-    m = span.shape[0]
-    if m >= FRAME_MIN_POINTS:
-        u, s, _ = np.linalg.svd(span, full_matrices=False)
-        r = int(np.sum(s > 0.5e-13 * s[0]))
-        if 0 < r < m:
-            q = u[:, :r]
-            rest, picked = q.copy(), []
-            left = (rest.real**2 + rest.imag**2).sum(axis=1)  # squared residual norms
-            for _ in range(r):
-                i = int(left.argmax())
-                pivot = rest[i].conj() / np.sqrt(left[i])
-                proj = rest @ pivot
-                rest -= proj[:, None] * pivot.conj()
-                left -= proj.real**2 + proj.imag**2
-                left[i] = -np.inf
-                picked.append(i)
-            frame = np.sort(picked)
-            s_min = np.linalg.svd(q[frame], compute_uv=False)[-1]
-            return frame, q @ np.linalg.inv(q[frame]), 1.0 / s_min
-    return np.arange(m), np.eye(m), 1.0
-
-
-def _extend(frames: np.ndarray, frame: np.ndarray, rest: np.ndarray, ext: np.ndarray,
-            values: np.ndarray, radius: float) -> np.ndarray:
-    """The bijections p with ``p[frame]`` a row of ``frames`` and each other
-    ``p[i]`` an unused row of ``values`` within ``radius`` of ``(ext values[p[frame]])_i``."""
-    b, m = frames.shape[0], values.shape[0]
-    pred = ext[rest] @ values[frames]  # (b, m - r, k)
-    dist2 = np.zeros((b, rest.size, m))
-    for c in range(values.shape[1]):
-        dist2 += np.abs(pred[:, :, c, None] - values[:, c]) ** 2
-    used = np.zeros((b, m), dtype=bool)
-    used[np.arange(b)[:, None], frames] = True
-    near = (dist2 <= radius * radius) & ~used[:, None, :]
-    counts = near.sum(axis=2)
-    single = (counts == 1).all(axis=1)
-    out = np.empty((int(single.sum()), m), dtype=np.intp)
-    out[:, frame] = frames[single]
-    out[:, rest] = near[single].argmax(axis=2)
-    found = [out[(np.sort(out, axis=1) == np.arange(m)).all(axis=1)]]
-    # rows with several targets in reach: points closer than the radius
-    for j in np.flatnonzero((counts > 0).all(axis=1) & ~single):
-        for pick in itertools.product(*(np.flatnonzero(row) for row in near[j])):
-            if len(set(pick)) == len(pick):
-                p = np.empty(m, dtype=np.intp)
-                p[frame], p[rest] = frames[j], pick
-                found.append(p[None])
-    return np.vstack(found)
+#: Float slack of the pruning radius of :func:`bijection_sweep`, relative to
+#: the values and per unit of a span's condition number.
+_FLOAT_SLACK = 1e-12
 
 
 def _lex_rank(p: list) -> int:
@@ -291,26 +202,65 @@ def _lex_rank(p: list) -> int:
     return rank + 1
 
 
-def _frame_candidates(span_a: np.ndarray, values_b: np.ndarray, tol: float):
-    """Blocks of bijections p that hold every p with ``values_b[p]`` in the span.
+def _projector(span: np.ndarray, values: np.ndarray, tol: float):
+    """The projector onto the range :func:`span_membership` projects onto, and
+    this side's term of the pruning radius of :func:`bijection_sweep`."""
+    u, s, _ = np.linalg.svd(span, full_matrices=False)
+    # the pseudoinverse keeps singular values above 1e-13 times the largest;
+    # half that cutoff keeps each of them whatever the rounding, and any
+    # direction kept here alone makes the radius exceed every entry gap
+    r = int(np.sum(s > 0.5e-13 * s[0]))
+    cond = s[0] / s[r - 1]
+    norms = np.linalg.norm(values, axis=0)
+    rho = np.linalg.norm(tol * np.maximum(1.0, norms))
+    rho += _FLOAT_SLACK * cond * max(1.0, norms.max())
+    q = u[:, :r]
+    return q @ q.conj().T, math.sqrt(2.0) * rho / s[r - 1] + _FLOAT_SLACK * cond
 
-    Frame and extend: the span on A has rank r, and r frame rows F fix each of
-    its functions, ``f = P f[F]`` (:func:`_frame`).  Column c of
-    ``values_b[p]`` lies within ``rho_c = tol * max(1, ||values_b[:, c]||)``
-    of the span whatever p is, so for such a p row i of ``P values_b[p[F]]``
-    lies within ``(1 + ||P||) ||rho||`` of ``values_b[p[i]]``.  The m!/(m-r)!
-    injective assignments of the frame rows are walked in numpy blocks, and
-    every other row takes the unused targets within that radius (plus a float
-    slack).
+
+def _pruning(span_a, span_b, values_a, values_b, tol: float):
+    """Both projectors and the pruning radius R of :func:`bijection_sweep`."""
+    proj_a, bound_a = _projector(span_a, values_a, tol)
+    proj_b, bound_b = _projector(span_b, values_b, tol)
+    # the forward test bounds the deviation by the B side's term, the backward by A's
+    return proj_a, proj_b, max(bound_a, bound_b)
+
+
+def _survivors(proj_a: np.ndarray, proj_b: np.ndarray, radius: float):
+    """Every bijection the pruning keeps, in lexicographic order.
+
+    Row d may go to a free target j only if
+    ``|proj_a[i, d] - proj_b[p[i], j]| <= radius`` for every i < d and for
+    the diagonal i = d; past ``SEARCH_NODE_BUDGET`` assignments it raises.
     """
-    m = span_a.shape[0]
-    frame, ext, ext_norm = _frame(span_a)
-    rest = np.delete(np.arange(m), frame)
-    col_norms = np.linalg.norm(values_b, axis=0)
-    rho = np.linalg.norm(tol * np.maximum(1.0, col_norms))
-    radius = (1.0 + ext_norm) * (rho + MATCH_SLACK * max(1.0, col_norms.max()))
-    for frames in _lex_arrangements(m, frame.size, max(1, SWEEP_BLOCK // max(1, rest.size))):
-        yield _extend(frames, frame, rest, ext, values_b, radius) if rest.size else frames
+    m = proj_a.shape[0]
+    if radius < 1.0 and round(proj_a.trace().real) != round(proj_b.trace().real):
+        return  # projectors of different ranks are 1 apart in norm
+    near_diag = np.abs(proj_a.diagonal()[:, None] - proj_b.diagonal()) <= radius
+    p = np.full(m, -1, dtype=np.intp)
+    free = np.ones(m, dtype=bool)
+    stack = [iter(np.flatnonzero(near_diag[0]).tolist())]
+    nodes = 0
+    while stack:
+        d = len(stack) - 1
+        if p[d] >= 0:
+            free[p[d]] = True
+            p[d] = -1
+        j = next(stack[-1], None)
+        if j is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > SEARCH_NODE_BUDGET:
+            raise CapacityError(f"bijection search at m = {m} passed {SEARCH_NODE_BUDGET} nodes")
+        p[d] = j
+        if d + 1 == m:
+            yield p.tolist()
+            continue
+        free[j] = False
+        near = free & near_diag[d + 1]
+        near &= (np.abs(proj_a[:d + 1, d + 1, None] - proj_b[p[:d + 1]]) <= radius).all(axis=0)
+        stack.append(iter(np.flatnonzero(near).tolist()))
 
 
 def bijection_sweep(span_a, span_b, values_a, values_b,
@@ -322,14 +272,48 @@ def bijection_sweep(span_a, span_b, values_a, values_b,
     bijection p (point i of A to point ``p[i]`` of B) passes when every column
     of ``values_b[p]`` lies in the span on A and every column of
     ``values_a[p^-1]`` lies in the span on B, under :func:`span_membership`.
-    Every passing bijection is among the frame-and-extend candidates of
-    :func:`_frame_candidates`, which get the two-sided test; their number
-    grows like m!/(m-r)! for a span of rank r, not like m!.
+    Each span must hold the constants and be closed under conjugation, and
+    its columns must be distinct columns of ``X = [1, values, conj values]``
+    on its side; the three exact routes call it so.
+
+    The search.  Let Pi_A and Pi_B be the orthogonal projectors onto the
+    ranges that :func:`span_membership`'s pseudoinverse projects onto, and P
+    the permutation matrix of p, ``(P f)_i = f[p[i]]``.  A lexicographic
+    depth-first search over ``p[0], p[1], ...`` drops a partial map as soon
+    as some ``|Pi_A[i, k] - Pi_B[p[i], p[k]]|`` (the diagonal included)
+    exceeds the radius R below (:func:`_survivors`), and gives each complete
+    map the two-sided span test.  Every passing bijection survives the
+    pruning, so the first complete map that passes is the lexicographically
+    first passing bijection of all m!.  This is an isomorphism search of two
+    weighted complete graphs (McKay & Piperno, J. Symbolic Comput. 60, 2014).
+
+    The radius.  Take a passing p.  Each entry of ``Pi_A - P Pi_B P^T`` is at
+    most its norm, which for two orthogonal projectors is
+    ``max(||(I - Pi_A) P Pi_B P^T||, ||(I - P Pi_B P^T) Pi_A||)``.  In the
+    first term a unit vector of the range of ``P Pi_B P^T`` is ``P S_B c``,
+    with ``S_B = span_b`` and ``||c|| <= 1 / s_r``, s_r the smallest kept
+    singular value of ``S_B``.  The forward test puts column c of
+    ``P values_b`` within ``rho_c = tol * max(1, ||values_b[:, c]||)`` of the
+    range of Pi_A.  Conjugates add nothing, since that range is closed under
+    conjugation, and neither does the constant, which it holds.  So
+    ``||(I - Pi_A) P X_B||_F <= sqrt(2) ||rho||``; the columns of ``S_B`` are
+    columns of ``X_B``, and the first term is at most
+    ``sqrt(2) ||rho|| / s_r``.  The second term equals
+    ``||(I - Pi_B) P^T Pi_A P||``, which the backward test bounds in the same
+    way on A's side.  R is the larger bound, each with a float slack of
+    ``_FLOAT_SLACK`` times its span's condition number, once relative to the
+    largest value column inside ``||rho||`` and once for the rounding of the
+    projector.
 
     Returns ``(bijection, tried)``: the lexicographically first passing
     bijection (``None`` when none passes) and its 1-based lexicographic rank,
     i.e. the number of bijections up to and including it in that order (m!
     when none passes).
+
+    Raises:
+        DimensionError: if the point counts differ.
+        CapacityError: if m! has more decimal digits than Python converts
+            (``sys.get_int_max_str_digits``), or past ``SEARCH_NODE_BUDGET``.
     """
     span_a, span_b = np.asarray(span_a), np.asarray(span_b)
     values_a = np.asarray(values_a).reshape(span_a.shape[0], -1)
@@ -337,18 +321,14 @@ def bijection_sweep(span_a, span_b, values_a, values_b,
     m = span_a.shape[0]
     if span_b.shape[0] != m:
         raise DimensionError("both point sets must have the same size")
-    passing = []
-    for cands in _frame_candidates(span_a, values_b, tol):
-        if cands.shape[0]:
-            cands = cands[_transport_residuals(span_a, values_b, cands, tol)[1]]
-        if cands.shape[0]:
-            inverse = np.argsort(cands, axis=1)
-            cands = cands[_transport_residuals(span_b, values_a, inverse, tol)[1]]
-        passing += cands.tolist()
-    if not passing:
-        return None, math.factorial(m)
-    first = min(passing)
-    return first, _lex_rank(first)
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digits and math.factorial(m) >= 10**digits:
+        raise CapacityError(f"{m}! has more than {digits} digits, past Python's int-to-text limit")
+    for p in _survivors(*_pruning(span_a, span_b, values_a, values_b, tol)):
+        if (span_membership(values_b[p], span_a.T, tol)[2].all()
+                and span_membership(values_a[np.argsort(p)], span_b.T, tol)[2].all()):
+            return p, _lex_rank(p)
+    return None, math.factorial(m)
 
 
 def gram_rank(vectors, tol: float = TOL_NUM) -> int:

@@ -303,23 +303,23 @@ def _bijection_decision(ss: CircleSet, tt: CircleSet, tol: float) -> CoisDecisio
     )
 
 
-def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int = 20) -> CoisDecision:
+def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int | None = None) -> CoisDecision:
     """Exact finite-spectrum oracle for complete order isomorphism.
 
     Both systems contain the generator products, so a complete order
     isomorphism extends to a *-isomorphism of the generated commutative
     C*-algebras, i.e. a bijection ``h`` of the spectra.  The span condition
     becomes: ``h`` lies in span{1, z, conj z} on the source spectrum and
-    ``h^-1`` in span{1, w, conj w} on the target.  Any three points of a
-    circle fix such an ``h``, so :func:`bijection_sweep` walks the m(m-1)(m-2)
-    images of a 3-point frame and returns the lexicographically first passing
-    bijection.  A negative reports ``failed_count = m!``.
+    ``h^-1`` in span{1, w, conj w} on the target.  :func:`bijection_sweep`
+    finds the lexicographically first such bijection by a depth-first search
+    pruned by the projectors onto the two spans.  A negative reports
+    ``failed_count = m!``.  An explicit ``cap`` bounds the spectrum size.
     """
     ss, tt = spectrum(u, tol), spectrum(v, tol)
     m = ss.size
     if m != tt.size:
         return CoisDecision("NotIsomorphic", "oracle", {"cardinalities": [m, tt.size]})
-    if m > cap:
+    if cap is not None and m > cap:
         raise CapacityError(f"spectrum size {m} exceeds enumeration cap {cap}")
     return _bijection_decision(ss, tt, tol)
 

@@ -159,6 +159,44 @@ class TestDeg1:
         code, rep, _ = call(["deg1", str(p), str(p)])
         assert code == EXIT_INVALID
 
+    def test_two_hundred_point_negative_reports_every_bijection(self, tmp_path):
+        # no default cap: the search settles a generic pair at once and
+        # reports tried = 200!, a 375-digit integer that verify reads back
+        rng = np.random.default_rng(6)
+        fd, fe = (points_file(tmp_path, f"{n}.json", (rng.standard_normal(200)
+                              + 1j * rng.standard_normal(200)).reshape(-1, 1)) for n in "de")
+        for extra in ([], ["--via-opsys"]):
+            code, rep, text = call(["deg1", fd, fe] + extra)
+            assert code == EXIT_OK
+            assert rep["homeomorphic"] is False and rep["tried"] == math.factorial(200)
+            assert len(str(rep["tried"])) == 375
+            assert rep["tolerances"] == {"tol": 1e-9, "cap": None}
+            report_path = tmp_path / "report.json"
+            report_path.write_text(text + "\n")
+            code, vrep, _ = call(["verify", str(report_path)])
+            assert code == EXIT_OK and vrep["verified"] is True
+
+    def test_explicit_cap_is_honoured_and_echoed(self, tmp_path):
+        z = np.arange(6) + 0.5j * np.arange(6) ** 2
+        fd = points_file(tmp_path, "d.json", z.reshape(-1, 1))
+        code, rep, _ = call(["deg1", fd, fd, "--cap", "5"])
+        assert code == EXIT_CAPACITY and rep["error"]["kind"] == "capacity"
+        code, rep, _ = call(["deg1", fd, fd, "--cap", "6"])
+        assert code == EXIT_OK and rep["tried"] == 1
+        assert rep["tolerances"] == {"tol": 1e-9, "cap": 6}
+
+    def test_factorial_past_the_digit_limit_exits_with_capacity(self, tmp_path):
+        # m! for m = 1559 has more digits than Python converts to text, so
+        # the count could be neither printed nor read back
+        limit = sys.get_int_max_str_digits()
+        m = next(m for m in range(2, 10**5) if math.factorial(m) >= 10**limit)
+        rng = np.random.default_rng(7)
+        fd, fe = (points_file(tmp_path, f"{n}.json", (rng.standard_normal(m)
+                              + 1j * rng.standard_normal(m)).reshape(-1, 1)) for n in "de")
+        code, rep, _ = call(["deg1", fd, fe])
+        assert code == EXIT_CAPACITY
+        assert rep["error"]["kind"] == "capacity" and "digits" in rep["error"]["message"]
+
 
 class TestNorm:
     def test_level_one_norm(self, tmp_path):

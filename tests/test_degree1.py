@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from osclass.errors import CapacityError, DimensionError
-from osclass.degree1 import (DEFAULT_CAP_DIM1, DegreeOneMap, PointSet, deg1_via_opsys,
+from osclass.degree1 import (DegreeOneMap, PointSet, deg1_via_opsys,
                              degree_one_homeomorphic, is_degree_one_assignment,
                              monomial_matrix, normal_system)
 
@@ -49,6 +49,18 @@ class TestPointSet:
         with pytest.raises(DimensionError):
             PointSet(2, np.array([[1.0, 2.0, 3.0]]))
 
+    @pytest.mark.parametrize("m,n", [(7, 1), (300, 2), (2000, 1)])
+    def test_names_the_first_coincident_pair(self, m, n):
+        # three planted pairs on distinct points; the blocked check names the
+        # one a row-major loop over i < j meets first
+        rng = np.random.default_rng(m)
+        pts = random_points(rng, m, n)
+        pairs = np.sort(rng.choice(m, 6, replace=False).reshape(3, 2), axis=1)
+        pts[pairs[:, 1]] = pts[pairs[:, 0]] + 0.5e-9
+        i, j = min(map(tuple, pairs.tolist()))
+        with pytest.raises(DimensionError, match=f"points {i} and {j} coincide"):
+            PointSet(n, pts)
+        assert PointSet(n, random_points(rng, m, n)).size == m
 
 class TestAssignment:
     def test_affine_image_is_degree_one(self):
@@ -130,10 +142,14 @@ class TestHomeomorphismDecision:
         assert not degree_one_homeomorphic(d, e).homeomorphic
 
     def test_cap(self):
+        # there is no default cap; an explicit one bounds the point count
         rng = np.random.default_rng(8)
-        d = PointSet(1, random_points(rng, DEFAULT_CAP_DIM1 + 1))
-        with pytest.raises(CapacityError):
-            degree_one_homeomorphic(d, d)
+        d = PointSet(1, random_points(rng, 13))
+        for decide in (degree_one_homeomorphic, deg1_via_opsys):
+            with pytest.raises(CapacityError):
+                decide(d, d, cap=12)
+            assert decide(d, d, cap=13).tried == 1
+            assert decide(d, d).tried == 1
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionError):

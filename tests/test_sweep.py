@@ -1,15 +1,16 @@
-"""The frame-and-extend bijection search against an independent m! reference.
+"""The projector search for bijections against an independent m! reference.
 
 The reference walks every bijection in lexicographic order, a block at a
 time, and tests span membership with its own ``np.linalg.lstsq`` fits, so it
 shares no code with ``osclass.linalg``.  Each of the three exact routes (the
 unitary oracle and both degree-1 routes) must agree with it on the verdict, on
 the first passing bijection in lexicographic order, and on ``tried``; and the
-frame candidates must hold every bijection the reference accepts.
+projector pruning must keep every bijection the reference accepts.
 """
 
 import itertools
 import math
+import sys
 import time
 
 import numpy as np
@@ -17,7 +18,8 @@ import pytest
 
 from osclass import linalg
 from osclass.degree1 import PointSet, deg1_via_opsys, degree_one_homeomorphic
-from osclass.linalg import SWEEP_BLOCK, bijection_sweep, span_membership
+from osclass.errors import CapacityError
+from osclass.linalg import bijection_sweep, span_membership
 from osclass.unitary import TWO_PI, cois_unitary_oracle, cois_unitary_theorem, spectrum
 
 REPLAY_TOL = 1e-7
@@ -38,39 +40,44 @@ def transported_in_span(span, values, perms, tol):
 
 
 def passing_blocks(span_a, span_b, values_a, values_b, tol):
-    """(offset, lexicographic block of bijections, forward mask, two-sided mask) over all m!."""
+    """(offset, lexicographic block of bijections, two-sided mask) over all m!."""
     m = span_a.shape[0]
     values_a, values_b = values_a.reshape(m, -1), values_b.reshape(m, -1)
     perms_iter = itertools.permutations(range(m))
     offset = 0
     while chunk := list(itertools.islice(perms_iter, 4096)):
         perms = np.array(chunk)
-        fwd = transported_in_span(span_a, values_b, perms, tol)
-        ok = fwd & transported_in_span(span_b, values_a, np.argsort(perms, axis=1), tol)
-        yield offset, perms, fwd, ok
+        ok = (transported_in_span(span_a, values_b, perms, tol)
+              & transported_in_span(span_b, values_a, np.argsort(perms, axis=1), tol))
+        yield offset, perms, ok
         offset += len(chunk)
 
 
 def reference_sweep(span_a, span_b, values_a, values_b, tol):
     """(tried, first passing bijection or None) by the lexicographic m! sweep."""
-    for offset, perms, _, ok in passing_blocks(span_a, span_b, values_a, values_b, tol):
+    for offset, perms, ok in passing_blocks(span_a, span_b, values_a, values_b, tol):
         if ok.any():
             i = int(np.flatnonzero(ok)[0])
             return offset + i + 1, perms[i].tolist()
     return math.factorial(span_a.shape[0]), None
 
 
-def reference_accepted(span_a, span_b, values_a, values_b, tol, forward_only=False):
-    """Every bijection that passes both span tests (or the forward one)."""
-    return {tuple(p) for _, perms, fwd, ok in passing_blocks(span_a, span_b, values_a,
-                                                               values_b, tol)
-            for p in perms[fwd if forward_only else ok].tolist()}
+def reference_accepted(span_a, span_b, values_a, values_b, tol):
+    """Every bijection that passes both span tests."""
+    return {tuple(p) for _, perms, ok in passing_blocks(span_a, span_b, values_a, values_b, tol)
+            for p in perms[ok].tolist()}
 
 
-def frame_candidates(span_a, values_b, tol):
-    values_b = values_b.reshape(span_a.shape[0], -1)
-    return [tuple(p) for block in linalg._frame_candidates(span_a, values_b, tol)
-            for p in block.tolist()]
+def pruning(span_a, span_b, values_a, values_b, tol):
+    """Both projectors and the pruning radius of the search."""
+    m = span_a.shape[0]
+    return linalg._pruning(span_a, span_b, values_a.reshape(m, -1), values_b.reshape(m, -1), tol)
+
+
+def survivors(span_a, span_b, values_a, values_b, tol):
+    """Every bijection the projector pruning keeps, in the order searched."""
+    return [tuple(p) for p in linalg._survivors(*pruning(span_a, span_b, values_a, values_b,
+                                                          tol))]
 
 
 def circle_span(zs):
@@ -175,14 +182,14 @@ def test_degree_one_routes_match_reference(name, z, w):
 
 def test_sweep_finds_a_witness_past_the_first_block():
     # the only passing bijection starts with 1, so its lexicographic rank is
-    # past 7! = 5040 and past SWEEP_BLOCK
+    # past the 7! = 5040 bijections that start with 0
     zs = np.exp(1j * np.array([0.2, 0.9, 1.3, 2.9, 3.3, 4.0, 5.1, 5.5]))
     p = np.array([1, 0, 2, 3, 4, 5, 6, 7])
     ws = np.exp(0.7j) * zs[p]
     span_z, span_w = circle_span(zs), circle_span(ws)
     bijection, tried = bijection_sweep(span_z, span_w, zs, ws, 1e-8)
     assert (tried, bijection) == reference_sweep(span_z, span_w, zs, ws, 1e-8)
-    assert bijection == p.tolist() and tried > SWEEP_BLOCK
+    assert bijection == p.tolist() and tried > math.factorial(7)
 
 
 def seeded_spans():
@@ -220,15 +227,14 @@ def adversarial_spans():
     w = ((1 - 2j) * z + 3)[rng.permutation(7)] + noise * (0.8e-9 / np.linalg.norm(noise))
     yield ("dim1-noisy-affine", monomials(z), monomials(w),
            coords_and_products(z), coords_and_products(w), 1e-9)
-    # a residual orthogonal to the span, 0.95 of the bound, aimed so that the
-    # prediction of one off-frame row misses by sqrt(1 + ||P_i||^2) times it
+    # a residual orthogonal to the span, 0.95 of the bound, all of it on the
+    # point of least leverage, which moves the projector most
     zs = np.exp(1j * rng.uniform(0, TWO_PI, 8))
-    frame, ext, _ = linalg._frame(circle_span(zs))
-    rest = np.delete(np.arange(8), frame)
-    i = rest[np.argmax(np.linalg.norm(ext[rest], axis=1))]
-    a = -np.conj(ext[i]) @ np.eye(8)[frame]
-    a[i] += 1.0
-    ws = (1.5 - 0.5j) * zs + 0.3j * zs.conj() + 0.2
+    q = np.linalg.qr(circle_span(zs))[0]
+    lever = (np.abs(q) ** 2).sum(axis=1)
+    i = int(np.argmin(lever))
+    a = np.eye(8)[i] - q @ q[i].conj()
+    ws = np.exp(0.9j) * zs
     ws = ws + a * (0.95e-8 * np.linalg.norm(ws) / np.linalg.norm(a))
     yield "circle-worst-case-residual", circle_span(zs), circle_span(ws), zs, ws, 1e-8
     for m in (6, 7, 8):
@@ -256,37 +262,79 @@ ADVERSARIAL_SPANS = list(adversarial_spans())
 
 @pytest.mark.parametrize("case", SEEDED_SPANS + ADVERSARIAL_SPANS,
                          ids=[c[0] for c in SEEDED_SPANS + ADVERSARIAL_SPANS])
-def test_frame_candidates_hold_every_accepted_bijection(case, monkeypatch):
+def test_frame_candidates_hold_every_accepted_bijection(case):
+    """The pruning keeps every bijection that passes both span tests.
+
+    (The name is that of the frame search the projector search replaced, so
+    that the case ids of the suite stay put.)
+    """
     _, span_a, span_b, values_a, values_b, tol = case
-    monkeypatch.setattr(linalg, "FRAME_MIN_POINTS", 1)  # a live frame at every size
-    cands = frame_candidates(span_a, values_b, tol)
-    assert len(cands) == len(set(cands))
-    # the candidates hold every bijection that passes even the forward test
-    forward = reference_accepted(span_a, span_b, values_a, values_b, tol, forward_only=True)
-    assert forward <= set(cands)
+    kept = survivors(span_a, span_b, values_a, values_b, tol)
+    assert kept == sorted(set(kept))  # distinct, in lexicographic order
+    assert reference_accepted(span_a, span_b, values_a, values_b, tol) <= set(kept)
     bijection, tried = bijection_sweep(span_a, span_b, values_a, values_b, tol)
     assert (tried, bijection) == reference_sweep(span_a, span_b, values_a, values_b, tol)
 
 
-def test_adversarial_cases_exercise_the_frame():
-    cases = {c[0]: c for c in ADVERSARIAL_SPANS}
-    frame = {name: linalg._frame(c[1])[0].size for name, c in cases.items()}
-    assert frame["dim1-concyclic-affine"] == 3  # |z|^2 = 1 is the constant
-    assert frame["dim2-full-rank-m7"] == 7  # r = m: every row is a frame row
-    # the close pair (rows 0 and 1) lies off the frame, so both of its rows
-    # have two targets in reach
-    _, span_a, _, _, values_b, tol = cases["circle-close-pair"]
-    rows = linalg._frame(span_a)[0]
-    assert rows.size == 3 and {0, 1}.isdisjoint(rows.tolist())
-    cands = frame_candidates(span_a, values_b, tol)
-    assert len({tuple(np.array(p)[rows]) for p in cands}) < len(cands)
-    for name in ("circle-noisy-image", "dim1-noisy-affine"):
-        assert len(reference_accepted(*cases[name][1:])) == 1, name
-    worst = reference_accepted(*cases["circle-worst-case-residual"][1:], forward_only=True)
-    assert tuple(range(8)) in worst
-    # a regular polygon passes under all 2m dihedral relabellings
-    _, span_a, span_b, values_a, values_b, tol = cases["polygon-m7"]
-    assert len(reference_accepted(span_a, span_b, values_a, values_b, tol)) == 14
+def projector_gap(span_a, span_b, values_a, values_b, tol, p):
+    """Largest entry of ``Pi_A - P Pi_B P^T`` over the pruning radius."""
+    proj_a, proj_b, radius = pruning(span_a, span_b, values_a, values_b, tol)
+    return np.abs(proj_a - proj_b[np.ix_(p, p)]).max() / radius
+
+
+def test_adversarial_cases_sit_at_the_pruning_radius():
+    cases = {c[0]: c[1:] for c in ADVERSARIAL_SPANS}
+    for name in ("circle-noisy-image", "dim1-noisy-affine", "circle-worst-case-residual"):
+        (accepted,) = reference_accepted(*cases[name])
+        assert survivors(*cases[name]) == [accepted], name
+    # the worst case passes both tests and takes up a large part of the radius
+    assert reference_accepted(*cases["circle-worst-case-residual"]) == {tuple(range(8))}
+    assert projector_gap(*cases["circle-worst-case-residual"], list(range(8))) > 0.3
+    # the two rows of the close pair match both of its targets: the pruning
+    # keeps two maps and the span test at the leaves rejects one
+    assert len(survivors(*cases["circle-close-pair"])) == 2
+    assert len(reference_accepted(*cases["circle-close-pair"])) == 1
+    # a regular polygon passes under all 2m dihedral relabellings, and the
+    # pruning keeps those and no others
+    assert len(survivors(*cases["polygon-m7"])) == 14
+    assert len(reference_accepted(*cases["polygon-m7"])) == 14
+
+
+@pytest.mark.parametrize("m", [5, 7])
+def test_full_rank_spans_keep_every_bijection_and_take_the_identity(m):
+    span_a, span_b, values_a, values_b, tol = {c[0]: c[1:] for c in ADVERSARIAL_SPANS}[
+        f"dim2-full-rank-m{m}"]
+    assert len(survivors(span_a, span_b, values_a, values_b, tol)) == math.factorial(m)
+    assert bijection_sweep(span_a, span_b, values_a, values_b, tol) == (list(range(m)), 1)
+
+
+def test_node_budget_raises(monkeypatch):
+    # the identity of a regular 12-gon is found at the 12th node
+    poly = np.exp(1j * TWO_PI * np.arange(12) / 12)
+    span = circle_span(poly)
+    assert bijection_sweep(span, span, poly, poly, 1e-8) == (list(range(12)), 1)
+    monkeypatch.setattr(linalg, "SEARCH_NODE_BUDGET", 11)
+    with pytest.raises(CapacityError):
+        bijection_sweep(span, span, poly, poly, 1e-8)
+
+
+def test_factorials_past_the_digit_limit_raise_before_searching():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        m = next(m for m in itertools.count(2) if math.factorial(m) >= 10**640)
+        rng = np.random.default_rng(38)
+        for size, fits in ((m - 1, True), (m, False)):
+            z, w = cnormal(rng, size, 1), cnormal(rng, size, 1)
+            args = (monomials(z), monomials(w), coords_and_products(z), coords_and_products(w))
+            if fits:
+                assert bijection_sweep(*args) == (None, math.factorial(size))
+                assert len(str(math.factorial(size))) <= 640
+            else:
+                with pytest.raises(CapacityError, match="digits"):
+                    bijection_sweep(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def old_cap_cases():
@@ -356,3 +404,57 @@ def test_batched_span_membership_matches_single_targets():
     assert resid[0] <= 1e-12 < resid[1]
     assert np.allclose(coeffs[:, 0], span_membership(inside, basis), atol=1e-12)
     assert span_membership(outside, basis) is None
+
+
+def test_pruning_keeps_near_tol_images():
+    """Seeded images whose residual, orthogonal to the span, sits at 50% to
+    99% of the bound on a random point: every accepted bijection survives."""
+    rng = np.random.default_rng(39)
+    found = 0
+    for trial in range(24):
+        m = 5 + trial % 3
+        zs = np.exp(1j * rng.uniform(0, TWO_PI, m))
+        q = np.linalg.qr(circle_span(zs))[0]
+        ws = ((1.2 + 0.4j) * zs + (0.3 - 0.2j) * zs.conj() + 0.5)
+        i = rng.integers(m)
+        a = np.eye(m)[i] - q @ q[i].conj()  # e_i with the span projected out
+        ws = ws + a * (rng.uniform(0.5, 0.99) * 1e-8 * np.linalg.norm(ws) / np.linalg.norm(a))
+        ws = ws[rng.permutation(m)]
+        case = (circle_span(zs), circle_span(ws), zs, ws, 1e-8)
+        accepted = reference_accepted(*case)
+        assert accepted <= set(survivors(*case)), trial
+        assert bijection_sweep(*case)[::-1] == reference_sweep(*case), trial
+        found += len(accepted)
+    assert found >= 20  # nearly every image passes both tests
+
+
+def test_oracle_decides_two_hundred_points():
+    rng = np.random.default_rng(40)
+    a = TWO_PI * np.arange(200) / 200 + 0.1
+    u = np.diag(np.exp(1j * a))
+    v = np.diag(np.exp(1j * (0.77 - a[rng.permutation(200)])))
+    dec = cois_unitary_oracle(u, v)
+    assert dec.verdict == "Isomorphic"
+    zs, ws = spectrum(u).points(), spectrum(v).points()
+    p = np.array(dec.certificate["bijection"])
+    for (c0, c1, c2), src, dst in ((dec.certificate["forward_coeffs"], zs, ws[p]),
+                                   (dec.certificate["backward_coeffs"], ws, zs[np.argsort(p)])):
+        assert np.max(np.abs(c0 + c1 * src + c2 * src.conj() - dst)) <= REPLAY_TOL
+    generic = np.diag(np.exp(1j * rng.uniform(0, TWO_PI, 200)))
+    assert cois_unitary_oracle(u, generic).certificate == {"failed_count": math.factorial(200)}
+
+
+@pytest.mark.parametrize("m", [9, 12, 16])
+def test_two_dimensional_affine_images_past_the_old_cap(m):
+    rng = np.random.default_rng(41 + m)
+    z = cnormal(rng, m, 2)
+    w = (z @ (cnormal(rng, 2, 2) + 2 * np.eye(2)).T + 1)[rng.permutation(m)]
+    d, e = PointSet(2, z), PointSet(2, w)
+    dec, via = degree_one_homeomorphic(d, e), deg1_via_opsys(d, e)
+    assert dec.homeomorphic and via.homeomorphic
+    assert dec.witness["bijection"] == via.witness["bijection"] and dec.tried == via.tried
+    p = np.array(dec.witness["bijection"])
+    assert dec.tried == linalg._lex_rank(p.tolist())
+    fwd, bwd = dec.witness["forward"], dec.witness["backward"]
+    assert np.max(np.abs(monomials(z) @ fwd.coeffs.T - w[p])) <= REPLAY_TOL
+    assert np.max(np.abs(monomials(w) @ bwd.coeffs.T - z[np.argsort(p)])) <= REPLAY_TOL
