@@ -185,12 +185,13 @@ def span_membership(v, basis, tol: float = TOL_NUM):
     return coeffs if accepted else None
 
 
-#: Most nodes (partial bijections) one :func:`bijection_sweep` may visit.
+#: Most nodes (partial bijections) one :func:`bijection_sweep` may visit; a
+#: complete one, whose span test costs 80-160 us against 10 us, counts 16.
 SEARCH_NODE_BUDGET = 1_000_000
+_LEAF_NODES = 16
 
-#: Float slack of the pruning radius of :func:`bijection_sweep`, relative to
-#: the values and per unit of a span's condition number.
-_FLOAT_SLACK = 1e-12
+#: Float slack of the radius of :func:`bijection_sweep` per span column.
+_FLOAT_SLACK = 1e-14
 
 
 def _lex_rank(p: list) -> int:
@@ -202,28 +203,31 @@ def _lex_rank(p: list) -> int:
     return rank + 1
 
 
-def _projector(span: np.ndarray, values: np.ndarray, tol: float):
+def _projector(span: np.ndarray):
     """The projector onto the range :func:`span_membership` projects onto, and
-    this side's term of the pruning radius of :func:`bijection_sweep`."""
-    u, s, _ = np.linalg.svd(span, full_matrices=False)
-    # the pseudoinverse keeps singular values above 1e-13 times the largest;
-    # half that cutoff keeps each of them whatever the rounding, and any
-    # direction kept here alone makes the radius exceed every entry gap
-    r = int(np.sum(s > 0.5e-13 * s[0]))
-    cond = s[0] / s[r - 1]
-    norms = np.linalg.norm(values, axis=0)
-    rho = np.linalg.norm(tol * np.maximum(1.0, norms))
-    rho += _FLOAT_SLACK * cond * max(1.0, norms.max())
-    q = u[:, :r]
-    return q @ q.conj().T, math.sqrt(2.0) * rho / s[r - 1] + _FLOAT_SLACK * cond
+    this side's terms of the radius of :func:`bijection_sweep`."""
+    u, s, vh = np.linalg.svd(span, full_matrices=False)
+    sv = s.tolist()
+    r = sum(x > 1e-13 * sv[0] for x in sv)  # the pseudoinverse's cutoff
+    proj = u[:, :r] @ u[:, :r].conj().T
+    scale = np.maximum(1.0, np.linalg.norm(span, axis=0))
+    rows = np.linalg.norm(vh[:r].conj().T * scale[:, None] / s[:r], axis=1)  # of M
+    slack = _FLOAT_SLACK * span.shape[1]
+    rounding = slack * sv[0] / sv[r - 1]
+    if any(abs(x - 1e-13 * sv[0]) < 1e-14 * sv[0] for x in sv):
+        rounding = math.inf  # the pseudoinverse may cut a direction kept here, or keep one cut
+    miss = np.linalg.norm(1.0 - proj.sum(axis=1)) / max(1.0, math.sqrt(span.shape[0]))
+    constant = (span == span[:1]).all(axis=0)
+    return proj, rows, constant, slack * (1.0 + np.linalg.norm(rows)), miss, rounding
 
 
-def _pruning(span_a, span_b, values_a, values_b, tol: float):
+def _pruning(span_a, span_b, tol: float):
     """Both projectors and the pruning radius R of :func:`bijection_sweep`."""
-    proj_a, bound_a = _projector(span_a, values_a, tol)
-    proj_b, bound_b = _projector(span_b, values_b, tol)
-    # the forward test bounds the deviation by the B side's term, the backward by A's
-    return proj_a, proj_b, max(bound_a, bound_b)
+    proj_a, rows_a, const_a, test_a, miss_a, round_a = _projector(span_a)
+    proj_b, rows_b, const_b, test_b, miss_b, round_b = _projector(span_b)
+    forward = rows_b @ (test_a + np.where(const_b, miss_a, tol))
+    backward = rows_a @ (test_b + np.where(const_a, miss_b, tol))
+    return proj_a, proj_b, max(forward, backward) + round_a + round_b
 
 
 def _survivors(proj_a: np.ndarray, proj_b: np.ndarray, radius: float):
@@ -231,7 +235,8 @@ def _survivors(proj_a: np.ndarray, proj_b: np.ndarray, radius: float):
 
     Row d may go to a free target j only if
     ``|proj_a[i, d] - proj_b[p[i], j]| <= radius`` for every i < d and for
-    the diagonal i = d; past ``SEARCH_NODE_BUDGET`` assignments it raises.
+    the diagonal i = d.  Its consumer tests each complete map, so that map
+    counts ``_LEAF_NODES`` assignments; past ``SEARCH_NODE_BUDGET`` it raises.
     """
     m = proj_a.shape[0]
     if radius < 1.0 and round(proj_a.trace().real) != round(proj_b.trace().real):
@@ -250,7 +255,7 @@ def _survivors(proj_a: np.ndarray, proj_b: np.ndarray, radius: float):
         if j is None:
             stack.pop()
             continue
-        nodes += 1
+        nodes += _LEAF_NODES if d + 1 == m else 1
         if nodes > SEARCH_NODE_BUDGET:
             raise CapacityError(f"bijection search at m = {m} passed {SEARCH_NODE_BUDGET} nodes")
         p[d] = j
@@ -288,22 +293,27 @@ def bijection_sweep(span_a, span_b, values_a, values_b,
     weighted complete graphs (McKay & Piperno, J. Symbolic Comput. 60, 2014).
 
     The radius.  Take a passing p.  Each entry of ``Pi_A - P Pi_B P^T`` is at
-    most its norm, which for two orthogonal projectors is
-    ``max(||(I - Pi_A) P Pi_B P^T||, ||(I - P Pi_B P^T) Pi_A||)``.  In the
-    first term a unit vector of the range of ``P Pi_B P^T`` is ``P S_B c``,
-    with ``S_B = span_b`` and ``||c|| <= 1 / s_r``, s_r the smallest kept
-    singular value of ``S_B``.  The forward test puts column c of
-    ``P values_b`` within ``rho_c = tol * max(1, ||values_b[:, c]||)`` of the
-    range of Pi_A.  Conjugates add nothing, since that range is closed under
-    conjugation, and neither does the constant, which it holds.  So
-    ``||(I - Pi_A) P X_B||_F <= sqrt(2) ||rho||``; the columns of ``S_B`` are
-    columns of ``X_B``, and the first term is at most
-    ``sqrt(2) ||rho|| / s_r``.  The second term equals
-    ``||(I - Pi_B) P^T Pi_A P||``, which the backward test bounds in the same
-    way on A's side.  R is the larger bound, each with a float slack of
-    ``_FLOAT_SLACK`` times its span's condition number, once relative to the
-    largest value column inside ``||rho||`` and once for the rounding of the
-    projector.
+    most its norm, which for two orthogonal projectors is the larger of
+    ``||(I - Pi_A) P Pi_B P^T||`` and ``||(I - P Pi_B P^T) Pi_A||``.  In the
+    first, write ``S_B = span_b = U S V*`` (r singular values kept) and let
+    D scale column j of ``S_B`` by ``1 / max(1, ||S_B[:, j]||)``.  A unit
+    vector ``U_r a`` of the range of Pi_B is ``S_B D M a`` with
+    ``M = D^-1 V_r S_r^-1``, so ``P U_r a`` lies at most
+    ``sum_j ||M[j]|| b_j`` from the range of Pi_A, where ``b_j`` bounds that
+    distance for ``P S_B[:, j]`` over ``max(1, ||S_B[:, j]||)``.  The forward
+    test gives ``b_j = tol`` for each column of ``values_b``, and so for its
+    conjugate, as the range is closed under conjugation; a constant column
+    has ``b_j = ||(I - Pi_A) 1|| / sqrt m`` whatever p is.  The backward test
+    bounds the second term, ``||(I - Pi_B) P^T Pi_A P||``, in the same way;
+    R is the larger bound.  D keeps the scale of the points out of M.
+    Float slacks of ``_FLOAT_SLACK`` per column cover rounding.  The span
+    test's coefficients c' lie in the row space the pseudoinverse keeps, and
+    ``||S c' - v||`` is at least the distance to the range however
+    inaccurate c' is, so only the product's rounding, about
+    ``k eps (sqrt(k) ||M||_F + 1) ||v||``, adds to ``b_j``: the slack times
+    ``1 + ||M||_F``.  A computed projector is off by about ``eps s_1 / s_r``:
+    the slack times that is added to R.  A singular value within rounding of
+    the cutoff makes R infinite, as the two ranges may then differ.
 
     Returns ``(bijection, tried)``: the lexicographically first passing
     bijection (``None`` when none passes) and its 1-based lexicographic rank,
@@ -324,7 +334,7 @@ def bijection_sweep(span_a, span_b, values_a, values_b,
     digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if digits and math.factorial(m) >= 10**digits:
         raise CapacityError(f"{m}! has more than {digits} digits, past Python's int-to-text limit")
-    for p in _survivors(*_pruning(span_a, span_b, values_a, values_b, tol)):
+    for p in _survivors(*_pruning(span_a, span_b, tol)):
         if (span_membership(values_b[p], span_a.T, tol)[2].all()
                 and span_membership(values_a[np.argsort(p)], span_b.T, tol)[2].all()):
             return p, _lex_rank(p)

@@ -148,7 +148,7 @@ def test_5_degree_one_decision_invariance_and_agreement():
         assert degree_one_homeomorphic(d, conj).homeomorphic == dec.homeomorphic
         if dec.homeomorphic:
             assert max(dec.witness["residuals"]) <= 1e-8
-    assert time.monotonic() - start < 3.0
+    assert time.monotonic() - start < 4.0
 
 
 def test_6_distance_estimator_sanity():

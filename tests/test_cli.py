@@ -176,6 +176,23 @@ class TestDeg1:
             code, vrep, _ = call(["verify", str(report_path)])
             assert code == EXIT_OK and vrep["verified"] is True
 
+    def test_pixel_scale_pair_is_decided_and_replays(self, tmp_path):
+        # coordinates of size 10^3: a 12-point affine image is found without
+        # running into the node budget, and verify replays its witness
+        rng = np.random.default_rng(8)
+        z = np.round(1e3 * rng.uniform(0, 1, 12)) + 1j * np.round(1e3 * rng.uniform(0, 1, 12))
+        perm = rng.permutation(12)
+        fd = points_file(tmp_path, "d.json", z.reshape(-1, 1))
+        fe = points_file(tmp_path, "e.json", ((0.6 - 0.8j) * z + 40)[perm].reshape(-1, 1))
+        for extra in ([], ["--via-opsys"]):
+            code, rep, text = call(["deg1", fd, fe] + extra)
+            assert code == EXIT_OK and rep["homeomorphic"] is True
+            assert rep["witness"]["bijection"] == np.argsort(perm).tolist()
+            report_path = tmp_path / "report.json"
+            report_path.write_text(text + "\n")
+            code, vrep, _ = call(["verify", str(report_path)])
+            assert code == EXIT_OK and vrep["verified"] is True
+
     def test_explicit_cap_is_honoured_and_echoed(self, tmp_path):
         z = np.arange(6) + 0.5j * np.arange(6) ** 2
         fd = points_file(tmp_path, "d.json", z.reshape(-1, 1))

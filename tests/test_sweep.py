@@ -70,8 +70,7 @@ def reference_accepted(span_a, span_b, values_a, values_b, tol):
 
 def pruning(span_a, span_b, values_a, values_b, tol):
     """Both projectors and the pruning radius of the search."""
-    m = span_a.shape[0]
-    return linalg._pruning(span_a, span_b, values_a.reshape(m, -1), values_b.reshape(m, -1), tol)
+    return linalg._pruning(span_a, span_b, tol)
 
 
 def survivors(span_a, span_b, values_a, values_b, tol):
@@ -237,6 +236,11 @@ def adversarial_spans():
     ws = np.exp(0.9j) * zs
     ws = ws + a * (0.95e-8 * np.linalg.norm(ws) / np.linalg.norm(a))
     yield "circle-worst-case-residual", circle_span(zs), circle_span(ws), zs, ws, 1e-8
+    # the same residual on a non-rigid image, whose two sides differ in
+    # conditioning, so that the larger side's term sets the radius
+    ws = (1.5 - 0.5j) * zs + 0.3j * zs.conj() + 0.2
+    ws = ws + a * (0.95e-8 * np.linalg.norm(ws) / np.linalg.norm(a))
+    yield "circle-worst-case-affine", circle_span(zs), circle_span(ws), zs, ws, 1e-8
     for m in (6, 7, 8):
         poly = np.exp(1j * (TWO_PI * np.arange(m) / m + 0.3))
         img = np.exp(0.4j) * poly.conj()
@@ -284,12 +288,14 @@ def projector_gap(span_a, span_b, values_a, values_b, tol, p):
 
 def test_adversarial_cases_sit_at_the_pruning_radius():
     cases = {c[0]: c[1:] for c in ADVERSARIAL_SPANS}
-    for name in ("circle-noisy-image", "dim1-noisy-affine", "circle-worst-case-residual"):
+    for name in ("circle-noisy-image", "dim1-noisy-affine", "circle-worst-case-residual",
+                 "circle-worst-case-affine"):
         (accepted,) = reference_accepted(*cases[name])
         assert survivors(*cases[name]) == [accepted], name
-    # the worst case passes both tests and takes up a large part of the radius
-    assert reference_accepted(*cases["circle-worst-case-residual"]) == {tuple(range(8))}
-    assert projector_gap(*cases["circle-worst-case-residual"], list(range(8))) > 0.3
+    # the worst cases pass both tests and take up a large part of the radius
+    for name, part in (("circle-worst-case-residual", 0.3), ("circle-worst-case-affine", 0.25)):
+        assert reference_accepted(*cases[name]) == {tuple(range(8))}, name
+        assert projector_gap(*cases[name], list(range(8))) > part, name
     # the two rows of the close pair match both of its targets: the pruning
     # keeps two maps and the span test at the leaves rejects one
     assert len(survivors(*cases["circle-close-pair"])) == 2
@@ -308,12 +314,28 @@ def test_full_rank_spans_keep_every_bijection_and_take_the_identity(m):
     assert bijection_sweep(span_a, span_b, values_a, values_b, tol) == (list(range(m)), 1)
 
 
+def test_a_singular_value_at_the_cutoff_stops_the_pruning():
+    # the pseudoinverse cuts singular values below 1e-13 times the largest;
+    # rounding may put one that close on either side, so nothing is pruned
+    rng = np.random.default_rng(43)
+    u = np.linalg.qr(cnormal(rng, 6, 4))[0]
+    v = np.linalg.qr(cnormal(rng, 4, 4))[0]
+    def radius(last):
+        span = u @ np.diag([1.0, 0.5, 0.3, last]) @ v
+        return linalg._pruning(span, span, 1e-9)[2]
+
+    assert radius(1.0001e-13) == radius(0.9999e-13) == math.inf
+    assert radius(1e-3) < 1e-4
+
+
 def test_node_budget_raises(monkeypatch):
-    # the identity of a regular 12-gon is found at the 12th node
+    # the identity of a regular 12-gon is found at the 12th node, a leaf,
+    # which counts _LEAF_NODES times
     poly = np.exp(1j * TWO_PI * np.arange(12) / 12)
     span = circle_span(poly)
+    monkeypatch.setattr(linalg, "SEARCH_NODE_BUDGET", 11 + linalg._LEAF_NODES)
     assert bijection_sweep(span, span, poly, poly, 1e-8) == (list(range(12)), 1)
-    monkeypatch.setattr(linalg, "SEARCH_NODE_BUDGET", 11)
+    monkeypatch.setattr(linalg, "SEARCH_NODE_BUDGET", 10 + linalg._LEAF_NODES)
     with pytest.raises(CapacityError):
         bijection_sweep(span, span, poly, poly, 1e-8)
 
@@ -458,3 +480,27 @@ def test_two_dimensional_affine_images_past_the_old_cap(m):
     fwd, bwd = dec.witness["forward"], dec.witness["backward"]
     assert np.max(np.abs(monomials(z) @ fwd.coeffs.T - w[p])) <= REPLAY_TOL
     assert np.max(np.abs(monomials(w) @ bwd.coeffs.T - z[np.argsort(p)])) <= REPLAY_TOL
+
+
+@pytest.mark.parametrize("m", [9, 10, 12])
+def test_degree_one_at_pixel_scale(m, monkeypatch):
+    """Coordinates of size 10^3 make the monomial spans badly conditioned
+    (columns of norm 1, 10^3 and 10^6); the radius must still prune, so that
+    each pair is decided within a budget of a few leaves per point."""
+    monkeypatch.setattr(linalg, "SEARCH_NODE_BUDGET", 4 * m * linalg._LEAF_NODES)
+    rng = np.random.default_rng(42 + m)
+    z = 1e3 * (rng.uniform(0, 1, m) + 1j * rng.uniform(0, 1, m))
+    perm = rng.permutation(m)
+    d = PointSet(1, z)
+    for kind, w in (("affine", ((1 - 2j) * z + 3)[perm]), ("conj", (0.5 + 1j) * z.conj()[perm] - 7),
+                    ("generic", 1e3 * (rng.uniform(0, 1, m) + 1j * rng.uniform(0, 1, m)))):
+        e = PointSet(1, w)
+        dec, via = degree_one_homeomorphic(d, e), deg1_via_opsys(d, e)
+        if kind == "generic":
+            assert not dec.homeomorphic and not via.homeomorphic
+            assert dec.tried == via.tried == math.factorial(m)
+            continue
+        p = np.argsort(perm).tolist()
+        assert dec.witness["bijection"] == via.witness["bijection"] == p, kind
+        assert dec.tried == via.tried == linalg._lex_rank(p)
+        assert max(dec.witness["residuals"]) <= REPLAY_TOL * 1e3
