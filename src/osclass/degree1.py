@@ -36,6 +36,8 @@ class PointSet:
             p = p.reshape(-1, 1)
         if p.ndim != 2 or p.shape[1] != self.ambient or p.shape[0] == 0:
             raise DimensionError(f"points must have shape (m, {self.ambient}), got {p.shape}")
+        if not np.isfinite(p).all():
+            raise DimensionError("points must have finite coordinates")
         m = p.shape[0]
         step = max(1, _PAIR_BLOCK // max(1, p.size))
         for lo in range(0, m, step):
@@ -93,7 +95,10 @@ def monomial_matrix(d: PointSet) -> np.ndarray:
     """
     aug = np.hstack([np.ones((d.size, 1), dtype=np.complex128), d.points])  # z_0 = 1
     n = d.ambient + 1
-    return np.column_stack([aug[:, i] * aug[:, j].conj() for i in range(n) for j in range(n)])
+    mat = np.column_stack([aug[:, i] * aug[:, j].conj() for i in range(n) for j in range(n)])
+    if not np.isfinite(mat).all():
+        raise DimensionError("the coordinates' degree-1 monomials overflow the float range")
+    return mat
 
 
 def _coords_and_products(points: np.ndarray) -> np.ndarray:
@@ -171,16 +176,36 @@ def degree_one_homeomorphic(d: PointSet, e: PointSet, tol: float = TOL_NUM,
     )
 
 
+def _function_span(d: PointSet) -> np.ndarray:
+    """The operator system of ``d``'s coordinate normals as functions on its points.
+
+    The candidates, in :func:`opsys.build_system`'s order for the diagonal
+    matrices of the same functions: the constant 1, each coordinate ``v_k``
+    and its conjugate, then each product ``v_i conj(v_j)`` and its conjugate.
+    The conjugate of a real function is left out, as the rank rule drops a
+    copy of the candidate before it.  The columns are those
+    :func:`opsys.greedy_basis` keeps; the constant is the first.
+    """
+    candidates = [np.ones(d.size, dtype=np.complex128)]
+    for f in _coords_and_products(d.points).T:
+        candidates += [f, f.conj()] if f.imag.any() else [f]
+    return np.column_stack([candidates[i] for i in opsys.greedy_basis(candidates)])
+
+
 def normal_system(d: PointSet) -> opsys.OperatorSystemSpan:
     """The operator system of a point set via its diagonal coordinate normals.
 
-    With ``V_k`` the diagonal matrix of k-th coordinates, builds the span of
-    the identity, the ``V_k`` with adjoints, and all products ``V_i V_j*``.
+    With ``V_k`` the diagonal matrix of k-th coordinates, this is the span of
+    the identity, the ``V_k`` with adjoints, and all products ``V_i V_j*``,
+    kept by :func:`opsys.build_system`'s rule.  The basis is the diagonal
+    embedding of the function span that :func:`deg1_via_opsys` searches, and
+    the identity is its first element.
     """
-    n = d.ambient
-    vs = [np.diag(d.points[:, k]) for k in range(n)]
-    products = [vs[i] @ vs[j].conj().T for i in range(n) for j in range(n)]
-    return opsys.build_system(vs + products, include_identity=True)
+    span = _function_span(d)
+    basis = np.array([np.diag(f) for f in span.T])
+    basis.setflags(write=False)
+    unit = np.eye(1, span.shape[1], dtype=np.complex128)[0]
+    return opsys.OperatorSystemSpan(ambient_dim=d.size, basis=basis, unit_coeffs=unit)
 
 
 def deg1_via_opsys(d: PointSet, e: PointSet, tol: float = TOL_NUM,
@@ -190,12 +215,14 @@ def deg1_via_opsys(d: PointSet, e: PointSet, tol: float = TOL_NUM,
     A bijection works iff pulling back each basis function of one system lands
     in the function span of the other, in both directions.  This mirrors the
     correspondence between isomorphisms of the generated algebras carrying one
-    system onto the other and degree-1 homeomorphisms of the spectra.
+    system onto the other and degree-1 homeomorphisms of the spectra.  The
+    commutative system of a point set is a space of functions on its points,
+    so each span is built from the points as m-vectors (the diagonals of
+    :func:`normal_system`'s basis), never as m x m matrices.
     """
     if not _check_sizes(d, e, cap):
         return Deg1Decision(homeomorphic=False, tried=0)
-    # the diagonals of each basis: the system as a space of functions on the points
-    fd, fe = (np.diagonal(normal_system(s).basis, axis1=1, axis2=2).T for s in (d, e))
+    fd, fe = _function_span(d), _function_span(e)
     bijection, tried = bijection_sweep(fd, fe, fd, fe, tol)
     witness = None if bijection is None else {"bijection": bijection}
     return Deg1Decision(homeomorphic=witness is not None, witness=witness, tried=tried)

@@ -117,10 +117,10 @@ def build_system(generators, include_identity: bool = True, tol: float = TOL_NUM
 
     Basis extraction is greedy in a fixed order (identity first, then each
     generator followed by its adjoint, in input order), skipping any candidate
-    that does not increase the numerical rank.  This makes ``unit_coeffs``
-    reproducible across runs.  The rank test sees every candidate at unit
-    norm, so a generator's scale does not decide whether it is kept; the
-    basis keeps the candidates as given.
+    that does not increase the numerical rank (:func:`greedy_basis`).  This
+    makes ``unit_coeffs`` reproducible across runs.  The rank test sees every
+    candidate at unit norm, so a generator's scale does not decide whether it
+    is kept; the basis keeps the candidates as given.
     """
     gens = [as_matrix(g) for g in generators]
     if not gens and not include_identity:
@@ -139,24 +139,44 @@ def build_system(generators, include_identity: bool = True, tol: float = TOL_NUM
     for g in gens:
         candidates.append(g)
         candidates.append(g.conj().T)
-    basis: list[np.ndarray] = []
-    normed: list[np.ndarray] = []  # the basis vectors at unit norm, for the rank test
-    for c in candidates:
-        norm = np.linalg.norm(c)
-        if norm == 0.0:
-            continue
-        if not np.isfinite(norm):
-            raise DimensionError("generator norm overflows the float range")
-        v = vec(c) / norm
-        if not basis or gram_rank(normed + [v], tol) > len(basis):
-            basis.append(c)
-            normed.append(v)
+    basis = [candidates[i] for i in greedy_basis(candidates, tol)]
     if not basis:
         raise EmptySystemError("generators span the zero space")
     unit = find_unit_coeffs(basis, tol)
     stacked = np.array(basis)
     stacked.setflags(write=False)
     return OperatorSystemSpan(ambient_dim=k, basis=stacked, unit_coeffs=unit)
+
+
+def greedy_basis(candidates, tol: float = TOL_NUM) -> list[int]:
+    """Indices of the candidates that a greedy rank rule keeps, in order.
+
+    Each candidate (an array, read row-major; all of one size) is checked and
+    scaled to unit norm once.  A zero candidate is skipped, and one whose
+    norm is not finite (non-finite entries, or a norm past the float range)
+    raises ``DimensionError``.  The first nonzero candidate is kept; a later
+    one is kept when the kept unit vectors with it have more singular values
+    above ``tol`` times the largest than there are kept vectors.  So a
+    candidate's scale never decides whether it is kept.
+    """
+    kept: list[int] = []
+    normed = None  # column j: kept candidate j at unit norm
+    for i, c in enumerate(candidates):
+        norm = np.linalg.norm(c)
+        if norm == 0.0:
+            continue
+        if not np.isfinite(norm):
+            raise DimensionError("generator norm overflows the float range")
+        if normed is None:
+            normed = np.empty((np.size(c), len(candidates)), dtype=np.complex128)
+        k = len(kept)
+        np.divide(np.ravel(c), norm, out=normed[:, k])
+        if k:
+            s = np.linalg.svd(normed[:, :k + 1], compute_uv=False)
+            if (s > tol * s[0]).sum() <= k:
+                continue
+        kept.append(i)
+    return kept
 
 
 def is_operator_system(matrices, tol: float = TOL_NUM) -> SystemCheck:

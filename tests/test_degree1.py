@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from osclass import opsys
 from osclass.errors import CapacityError, DimensionError
 from osclass.degree1 import (DegreeOneMap, PointSet, deg1_via_opsys,
                              degree_one_homeomorphic, is_degree_one_assignment,
@@ -188,6 +189,83 @@ class TestOpsysRoute:
         e = PointSet(2, d.points * scale + np.array([1.0, -2.0]))
         assert degree_one_homeomorphic(d, e).homeomorphic
         assert deg1_via_opsys(d, e).homeomorphic
+
+
+def rank_dropping_sets():
+    """Point sets whose candidate functions are dependent, with the expected span dimension."""
+    rng = np.random.default_rng(12)
+    z = random_points(rng, 7).ravel()
+    yield "concyclic", np.exp(1j * rng.uniform(0, 2 * np.pi, 7)) * 1.5 + (0.5 - 1j), 3
+    yield "collinear", (0.6 + 0.8j) * rng.standard_normal(7) + 1j, 3
+    yield "real-line", rng.standard_normal(7) + 0j, 3
+    yield "dim2-conjugate", np.column_stack([z, z.conj()]), 6
+    yield "dim2-affine", np.column_stack([z, 2 * z + 1]), 4
+
+
+RANK_DROPPING = list(rank_dropping_sets())
+
+
+class TestFunctionSpan:
+    @pytest.mark.parametrize("name,z,rank", RANK_DROPPING, ids=[c[0] for c in RANK_DROPPING])
+    def test_matches_the_diagonal_operator_system(self, name, z, rank):
+        d = PointSet(1 if z.ndim == 1 else z.shape[1], z)
+        system = normal_system(d)
+        diagonals = np.diagonal(system.basis, axis1=1, axis2=2)
+        # the m x m construction: build_system on the diagonal coordinate matrices
+        vs = [np.diag(v) for v in d.points.T]
+        products = [a @ b.conj().T for a in vs for b in vs]
+        reference = opsys.build_system(vs + products)
+        assert system.dim == reference.dim == rank
+        assert np.allclose(diagonals, np.diagonal(reference.basis, axis1=1, axis2=2),
+                           rtol=0, atol=1e-14 * np.abs(diagonals).max())
+        assert np.count_nonzero(system.basis) == np.count_nonzero(diagonals)
+        assert np.array_equal(system.unit(), np.eye(d.size))
+        assert np.allclose(reference.unit_coeffs, system.unit_coeffs, atol=1e-12)
+
+    @pytest.mark.parametrize("name,z,rank", RANK_DROPPING, ids=[c[0] for c in RANK_DROPPING])
+    def test_both_routes_agree(self, name, z, rank):
+        rng = np.random.default_rng(13)
+        z = z.reshape(z.shape[0], -1)
+        n = z.shape[1]
+        d = PointSet(n, z)
+        perm = rng.permutation(z.shape[0])
+        a = random_points(rng, n, n) + 2 * np.eye(n)
+        images = [(z @ a.T + 1)[perm], (z.conj() @ a.T - 1j)[perm], random_points(rng, z.shape[0], n)]
+        for w in images:
+            e = PointSet(n, w)
+            dec, via = degree_one_homeomorphic(d, e), deg1_via_opsys(d, e)
+            assert (dec.homeomorphic, dec.tried) == (via.homeomorphic, via.tried)
+            if dec.homeomorphic:
+                assert dec.witness["bijection"] == via.witness["bijection"]
+        assert deg1_via_opsys(d, PointSet(n, images[0])).homeomorphic
+        assert not deg1_via_opsys(d, PointSet(n, images[2])).homeomorphic
+
+
+NON_FINITE = [
+    ("nan-point", np.array([0, 1, 1j, complex(np.nan, 0)])),
+    ("overflowing-monomial", np.array([0, 1, 1j, 1e160])),
+]
+
+
+@pytest.mark.parametrize("name,z", NON_FINITE, ids=[c[0] for c in NON_FINITE])
+@pytest.mark.parametrize("decide", [degree_one_homeomorphic, deg1_via_opsys])
+def test_non_finite_or_overflowing_points_raise(name, z, decide):
+    e = PointSet(1, np.array([0, 1 + 1j, 3, 5j]))
+    with pytest.raises(DimensionError):
+        decide(PointSet(1, z), e)
+    with pytest.raises(DimensionError):
+        decide(e, PointSet(1, z))
+
+
+def test_point_set_rejects_non_finite_coordinates():
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        with pytest.raises(DimensionError):
+            PointSet(2, np.array([[0, 1], [bad, 2]]))
+
+
+def test_monomial_matrix_rejects_overflow():
+    with pytest.raises(DimensionError):
+        monomial_matrix(PointSet(1, np.array([0, 1e155])))
 
 
 def test_degree_one_map_shape_validation():

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from osclass.cli import EXIT_INVALID, EXIT_OK, run
+from osclass.io import parse_point_set
 
 FUZZ = settings(derandomize=True, max_examples=60, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -193,10 +194,28 @@ def test_osdist_never_crashes(pair):
     run_on({"a": left, "b": right}, ["osdist", "a", "b", "--levels", "1", "--restarts", "1"])
 
 
+def finite_monomials(obj) -> bool:
+    """Whether every product ``z_i conj(z_j)`` of a parsed point set is finite."""
+    pts = parse_point_set(obj).points
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(pts[:, :, None] * pts[:, None, :].conj()).all())
+
+
+FOUR_POINTS = {"points": [[[0, 0]], [[1, 0]], [[0, 1]], [[2, 3]]]}
+NAN_POINT = {"points": [[[0, 0]], [[1, 0]], [[0, 1]], [[math.nan, 0]]]}
+HUGE_POINT = {"points": [[[0, 0]], [[1, 0]], [[0, 1]], [[1e160, 0]]]}
+
+
 @FUZZ
 @given(point_sets(), point_sets(), st.booleans())
+@example(NAN_POINT, FOUR_POINTS, False)
+@example(NAN_POINT, FOUR_POINTS, True)
+@example(FOUR_POINTS, HUGE_POINT, False)
+@example(FOUR_POINTS, HUGE_POINT, True)
 def test_deg1_never_crashes(left, right, via_opsys):
-    run_on({"a": left, "b": right}, ["deg1", "a", "b"] + ["--via-opsys"] * via_opsys)
+    report = run_on({"a": left, "b": right}, ["deg1", "a", "b"] + ["--via-opsys"] * via_opsys)
+    if report.get("tried"):  # a verdict from a bijection search
+        assert finite_monomials(left) and finite_monomials(right)
 
 
 @FUZZ

@@ -3,9 +3,10 @@ import pytest
 
 from osclass import osdist
 from osclass.errors import DimensionError, EmptySystemError, NoUnitError
+from osclass.linalg import gram_rank, vec
 from osclass.opsys import (AmplifiedElement, PolyhedralDualBall, amplified_norm,
-                           build_system, find_unit_coeffs, is_operator_system,
-                           min_os_norm)
+                           build_system, find_unit_coeffs, greedy_basis,
+                           is_operator_system, min_os_norm)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -35,6 +36,60 @@ def test_build_system_keeps_generators_at_any_scale(scale):
     assert system.dim == 3
     assert np.array_equal(system.basis[1], g) and np.array_equal(system.basis[2], g.conj().T)
     assert np.allclose(system.unit(), np.eye(2), atol=1e-10)
+
+
+def reference_basis(generators, include_identity=True):
+    """The greedy basis as a per-candidate ``gram_rank`` loop over unit vectors."""
+    k = generators[0].shape[0]
+    candidates = [np.eye(k, dtype=complex)] if include_identity else []
+    for g in generators:
+        candidates += [g, g.conj().T]
+    basis, normed = [], []
+    for c in candidates:
+        norm = np.linalg.norm(c)
+        if norm == 0.0:
+            continue
+        v = vec(c) / norm
+        if not basis or gram_rank(normed + [v]) > len(basis):
+            basis.append(c)
+            normed.append(v)
+    return np.array(basis), find_unit_coeffs(basis)
+
+
+def reference_cases():
+    rng = np.random.default_rng(7)
+    cn = lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s)  # noqa: E731
+    for k in (1, 2, 3, 4):
+        g = cn(k, k)
+        yield [g]
+        yield [g, g.conj().T, 2 * g - 1j * np.eye(k)]
+        yield [g + g.conj().T, np.zeros((k, k)), np.diag(cn(k)) * 1e8]
+        yield [cn(k, k) * 1e-9, cn(k, k), cn(k, k)]
+    z = cn(5)
+    vs = [np.diag(z), np.diag(z.conj())]
+    yield vs + [a @ b.conj().T for a in vs for b in vs]  # dependent diagonal products
+
+
+@pytest.mark.parametrize("include_identity", [True, False])
+def test_build_system_is_bit_identical_to_the_per_candidate_rank_loop(include_identity):
+    for i, gens in enumerate(reference_cases()):
+        try:
+            basis, unit = reference_basis(gens, include_identity)
+        except NoUnitError:
+            with pytest.raises(NoUnitError):
+                build_system(gens, include_identity=include_identity)
+            continue
+        system = build_system(gens, include_identity=include_identity)
+        assert basis.tobytes() == system.basis.tobytes(), i
+        assert unit.tobytes() == system.unit_coeffs.tobytes(), i
+
+
+def test_greedy_basis_checks_each_candidate():
+    assert greedy_basis([np.zeros(3), np.ones(3), 2 * np.ones(3), np.arange(3)]) == [1, 3]
+    with pytest.raises(DimensionError):
+        greedy_basis([np.ones(3), np.array([1.0, np.nan, 0.0])])
+    with pytest.raises(DimensionError):
+        greedy_basis([np.ones(2), np.array([1e200, 1e200])])  # the norm overflows
 
 
 def test_build_system_empty_raises():

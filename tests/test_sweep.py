@@ -466,6 +466,16 @@ def test_oracle_decides_two_hundred_points():
     assert cois_unitary_oracle(u, generic).certificate == {"failed_count": math.factorial(200)}
 
 
+def test_via_opsys_decides_two_hundred_generic_points():
+    rng = np.random.default_rng(43)
+    d, e = PointSet(1, cnormal(rng, 200)), PointSet(1, cnormal(rng, 200))
+    start = time.monotonic()
+    dec = deg1_via_opsys(d, e)
+    assert time.monotonic() - start < 0.05  # spans of 200-vectors, not of 200 x 200 matrices
+    assert not dec.homeomorphic and dec.witness is None
+    assert dec.tried == math.factorial(200)
+
+
 @pytest.mark.parametrize("m", [9, 12, 16])
 def test_two_dimensional_affine_images_past_the_old_cap(m):
     rng = np.random.default_rng(41 + m)
