@@ -16,7 +16,7 @@ import numpy as np
 
 from . import opsys
 from .errors import CapacityError, DimensionError
-from .linalg import TOL_NUM, bijection_sweep, span_membership
+from .linalg import TOL_NUM, FactoredSpan, bijection_sweep, span_membership
 
 #: Most coordinate differences per numpy block of the coincidence check.
 _PAIR_BLOCK = 1 << 16
@@ -108,12 +108,6 @@ def _coords_and_products(points: np.ndarray) -> np.ndarray:
     return np.column_stack([points] + prods)
 
 
-def _degree_one_map(mat: np.ndarray, vals: np.ndarray, tol: float) -> DegreeOneMap:
-    """The map whose coordinates fit ``vals`` over the monomial matrix ``mat``."""
-    coeffs, _, _ = span_membership(vals, mat.T, tol)
-    return DegreeOneMap(ambient=vals.shape[1], coeffs=coeffs.T)
-
-
 def is_degree_one_assignment(d: PointSet, values, tol: float = TOL_NUM):
     """The degree-1 map sending the points of ``d`` to ``values``, or None.
 
@@ -133,7 +127,9 @@ def is_degree_one_assignment(d: PointSet, values, tol: float = TOL_NUM):
 
 
 def _check_sizes(d: PointSet, e: PointSet, cap: int | None) -> bool:
-    """Whether a bijection search is needed; raises on mismatch or past an explicit cap."""
+    """Whether a bijection search is needed; raises on mismatch or a negative or exceeded cap."""
+    if cap is not None and cap < 0:
+        raise DimensionError(f"cap must be >= 0, got {cap}")
     if d.ambient != e.ambient:
         raise DimensionError("point sets must share the ambient dimension")
     if d.size != e.size:
@@ -153,15 +149,16 @@ def degree_one_homeomorphic(d: PointSet, e: PointSet, tol: float = TOL_NUM,
     """
     if not _check_sizes(d, e, cap):
         return Deg1Decision(homeomorphic=False, tried=0)
-    mat_d, mat_e = monomial_matrix(d), monomial_matrix(e)
-    bijection, tried = bijection_sweep(mat_d, mat_e, _coords_and_products(d.points),
+    fd, fe = FactoredSpan(monomial_matrix(d)), FactoredSpan(monomial_matrix(e))
+    bijection, tried = bijection_sweep(fd, fe, _coords_and_products(d.points),
                                           _coords_and_products(e.points), tol)
     if bijection is None:
         return Deg1Decision(homeomorphic=False, tried=tried)
     p = np.array(bijection)
     inv = np.argsort(p)
-    fwd = _degree_one_map(mat_d, e.points[p], tol)
-    bwd = _degree_one_map(mat_e, d.points[inv], tol)
+    # fit the coordinates alone: fitted beside the products they get other bits
+    fwd = DegreeOneMap(ambient=d.ambient, coeffs=fd.fit(e.points[p], tol)[0].T)
+    bwd = DegreeOneMap(ambient=e.ambient, coeffs=fe.fit(d.points[inv], tol)[0].T)
     fwd_resid = float(np.max(np.abs(fwd.apply(d) - e.points[p])))
     bwd_resid = float(np.max(np.abs(bwd.apply(e) - d.points[inv])))
     return Deg1Decision(
@@ -222,7 +219,7 @@ def deg1_via_opsys(d: PointSet, e: PointSet, tol: float = TOL_NUM,
     """
     if not _check_sizes(d, e, cap):
         return Deg1Decision(homeomorphic=False, tried=0)
-    fd, fe = _function_span(d), _function_span(e)
-    bijection, tried = bijection_sweep(fd, fe, fd, fe, tol)
+    fd, fe = FactoredSpan(_function_span(d)), FactoredSpan(_function_span(e))
+    bijection, tried = bijection_sweep(fd, fe, fd.span, fe.span, tol)
     witness = None if bijection is None else {"bijection": bijection}
     return Deg1Decision(homeomorphic=witness is not None, witness=witness, tried=tried)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,68 +131,99 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
     return SpectralDecomposition(lam, q)
 
 
-#: Most multiply-adds per product in a batched :func:`span_membership`:
+#: Most multiply-adds per product in a batched :meth:`FactoredSpan.fit`:
 #: OpenBLAS hands a product past 2^16 of them to its thread pool, and on these
 #: thin matrices the hand-off costs milliseconds and saves microseconds.
 _SERIAL_PRODUCT = 1 << 16
 
+_CUTOFF = 1e-13  # the pseudoinverse's: singular values up to this times the largest are cut
 
-def span_membership(v, basis, tol: float = TOL_NUM):
-    """Least-squares span test: the one membership rule of the package.
+#: Float slack of the radius of :func:`bijection_sweep` per span column.
+_FLOAT_SLACK = 1e-14
 
-    ``basis`` lists the spanning vectors (one per row).  The minimum-norm
-    least-squares coefficients of a target are accepted when the residual
-    satisfies ``||sum c_j b_j - v|| <= tol * max(1, ||v||)``.
 
-    A single target vector gives its coefficients, or ``None`` when it misses
-    the bound.  A 2-d ``v`` holds one target per column and gives the triple
-    ``(coeffs, residuals, accepted)`` with one coefficient column, residual
-    and verdict per target.  Many targets are taken in chunks of a power of
-    two (at least 64) columns, of at most ``_SERIAL_PRODUCT`` multiply-adds
-    per product where the basis allows; chunks that start at multiples of 64
-    give BLAS's kernels the same column blocks, so every column has the bits
-    of one product over all targets.
+class FactoredSpan:
+    """A span of functions (one column each, one row per point), factored once.
+
+    The one SVD is the one ``np.linalg.pinv(span, rcond=_CUTOFF)`` takes.  It
+    gives the pseudoinverse of :meth:`fit`, built with ``pinv``'s own float
+    operations and so with its bits, and the projector and radius terms of
+    :func:`bijection_sweep`, which so prunes on the range the fit projects onto.
     """
-    target = np.asarray(v, dtype=np.complex128)
-    batched = target.ndim == 2
-    if not batched:
-        target = target.ravel()
-    rows = np.asarray(basis, dtype=np.complex128)
-    if rows.size == 0 or target.size == 0:
-        raise DimensionError("basis and target must be nonempty")
-    mat = rows.reshape(rows.shape[0], -1).T
-    if mat.shape[0] != target.shape[0]:
-        raise DimensionError("basis vectors must match the length of v")
-    if not (np.isfinite(mat).all() and np.isfinite(target).all()):
-        raise DimensionError("span test inputs have non-finite entries")
-    pinv = np.linalg.pinv(mat, rcond=1e-13)
-    if batched:
+
+    def __init__(self, span):
+        mat = np.asarray(span, dtype=np.complex128)
+        if mat.ndim != 2 or mat.size == 0:
+            raise DimensionError("basis and target must be nonempty")
+        if not np.isfinite(mat).all():
+            raise DimensionError("span test inputs have non-finite entries")
+        u, s, vt = np.linalg.svd(mat.conj(), full_matrices=False)  # span = conj(u) s conj(vt)
+        large = s > _CUTOFF * s[0]  # s[0] is the largest
+        inv = np.divide(1, s, where=large, out=np.zeros_like(s))
+        self.span, self.rank = mat, int(np.count_nonzero(large))
+        self.pinv = np.transpose(vt) @ (inv[:, None] * np.transpose(u))
+        self._u, self._s, self._vt = u, s, vt
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """The orthogonal projector onto the range :meth:`fit` projects onto."""
+        u = self._u[:, :self.rank].conj()
+        return u @ u.conj().T
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """Row norms of ``M = D^-1 V_r S_r^-1`` (see :func:`bijection_sweep`)."""
+        scale = np.maximum(1.0, np.linalg.norm(self.span, axis=0))
+        return np.linalg.norm(self._vt[:self.rank].T * scale[:, None] / self._s[:self.rank], axis=1)
+
+    def fit(self, v, tol: float = TOL_NUM):
+        """Least-squares span test, the one membership rule of the package: the
+        minimum-norm coefficients c of a target pass if ``||span @ c - v|| <=
+        tol * max(1, ||v||)``.  A vector ``v`` gives c, or ``None`` if it
+        fails; a 2-d ``v`` (one target per column) gives ``(coeffs, residuals,
+        accepted)``, in power-of-two chunks of at least 64 columns and at most
+        ``_SERIAL_PRODUCT`` multiply-adds per product where the span allows.
+        Chunks start at multiples of 64, so BLAS's kernels see the same column
+        blocks and every column has the bits of one product over all targets."""
+        target = np.asarray(v, dtype=np.complex128)
+        batched = target.ndim == 2
+        if not batched:
+            target = target.reshape(-1, 1)  # numpy multiplies a lone column as a vector
+        if target.size == 0:
+            raise DimensionError("basis and target must be nonempty")
+        mat, pinv = self.span, self.pinv
+        if mat.shape[0] != target.shape[0]:
+            raise DimensionError("basis vectors must match the length of v")
+        if not np.isfinite(target).all():
+            raise DimensionError("span test inputs have non-finite entries")
         n = target.shape[1]
         step = 1 << max(6, (_SERIAL_PRODUCT // mat.size).bit_length() - 1)
         cuts = list(range(step, n, step))
         if cuts and n - cuts[-1] == 1:
-            cuts.pop()  # numpy multiplies a lone column as a vector, with other bits
+            cuts.pop()  # a lone last column would get a vector's bits
         coeffs = np.empty((mat.shape[1], n), dtype=np.complex128)
         resid = np.empty(n)
         for part in map(slice, [0] + cuts, cuts + [n]):
             coeffs[:, part] = pinv @ target[:, part]
             resid[part] = np.linalg.norm(mat @ coeffs[:, part] - target[:, part], axis=0)
-    else:
-        coeffs = pinv @ target
-        resid = np.linalg.norm(mat @ coeffs - target, axis=0)
-    accepted = resid <= tol * np.maximum(1.0, np.linalg.norm(target, axis=0))
-    if batched:
-        return coeffs, resid, accepted
-    return coeffs if accepted else None
+        accepted = resid <= tol * np.maximum(1.0, np.linalg.norm(target, axis=0))
+        if batched:
+            return coeffs, resid, accepted
+        return coeffs[:, 0] if accepted[0] else None
+
+
+def span_membership(v, basis, tol: float = TOL_NUM):
+    """:meth:`FactoredSpan.fit` on the span of ``basis`` (one vector per row)."""
+    rows = np.asarray(basis, dtype=np.complex128)
+    if rows.size == 0:
+        raise DimensionError("basis and target must be nonempty")
+    return FactoredSpan(rows.reshape(rows.shape[0], -1).T).fit(v, tol)
 
 
 #: Most nodes (partial bijections) one :func:`bijection_sweep` may visit; a
-#: complete one, whose span test costs 80-160 us against 10 us, counts 16.
+#: complete one counts 16 for its span tests (about 40 us against 10 us).
 SEARCH_NODE_BUDGET = 1_000_000
 _LEAF_NODES = 16
-
-#: Float slack of the radius of :func:`bijection_sweep` per span column.
-_FLOAT_SLACK = 1e-14
 
 
 def _lex_rank(p: list) -> int:
@@ -203,31 +235,18 @@ def _lex_rank(p: list) -> int:
     return rank + 1
 
 
-def _projector(span: np.ndarray):
-    """The projector onto the range :func:`span_membership` projects onto, and
-    this side's terms of the radius of :func:`bijection_sweep`."""
-    u, s, vh = np.linalg.svd(span, full_matrices=False)
-    sv = s.tolist()
-    r = sum(x > 1e-13 * sv[0] for x in sv)  # the pseudoinverse's cutoff
-    proj = u[:, :r] @ u[:, :r].conj().T
-    scale = np.maximum(1.0, np.linalg.norm(span, axis=0))
-    rows = np.linalg.norm(vh[:r].conj().T * scale[:, None] / s[:r], axis=1)  # of M
-    slack = _FLOAT_SLACK * span.shape[1]
-    rounding = slack * sv[0] / sv[r - 1]
-    if any(abs(x - 1e-13 * sv[0]) < 1e-14 * sv[0] for x in sv):
-        rounding = math.inf  # the pseudoinverse may cut a direction kept here, or keep one cut
-    miss = np.linalg.norm(1.0 - proj.sum(axis=1)) / max(1.0, math.sqrt(span.shape[0]))
-    constant = (span == span[:1]).all(axis=0)
-    return proj, rows, constant, slack * (1.0 + np.linalg.norm(rows)), miss, rounding
-
-
-def _pruning(span_a, span_b, tol: float):
+def _pruning(span_a: FactoredSpan, span_b: FactoredSpan, tol: float):
     """Both projectors and the pruning radius R of :func:`bijection_sweep`."""
-    proj_a, rows_a, const_a, test_a, miss_a, round_a = _projector(span_a)
-    proj_b, rows_b, const_b, test_b, miss_b, round_b = _projector(span_b)
-    forward = rows_b @ (test_a + np.where(const_b, miss_a, tol))
-    backward = rows_a @ (test_b + np.where(const_a, miss_b, tol))
-    return proj_a, proj_b, max(forward, backward) + round_a + round_b
+    reach, rounding = [], 0.0
+    for this, other in ((span_a, span_b), (span_b, span_a)):
+        (m, k), sv = this.span.shape, this._s.tolist()
+        test = _FLOAT_SLACK * k * (1.0 + np.linalg.norm(this._weights))
+        miss = np.linalg.norm(1.0 - this.projector.sum(axis=1)) / max(1.0, math.sqrt(m))
+        constant = (other.span == other.span[:1]).all(axis=0)
+        reach.append(other._weights @ (test + np.where(constant, miss, tol)))
+        near = any(abs(x - _CUTOFF * sv[0]) < 1e-14 * sv[0] for x in sv)  # rounding cuts or not
+        rounding += math.inf if near else _FLOAT_SLACK * k * sv[0] / sv[this.rank - 1]
+    return span_a.projector, span_b.projector, max(reach) + rounding
 
 
 def _survivors(proj_a: np.ndarray, proj_b: np.ndarray, radius: float):
@@ -268,22 +287,22 @@ def _survivors(proj_a: np.ndarray, proj_b: np.ndarray, radius: float):
         stack.append(iter(np.flatnonzero(near).tolist()))
 
 
-def bijection_sweep(span_a, span_b, values_a, values_b,
+def bijection_sweep(span_a: FactoredSpan, span_b: FactoredSpan, values_a, values_b,
                     tol: float = TOL_NUM) -> tuple[list | None, int]:
     """Exact search for a bijection carrying each function span onto the other.
 
     The m rows of every argument are the points of two m-point sets A and B;
-    the columns of ``span_a``/``span_b`` span a space of functions on A/B.  A
-    bijection p (point i of A to point ``p[i]`` of B) passes when every column
-    of ``values_b[p]`` lies in the span on A and every column of
-    ``values_a[p^-1]`` lies in the span on B, under :func:`span_membership`.
+    the columns of ``span_a.span``/``span_b.span`` span a space of functions
+    on A/B.  A bijection p (point i of A to point ``p[i]`` of B) passes when
+    every column of ``values_b[p]`` lies in the span on A and every column of
+    ``values_a[p^-1]`` lies in the span on B, under :meth:`FactoredSpan.fit`.
     Each span must hold the constants and be closed under conjugation, and
     its columns must be distinct columns of ``X = [1, values, conj values]``
     on its side; the three exact routes call it so.
 
     The search.  Let Pi_A and Pi_B be the orthogonal projectors onto the
-    ranges that :func:`span_membership`'s pseudoinverse projects onto, and P
-    the permutation matrix of p, ``(P f)_i = f[p[i]]``.  A lexicographic
+    ranges that the span tests project onto (each from its span's one SVD),
+    and P the permutation matrix of p, ``(P f)_i = f[p[i]]``.  A lexicographic
     depth-first search over ``p[0], p[1], ...`` drops a partial map as soon
     as some ``|Pi_A[i, k] - Pi_B[p[i], p[k]]|`` (the diagonal included)
     exceeds the radius R below (:func:`_survivors`), and gives each complete
@@ -295,8 +314,8 @@ def bijection_sweep(span_a, span_b, values_a, values_b,
     The radius.  Take a passing p.  Each entry of ``Pi_A - P Pi_B P^T`` is at
     most its norm, which for two orthogonal projectors is the larger of
     ``||(I - Pi_A) P Pi_B P^T||`` and ``||(I - P Pi_B P^T) Pi_A||``.  In the
-    first, write ``S_B = span_b = U S V*`` (r singular values kept) and let
-    D scale column j of ``S_B`` by ``1 / max(1, ||S_B[:, j]||)``.  A unit
+    first, write ``S_B = span_b.span = U S V*`` (r singular values kept) and
+    let D scale column j of ``S_B`` by ``1 / max(1, ||S_B[:, j]||)``.  A unit
     vector ``U_r a`` of the range of Pi_B is ``S_B D M a`` with
     ``M = D^-1 V_r S_r^-1``, so ``P U_r a`` lies at most
     ``sum_j ||M[j]|| b_j`` from the range of Pi_A, where ``b_j`` bounds that
@@ -313,7 +332,8 @@ def bijection_sweep(span_a, span_b, values_a, values_b,
     ``k eps (sqrt(k) ||M||_F + 1) ||v||``, adds to ``b_j``: the slack times
     ``1 + ||M||_F``.  A computed projector is off by about ``eps s_1 / s_r``:
     the slack times that is added to R.  A singular value within rounding of
-    the cutoff makes R infinite, as the two ranges may then differ.
+    the cutoff makes R infinite, as rounding then decides whether the span
+    on one side keeps a direction that the other side cuts.
 
     Returns ``(bijection, tried)``: the lexicographically first passing
     bijection (``None`` when none passes) and its 1-based lexicographic rank,
@@ -325,18 +345,17 @@ def bijection_sweep(span_a, span_b, values_a, values_b,
         CapacityError: if m! has more decimal digits than Python converts
             (``sys.get_int_max_str_digits``), or past ``SEARCH_NODE_BUDGET``.
     """
-    span_a, span_b = np.asarray(span_a), np.asarray(span_b)
-    values_a = np.asarray(values_a).reshape(span_a.shape[0], -1)
-    values_b = np.asarray(values_b).reshape(span_b.shape[0], -1)
-    m = span_a.shape[0]
-    if span_b.shape[0] != m:
+    m = span_a.span.shape[0]
+    if span_b.span.shape[0] != m:
         raise DimensionError("both point sets must have the same size")
+    values_a = np.asarray(values_a).reshape(m, -1)
+    values_b = np.asarray(values_b).reshape(m, -1)
     digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if digits and math.factorial(m) >= 10**digits:
         raise CapacityError(f"{m}! has more than {digits} digits, past Python's int-to-text limit")
     for p in _survivors(*_pruning(span_a, span_b, tol)):
-        if (span_membership(values_b[p], span_a.T, tol)[2].all()
-                and span_membership(values_a[np.argsort(p)], span_b.T, tol)[2].all()):
+        if (span_a.fit(values_b[p], tol)[2].all()
+                and span_b.fit(values_a[np.argsort(p)], tol)[2].all()):
             return p, _lex_rank(p)
     return None, math.factorial(m)
 

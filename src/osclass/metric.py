@@ -337,6 +337,8 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
     correspondences are scored a numpy block at a time, and the search stops
     after the first block that reaches 0.
     """
+    if cap < 0:
+        raise DimensionError(f"cap must be >= 0, got {cap}")
     dom_m, dom_n = m.domain(k), n.domain(k)
     if len(dom_m) > cap or len(dom_n) > cap:
         raise CapacityError(

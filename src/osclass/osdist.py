@@ -326,6 +326,8 @@ def dn_search(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int = 1,
     of all its maps as one lockstep search, so the values, the best record
     and its map are those of running the restarts one after another.
     """
+    if restarts < 1:
+        raise DimensionError(f"the d_n search needs at least 1 restart, got {restarts}")
     if x.dim != y.dim:
         raise NotComparableError(
             f"systems have dimensions {x.dim} and {y.dim}; d_n compares equal dimensions"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DimensionError, NotUnitaryError
-from .linalg import TOL_NUM, as_matrix, bijection_sweep, eig_normal, op_norm, span_membership
+from .linalg import TOL_NUM, FactoredSpan, as_matrix, bijection_sweep, eig_normal, op_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -283,15 +283,15 @@ def cois_unitary_theorem(u, v, tol: float = TOL_NUM) -> CoisDecision:
 def _bijection_decision(ss: CircleSet, tt: CircleSet, tol: float) -> CoisDecision:
     """The oracle's decision on two spectra of the same size."""
     zs, ws = ss.points(), tt.points()
-    span_z = np.column_stack([np.ones_like(zs), zs, zs.conj()])
-    span_w = np.column_stack([np.ones_like(ws), ws, ws.conj()])
+    span_z = FactoredSpan(np.column_stack([np.ones_like(zs), zs, zs.conj()]))
+    span_w = FactoredSpan(np.column_stack([np.ones_like(ws), ws, ws.conj()]))
     accept = _floored(tol)
     bijection, tried = bijection_sweep(span_z, span_w, zs, ws, accept)
     if bijection is None:
         return CoisDecision("NotIsomorphic", "oracle", {"failed_count": tried})
     p = np.array(bijection)
-    fwd_coeffs, fwd_resid, _ = span_membership(ws[p, None], span_z.T, accept)
-    bwd_coeffs, bwd_resid, _ = span_membership(zs[np.argsort(p), None], span_w.T, accept)
+    fwd_coeffs, fwd_resid, _ = span_z.fit(ws[p, None], accept)
+    bwd_coeffs, bwd_resid, _ = span_w.fit(zs[np.argsort(p), None], accept)
     return CoisDecision(
         "Isomorphic", "oracle",
         {

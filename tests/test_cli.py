@@ -202,6 +202,13 @@ class TestDeg1:
         assert code == EXIT_OK and rep["tried"] == 1
         assert rep["tolerances"] == {"tol": 1e-9, "cap": 6}
 
+    @pytest.mark.parametrize("extra", [[], ["--via-opsys"]])
+    def test_negative_cap_is_an_input_error(self, tmp_path, extra):
+        fd = points_file(tmp_path, "d.json", np.array([0, 1, 1j, 2 + 1j]).reshape(-1, 1))
+        code, rep, _ = call(["deg1", fd, fd, "--cap", "-3"] + extra)
+        assert code == EXIT_INVALID
+        assert rep["error"]["kind"] == "DimensionError" and "cap" in rep["error"]["message"]
+
     def test_factorial_past_the_digit_limit_exits_with_capacity(self, tmp_path):
         # m! for m = 1559 has more digits than Python converts to text, so
         # the count could be neither printed nor read back
@@ -308,6 +315,12 @@ class TestGh:
                              (np.ones((8, 8)) - np.eye(8)).tolist())
         code, rep, _ = call(["gh-dist", big, big])
         assert code == EXIT_CAPACITY
+
+    def test_negative_cap_is_an_input_error(self, tmp_path):
+        m = structure_file(tmp_path, "m.json", [[0.0, 1.0], [1.0, 0.0]])
+        code, rep, _ = call(["gh-dist", m, m, "--cap", "-1"])
+        assert code == EXIT_INVALID
+        assert rep["error"]["kind"] == "DimensionError" and "cap" in rep["error"]["message"]
 
 
 class TestDeterminism:
@@ -585,6 +598,15 @@ class TestLevelsBelowOne:
         code, rep, _ = call(["osdist", str(fs), str(fs), "--levels", levels, "--restarts", "1"])
         assert code == EXIT_INVALID
         assert rep["error"]["kind"] == "DimensionError"
+
+    @pytest.mark.parametrize("restarts", ["0", "-2"])
+    def test_osdist_restarts(self, tmp_path, restarts):
+        fs = tmp_path / "sys.json"
+        fs.write_text(json.dumps(
+            {"generators": [{"rows": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}]}))
+        code, rep, _ = call(["osdist", str(fs), str(fs), "--levels", "1", "--restarts", restarts])
+        assert code == EXIT_INVALID
+        assert rep["error"]["kind"] == "DimensionError" and "restart" in rep["error"]["message"]
 
     @pytest.mark.parametrize("kmax", ["0", "-2"])
     def test_gh_dist(self, tmp_path, kmax):

@@ -174,9 +174,30 @@ class TestSpanMembership:
         with pytest.raises(DimensionError):
             span_membership([1, 0], [[1, 0, 0]])
 
+    @staticmethod
+    def basis(kind, rng):
+        """Four basis rows of length 6: generic, of rank 2, or with a last
+        singular value 5% above or below the pseudoinverse's cutoff."""
+        if kind == "generic":
+            return rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)), 4
+        if kind == "rank-deficient":
+            two = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+            return (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) @ two, 2
+        last, rank = {"above-cutoff": (1.05e-13, 4), "below-cutoff": (0.95e-13, 3)}[kind]
+        u = np.linalg.qr(rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)))[0]
+        v = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        return (u @ np.diag([1.0, 0.5, 0.3, last]) @ v).T, rank
+
     def test_wide_batch_has_the_bits_of_one_product(self):
+        self.check_wide_batch("generic")
+
+    @pytest.mark.parametrize("kind", ["rank-deficient", "above-cutoff", "below-cutoff"])
+    def test_degenerate_wide_batch_has_the_bits_of_one_product(self, kind):
+        self.check_wide_batch(kind)
+
+    def check_wide_batch(self, kind):
         rng = np.random.default_rng(9)
-        basis = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        basis, rank = self.basis(kind, rng)
         n = 3 * 2048 + 1  # several chunks, the last with one extra column
         target = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
         target[:, ::3] = basis.T @ rng.standard_normal((4, target[:, ::3].shape[1]))
@@ -185,7 +206,17 @@ class TestSpanMembership:
         ref = np.linalg.pinv(mat, rcond=1e-13) @ target
         assert np.array_equal(coeffs, ref)
         assert np.array_equal(resid, np.linalg.norm(mat @ ref - target, axis=0))
-        assert ok[::3].all() and not ok[1::3].any()
+        assert np.array_equal(ok, resid <= 1e-9 * np.maximum(1.0, np.linalg.norm(target, axis=0)))
+        assert not ok[1::3].any()
+        # kept, the last direction conditions the span at 1e13, and rounding
+        # then puts its own members about 1e-4 from it
+        assert ok[::3].all() == (kind != "above-cutoff")
+        factored = linalg.FactoredSpan(mat)
+        assert factored.rank == rank
+        assert np.array_equal(factored.pinv, np.linalg.pinv(mat, rcond=1e-13))
+        one = np.linalg.pinv(mat, rcond=1e-13) @ target[:, 0]  # a vector: other bits
+        single = factored.fit(target[:, 0])
+        assert single is None if kind == "above-cutoff" else np.array_equal(single, one)
 
 
 def test_gram_rank_counts_independent_directions():

@@ -183,6 +183,16 @@ class TestDnSearch:
         with pytest.raises(NotComparableError):
             dn_search(x, y)
 
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_restarts_below_one_raise(self, restarts):
+        from osclass.opsys import build_system
+        x = build_system([np.array([[0, 1], [0, 0]], dtype=complex)])
+        for search in (dn_search, dn_estimate):
+            with pytest.raises(DimensionError, match="restart"):
+                search(x, x, restarts=restarts)
+        with pytest.raises(DimensionError, match="restart"):
+            dgh_weighted(x, x, n_max=1, restarts=restarts)
+
     def test_monotone_under_more_restarts(self):
         rng = np.random.default_rng(4)
         from osclass.opsys import build_system

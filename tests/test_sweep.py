@@ -16,10 +16,11 @@ import time
 import numpy as np
 import pytest
 
-from osclass import linalg
-from osclass.degree1 import PointSet, deg1_via_opsys, degree_one_homeomorphic
+from osclass import linalg, unitary
+from osclass.degree1 import (PointSet, deg1_via_opsys, degree_one_homeomorphic,
+                              monomial_matrix)
 from osclass.errors import CapacityError
-from osclass.linalg import bijection_sweep, span_membership
+from osclass.linalg import FactoredSpan, span_membership
 from osclass.unitary import TWO_PI, cois_unitary_oracle, cois_unitary_theorem, spectrum
 
 REPLAY_TOL = 1e-7
@@ -68,9 +69,14 @@ def reference_accepted(span_a, span_b, values_a, values_b, tol):
             for p in perms[ok].tolist()}
 
 
+def bijection_sweep(span_a, span_b, *rest):
+    """The search on two spans given by their columns."""
+    return linalg.bijection_sweep(FactoredSpan(span_a), FactoredSpan(span_b), *rest)
+
+
 def pruning(span_a, span_b, values_a, values_b, tol):
     """Both projectors and the pruning radius of the search."""
-    return linalg._pruning(span_a, span_b, tol)
+    return linalg._pruning(FactoredSpan(span_a), FactoredSpan(span_b), tol)
 
 
 def survivors(span_a, span_b, values_a, values_b, tol):
@@ -322,7 +328,7 @@ def test_a_singular_value_at_the_cutoff_stops_the_pruning():
     v = np.linalg.qr(cnormal(rng, 4, 4))[0]
     def radius(last):
         span = u @ np.diag([1.0, 0.5, 0.3, last]) @ v
-        return linalg._pruning(span, span, 1e-9)[2]
+        return linalg._pruning(FactoredSpan(span), FactoredSpan(span), 1e-9)[2]
 
     assert radius(1.0001e-13) == radius(0.9999e-13) == math.inf
     assert radius(1e-3) < 1e-4
@@ -514,3 +520,59 @@ def test_degree_one_at_pixel_scale(m, monkeypatch):
         assert dec.witness["bijection"] == via.witness["bijection"] == p, kind
         assert dec.tried == via.tried == linalg._lex_rank(p)
         assert max(dec.witness["residuals"]) <= REPLAY_TOL * 1e3
+
+
+def positive_decisions():
+    """(name, decide) for a positive oracle decision on two given spectra and
+    positive degree-1 decisions in dims 1 and 2, all at 7 points."""
+    rng = np.random.default_rng(44)
+    a = rng.uniform(0, TWO_PI, 7)
+    ss = spectrum(np.diag(np.exp(1j * a)))
+    tt = spectrum(np.diag(np.exp(1j * (0.4 - a[rng.permutation(7)]))))
+    yield "oracle", lambda: unitary._bijection_decision(ss, tt, 1e-9)
+    for dim in (1, 2):
+        z = cnormal(rng, 7, dim)
+        w = (z @ (cnormal(rng, dim, dim) + 2 * np.eye(dim)).T + 1)[rng.permutation(7)]
+        d, e = PointSet(dim, z), PointSet(dim, w)
+        yield f"deg1-dim{dim}", lambda d=d, e=e: degree_one_homeomorphic(d, e)
+
+
+POSITIVE_DECISIONS = list(positive_decisions())
+
+
+@pytest.mark.parametrize("name,decide", POSITIVE_DECISIONS, ids=[c[0] for c in POSITIVE_DECISIONS])
+def test_a_positive_decision_factors_each_span_once(name, decide, monkeypatch):
+    """The pruning projectors, every span test at the leaves and the
+    certificate fits share one SVD per span, and no pseudoinverse is taken."""
+    calls = {"svd": 0, "pinv": 0}
+    for fn in calls:
+        def counted(*args, _fn=fn, _real=getattr(np.linalg, fn), **kwargs):
+            calls[_fn] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, fn, counted)
+    dec = decide()
+    assert dec.verdict == "Isomorphic" if name == "oracle" else dec.homeomorphic
+    assert calls == {"svd": 2, "pinv": 0}
+
+
+@pytest.mark.parametrize("m", [5, 7, 9])
+def test_certificates_have_the_bits_of_one_shot_fits(m):
+    rng = np.random.default_rng(45 + m)
+    a = rng.uniform(0, TWO_PI, m)
+    u, v = np.diag(np.exp(1j * a)), np.diag(np.exp(1j * (a + 0.9)[rng.permutation(m)]))
+    cert = cois_unitary_oracle(u, v).certificate
+    zs, ws = spectrum(u).points(), spectrum(v).points()
+    p = np.array(cert["bijection"])
+    for key, src, dst in (("forward_coeffs", zs, ws[p]),
+                          ("backward_coeffs", ws, zs[np.argsort(p)])):
+        coeffs, _, ok = span_membership(dst[:, None], circle_span(src).T, 1e-8)
+        assert ok.all() and np.array_equal(cert[key], coeffs[:, 0]), key
+    for dim in (1, 2):
+        z = cnormal(rng, m, dim)
+        w = (z.conj() @ (cnormal(rng, dim, dim) + 2 * np.eye(dim)).T - 1j)[rng.permutation(m)]
+        d, e = PointSet(dim, z), PointSet(dim, w)
+        wit = degree_one_homeomorphic(d, e).witness
+        p = np.array(wit["bijection"])
+        for key, src, dst in (("forward", d, w[p]), ("backward", e, z[np.argsort(p)])):
+            coeffs, _, ok = span_membership(dst, monomial_matrix(src).T, 1e-9)
+            assert ok.all() and np.array_equal(wit[key].coeffs, coeffs.T), (dim, key)
