@@ -200,8 +200,9 @@ def _cmd_gh_theory(args) -> tuple[dict, int]:
 
 
 def _check(name: str, predicted: np.ndarray, expected: np.ndarray) -> dict:
-    resid = float(np.max(np.abs(predicted - expected)))
-    return {"check": name, "residual": resid, "pass": resid <= 1e-7}
+    resid = float(np.max(np.abs(predicted - expected)))  # relative past values of size 1
+    bound = 1e-7 * max(1.0, float(np.max(np.abs(expected))))
+    return {"check": name, "residual": resid, "pass": resid <= bound}
 
 
 @io.as_input_error

@@ -136,62 +136,57 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
 #: thin matrices the hand-off costs milliseconds and saves microseconds.
 _SERIAL_PRODUCT = 1 << 16
 
-_CUTOFF = 1e-13  # the pseudoinverse's: singular values up to this times the largest are cut
-
-#: Float slack of the radius of :func:`bijection_sweep` per span column.
-_FLOAT_SLACK = 1e-14
+_CUTOFF = 1e-13  # singular values of the equilibrated span up to this times the largest are cut
+_FLOAT_SLACK = 1e-14  # rounding slack of bijection_sweep per point and span column
 
 
 class FactoredSpan:
     """A span of functions (one column each, one row per point), factored once.
 
-    The one SVD is the one ``np.linalg.pinv(span, rcond=_CUTOFF)`` takes.  It
-    gives the pseudoinverse of :meth:`fit`, built with ``pinv``'s own float
-    operations and so with its bits, and the projector and radius terms of
-    :func:`bijection_sweep`, which so prunes on the range the fit projects onto.
+    The one SVD is of the column-equilibrated span ``Z = span D^-1 = U S V*``
+    (D the column norms, 1 for a zero column), within sqrt(k) of the best
+    diagonal scaling (van der Sluis, Numer. Math. 14, 1969; Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., Sec. 7.3).  Its r values
+    above ``_CUTOFF`` times the largest are kept: ``U_r`` spans the range
+    that :meth:`fit` tests and :func:`bijection_sweep` prunes on.
     """
 
     def __init__(self, span):
         mat = np.asarray(span, dtype=np.complex128)
         if mat.ndim != 2 or mat.size == 0:
             raise DimensionError("basis and target must be nonempty")
-        if not np.isfinite(mat).all():
-            raise DimensionError("span test inputs have non-finite entries")
-        u, s, vt = np.linalg.svd(mat.conj(), full_matrices=False)  # span = conj(u) s conj(vt)
-        large = s > _CUTOFF * s[0]  # s[0] is the largest
-        inv = np.divide(1, s, where=large, out=np.zeros_like(s))
-        self.span, self.rank = mat, int(np.count_nonzero(large))
-        self.pinv = np.transpose(vt) @ (inv[:, None] * np.transpose(u))
-        self._u, self._s, self._vt = u, s, vt
+        scale = np.linalg.norm(mat, axis=0)
+        if not np.isfinite(scale).all():
+            raise DimensionError("span test inputs have non-finite entries or column norms")
+        scale[scale == 0.0] = 1.0
+        u, s, vh = np.linalg.svd(mat / scale, full_matrices=False)
+        self.rank = r = int(np.count_nonzero(s > _CUTOFF * s[0]))  # s[0] is the largest
+        self.span, self._scale, self._s, self._basis = mat, scale, s, u[:, :r]
+        self._coef = vh[:r].conj().T / s[:r] / scale[:, None]  # D^-1 V_r S_r^-1
 
     @cached_property
     def projector(self) -> np.ndarray:
-        """The orthogonal projector onto the range :meth:`fit` projects onto."""
-        u = self._u[:, :self.rank].conj()
-        return u @ u.conj().T
-
-    @cached_property
-    def _weights(self) -> np.ndarray:
-        """Row norms of ``M = D^-1 V_r S_r^-1`` (see :func:`bijection_sweep`)."""
-        scale = np.maximum(1.0, np.linalg.norm(self.span, axis=0))
-        return np.linalg.norm(self._vt[:self.rank].T * scale[:, None] / self._s[:self.rank], axis=1)
+        """The orthogonal projector ``U_r U_r*`` onto the range :meth:`fit` tests."""
+        return self._basis @ self._basis.conj().T
 
     def fit(self, v, tol: float = TOL_NUM):
-        """Least-squares span test, the one membership rule of the package: the
-        minimum-norm coefficients c of a target pass if ``||span @ c - v|| <=
-        tol * max(1, ||v||)``.  A vector ``v`` gives c, or ``None`` if it
-        fails; a 2-d ``v`` (one target per column) gives ``(coeffs, residuals,
-        accepted)``, in power-of-two chunks of at least 64 columns and at most
-        ``_SERIAL_PRODUCT`` multiply-adds per product where the span allows.
-        Chunks start at multiples of 64, so BLAS's kernels see the same column
-        blocks and every column has the bits of one product over all targets."""
+        """The span test, the one membership rule of the package: ``v`` passes
+        if ``||v - U_r U_r* v|| <= tol * max(1, ||v||)``, a residual rounded by
+        about eps ``||v||`` however the span is conditioned.  The coefficients
+        ``D^-1 V_r S_r^-1 U_r* v`` are the certificate only.  A vector ``v``
+        gives them, or ``None`` if it fails; a 2-d ``v`` (one target per
+        column) gives ``(coeffs, residuals, accepted)``, in power-of-two chunks
+        of at least 64 columns and at most ``_SERIAL_PRODUCT`` multiply-adds
+        per product where the span allows.  Chunks start at multiples of 64,
+        so BLAS's kernels see the same column blocks and every column has the
+        bits of one product over all targets."""
         target = np.asarray(v, dtype=np.complex128)
         batched = target.ndim == 2
         if not batched:
             target = target.reshape(-1, 1)  # numpy multiplies a lone column as a vector
         if target.size == 0:
             raise DimensionError("basis and target must be nonempty")
-        mat, pinv = self.span, self.pinv
+        mat, basis = self.span, self._basis
         if mat.shape[0] != target.shape[0]:
             raise DimensionError("basis vectors must match the length of v")
         if not np.isfinite(target).all():
@@ -204,8 +199,9 @@ class FactoredSpan:
         coeffs = np.empty((mat.shape[1], n), dtype=np.complex128)
         resid = np.empty(n)
         for part in map(slice, [0] + cuts, cuts + [n]):
-            coeffs[:, part] = pinv @ target[:, part]
-            resid[part] = np.linalg.norm(mat @ coeffs[:, part] - target[:, part], axis=0)
+            inner = basis.conj().T @ target[:, part]
+            coeffs[:, part] = self._coef @ inner
+            resid[part] = np.linalg.norm(target[:, part] - basis @ inner, axis=0)
         accepted = resid <= tol * np.maximum(1.0, np.linalg.norm(target, axis=0))
         if batched:
             return coeffs, resid, accepted
@@ -237,16 +233,18 @@ def _lex_rank(p: list) -> int:
 
 def _pruning(span_a: FactoredSpan, span_b: FactoredSpan, tol: float):
     """Both projectors and the pruning radius R of :func:`bijection_sweep`."""
-    reach, rounding = [], 0.0
+    m = span_a.span.shape[0]
+    slack = _FLOAT_SLACK * m * (span_a.span.shape[1] + span_b.span.shape[1])
+    reach, near = [], False
     for this, other in ((span_a, span_b), (span_b, span_a)):
-        (m, k), sv = this.span.shape, this._s.tolist()
-        test = _FLOAT_SLACK * k * (1.0 + np.linalg.norm(this._weights))
+        sv, r = this._s, this.rank
+        wobble = (3.0 * slack * sv[0] + (sv[r] if r < sv.size else 0.0)) / sv[r - 1]
         miss = np.linalg.norm(1.0 - this.projector.sum(axis=1)) / max(1.0, math.sqrt(m))
         constant = (other.span == other.span[:1]).all(axis=0)
-        reach.append(other._weights @ (test + np.where(constant, miss, tol)))
-        near = any(abs(x - _CUTOFF * sv[0]) < 1e-14 * sv[0] for x in sv)  # rounding cuts or not
-        rounding += math.inf if near else _FLOAT_SLACK * k * sv[0] / sv[this.rank - 1]
-    return span_a.projector, span_b.projector, max(reach) + rounding
+        weights = np.linalg.norm(other._coef, axis=1) * np.maximum(1.0, other._scale)
+        reach.append(weights @ (np.where(constant, miss, tol) + slack * (1.0 + other._s[0]) + wobble))
+        near |= bool((abs(sv - _CUTOFF * sv[0]) < 1e-14 * sv[0]).any())  # rounding cuts or not
+    return span_a.projector, span_b.projector, math.inf if near else max(reach) + 2.0 * slack
 
 
 def _survivors(proj_a: np.ndarray, proj_b: np.ndarray, radius: float):
@@ -296,44 +294,51 @@ def bijection_sweep(span_a: FactoredSpan, span_b: FactoredSpan, values_a, values
     on A/B.  A bijection p (point i of A to point ``p[i]`` of B) passes when
     every column of ``values_b[p]`` lies in the span on A and every column of
     ``values_a[p^-1]`` lies in the span on B, under :meth:`FactoredSpan.fit`.
-    Each span must hold the constants and be closed under conjugation, and
-    its columns must be distinct columns of ``X = [1, values, conj values]``
-    on its side; the three exact routes call it so.
+    Each span must hold the constants, and its columns must be distinct
+    columns of ``X = [1, values, conj values]`` on its side, closed under
+    conjugation unless all are among the values; the exact routes call it so.
 
-    The search.  Let Pi_A and Pi_B be the orthogonal projectors onto the
-    ranges that the span tests project onto (each from its span's one SVD),
-    and P the permutation matrix of p, ``(P f)_i = f[p[i]]``.  A lexicographic
-    depth-first search over ``p[0], p[1], ...`` drops a partial map as soon
-    as some ``|Pi_A[i, k] - Pi_B[p[i], p[k]]|`` (the diagonal included)
-    exceeds the radius R below (:func:`_survivors`), and gives each complete
-    map the two-sided span test.  Every passing bijection survives the
-    pruning, so the first complete map that passes is the lexicographically
-    first passing bijection of all m!.  This is an isomorphism search of two
-    weighted complete graphs (McKay & Piperno, J. Symbolic Comput. 60, 2014).
+    The search.  With P the permutation matrix of p, ``(P f)_i = f[p[i]]``,
+    and Pi_A, Pi_B the projectors onto the ranges the span tests read (see
+    below), a lexicographic depth-first search over ``p[0], p[1], ...``
+    drops a partial map as soon as some ``|Pi_A[i, k] - Pi_B[p[i], p[k]]|``
+    (the diagonal included) exceeds the radius R below (:func:`_survivors`),
+    and gives each complete map the two-sided span test.  Every passing
+    bijection survives the pruning, so the first complete map that passes is
+    the lexicographically first passing bijection of all m!.  This is an
+    isomorphism search of two weighted complete graphs (McKay & Piperno,
+    J. Symbolic Comput. 60, 2014).
 
-    The radius.  Take a passing p.  Each entry of ``Pi_A - P Pi_B P^T`` is at
-    most its norm, which for two orthogonal projectors is the larger of
-    ``||(I - Pi_A) P Pi_B P^T||`` and ``||(I - P Pi_B P^T) Pi_A||``.  In the
-    first, write ``S_B = span_b.span = U S V*`` (r singular values kept) and
-    let D scale column j of ``S_B`` by ``1 / max(1, ||S_B[:, j]||)``.  A unit
-    vector ``U_r a`` of the range of Pi_B is ``S_B D M a`` with
-    ``M = D^-1 V_r S_r^-1``, so ``P U_r a`` lies at most
-    ``sum_j ||M[j]|| b_j`` from the range of Pi_A, where ``b_j`` bounds that
-    distance for ``P S_B[:, j]`` over ``max(1, ||S_B[:, j]||)``.  The forward
-    test gives ``b_j = tol`` for each column of ``values_b``, and so for its
-    conjugate, as the range is closed under conjugation; a constant column
-    has ``b_j = ||(I - Pi_A) 1|| / sqrt m`` whatever p is.  The backward test
-    bounds the second term, ``||(I - Pi_B) P^T Pi_A P||``, in the same way;
-    R is the larger bound.  D keeps the scale of the points out of M.
-    Float slacks of ``_FLOAT_SLACK`` per column cover rounding.  The span
-    test's coefficients c' lie in the row space the pseudoinverse keeps, and
-    ``||S c' - v||`` is at least the distance to the range however
-    inaccurate c' is, so only the product's rounding, about
-    ``k eps (sqrt(k) ||M||_F + 1) ||v||``, adds to ``b_j``: the slack times
-    ``1 + ||M||_F``.  A computed projector is off by about ``eps s_1 / s_r``:
-    the slack times that is added to R.  A singular value within rounding of
-    the cutoff makes R infinite, as rounding then decides whether the span
-    on one side keeps a direction that the other side cuts.
+    The radius.  On each side ``Z = span D^-1 = U S V*`` is the equilibrated
+    span (column norms ``d_j``, r values kept, ``N = V_r S_r^-1``).  The SVD
+    is backward stable: U, V lie within rounding of unitary U', V' with
+    ``U' S V'* = Z + E`` (Higham, Ch. 19; see :class:`FactoredSpan`).  Pi_A and Pi_B project
+    onto the ranges of the ``U'_r``, the ranges that the test and the
+    computed projector use, so no step needs the two ranks to agree.  To
+    first order each rounding error below is a few u = 2^-53 times m k, less
+    than ``sigma = _FLOAT_SLACK * m * (k_A + k_B)``: the test's over ``||v||``,
+    ``||E|| / s_1``, and a computed projector's, in norm and per entry.
+
+    Take a passing p.  Each entry of ``Pi_A - P Pi_B P^T`` is at most its
+    norm, the larger of ``||(I - Pi_A) P Pi_B P^T||`` and its mirror
+    ``||(I - Pi_B) P^T Pi_A P||``.  A unit vector of the range of Pi_B is
+    ``(Z_B + E_B) V'_r S_r^-1 a``, so under P it lies at most
+    ``sum_j ||N_B[j]|| (beta_j + sigma s_1^B)`` from the range of Pi_A, with
+    ``beta_j`` that distance for ``P Z_B[:, j]``: by the forward test
+    ``tol max(1, d_j) / d_j + sigma`` for a column of ``values_b``, and for
+    the constant ``||(I - Pi_A) 1|| / sqrt m``, read off the computed
+    projector within sigma.  A conjugate column adds to its column's bound
+    ``wobble_A = (3 sigma s_1 + s_(r+1)) / s_r`` (side A's values,
+    ``s_(r+1)`` the largest cut one or 0): as the columns of ``Z_A`` are
+    closed under conjugation up to rounding, ``g = (Z_A + E_A) y`` in the
+    range of Pi_A, ``||y|| <= ||g|| / s_r``, has ``conj g`` within
+    ``wobble_A ||g||`` of it.  So with ``w_j = ||N_B[j]|| max(1, d_j) / d_j``
+    the first term is at most ``sum_j w_j (b_j + sigma (1 + s_1^B) +
+    wobble_A)``, ``b_j`` being tol or the constant's distance; the backward
+    test bounds the mirror alike.  R is the larger plus 2 sigma for the
+    projector entries, and no term grows with the scale of the points.  A
+    singular value within rounding of the cutoff makes R infinite all the
+    same, so a rank that is rounding's choice is never pruned on.
 
     Returns ``(bijection, tried)``: the lexicographically first passing
     bijection (``None`` when none passes) and its 1-based lexicographic rank,
@@ -351,7 +356,8 @@ def bijection_sweep(span_a: FactoredSpan, span_b: FactoredSpan, values_a, values
     values_a = np.asarray(values_a).reshape(m, -1)
     values_b = np.asarray(values_b).reshape(m, -1)
     digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if digits and math.factorial(m) >= 10**digits:
+    # log m! screens out the 10**digits comparison, a 4300-digit integer by default
+    if digits and math.lgamma(m + 1) > (digits - 1) * math.log(10) and math.factorial(m) >= 10**digits:
         raise CapacityError(f"{m}! has more than {digits} digits, past Python's int-to-text limit")
     for p in _survivors(*_pruning(span_a, span_b, tol)):
         if (span_a.fit(values_b[p], tol)[2].all()
@@ -373,15 +379,12 @@ def gram_rank(vectors, tol: float = TOL_NUM) -> int:
     cols = [as_vector(v) for v in vectors]
     if not cols:
         raise DimensionError("need at least one vector")
-    n = cols[0].size
-    if any(c.size != n for c in cols):
+    if any(c.size != cols[0].size for c in cols):
         raise DimensionError("vectors must have equal lengths")
     s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
     if not np.all(np.isfinite(s)):
         raise DimensionError("singular values overflow; the vectors are too large to rank")
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > tol * s[0]))  # 0 for the zero span
 
 
 def kron(a, b) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, EmptySystemError, NoUnitError
-from .linalg import TOL_NUM, as_matrix, gram_rank, op_norm, span_membership, vec
+from .linalg import TOL_NUM, FactoredSpan, as_matrix, gram_rank, op_norm, span_membership, vec
 
 
 @dataclass(frozen=True)
@@ -196,10 +196,11 @@ def is_operator_system(matrices, tol: float = TOL_NUM) -> SystemCheck:
     vs = [vec(m) for m in ms]
     if gram_rank(vs, tol) < len(ms):
         return SystemCheck(False, "independence", "tuple is linearly dependent")
-    for i, m in enumerate(ms):
-        if span_membership(vec(m.conj().T), vs, tol) is None:
-            return SystemCheck(False, "adjoints", f"adjoint of element {i} is outside the span")
-    if span_membership(np.eye(k, dtype=np.complex128).ravel(), vs, tol) is None:
+    targets = [vec(m.conj().T) for m in ms] + [np.eye(k, dtype=np.complex128).ravel()]
+    ok = FactoredSpan(np.column_stack(vs)).fit(np.column_stack(targets), tol)[2]
+    if not ok[:-1].all():  # argmin is the first failing element
+        return SystemCheck(False, "adjoints", f"adjoint of element {np.argmin(ok)} is outside the span")
+    if not ok[-1]:
         return SystemCheck(False, "unit", "identity is not in the span")
     return SystemCheck(True)
 

@@ -411,18 +411,13 @@ def trace_invariants(x: OperatorSystemSpan, g) -> tuple[float, float]:
 
 
 def commutant_dimension(matrices, tol: float = 1e-9) -> int:
-    """Dimension of the commutant of a set of k x k matrices."""
+    """Dimension of the commutant of k x k matrices: k^2 less a :func:`gram_rank`."""
     ms = [np.asarray(m, dtype=np.complex128) for m in matrices]
     k = ms[0].shape[0]
-    rows = []
     eye = np.eye(k)
-    for m in ms:
-        # vec(MA - AM) = (M (x) I - I (x) M^T) vec(A), row-major vec
-        rows.append(np.kron(m, eye) - np.kron(eye, m.T))
-    stacked = np.vstack(rows)
-    s = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-    return k * k - rank
+    # vec(MA - AM) = (M (x) I - I (x) M^T) vec(A), row-major vec
+    rows = [np.kron(m, eye) - np.kron(eye, m.T) for m in ms]
+    return k * k - gram_rank(np.vstack(rows), tol)
 
 
 def wt_classify(t: float, s: float, variant: str = "three_by_three",

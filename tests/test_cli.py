@@ -428,6 +428,29 @@ class TestVerifyCertificates:
             "degree-1 backward map", "degree-1 backward products"]
         assert all(c["pass"] for c in vrep["certificate_checks"])
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_degree_one_witness_at_scale_replays(self, tmp_path, scale):
+        # the products of an 8-point affine pair reach scale^2; the replay
+        # bound is relative past values of size 1, so their rounding passes,
+        # while a coefficient off by 1e-6 of its size still fails
+        z = scale * (np.random.default_rng(12).standard_normal(8)
+                     + 1j * np.random.default_rng(13).standard_normal(8))
+        fd = points_file(tmp_path, "d.json", z.reshape(-1, 1))
+        fe = points_file(tmp_path, "e.json", ((2 - 1j) * z[::-1] + 5 * scale).reshape(-1, 1))
+        rep, path = stored_report(tmp_path, ["deg1", fd, fe])
+        assert rep["homeomorphic"] is True
+        code, vrep, _ = call(["verify", str(path)])
+        assert code == EXIT_OK and vrep["verified"] is True
+        coeff = rep["witness"]["forward"]["coeffs"][0][2]  # of z
+        coeff[0] += 1e-6 * abs(complex(*coeff))
+        path = tmp_path / "tampered.json"
+        path.write_text(canonical_report(rep) + "\n")
+        code, vrep, _ = call(["verify", str(path)])
+        assert code == EXIT_INVALID
+        verdicts = {c["check"]: c["pass"] for c in vrep["certificate_checks"]}
+        assert verdicts.pop("degree-1 forward map") is False
+        assert all(verdicts.values())
+
     @pytest.mark.parametrize("kind,half", [("oracle", "forward"), ("oracle", "backward"),
                                            ("deg1", "forward"), ("deg1", "backward")])
     def test_tampered_coefficient_fails_its_half(self, tmp_path, kind, half):

@@ -176,8 +176,10 @@ class TestSpanMembership:
 
     @staticmethod
     def basis(kind, rng):
-        """Four basis rows of length 6: generic, of rank 2, or with a last
-        singular value 5% above or below the pseudoinverse's cutoff."""
+        """Four basis rows of length 6: generic, of rank 2, or of equal norms
+        with a last singular value 5% above or below the cutoff.  Those rows
+        are then scaled by 1, 10^6, 10^-3 and 10^9, which equilibration
+        undoes, so the cutoff still falls between the two."""
         if kind == "generic":
             return rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)), 4
         if kind == "rank-deficient":
@@ -185,8 +187,9 @@ class TestSpanMembership:
             return (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) @ two, 2
         last, rank = {"above-cutoff": (1.05e-13, 4), "below-cutoff": (0.95e-13, 3)}[kind]
         u = np.linalg.qr(rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)))[0]
-        v = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-        return (u @ np.diag([1.0, 0.5, 0.3, last]) @ v).T, rank
+        dft = np.exp(0.5j * np.pi * np.outer(range(4), range(4))) / 2  # unitary, |entries| 1/2
+        rows = (u @ np.diag([1.0, 0.5, 0.3, last]) @ dft).T
+        return rows * np.array([1.0, 1e6, 1e-3, 1e9])[:, None], rank
 
     def test_wide_batch_has_the_bits_of_one_product(self):
         self.check_wide_batch("generic")
@@ -203,20 +206,23 @@ class TestSpanMembership:
         target[:, ::3] = basis.T @ rng.standard_normal((4, target[:, ::3].shape[1]))
         coeffs, resid, ok = span_membership(target, basis)
         mat = basis.T
-        ref = np.linalg.pinv(mat, rcond=1e-13) @ target
-        assert np.array_equal(coeffs, ref)
-        assert np.array_equal(resid, np.linalg.norm(mat @ ref - target, axis=0))
+        scale = np.linalg.norm(mat, axis=0)
+        u, s, vh = np.linalg.svd(mat / scale, full_matrices=False)
+        kept = u[:, :rank]
+        coef = vh[:rank].conj().T / s[:rank] / scale[:, None]
+        inner = kept.conj().T @ target
+        assert np.array_equal(coeffs, coef @ inner)
+        assert np.array_equal(resid, np.linalg.norm(target - kept @ inner, axis=0))
         assert np.array_equal(ok, resid <= 1e-9 * np.maximum(1.0, np.linalg.norm(target, axis=0)))
         assert not ok[1::3].any()
-        # kept, the last direction conditions the span at 1e13, and rounding
-        # then puts its own members about 1e-4 from it
-        assert ok[::3].all() == (kind != "above-cutoff")
+        # the range residual's rounding does not grow with the conditioning:
+        # members pass even with a last direction 1e13 below the first
+        assert ok[::3].all()
         factored = linalg.FactoredSpan(mat)
         assert factored.rank == rank
-        assert np.array_equal(factored.pinv, np.linalg.pinv(mat, rcond=1e-13))
-        one = np.linalg.pinv(mat, rcond=1e-13) @ target[:, 0]  # a vector: other bits
-        single = factored.fit(target[:, 0])
-        assert single is None if kind == "above-cutoff" else np.array_equal(single, one)
+        assert np.array_equal(factored.projector, kept @ kept.conj().T)
+        one = coef @ (kept.conj().T @ target[:, 0])  # a vector: other bits
+        assert np.array_equal(factored.fit(target[:, 0]), one)
 
 
 def test_gram_rank_counts_independent_directions():

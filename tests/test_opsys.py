@@ -161,6 +161,24 @@ class TestIsOperatorSystem:
         assert not check.ok
         assert check.failed == "unit"
 
+    def test_names_the_first_element_whose_adjoint_is_outside(self):
+        units = np.eye(3)
+        e12, e23 = np.outer(units[0], units[1]), np.outer(units[1], units[2])
+        check = is_operator_system([units, np.diag([1.0, -1.0, 0.0]), e12, e23])
+        assert check.failed == "adjoints"
+        assert check.detail == "adjoint of element 2 is outside the span"
+
+    def test_factors_the_span_once(self, monkeypatch):
+        # one SVD for the independence rank and one for every span test
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        sy = np.array([[0, -1j], [1j, 0]])
+        assert is_operator_system([np.eye(2), sx, sy, E12 + E21]).failed == "independence"
+        calls.clear()
+        assert is_operator_system([np.eye(2), sx, sy, np.diag([1.0, -1.0])]).ok
+        assert len(calls) == 2
+
 
 def test_find_unit_coeffs_recovers_identity():
     basis = [np.eye(2, dtype=complex), E12, E21]

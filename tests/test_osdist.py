@@ -43,6 +43,12 @@ class TestWtFamily:
         assert commutant_dimension([w, w.conj().T]) == 1
         # a single normal matrix has a big commutant by comparison
         assert commutant_dimension([np.diag([1.0, 2.0, 3.0])]) == 3
+        assert commutant_dimension([np.zeros((2, 2))]) == 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_commutant_of_non_finite_matrices_raises(self, bad):
+        with pytest.raises(DimensionError):
+            commutant_dimension([np.array([[1.0, bad], [0.0, 1.0]])])
 
     def test_parameter_validation(self):
         with pytest.raises(DimensionError):

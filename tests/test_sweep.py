@@ -321,13 +321,15 @@ def test_full_rank_spans_keep_every_bijection_and_take_the_identity(m):
 
 
 def test_a_singular_value_at_the_cutoff_stops_the_pruning():
-    # the pseudoinverse cuts singular values below 1e-13 times the largest;
-    # rounding may put one that close on either side, so nothing is pruned
+    # singular values of the equilibrated span up to 1e-13 times the largest
+    # are cut; rounding may put one that close on either side, so nothing is
+    # pruned.  The DFT factor gives the columns one norm, so the span, scaled
+    # column by column, has these singular values once equilibrated.
     rng = np.random.default_rng(43)
     u = np.linalg.qr(cnormal(rng, 6, 4))[0]
-    v = np.linalg.qr(cnormal(rng, 4, 4))[0]
+    dft = np.exp(0.5j * np.pi * np.outer(range(4), range(4))) / 2  # unitary, |entries| 1/2
     def radius(last):
-        span = u @ np.diag([1.0, 0.5, 0.3, last]) @ v
+        span = u @ np.diag([1.0, 0.5, 0.3, last]) @ dft * [1.0, 1e6, 1e3, 1e9]
         return linalg._pruning(FactoredSpan(span), FactoredSpan(span), 1e-9)[2]
 
     assert radius(1.0001e-13) == radius(0.9999e-13) == math.inf
