@@ -5,8 +5,7 @@ finite point sets, and finite metric structures."""
 from .degree1 import (Deg1Decision, DegreeOneMap, PointSet, deg1_via_opsys,
                       degree_one_homeomorphic, is_degree_one_assignment,
                       monomial_matrix, normal_system)
-from .linalg import (SpectralDecomposition, eig_normal, gram_rank, kron,
-                     op_norm, span_membership)
+from .linalg import SpectralDecomposition, eig_normal, gram_rank, kron, op_norm
 from .metric import (ApproxIsometry, FiniteStructure, Signature, dgh_structures,
                      dk_bruteforce, eps_of_bijection, katetov_check,
                      lift_relation)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import degree1, formulas, io, metric, osdist, unitary
 from .errors import CapacityError, InputFormatError, OsclassError
-from .linalg import gram_rank, span_membership
+from .linalg import FactoredSpan, gram_rank
 from .opsys import amplified_norm
 
 EXIT_OK = 0
@@ -243,7 +243,7 @@ def _replay_certificates(report: dict, args) -> list:
             # a degree-1 map also has every product out_k conj(out_l) in the span
             mono = degree1.monomial_matrix(src)
             prods = degree1._coords_and_products(out)[:, src.ambient:]
-            fit, _, _ = span_membership(prods, mono.T)
+            fit, _, _ = FactoredSpan(mono).fit(prods)
             checks.append(_check(f"degree-1 {half} products", mono @ fit, prods))
     if args.command == "family" and args.variant == "2x2" and isinstance(cert, dict):
         u = io.parse_matrix({"rows": cert["unitary"]})

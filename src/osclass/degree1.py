@@ -16,7 +16,7 @@ import numpy as np
 
 from . import opsys
 from .errors import CapacityError, DimensionError
-from .linalg import TOL_NUM, FactoredSpan, bijection_sweep, span_membership
+from .linalg import TOL_NUM, FactoredSpan, bijection_sweep
 
 #: Most coordinate differences per numpy block of the coincidence check.
 _PAIR_BLOCK = 1 << 16
@@ -42,7 +42,8 @@ class PointSet:
         step = max(1, _PAIR_BLOCK // max(1, p.size))
         for lo in range(0, m, step):
             rows = np.arange(lo, min(lo + step, m))
-            close = np.linalg.norm(p[rows, None] - p, axis=2) <= self.tol
+            with np.errstate(over="ignore"):  # a distance past the float range is no coincidence
+                close = np.linalg.norm(p[rows, None] - p, axis=2) <= self.tol
             close &= np.arange(m) > rows[:, None]  # each pair once, as i < j
             if close.any():
                 i, j = np.unravel_index(np.argmax(close), close.shape)
@@ -95,7 +96,8 @@ def monomial_matrix(d: PointSet) -> np.ndarray:
     """
     aug = np.hstack([np.ones((d.size, 1), dtype=np.complex128), d.points])  # z_0 = 1
     n = d.ambient + 1
-    mat = np.column_stack([aug[:, i] * aug[:, j].conj() for i in range(n) for j in range(n)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = np.column_stack([aug[:, i] * aug[:, j].conj() for i in range(n) for j in range(n)])
     if not np.isfinite(mat).all():
         raise DimensionError("the coordinates' degree-1 monomials overflow the float range")
     return mat
@@ -104,7 +106,8 @@ def monomial_matrix(d: PointSet) -> np.ndarray:
 def _coords_and_products(points: np.ndarray) -> np.ndarray:
     """Columns: each coordinate, then every product ``p_k conj(p_l)``."""
     n = points.shape[1]
-    prods = [points[:, k] * points[:, l].conj() for k in range(n) for l in range(n)]
+    with np.errstate(over="ignore", invalid="ignore"):  # the span test rejects an overflow
+        prods = [points[:, k] * points[:, l].conj() for k in range(n) for l in range(n)]
     return np.column_stack([points] + prods)
 
 
@@ -120,7 +123,7 @@ def is_degree_one_assignment(d: PointSet, values, tol: float = TOL_NUM):
         vals = vals.reshape(-1, 1)
     if vals.shape != (d.size, d.ambient):
         raise DimensionError(f"values must have shape ({d.size}, {d.ambient}), got {vals.shape}")
-    coeffs, _, ok = span_membership(_coords_and_products(vals), monomial_matrix(d).T, tol)
+    coeffs, _, ok = FactoredSpan(monomial_matrix(d)).fit(_coords_and_products(vals), tol)
     if not ok.all():
         return None
     return DegreeOneMap(ambient=d.ambient, coeffs=coeffs[:, :d.ambient].T)

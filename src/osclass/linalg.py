@@ -3,7 +3,7 @@
 Matrices are plain ``numpy`` arrays with ``complex128`` entries; every function
 validates shape and finiteness before computing.  These routines are the
 substrate for all higher modules: operator norms, spectra of normal matrices,
-span membership, the exact bijection search, and numerical rank.
+one span normalisation, membership test and rank rule, and bijection search.
 """
 
 from __future__ import annotations
@@ -140,29 +140,59 @@ _CUTOFF = 1e-13  # singular values of the equilibrated span up to this times the
 _FLOAT_SLACK = 1e-14  # rounding slack of bijection_sweep per point and span column
 
 
+def _column_norms(mat: np.ndarray) -> np.ndarray:
+    """Column norms of ``mat``, the one finiteness check of spans and targets:
+    a column whose squares overflow is measured again at a max-abs entry of 1
+    (other columns keep the plain norm's bits), and a non-finite entry or a
+    true norm past the float range raises ``DimensionError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(mat, axis=0)
+        if not math.isfinite(norms.sum()):
+            big = np.isinf(norms)
+            peak = np.abs(mat[:, big]).max(axis=0)
+            norms[big] = peak * np.linalg.norm(mat[:, big] / peak, axis=0)
+            if not np.isfinite(norms).all():
+                raise DimensionError("non-finite entries or an overflowing column norm")
+    return norms
+
+
+def equilibrate(span) -> tuple[np.ndarray, np.ndarray]:
+    """``(span D^-1, D)``, D the column norms (1 for a zero column): the one
+    normalisation of a span in the package, within sqrt(k) of the best
+    diagonal scaling (van der Sluis, Numer. Math. 14, 1969; Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., Sec. 7.3)."""
+    mat = np.asarray(span, dtype=np.complex128)
+    if mat.ndim != 2 or mat.size == 0:
+        raise DimensionError("a span must be a nonempty 2-d array")
+    scale = _column_norms(mat)
+    scale[scale == 0.0] = 1.0
+    return mat / scale, scale
+
+
+def numerical_rank(s: np.ndarray, tol: float) -> int:
+    """The one rank rule: singular values ``s`` (largest first) above ``tol`` times the largest."""
+    return int(np.count_nonzero(s > tol * s[0]))
+
+
 class FactoredSpan:
     """A span of functions (one column each, one row per point), factored once.
 
-    The one SVD is of the column-equilibrated span ``Z = span D^-1 = U S V*``
-    (D the column norms, 1 for a zero column), within sqrt(k) of the best
-    diagonal scaling (van der Sluis, Numer. Math. 14, 1969; Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., Sec. 7.3).  Its r values
-    above ``_CUTOFF`` times the largest are kept: ``U_r`` spans the range
-    that :meth:`fit` tests and :func:`bijection_sweep` prunes on.
+    The one SVD is of the equilibrated span ``Z = span D^-1 = U S V*``.  Its r
+    values above ``_CUTOFF`` times the largest are kept: ``U_r`` spans the
+    range that :meth:`fit` tests and :func:`bijection_sweep` prunes on.
     """
 
     def __init__(self, span):
         mat = np.asarray(span, dtype=np.complex128)
-        if mat.ndim != 2 or mat.size == 0:
-            raise DimensionError("basis and target must be nonempty")
-        scale = np.linalg.norm(mat, axis=0)
-        if not np.isfinite(scale).all():
-            raise DimensionError("span test inputs have non-finite entries or column norms")
-        scale[scale == 0.0] = 1.0
-        u, s, vh = np.linalg.svd(mat / scale, full_matrices=False)
-        self.rank = r = int(np.count_nonzero(s > _CUTOFF * s[0]))  # s[0] is the largest
+        unit, scale = equilibrate(mat)
+        u, s, vh = np.linalg.svd(unit, full_matrices=False)
+        self.rank = r = numerical_rank(s, _CUTOFF)
         self.span, self._scale, self._s, self._basis = mat, scale, s, u[:, :r]
         self._coef = vh[:r].conj().T / s[:r] / scale[:, None]  # D^-1 V_r S_r^-1
+
+    def dim(self, tol: float = TOL_NUM) -> int:
+        """The span's dimension: :func:`numerical_rank` at ``tol``."""
+        return numerical_rank(self._s, tol)
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -170,27 +200,23 @@ class FactoredSpan:
         return self._basis @ self._basis.conj().T
 
     def fit(self, v, tol: float = TOL_NUM):
-        """The span test, the one membership rule of the package: ``v`` passes
-        if ``||v - U_r U_r* v|| <= tol * max(1, ||v||)``, a residual rounded by
-        about eps ``||v||`` however the span is conditioned.  The coefficients
-        ``D^-1 V_r S_r^-1 U_r* v`` are the certificate only.  A vector ``v``
-        gives them, or ``None`` if it fails; a 2-d ``v`` (one target per
-        column) gives ``(coeffs, residuals, accepted)``, in power-of-two chunks
-        of at least 64 columns and at most ``_SERIAL_PRODUCT`` multiply-adds
-        per product where the span allows.  Chunks start at multiples of 64,
-        so BLAS's kernels see the same column blocks and every column has the
-        bits of one product over all targets."""
+        """The span test, the one membership rule of the package: a target
+        passes if ``||v - U_r U_r* v|| <= tol * max(1, ||v||)``, a residual
+        rounded by about eps ``||v||`` however the span is conditioned.  Gives
+        ``(coeffs, residuals, accepted)``, one entry per column of a 2-d ``v``
+        (any other ``v`` is one column); the coefficients
+        ``D^-1 V_r S_r^-1 U_r* v`` are the certificate only.  Targets go in
+        power-of-two chunks of at least 64 columns and at most
+        ``_SERIAL_PRODUCT`` multiply-adds per product where the span allows.
+        Chunks start at multiples of 64, so BLAS's kernels see the same column
+        blocks and every column has the bits of one product over all targets."""
         target = np.asarray(v, dtype=np.complex128)
-        batched = target.ndim == 2
-        if not batched:
+        if target.ndim != 2:
             target = target.reshape(-1, 1)  # numpy multiplies a lone column as a vector
-        if target.size == 0:
-            raise DimensionError("basis and target must be nonempty")
         mat, basis = self.span, self._basis
         if mat.shape[0] != target.shape[0]:
             raise DimensionError("basis vectors must match the length of v")
-        if not np.isfinite(target).all():
-            raise DimensionError("span test inputs have non-finite entries")
+        size = _column_norms(target)
         n = target.shape[1]
         step = 1 << max(6, (_SERIAL_PRODUCT // mat.size).bit_length() - 1)
         cuts = list(range(step, n, step))
@@ -201,19 +227,8 @@ class FactoredSpan:
         for part in map(slice, [0] + cuts, cuts + [n]):
             inner = basis.conj().T @ target[:, part]
             coeffs[:, part] = self._coef @ inner
-            resid[part] = np.linalg.norm(target[:, part] - basis @ inner, axis=0)
-        accepted = resid <= tol * np.maximum(1.0, np.linalg.norm(target, axis=0))
-        if batched:
-            return coeffs, resid, accepted
-        return coeffs[:, 0] if accepted[0] else None
-
-
-def span_membership(v, basis, tol: float = TOL_NUM):
-    """:meth:`FactoredSpan.fit` on the span of ``basis`` (one vector per row)."""
-    rows = np.asarray(basis, dtype=np.complex128)
-    if rows.size == 0:
-        raise DimensionError("basis and target must be nonempty")
-    return FactoredSpan(rows.reshape(rows.shape[0], -1).T).fit(v, tol)
+            resid[part] = _column_norms(target[:, part] - basis @ inner)
+        return coeffs, resid, resid <= tol * np.maximum(1.0, size)
 
 
 #: Most nodes (partial bijections) one :func:`bijection_sweep` may visit; a
@@ -367,24 +382,13 @@ def bijection_sweep(span_a: FactoredSpan, span_b: FactoredSpan, values_a, values
 
 
 def gram_rank(vectors, tol: float = TOL_NUM) -> int:
-    """Numerical rank of the span of the given vectors.
-
-    Counts singular values of the stacked matrix exceeding ``tol`` times the
-    largest one.
-
-    Raises:
-        DimensionError: if the singular values overflow (a norm past the
-            float range), which would otherwise read as rank 0.
-    """
-    cols = [as_vector(v) for v in vectors]
-    if not cols:
-        raise DimensionError("need at least one vector")
-    if any(c.size != cols[0].size for c in cols):
-        raise DimensionError("vectors must have equal lengths")
-    s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
-    if not np.all(np.isfinite(s)):
-        raise DimensionError("singular values overflow; the vectors are too large to rank")
-    return int(np.sum(s > tol * s[0]))  # 0 for the zero span
+    """Numerical rank of the span of the given vectors (of equal lengths): the
+    :func:`numerical_rank` at ``tol`` of their equilibrated span, so no
+    vector's scale decides the count."""
+    cols = [np.ravel(v) for v in vectors]
+    if not cols or any(c.size != cols[0].size for c in cols):
+        raise DimensionError("need one or more vectors of equal lengths")
+    return numerical_rank(np.linalg.svd(equilibrate(np.column_stack(cols))[0], compute_uv=False), tol)
 
 
 def kron(a, b) -> np.ndarray:

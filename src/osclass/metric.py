@@ -180,18 +180,18 @@ class ApproxIsometry:
             raise DimensionError("psi must be nonnegative")
         for j in range(p.shape[1]):
             col = p[:, j]
-            if not _katetov_table(col, dx):
+            if not _katetov_table(col, dx, METRIC_SLACK):
                 raise DimensionError(f"psi column {j} is not Katetov on the source")
         for i in range(p.shape[0]):
             row = p[i, :]
-            if not _katetov_table(row, dy):
+            if not _katetov_table(row, dy, METRIC_SLACK):
                 raise DimensionError(f"psi row {i} is not Katetov on the target")
         object.__setattr__(self, "psi", p)
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "dy", dy)
 
 
-def _katetov_table(v: np.ndarray, d: np.ndarray, slack: float = 1e-9) -> bool:
+def _katetov_table(v: np.ndarray, d: np.ndarray, slack: float) -> bool:
     diff = np.abs(v[:, None] - v[None, :])
     total = v[:, None] + v[None, :]
     return bool(np.all(diff <= d + slack) and np.all(d <= total + slack))

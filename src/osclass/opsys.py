@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, EmptySystemError, NoUnitError
-from .linalg import TOL_NUM, FactoredSpan, as_matrix, gram_rank, op_norm, span_membership, vec
+from .linalg import TOL_NUM, FactoredSpan, as_matrix, op_norm, vec
 
 
 @dataclass(frozen=True)
@@ -151,31 +151,21 @@ def build_system(generators, include_identity: bool = True, tol: float = TOL_NUM
 def greedy_basis(candidates, tol: float = TOL_NUM) -> list[int]:
     """Indices of the candidates that a greedy rank rule keeps, in order.
 
-    Each candidate (an array, read row-major; all of one size) is checked and
-    scaled to unit norm once.  A zero candidate is skipped, and one whose
-    norm is not finite (non-finite entries, or a norm past the float range)
-    raises ``DimensionError``.  The first nonzero candidate is kept; a later
-    one is kept when the kept unit vectors with it have more singular values
-    above ``tol`` times the largest than there are kept vectors.  So a
+    The candidates (arrays, read row-major; all of one size) are equilibrated
+    together once (:func:`linalg.equilibrate`, which raises ``DimensionError``
+    on a non-finite entry or a norm past the float range).  The first nonzero
+    candidate is kept; a later one when the kept unit vectors with it have a
+    larger :func:`linalg.numerical_rank` at ``tol`` than without.  So a
     candidate's scale never decides whether it is kept.
     """
+    if not candidates:
+        return []
+    unit, _ = linalg.equilibrate(np.column_stack([np.ravel(c) for c in candidates]))
     kept: list[int] = []
-    normed = None  # column j: kept candidate j at unit norm
-    for i, c in enumerate(candidates):
-        norm = np.linalg.norm(c)
-        if norm == 0.0:
-            continue
-        if not np.isfinite(norm):
-            raise DimensionError("generator norm overflows the float range")
-        if normed is None:
-            normed = np.empty((np.size(c), len(candidates)), dtype=np.complex128)
-        k = len(kept)
-        np.divide(np.ravel(c), norm, out=normed[:, k])
-        if k:
-            s = np.linalg.svd(normed[:, :k + 1], compute_uv=False)
-            if (s > tol * s[0]).sum() <= k:
-                continue
-        kept.append(i)
+    for i in np.flatnonzero(unit.any(axis=0)).tolist():  # zero candidates are skipped
+        if not kept or linalg.numerical_rank(
+                np.linalg.svd(unit[:, kept + [i]], compute_uv=False), tol) > len(kept):
+            kept.append(i)
     return kept
 
 
@@ -184,7 +174,7 @@ def is_operator_system(matrices, tol: float = TOL_NUM) -> SystemCheck:
 
     Checks, in order: linear independence of the tuple, closure of the span
     under adjoints, and membership of the identity in the span.  The first
-    failed condition is named in the diagnostics.
+    failed condition is named in the diagnostics.  One factor answers all.
     """
     ms = [as_matrix(m) for m in matrices]
     if not ms:
@@ -193,11 +183,11 @@ def is_operator_system(matrices, tol: float = TOL_NUM) -> SystemCheck:
     for m in ms:
         if m.shape != (k, k):
             raise DimensionError("matrices must be square of equal size")
-    vs = [vec(m) for m in ms]
-    if gram_rank(vs, tol) < len(ms):
+    span = FactoredSpan(np.column_stack([vec(m) for m in ms]))
+    if span.dim(tol) < len(ms):
         return SystemCheck(False, "independence", "tuple is linearly dependent")
     targets = [vec(m.conj().T) for m in ms] + [np.eye(k, dtype=np.complex128).ravel()]
-    ok = FactoredSpan(np.column_stack(vs)).fit(np.column_stack(targets), tol)[2]
+    ok = span.fit(np.column_stack(targets), tol)[2]
     if not ok[:-1].all():  # argmin is the first failing element
         return SystemCheck(False, "adjoints", f"adjoint of element {np.argmin(ok)} is outside the span")
     if not ok[-1]:
@@ -209,10 +199,11 @@ def find_unit_coeffs(basis, tol: float = TOL_NUM) -> np.ndarray:
     """Minimum-norm coefficients reproducing the identity in the given span."""
     ms = [as_matrix(b) for b in basis]
     k = ms[0].shape[0]
-    coeffs = span_membership(np.eye(k, dtype=np.complex128).ravel(), [vec(m) for m in ms], tol)
-    if coeffs is None:
+    # the transpose of the stacked rows: its column norms have the bits of this layout
+    coeffs, _, ok = FactoredSpan(np.array([vec(m) for m in ms]).T).fit(np.eye(k).ravel(), tol)
+    if not ok[0]:
         raise NoUnitError("identity is not in the span of the basis")
-    return coeffs
+    return coeffs[:, 0]
 
 
 def amplified_norm(x: OperatorSystemSpan, a: AmplifiedElement) -> float:

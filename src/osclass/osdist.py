@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionError, NotComparableError
 # op_norm stays importable from here: the benchmark's tracer test reads osdist.op_norm
-from .linalg import gram_rank, op_norm, span_membership  # noqa: F401
+from .linalg import FactoredSpan, gram_rank, op_norm  # noqa: F401
 from .opsys import OperatorSystemSpan, build_system
 
 #: Condition-number bound past which a candidate map is treated as singular.
@@ -416,7 +416,8 @@ def commutant_dimension(matrices, tol: float = 1e-9) -> int:
     k = ms[0].shape[0]
     eye = np.eye(k)
     # vec(MA - AM) = (M (x) I - I (x) M^T) vec(A), row-major vec
-    rows = [np.kron(m, eye) - np.kron(eye, m.T) for m in ms]
+    with np.errstate(over="ignore", invalid="ignore"):  # gram_rank rejects a non-finite row
+        rows = [np.kron(m, eye) - np.kron(eye, m.T) for m in ms]
     return k * k - gram_rank(np.vstack(rows), tol)
 
 
@@ -460,7 +461,7 @@ def wt_classify(t: float, s: float, variant: str = "three_by_three",
     ws = wt_matrix(ps)
     eye = np.eye(2, dtype=np.complex128)
     rows = np.array([eye.reshape(-1), ws.reshape(-1), ws.conj().T.reshape(-1)])
-    coeffs, resid, _ = span_membership((u @ wt @ u.conj().T).reshape(-1, 1), rows)
+    coeffs, resid, _ = FactoredSpan(rows.T).fit((u @ wt @ u.conj().T).reshape(-1, 1))
     moved = [(u @ g @ u.conj().T).reshape(-1) for g in (eye, wt, wt.conj().T)]
     cert = {
         "unitary": u,

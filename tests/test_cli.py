@@ -153,6 +153,17 @@ class TestDeg1:
         code2, rep2, _ = call(["deg1", fd, fe, "--via-opsys"])
         assert code2 == EXIT_OK and rep2["homeomorphic"] is True
 
+    def test_affine_pair_past_the_square_of_the_float_range(self, tmp_path):
+        # the squares in a plain column norm of |z|^2 pass the float range
+        # here, which used to exit 2 on both routes
+        rng = np.random.default_rng(0)
+        z = 1e150 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        fd = points_file(tmp_path, "d.json", z.reshape(-1, 1))
+        fe = points_file(tmp_path, "e.json", ((2 - 1j) * z[::-1] + 5e150).reshape(-1, 1))
+        for extra in ([], ["--via-opsys"]):
+            code, rep, text = call(["deg1", fd, fe] + extra)
+            assert code == EXIT_OK and rep["homeomorphic"] is True, text
+
     def test_malformed_input(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

@@ -4,8 +4,7 @@ import scipy.linalg
 
 from osclass import linalg
 from osclass.errors import DimensionError, NotNormalError
-from osclass.linalg import (eig_normal, gram_rank, kron, op_norm,
-                            span_membership, vec)
+from osclass.linalg import FactoredSpan, eig_normal, gram_rank, kron, op_norm, vec
 
 
 def power_iteration_norm(a, iters=500, seed=0):
@@ -163,16 +162,17 @@ class TestSpanMembership:
         b1 = np.array([1, 0, 1], dtype=complex)
         b2 = np.array([0, 1j, 0], dtype=complex)
         v = 2.0 * b1 + (3 - 1j) * b2
-        c = span_membership(v, [b1, b2])
-        assert c is not None
-        assert np.allclose(c, [2.0, 3 - 1j], atol=1e-10)
+        c, _, ok = FactoredSpan(np.column_stack([b1, b2])).fit(v)
+        assert ok.tolist() == [True]
+        assert np.allclose(c[:, 0], [2.0, 3 - 1j], atol=1e-10)
 
     def test_negative(self):
-        assert span_membership([0, 0, 1], [[1, 0, 0], [0, 1, 0]]) is None
+        span = FactoredSpan(np.array([[1, 0, 0], [0, 1, 0]]).T)
+        assert span.fit([0, 0, 1])[2].tolist() == [False]
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            span_membership([1, 0], [[1, 0, 0]])
+            FactoredSpan(np.array([[1, 0, 0]]).T).fit([1, 0])
 
     @staticmethod
     def basis(kind, rng):
@@ -204,8 +204,8 @@ class TestSpanMembership:
         n = 3 * 2048 + 1  # several chunks, the last with one extra column
         target = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
         target[:, ::3] = basis.T @ rng.standard_normal((4, target[:, ::3].shape[1]))
-        coeffs, resid, ok = span_membership(target, basis)
         mat = basis.T
+        coeffs, resid, ok = FactoredSpan(mat).fit(target)
         scale = np.linalg.norm(mat, axis=0)
         u, s, vh = np.linalg.svd(mat / scale, full_matrices=False)
         kept = u[:, :rank]
@@ -218,11 +218,12 @@ class TestSpanMembership:
         # the range residual's rounding does not grow with the conditioning:
         # members pass even with a last direction 1e13 below the first
         assert ok[::3].all()
-        factored = linalg.FactoredSpan(mat)
+        factored = FactoredSpan(mat)
         assert factored.rank == rank
         assert np.array_equal(factored.projector, kept @ kept.conj().T)
         one = coef @ (kept.conj().T @ target[:, 0])  # a vector: other bits
-        assert np.array_equal(factored.fit(target[:, 0]), one)
+        single, _, _ = factored.fit(target[:, 0])
+        assert single.shape == (4, 1) and np.array_equal(single[:, 0], one)
 
 
 def test_gram_rank_counts_independent_directions():
@@ -230,7 +231,10 @@ def test_gram_rank_counts_independent_directions():
     v2 = np.array([0, 1, 0], dtype=complex)
     assert gram_rank([v1, v2]) == 2
     assert gram_rank([v1, v2, v1 + v2]) == 2
-    assert gram_rank([v1, 1e-14 * v2]) == 1  # tiny directions fall below tol
+    # each vector is counted at unit norm, so its scale decides nothing
+    assert gram_rank([v1, 1e-14 * v2]) == 2
+    assert gram_rank([1e12 * v1, 1e-14 * v2, 1e-14 * (v1 + v2)]) == 2
+    assert gram_rank([v1, v1 + 1e-12 * v2]) == 1  # a direction below tol stays dependent
     assert gram_rank([np.zeros(3)]) == 0
 
 

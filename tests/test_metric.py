@@ -117,6 +117,18 @@ class TestApproxIsometry:
         with pytest.raises(DimensionError):
             ApproxIsometry(psi=bad, dx=TWO_D1.metric, dy=TWO_D1.metric)
 
+    def test_checks_with_the_slack_of_katetov_check(self):
+        # a column that varies 1e-10 faster than d: past the metric slack for both
+        col = np.array([0.0, 1.0 + 1e-10])
+        assert not katetov_check(col, TWO_D1)
+        with pytest.raises(DimensionError, match="column 0"):
+            ApproxIsometry(psi=np.column_stack([col, col[::-1]]), dx=TWO_D1.metric,
+                           dy=TWO_D1.metric)
+        within = np.array([0.0, 1.0 + 1e-13])
+        assert katetov_check(within, TWO_D1)
+        ApproxIsometry(psi=np.column_stack([within, within[::-1]]), dx=TWO_D1.metric,
+                       dy=TWO_D1.metric)
+
 
 class TestLiftRelation:
     def test_lifted_table_formula(self):

@@ -3,7 +3,7 @@ import pytest
 
 from osclass import osdist
 from osclass.errors import DimensionError, EmptySystemError, NoUnitError
-from osclass.linalg import gram_rank, vec
+from osclass.linalg import vec
 from osclass.opsys import (AmplifiedElement, PolyhedralDualBall, amplified_norm,
                            build_system, find_unit_coeffs, greedy_basis,
                            is_operator_system, min_os_norm)
@@ -39,7 +39,7 @@ def test_build_system_keeps_generators_at_any_scale(scale):
 
 
 def reference_basis(generators, include_identity=True):
-    """The greedy basis as a per-candidate ``gram_rank`` loop over unit vectors."""
+    """The greedy basis as a per-candidate SVD rank loop over unit vectors."""
     k = generators[0].shape[0]
     candidates = [np.eye(k, dtype=complex)] if include_identity else []
     for g in generators:
@@ -50,7 +50,8 @@ def reference_basis(generators, include_identity=True):
         if norm == 0.0:
             continue
         v = vec(c) / norm
-        if not basis or gram_rank(normed + [v]) > len(basis):
+        s = np.linalg.svd(np.column_stack(normed + [v]), compute_uv=False)
+        if not basis or np.sum(s > 1e-9 * s[0]) > len(basis):
             basis.append(c)
             normed.append(v)
     return np.array(basis), find_unit_coeffs(basis)
@@ -89,7 +90,9 @@ def test_greedy_basis_checks_each_candidate():
     with pytest.raises(DimensionError):
         greedy_basis([np.ones(3), np.array([1.0, np.nan, 0.0])])
     with pytest.raises(DimensionError):
-        greedy_basis([np.ones(2), np.array([1e200, 1e200])])  # the norm overflows
+        greedy_basis([np.ones(2), np.array([1.5e308, 1.5e308])])  # the norm overflows
+    # squares past the float range, a norm within it
+    assert greedy_basis([np.ones(2), np.array([1e200, 1e200]), np.array([1e200, 0.0])]) == [0, 2]
 
 
 def test_build_system_empty_raises():
@@ -169,7 +172,7 @@ class TestIsOperatorSystem:
         assert check.detail == "adjoint of element 2 is outside the span"
 
     def test_factors_the_span_once(self, monkeypatch):
-        # one SVD for the independence rank and one for every span test
+        # one SVD for the independence rank and every span test
         svd, calls = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -177,7 +180,14 @@ class TestIsOperatorSystem:
         assert is_operator_system([np.eye(2), sx, sy, E12 + E21]).failed == "independence"
         calls.clear()
         assert is_operator_system([np.eye(2), sx, sy, np.diag([1.0, -1.0])]).ok
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale", [1e-14, 1e-12, 1e-10, 1e-6, 1.0, 1e6, 1e12, 1e50, 1e100])
+    def test_a_built_system_passes_at_any_scale(self, scale):
+        # the independence count reads the equilibrated span, as build_system's does
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        assert is_operator_system(build_system([scale * a]).basis).ok
 
 
 def test_find_unit_coeffs_recovers_identity():

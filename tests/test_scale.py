@@ -59,6 +59,17 @@ def test_affine_image_at_large_scale(route, scale):
 
 
 @pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("scale", [1e77, 1e120, 1e150])
+def test_affine_image_past_the_square_of_the_float_range(route, scale):
+    # from coordinates near 10^77 the squares inside a plain column norm of
+    # |z|^2 overflow, though every monomial and every true norm is finite
+    z = cnormal(np.random.default_rng(0), 6)
+    dec = decide(route, z * scale, ((2 - 1j) * z[::-1] + 5) * scale)
+    assert dec.homeomorphic is True
+    assert dec.witness["bijection"] == list(range(5, -1, -1))
+
+
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("m,scale", [(9, 1e6), (9, 1e9), (12, 1e6), (12, 1e9)])
 def test_permuted_affine_image_at_large_scale(route, m, scale):
     rng = np.random.default_rng(m)

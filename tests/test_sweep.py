@@ -20,7 +20,7 @@ from osclass import linalg, unitary
 from osclass.degree1 import (PointSet, deg1_via_opsys, degree_one_homeomorphic,
                               monomial_matrix)
 from osclass.errors import CapacityError
-from osclass.linalg import FactoredSpan, span_membership
+from osclass.linalg import FactoredSpan
 from osclass.unitary import TWO_PI, cois_unitary_oracle, cois_unitary_theorem, spectrum
 
 REPLAY_TOL = 1e-7
@@ -429,11 +429,14 @@ def test_batched_span_membership_matches_single_targets():
     basis = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
     inside = basis.T @ (rng.standard_normal(3) + 1j)
     outside = rng.standard_normal(6) + 0j
-    coeffs, resid, ok = span_membership(np.column_stack([inside, outside]), basis)
+    span = FactoredSpan(basis.T)
+    coeffs, resid, ok = span.fit(np.column_stack([inside, outside]))
     assert ok.tolist() == [True, False]
     assert resid[0] <= 1e-12 < resid[1]
-    assert np.allclose(coeffs[:, 0], span_membership(inside, basis), atol=1e-12)
-    assert span_membership(outside, basis) is None
+    single, _, single_ok = span.fit(inside)
+    assert single_ok.tolist() == [True]
+    assert np.allclose(coeffs[:, 0], single[:, 0], atol=1e-12)
+    assert span.fit(outside)[2].tolist() == [False]
 
 
 def test_pruning_keeps_near_tol_images():
@@ -567,7 +570,7 @@ def test_certificates_have_the_bits_of_one_shot_fits(m):
     p = np.array(cert["bijection"])
     for key, src, dst in (("forward_coeffs", zs, ws[p]),
                           ("backward_coeffs", ws, zs[np.argsort(p)])):
-        coeffs, _, ok = span_membership(dst[:, None], circle_span(src).T, 1e-8)
+        coeffs, _, ok = FactoredSpan(circle_span(src)).fit(dst[:, None], 1e-8)
         assert ok.all() and np.array_equal(cert[key], coeffs[:, 0]), key
     for dim in (1, 2):
         z = cnormal(rng, m, dim)
@@ -576,5 +579,5 @@ def test_certificates_have_the_bits_of_one_shot_fits(m):
         wit = degree_one_homeomorphic(d, e).witness
         p = np.array(wit["bijection"])
         for key, src, dst in (("forward", d, w[p]), ("backward", e, z[np.argsort(p)])):
-            coeffs, _, ok = span_membership(dst, monomial_matrix(src).T, 1e-9)
+            coeffs, _, ok = FactoredSpan(monomial_matrix(src)).fit(dst, 1e-9)
             assert ok.all() and np.array_equal(wit[key].coeffs, coeffs.T), (dim, key)
