@@ -16,12 +16,16 @@ import numpy as np
 
 from . import degree1, formulas, io, metric, osdist, unitary
 from .errors import CapacityError, InputFormatError, OsclassError
-from .linalg import FactoredSpan, gram_rank
+from .linalg import TOL_NUM, FactoredSpan, gram_rank
 from .opsys import amplified_norm
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CAPACITY = 4
+
+#: A replayed certificate value passes within this of the expected one, times
+#: the largest expected magnitude when that exceeds 1.
+REPLAY_BOUND = 1e-7
 
 
 def _tolerance(text: str) -> float:
@@ -41,24 +45,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="spectrum of a unitary as sorted circle angles")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=TOL_NUM)
 
     p = sub.add_parser("canon", help="canonical necklace of a unitary's spectrum")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=TOL_NUM)
 
     p = sub.add_parser("unitary-cois", help="complete order isomorphism decision for two unitaries")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--oracle", action="store_true", help="ignored; every size is decided exactly")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=TOL_NUM)
     p.add_argument("--cap", type=int, default=20, help="ignored; echoed in the report")
 
     p = sub.add_parser("deg1", help="degree-1 homeomorphism decision for two point sets")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=TOL_NUM)
     p.add_argument("--via-opsys", action="store_true",
                    help="decide through the operator-system function spans")
 
@@ -98,10 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _decision_payload(dec: unitary.CoisDecision) -> dict:
-    return {"verdict": dec.verdict, "method": dec.method, "certificate": dec.certificate}
-
-
 def _cmd_spectrum(args) -> tuple[dict, int]:
     s = unitary.spectrum(io.parse_matrix(io.load_json(args.matrix)), tol=args.tol)
     return {"angles": list(s.angles), "size": s.size, "tolerances": {"tol": args.tol}}, EXIT_OK
@@ -124,8 +124,7 @@ def _cmd_unitary_cois(args) -> tuple[dict, int]:
     # the spectra are extracted once and shared by the decision and the obstruction
     ss, tt = unitary.spectrum(u, tol=args.tol), unitary.spectrum(v, tol=args.tol)
     dec = unitary.cois_unitary_theorem(ss, tt, tol=args.tol)
-    payload = _decision_payload(dec)
-    payload["tolerances"] = {"tol": args.tol, "cap": args.cap}
+    payload = {**vars(dec), "tolerances": {"tol": args.tol, "cap": args.cap}}
     # the theorem calls the oracle on two 4-point spectra only
     if dec.verdict == "NotIsomorphic" and dec.method == "oracle":
         payload["obstruction"] = unitary.four_point_obstruction(ss, tt, tol=args.tol)
@@ -137,18 +136,7 @@ def _cmd_deg1(args) -> tuple[dict, int]:
     e = io.parse_point_set(io.load_json(args.right))
     decide = degree1.deg1_via_opsys if args.via_opsys else degree1.degree_one_homeomorphic
     dec = decide(d, e, tol=args.tol, cap=args.cap)
-    witness = None
-    if dec.witness is not None:
-        witness = dict(dec.witness)
-        for key in ("forward", "backward"):
-            if key in witness and isinstance(witness[key], degree1.DegreeOneMap):
-                witness[key] = {"ambient": witness[key].ambient, "coeffs": witness[key].coeffs}
-    return {
-        "homeomorphic": dec.homeomorphic,
-        "witness": witness,
-        "tried": dec.tried,
-        "tolerances": {"tol": args.tol, "cap": args.cap},
-    }, EXIT_OK
+    return {**vars(dec), "tolerances": {"tol": args.tol, "cap": args.cap}}, EXIT_OK
 
 
 def _cmd_norm(args) -> tuple[dict, int]:
@@ -179,9 +167,8 @@ def _cmd_osdist(args) -> tuple[dict, int]:
 def _cmd_family(args) -> tuple[dict, int]:
     variant = "three_by_three" if args.variant == "3x3" else "two_by_two"
     dec = osdist.wt_classify(args.t, args.s, variant, restarts=args.restarts, seed=args.seed)
-    payload = _decision_payload(dec)
-    payload.update({"t": args.t, "s": args.s, "variant": args.variant, "seed": args.seed})
-    return payload, EXIT_OK
+    return {**vars(dec), "t": args.t, "s": args.s, "variant": args.variant,
+            "seed": args.seed}, EXIT_OK
 
 
 def _cmd_gh_dist(args) -> tuple[dict, int]:
@@ -201,7 +188,7 @@ def _cmd_gh_theory(args) -> tuple[dict, int]:
 
 def _check(name: str, predicted: np.ndarray, expected: np.ndarray) -> dict:
     resid = float(np.max(np.abs(predicted - expected)))  # relative past values of size 1
-    bound = 1e-7 * max(1.0, float(np.max(np.abs(expected))))
+    bound = REPLAY_BOUND * max(1.0, float(np.max(np.abs(expected))))
     return {"check": name, "residual": resid, "pass": resid <= bound}
 
 

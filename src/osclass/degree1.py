@@ -24,11 +24,10 @@ _PAIR_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class PointSet:
-    """A finite set of m distinct points in C^n."""
+    """A finite set of m points in C^n, no two within ``TOL_NUM``."""
 
     ambient: int
     points: np.ndarray  # shape (m, n)
-    tol: float = 1e-9
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=np.complex128)
@@ -43,7 +42,7 @@ class PointSet:
         for lo in range(0, m, step):
             rows = np.arange(lo, min(lo + step, m))
             with np.errstate(over="ignore"):  # a distance past the float range is no coincidence
-                close = np.linalg.norm(p[rows, None] - p, axis=2) <= self.tol
+                close = np.linalg.norm(p[rows, None] - p, axis=2) <= TOL_NUM
             close &= np.arange(m) > rows[:, None]  # each pair once, as i < j
             if close.any():
                 i, j = np.unravel_index(np.argmax(close), close.shape)
@@ -111,7 +110,7 @@ def _coords_and_products(points: np.ndarray) -> np.ndarray:
     return np.column_stack([points] + prods)
 
 
-def is_degree_one_assignment(d: PointSet, values, tol: float = TOL_NUM):
+def is_degree_one_assignment(d: PointSet, values):
     """The degree-1 map sending the points of ``d`` to ``values``, or None.
 
     Present iff each output coordinate lies in the column space of the
@@ -123,7 +122,7 @@ def is_degree_one_assignment(d: PointSet, values, tol: float = TOL_NUM):
         vals = vals.reshape(-1, 1)
     if vals.shape != (d.size, d.ambient):
         raise DimensionError(f"values must have shape ({d.size}, {d.ambient}), got {vals.shape}")
-    coeffs, _, ok = FactoredSpan(monomial_matrix(d)).fit(_coords_and_products(vals), tol)
+    coeffs, _, ok = FactoredSpan(monomial_matrix(d)).fit(_coords_and_products(vals))
     if not ok.all():
         return None
     return DegreeOneMap(ambient=d.ambient, coeffs=coeffs[:, :d.ambient].T)

@@ -120,6 +120,8 @@ def _parse_table(spec, arity: int, size: int) -> np.ndarray:
             idx = tuple(int(t) for t in str(key).split(","))
             if len(idx) != arity:
                 raise InputFormatError(f"table key {key!r} does not match arity {arity}")
+            if not all(0 <= i < size for i in idx):
+                raise InputFormatError(f"table key {key!r} has an index outside range({size})")
             arr[idx] = float(value)
         return arr
     raise InputFormatError("relation table must be a nested list or an index-keyed object")
@@ -170,54 +172,41 @@ def load_json(path: str):
         raise InputFormatError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def jsonable(value):
-    """Convert numpy scalars/arrays, complex values and dataclasses for output."""
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.complexfloating, complex)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if value is None or isinstance(value, str):
-        return value
-    if hasattr(value, "__dict__"):
-        return jsonable(vars(value))
-    return str(value)
-
-
 def _render(value, parts: list):
+    """Append the canonical text of ``value``: dict keys as sorted strings,
+    tuples and numpy arrays as lists, complex numbers as ``[re, im]``, numpy
+    scalars as their Python values, other objects with attributes (such as
+    dataclasses) as the dict of those, and anything else as its string."""
     if isinstance(value, dict):
         parts.append("{")
-        for i, key in enumerate(sorted(value)):
+        for i, key in enumerate(sorted(value, key=str)):
             if i:
                 parts.append(",")
             parts.append(json.dumps(str(key)))
             parts.append(":")
             _render(value[key], parts)
         parts.append("}")
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         parts.append("[")
         for i, v in enumerate(value):
             if i:
                 parts.append(",")
             _render(v, parts)
         parts.append("]")
-    elif isinstance(value, bool):
+    elif isinstance(value, np.ndarray):
+        _render(value.tolist(), parts)
+    elif isinstance(value, (bool, np.bool_)):
         parts.append("true" if value else "false")
-    elif isinstance(value, float):
-        parts.append(format(value, ".17g"))
-    elif isinstance(value, int):
-        parts.append(str(value))
+    elif isinstance(value, (complex, np.complexfloating)):
+        parts.append(f"[{float(value.real):.17g},{float(value.imag):.17g}]")
+    elif isinstance(value, (float, np.floating)):
+        parts.append(format(float(value), ".17g"))
+    elif isinstance(value, (int, np.integer)):
+        parts.append(str(int(value)))
     elif value is None:
         parts.append("null")
+    elif not isinstance(value, str) and hasattr(value, "__dict__"):
+        _render(vars(value), parts)
     else:
         parts.append(json.dumps(str(value)))
 
@@ -225,5 +214,5 @@ def _render(value, parts: list):
 def canonical_report(report: dict) -> str:
     """Canonical JSON text: sorted keys, 17-significant-digit floats."""
     parts: list = []
-    _render(jsonable(report), parts)
+    _render(report, parts)
     return "".join(parts)

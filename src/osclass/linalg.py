@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, NotNormalError
 
-#: Default relative tolerance used across the package.
+#: The threshold of every dimension (:func:`numerical_rank` of an equilibrated
+#: span) and the default of every ``tol`` a caller can set.
 TOL_NUM = 1e-9
 
 
@@ -131,26 +132,33 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
     return SpectralDecomposition(lam, q)
 
 
-#: Most multiply-adds per product in a batched :meth:`FactoredSpan.fit`:
-#: OpenBLAS hands a product past 2^16 of them to its thread pool, and on these
-#: thin matrices the hand-off costs milliseconds and saves microseconds.
-_SERIAL_PRODUCT = 1 << 16
-
 _CUTOFF = 1e-13  # singular values of the equilibrated span up to this times the largest are cut
-_FLOAT_SLACK = 1e-14  # rounding slack of bijection_sweep per point and span column
+_FLOAT_SLACK = 1e-14  # rounding slack of the pruning radius and of its cutoff test
+
+
+#: Plain column norms below this lose bits to underflowing squares.
+_NORMAL_NORM = math.sqrt(np.finfo(float).tiny)
+
+#: Exact lift of such a column: its nonzero entries, 5e-324 to 1.5e-154, move
+#: to 2e-143 to 6e26, so its max-abs entry and that entry's reciprocal are normal.
+_LIFT = 2.0 ** 600
 
 
 def _column_norms(mat: np.ndarray) -> np.ndarray:
     """Column norms of ``mat``, the one finiteness check of spans and targets:
-    a column whose squares overflow is measured again at a max-abs entry of 1
-    (other columns keep the plain norm's bits), and a non-finite entry or a
-    true norm past the float range raises ``DimensionError``."""
+    a nonzero column whose squares overflow or underflow (plain norm inf or
+    below ``_NORMAL_NORM``) is measured again at a max-abs entry of 1 (other
+    columns keep the plain norm's bits), and a non-finite entry or a true
+    norm past the float range raises ``DimensionError``."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(mat, axis=0)
-        if not math.isfinite(norms.sum()):
-            big = np.isinf(norms)
-            peak = np.abs(mat[:, big]).max(axis=0)
-            norms[big] = peak * np.linalg.norm(mat[:, big] / peak, axis=0)
+        if not (math.isfinite(norms.sum()) and norms.min() >= _NORMAL_NORM):
+            odd = np.flatnonzero(np.isinf(norms) | (norms < _NORMAL_NORM))
+            odd = odd[mat[:, odd].any(axis=0)]  # a zero column keeps 0
+            lift = np.where(norms[odd] < 1.0, _LIFT, 1.0)
+            cols = mat[:, odd] * lift
+            peak = np.abs(cols).max(axis=0)
+            norms[odd] = peak * np.linalg.norm(cols / peak, axis=0) / lift
             if not np.isfinite(norms).all():
                 raise DimensionError("non-finite entries or an overflowing column norm")
     return norms
@@ -160,12 +168,16 @@ def equilibrate(span) -> tuple[np.ndarray, np.ndarray]:
     """``(span D^-1, D)``, D the column norms (1 for a zero column): the one
     normalisation of a span in the package, within sqrt(k) of the best
     diagonal scaling (van der Sluis, Numer. Math. 14, 1969; Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., Sec. 7.3)."""
+    and Stability of Numerical Algorithms*, 2nd ed., Sec. 7.3).  A nonzero
+    column norm below the normal range, whose reciprocal overflows, raises
+    ``DimensionError``."""
     mat = np.asarray(span, dtype=np.complex128)
     if mat.ndim != 2 or mat.size == 0:
         raise DimensionError("a span must be a nonempty 2-d array")
     scale = _column_norms(mat)
     scale[scale == 0.0] = 1.0
+    if scale.min() < np.finfo(float).tiny:
+        raise DimensionError("a column norm below the normal float range")
     return mat / scale, scale
 
 
@@ -190,9 +202,10 @@ class FactoredSpan:
         self.span, self._scale, self._s, self._basis = mat, scale, s, u[:, :r]
         self._coef = vh[:r].conj().T / s[:r] / scale[:, None]  # D^-1 V_r S_r^-1
 
-    def dim(self, tol: float = TOL_NUM) -> int:
-        """The span's dimension: :func:`numerical_rank` at ``tol``."""
-        return numerical_rank(self._s, tol)
+    @property
+    def dim(self) -> int:
+        """The span's dimension: :func:`numerical_rank` at ``TOL_NUM``."""
+        return numerical_rank(self._s, TOL_NUM)
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -205,30 +218,18 @@ class FactoredSpan:
         rounded by about eps ``||v||`` however the span is conditioned.  Gives
         ``(coeffs, residuals, accepted)``, one entry per column of a 2-d ``v``
         (any other ``v`` is one column); the coefficients
-        ``D^-1 V_r S_r^-1 U_r* v`` are the certificate only.  Targets go in
-        power-of-two chunks of at least 64 columns and at most
-        ``_SERIAL_PRODUCT`` multiply-adds per product where the span allows.
-        Chunks start at multiples of 64, so BLAS's kernels see the same column
-        blocks and every column has the bits of one product over all targets."""
+        ``D^-1 V_r S_r^-1 U_r* v`` are the certificate only.  All targets go
+        through one product, so every column has the bits of that product."""
         target = np.asarray(v, dtype=np.complex128)
         if target.ndim != 2:
             target = target.reshape(-1, 1)  # numpy multiplies a lone column as a vector
-        mat, basis = self.span, self._basis
-        if mat.shape[0] != target.shape[0]:
+        basis = self._basis
+        if self.span.shape[0] != target.shape[0]:
             raise DimensionError("basis vectors must match the length of v")
         size = _column_norms(target)
-        n = target.shape[1]
-        step = 1 << max(6, (_SERIAL_PRODUCT // mat.size).bit_length() - 1)
-        cuts = list(range(step, n, step))
-        if cuts and n - cuts[-1] == 1:
-            cuts.pop()  # a lone last column would get a vector's bits
-        coeffs = np.empty((mat.shape[1], n), dtype=np.complex128)
-        resid = np.empty(n)
-        for part in map(slice, [0] + cuts, cuts + [n]):
-            inner = basis.conj().T @ target[:, part]
-            coeffs[:, part] = self._coef @ inner
-            resid[part] = _column_norms(target[:, part] - basis @ inner)
-        return coeffs, resid, resid <= tol * np.maximum(1.0, size)
+        inner = basis.conj().T @ target
+        resid = _column_norms(target - basis @ inner)
+        return self._coef @ inner, resid, resid <= tol * np.maximum(1.0, size)
 
 
 #: Most nodes (partial bijections) one :func:`bijection_sweep` may visit; a
@@ -258,7 +259,7 @@ def _pruning(span_a: FactoredSpan, span_b: FactoredSpan, tol: float):
         constant = (other.span == other.span[:1]).all(axis=0)
         weights = np.linalg.norm(other._coef, axis=1) * np.maximum(1.0, other._scale)
         reach.append(weights @ (np.where(constant, miss, tol) + slack * (1.0 + other._s[0]) + wobble))
-        near |= bool((abs(sv - _CUTOFF * sv[0]) < 1e-14 * sv[0]).any())  # rounding cuts or not
+        near |= bool((abs(sv - _CUTOFF * sv[0]) < _FLOAT_SLACK * sv[0]).any())  # rounding cuts or not
     return span_a.projector, span_b.projector, math.inf if near else max(reach) + 2.0 * slack
 
 
@@ -381,14 +382,15 @@ def bijection_sweep(span_a: FactoredSpan, span_b: FactoredSpan, values_a, values
     return None, math.factorial(m)
 
 
-def gram_rank(vectors, tol: float = TOL_NUM) -> int:
+def gram_rank(vectors) -> int:
     """Numerical rank of the span of the given vectors (of equal lengths): the
-    :func:`numerical_rank` at ``tol`` of their equilibrated span, so no
+    :func:`numerical_rank` at ``TOL_NUM`` of their equilibrated span, so no
     vector's scale decides the count."""
     cols = [np.ravel(v) for v in vectors]
     if not cols or any(c.size != cols[0].size for c in cols):
         raise DimensionError("need one or more vectors of equal lengths")
-    return numerical_rank(np.linalg.svd(equilibrate(np.column_stack(cols))[0], compute_uv=False), tol)
+    return numerical_rank(np.linalg.svd(equilibrate(np.column_stack(cols))[0], compute_uv=False),
+                          TOL_NUM)
 
 
 def kron(a, b) -> np.ndarray:

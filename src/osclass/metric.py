@@ -18,6 +18,9 @@ from .errors import CapacityError, DimensionError
 #: Slack used for metric-axiom and Katetov checks.
 METRIC_SLACK = 1e-12
 
+#: Largest extension gap at which :func:`_critical_eps` counts a pair as matched.
+MATCH_SLACK = 1e-9
+
 #: Default cap on domain sizes for the brute-force correspondence search.
 DEFAULT_DK_CAP = 6
 
@@ -154,12 +157,13 @@ class FiniteStructure:
         return FiniteStructure(self.metric[np.ix_(inv, inv)], rels, doms, self.signature)
 
 
-def katetov_check(f, x: FiniteStructure, slack: float = METRIC_SLACK) -> bool:
-    """Whether ``|f(a) - f(b)| <= d(a, b) <= f(a) + f(b)`` for all pairs."""
+def katetov_check(f, x: FiniteStructure) -> bool:
+    """Whether ``|f(a) - f(b)| <= d(a, b) <= f(a) + f(b)`` for all pairs, up
+    to ``METRIC_SLACK``."""
     v = np.asarray(f, dtype=np.float64).ravel()
     if v.size != x.size:
         raise DimensionError(f"expected {x.size} values, got {v.size}")
-    return _katetov_table(v, x.metric, slack)
+    return _katetov_table(v, x.metric)
 
 
 @dataclass(frozen=True)
@@ -180,21 +184,21 @@ class ApproxIsometry:
             raise DimensionError("psi must be nonnegative")
         for j in range(p.shape[1]):
             col = p[:, j]
-            if not _katetov_table(col, dx, METRIC_SLACK):
+            if not _katetov_table(col, dx):
                 raise DimensionError(f"psi column {j} is not Katetov on the source")
         for i in range(p.shape[0]):
             row = p[i, :]
-            if not _katetov_table(row, dy, METRIC_SLACK):
+            if not _katetov_table(row, dy):
                 raise DimensionError(f"psi row {i} is not Katetov on the target")
         object.__setattr__(self, "psi", p)
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "dy", dy)
 
 
-def _katetov_table(v: np.ndarray, d: np.ndarray, slack: float) -> bool:
+def _katetov_table(v: np.ndarray, d: np.ndarray) -> bool:
     diff = np.abs(v[:, None] - v[None, :])
     total = v[:, None] + v[None, :]
-    return bool(np.all(diff <= d + slack) and np.all(d <= total + slack))
+    return bool(np.all(diff <= d + METRIC_SLACK) and np.all(d <= total + METRIC_SLACK))
 
 
 def eps_of_bijection(psi: ApproxIsometry) -> float:
@@ -301,13 +305,13 @@ def _correspondence_blocks(p: int, q: int):
         yield masks if p >= q else masks.transpose(0, 2, 1)
 
 
-def _critical_eps(masks: np.ndarray, dx: np.ndarray, dy: np.ndarray, value_gaps,
-                  slack: float = 1e-9) -> np.ndarray:
+def _critical_eps(masks: np.ndarray, dx: np.ndarray, dy: np.ndarray, value_gaps) -> np.ndarray:
     """Critical epsilon at which the extension of each full correspondence passes.
 
     Combines the Katetov-validity threshold of the extension with the
     epsilon-bijection thresholds of every lifted relation in the sublanguage,
-    where lifted matching is only possible along pairs at zero gap.
+    where lifted matching is only possible along pairs at zero gap (up to
+    ``MATCH_SLACK``).
     ``value_gaps`` holds, per relation, its arity r and the table of
     ``|R(x-tuple) - R(y-tuple)|`` over the domain tuples.
     """
@@ -316,7 +320,7 @@ def _critical_eps(masks: np.ndarray, dx: np.ndarray, dy: np.ndarray, value_gaps,
     eps = np.maximum(
         ((dx[None, :, :, None] - g[:, :, None, :] - g[:, None, :, :]) / 2.0).max(axis=(1, 2, 3)),
         ((dy[None, None] - g[:, :, :, None] - g[:, :, None, :]) / 2.0).max(axis=(1, 2, 3)))
-    matched = g <= slack
+    matched = g <= MATCH_SLACK
     for r, gaps in value_gaps:
         joint = np.ones((len(g),) + (1,) * (2 * r), dtype=bool)
         for i in range(r):

@@ -112,7 +112,7 @@ class PolyhedralDualBall:
         object.__setattr__(self, "functionals", fs)
 
 
-def build_system(generators, include_identity: bool = True, tol: float = TOL_NUM) -> OperatorSystemSpan:
+def build_system(generators, include_identity: bool = True) -> OperatorSystemSpan:
     """Build the operator system spanned by I and the generators with adjoints.
 
     Basis extraction is greedy in a fixed order (identity first, then each
@@ -139,23 +139,23 @@ def build_system(generators, include_identity: bool = True, tol: float = TOL_NUM
     for g in gens:
         candidates.append(g)
         candidates.append(g.conj().T)
-    basis = [candidates[i] for i in greedy_basis(candidates, tol)]
+    basis = [candidates[i] for i in greedy_basis(candidates)]
     if not basis:
         raise EmptySystemError("generators span the zero space")
-    unit = find_unit_coeffs(basis, tol)
+    unit = find_unit_coeffs(basis)
     stacked = np.array(basis)
     stacked.setflags(write=False)
     return OperatorSystemSpan(ambient_dim=k, basis=stacked, unit_coeffs=unit)
 
 
-def greedy_basis(candidates, tol: float = TOL_NUM) -> list[int]:
+def greedy_basis(candidates) -> list[int]:
     """Indices of the candidates that a greedy rank rule keeps, in order.
 
     The candidates (arrays, read row-major; all of one size) are equilibrated
     together once (:func:`linalg.equilibrate`, which raises ``DimensionError``
     on a non-finite entry or a norm past the float range).  The first nonzero
     candidate is kept; a later one when the kept unit vectors with it have a
-    larger :func:`linalg.numerical_rank` at ``tol`` than without.  So a
+    larger :func:`linalg.numerical_rank` at ``TOL_NUM`` than without.  So a
     candidate's scale never decides whether it is kept.
     """
     if not candidates:
@@ -164,12 +164,12 @@ def greedy_basis(candidates, tol: float = TOL_NUM) -> list[int]:
     kept: list[int] = []
     for i in np.flatnonzero(unit.any(axis=0)).tolist():  # zero candidates are skipped
         if not kept or linalg.numerical_rank(
-                np.linalg.svd(unit[:, kept + [i]], compute_uv=False), tol) > len(kept):
+                np.linalg.svd(unit[:, kept + [i]], compute_uv=False), TOL_NUM) > len(kept):
             kept.append(i)
     return kept
 
 
-def is_operator_system(matrices, tol: float = TOL_NUM) -> SystemCheck:
+def is_operator_system(matrices) -> SystemCheck:
     """Decide whether a tuple of matrices spans an operator system.
 
     Checks, in order: linear independence of the tuple, closure of the span
@@ -184,10 +184,10 @@ def is_operator_system(matrices, tol: float = TOL_NUM) -> SystemCheck:
         if m.shape != (k, k):
             raise DimensionError("matrices must be square of equal size")
     span = FactoredSpan(np.column_stack([vec(m) for m in ms]))
-    if span.dim(tol) < len(ms):
+    if span.dim < len(ms):
         return SystemCheck(False, "independence", "tuple is linearly dependent")
     targets = [vec(m.conj().T) for m in ms] + [np.eye(k, dtype=np.complex128).ravel()]
-    ok = span.fit(np.column_stack(targets), tol)[2]
+    ok = span.fit(np.column_stack(targets))[2]
     if not ok[:-1].all():  # argmin is the first failing element
         return SystemCheck(False, "adjoints", f"adjoint of element {np.argmin(ok)} is outside the span")
     if not ok[-1]:
@@ -195,12 +195,12 @@ def is_operator_system(matrices, tol: float = TOL_NUM) -> SystemCheck:
     return SystemCheck(True)
 
 
-def find_unit_coeffs(basis, tol: float = TOL_NUM) -> np.ndarray:
+def find_unit_coeffs(basis) -> np.ndarray:
     """Minimum-norm coefficients reproducing the identity in the given span."""
     ms = [as_matrix(b) for b in basis]
     k = ms[0].shape[0]
     # the transpose of the stacked rows: its column norms have the bits of this layout
-    coeffs, _, ok = FactoredSpan(np.array([vec(m) for m in ms]).T).fit(np.eye(k).ravel(), tol)
+    coeffs, _, ok = FactoredSpan(np.array([vec(m) for m in ms]).T).fit(np.eye(k).ravel())
     if not ok[0]:
         raise NoUnitError("identity is not in the span of the basis")
     return coeffs[:, 0]

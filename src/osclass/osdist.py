@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionError, NotComparableError
 # op_norm stays importable from here: the benchmark's tracer test reads osdist.op_norm
-from .linalg import FactoredSpan, gram_rank, op_norm  # noqa: F401
+from .linalg import TOL_NUM, FactoredSpan, gram_rank, op_norm  # noqa: F401
 from .opsys import OperatorSystemSpan, build_system
 
 #: Condition-number bound past which a candidate map is treated as singular.
@@ -410,7 +410,7 @@ def trace_invariants(x: OperatorSystemSpan, g) -> tuple[float, float]:
     return complex(np.trace(m)) / k, complex(np.trace(m @ m)) / k
 
 
-def commutant_dimension(matrices, tol: float = 1e-9) -> int:
+def commutant_dimension(matrices) -> int:
     """Dimension of the commutant of k x k matrices: k^2 less a :func:`gram_rank`."""
     ms = [np.asarray(m, dtype=np.complex128) for m in matrices]
     k = ms[0].shape[0]
@@ -418,18 +418,18 @@ def commutant_dimension(matrices, tol: float = 1e-9) -> int:
     # vec(MA - AM) = (M (x) I - I (x) M^T) vec(A), row-major vec
     with np.errstate(over="ignore", invalid="ignore"):  # gram_rank rejects a non-finite row
         rows = [np.kron(m, eye) - np.kron(eye, m.T) for m in ms]
-    return k * k - gram_rank(np.vstack(rows), tol)
+    return k * k - gram_rank(np.vstack(rows))
 
 
 def wt_classify(t: float, s: float, variant: str = "three_by_three",
-                tol: float = 1e-9, restarts: int = 128, seed: int = 0) -> "CoisDecision":
+                restarts: int = 128, seed: int = 0) -> "CoisDecision":
     """Decide complete order isomorphism within a W family.
 
     The 3x3 family is decided exactly: a trace-preserving unitary conjugation
     forces the identity coefficient to zero, then the product trace forces one
     of the off-coefficients to zero, and matching the singular-value multisets
-    {0, 1, t} vs {0, |b|, |b| s} leaves only s = t.  The 2x2 family is
-    mutually isomorphic: span{I, W_t, W_t*} is the set of A with
+    {0, 1, t} vs {0, |b|, |b| s} leaves only s = t (within ``TOL_NUM``).
+    The 2x2 family is mutually isomorphic: span{I, W_t, W_t*} is the set of A with
     tr(H_t A) = 0 for the traceless Hermitian H_t = [[t, -1], [-1, -t]], and
     U = Q_s Q_t^T, built from the eigenvectors of H_t and H_s, gives
     U H_t U* = c H_s with c > 0, so conjugation by U carries one span onto
@@ -450,7 +450,7 @@ def wt_classify(t: float, s: float, variant: str = "three_by_three",
             "analysis": "alpha = 0 by trace, beta*gamma = 0 by squared trace; "
                         "singular multisets {0,1,t} vs {0,|b|,|b|s} force s = t",
         }
-        if abs(t - s) <= tol:
+        if abs(t - s) <= TOL_NUM:
             cert["witness"] = "identity"
             return CoisDecision("Isomorphic", "theorem-fast-path", cert)
         return CoisDecision("NotIsomorphic", "theorem-fast-path", cert)

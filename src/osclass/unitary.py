@@ -26,10 +26,13 @@ SPECTRUM_DEDUP_TOL = 1e-8
 #: Slack for tolerance-aware lexicographic comparison of gap sequences.
 NECKLACE_SLACK = 1e-9
 
+#: Least threshold of the exact tests here, and the default of :func:`rigid_equivalent`.
+TOL_FLOOR = 1e-8
+
 
 def _floored(tol: float) -> float:
-    """The threshold of every exact test here: ``tol``, but never below 1e-8."""
-    return max(tol, 1e-8)
+    """The threshold of every exact test here: ``tol``, but never below ``TOL_FLOOR``."""
+    return max(tol, TOL_FLOOR)
 
 
 def circle_dist(a: float, b: float) -> float:
@@ -43,7 +46,6 @@ class CircleSet:
     """A finite subset of the unit circle, stored as sorted angles in [0, 2pi)."""
 
     angles: np.ndarray
-    tol: float = SPECTRUM_DEDUP_TOL
 
     def __post_init__(self):
         a = np.asarray(self.angles, dtype=np.float64).ravel()
@@ -53,7 +55,7 @@ class CircleSet:
         if a.size > 1:
             gaps = np.diff(a)
             wrap = TWO_PI - a[-1] + a[0]
-            if np.min(gaps) <= self.tol or wrap <= self.tol:
+            if np.min(gaps) <= SPECTRUM_DEDUP_TOL or wrap <= SPECTRUM_DEDUP_TOL:
                 raise DimensionError("angles are not separated beyond the dedup tolerance")
         object.__setattr__(self, "angles", a)
 
@@ -144,12 +146,12 @@ def spectrum(u, tol: float = TOL_NUM) -> CircleSet:
     return CircleSet(np.array(deduped))
 
 
-def _lex_less(a, b, slack: float = NECKLACE_SLACK) -> bool:
-    """Tolerance-aware strict lexicographic comparison."""
+def _lex_less(a, b) -> bool:
+    """Strict lexicographic comparison up to ``NECKLACE_SLACK``."""
     for x, y in zip(a, b):
-        if x < y - slack:
+        if x < y - NECKLACE_SLACK:
             return True
-        if x > y + slack:
+        if x > y + NECKLACE_SLACK:
             return False
     return False
 
@@ -202,7 +204,7 @@ def _hausdorff_angles(a: np.ndarray, b: np.ndarray) -> float:
 _SCREEN_SLACK = 1e-12
 
 
-def rigid_equivalent(s: CircleSet, t: CircleSet, tol: float = 1e-8):
+def rigid_equivalent(s: CircleSet, t: CircleSet, tol: float = TOL_FLOOR):
     """A rigid motion carrying ``t`` onto ``s``, or None.
 
     The 2 * |t| candidate motions align each point of ``t`` (plain or
@@ -324,13 +326,13 @@ def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int | None = None) -> C
     return _bijection_decision(ss, tt, tol)
 
 
-def validate_unitary_image(alpha: complex, beta: complex, gamma: complex,
-                           tol: float = TOL_NUM) -> bool:
+def validate_unitary_image(alpha: complex, beta: complex, gamma: complex) -> bool:
     """Check the coefficient relations forced on the image of a unitary.
 
     A *-isomorphism sending ``U`` to ``alpha I + beta V + gamma V*`` with
     five-point spectra forces all four displayed relations, hence ``alpha = 0``
-    and exactly one of ``|beta| = 1``, ``|gamma| = 1``.
+    and exactly one of ``|beta| = 1``, ``|gamma| = 1``; each holds within
+    ``TOL_FLOOR``.
     """
     checks = [
         abs(abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2 - 1.0),
@@ -338,7 +340,7 @@ def validate_unitary_image(alpha: complex, beta: complex, gamma: complex,
         abs(alpha * np.conj(beta) + np.conj(alpha) * gamma),
         abs(np.conj(beta) * gamma),
     ]
-    return all(c <= _floored(tol) for c in checks)
+    return all(c <= TOL_FLOOR for c in checks)
 
 
 def four_point_obstruction(u, v, tol: float = TOL_NUM) -> dict:

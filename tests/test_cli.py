@@ -321,6 +321,16 @@ class TestGh:
         assert code == EXIT_INVALID
         assert rep["error"]["kind"] == "DimensionError"
 
+    @pytest.mark.parametrize("key", ["-1", "3", "-4"])
+    def test_table_key_outside_the_points_exits_invalid(self, tmp_path, key):
+        # "-1" used to wrap through numpy indexing and set R[2]
+        m = structure_file(tmp_path, "m.json", [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+                           {"R": {"arity": 1, "table": {key: 0.5}}})
+        code, rep, _ = call(["gh-theory", m])
+        assert code == EXIT_INVALID
+        assert rep["error"]["kind"] == "InputFormatError"
+        assert "outside range(3)" in rep["error"]["message"]
+
     def test_capacity(self, tmp_path):
         big = structure_file(tmp_path, "big.json",
                              (np.ones((8, 8)) - np.eye(8)).tolist())

@@ -62,7 +62,7 @@ def outcome(parse, obj):
     except OsclassError as exc:
         return type(exc).__name__, str(exc)
     if isinstance(value, PointSet):
-        return value.ambient, value.tol, bits(value.points)
+        return value.ambient, bits(value.points)
     if isinstance(value, AmplifiedElement):
         return value.level, bits(value.coeffs)
     return bits(value)

@@ -238,6 +238,12 @@ def test_gram_rank_counts_independent_directions():
     assert gram_rank([np.zeros(3)]) == 0
 
 
+def test_gram_rank_counts_a_column_whose_squares_underflow():
+    assert gram_rank([np.ones(3), np.array([1e-170, 0, 0])]) == 2
+    assert gram_rank([np.ones(3), np.array([1e-170j, 1e-200, 0])]) == 2
+    assert gram_rank([np.zeros(3)]) == 0
+
+
 def test_kron_block_layout():
     a = np.array([[1, 2], [3, 4]])
     b = np.eye(2)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from osclass import linalg
 from osclass.degree1 import PointSet, deg1_via_opsys, degree_one_homeomorphic
+from osclass.errors import DimensionError
 from osclass.opsys import build_system
 
 ROUTES = [degree_one_homeomorphic, deg1_via_opsys]
@@ -111,6 +112,21 @@ def test_build_system_at_large_scale(exponent):
     x = build_system([gen])
     assert x.dim == 3
     assert np.allclose(x.unit(), np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("exponent", [165, 170, 250, 300])
+def test_build_system_at_tiny_scale(exponent):
+    # every square of the generator's entries underflows, so its columns are
+    # measured again at a max-abs entry of 1 (it was 1-dim from 1e-165 on)
+    gen = np.array([[0.3, 1], [-0.5, 0.2j]]) * 10.0 ** -exponent
+    x = build_system([gen])
+    assert x.dim == 3
+    assert np.allclose(x.unit(), np.eye(2), atol=1e-12)
+
+
+def test_column_norm_below_the_normal_range_is_an_input_error():
+    with pytest.raises(DimensionError, match="below the normal float range"):
+        build_system([np.array([[0.3, 1], [-0.5, 0.2j]]) * 1e-310])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

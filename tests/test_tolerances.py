@@ -1,0 +1,53 @@
+"""The documented tolerance policy, read from the README, against the code."""
+
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+#: The modules that compute; ``errors`` only reports the tolerance it is given.
+MODULES = ("linalg", "unitary", "degree1", "opsys", "osdist", "metric", "formulas", "io", "cli")
+
+#: Every function with a ``tol`` parameter: the routes the CLI's ``--tol``
+#: reaches, and the rank rule that takes ``TOL_NUM`` or ``_CUTOFF``.
+SETTABLE = {
+    "linalg.eig_normal", "linalg.numerical_rank", "linalg.FactoredSpan.fit",
+    "linalg._pruning", "linalg.bijection_sweep",
+    "unitary._floored", "unitary.spectrum", "unitary.rigid_equivalent",
+    "unitary._as_spectrum", "unitary.cois_unitary_theorem", "unitary._bijection_decision",
+    "unitary.cois_unitary_oracle", "unitary.four_point_obstruction",
+    "degree1.degree_one_homeomorphic", "degree1.deg1_via_opsys",
+}
+
+
+def tolerance_table() -> list:
+    """(constant, value, module) for each row of the README's Tolerances table."""
+    section = README.read_text(encoding="utf-8").split("\n## Tolerances\n", 1)[1]
+    section = re.split(r"^#", section, maxsplit=1, flags=re.M)[0]
+    return re.findall(r"^\| `(\w+)` \| ([^ |]+) \| `(\w+)` \|", section, flags=re.M)
+
+
+def test_readme_table_matches_the_constants():
+    rows = tolerance_table()
+    names = [name for name, _, _ in rows]
+    assert "TOL_NUM" in names and len(set(names)) == len(names)
+    for name, value, module in rows:
+        mod = importlib.import_module(f"osclass.{module}")
+        assert getattr(mod, name) == float(value), (module, name)
+
+
+def test_only_the_cli_tolerance_is_settable():
+    found = set()
+    for module in MODULES:
+        mod = importlib.import_module(f"osclass.{module}")
+        for attr, obj in vars(mod).items():
+            members = [(attr, obj)]
+            if inspect.isclass(obj):
+                members = [(f"{attr}.{k}", v) for k, v in vars(obj).items()]
+            for name, fn in members:
+                if (inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                        and {"tol", "slack"} & set(inspect.signature(fn).parameters)):
+                    found.add(f"{module}.{name}")
+    assert found == SETTABLE
