@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--cap", type=int, default=6)
+    p.add_argument("--cap", type=int, default=metric.DEFAULT_DK_CAP)
 
     p = sub.add_parser("gh-theory", help="universal-theory fingerprint of a structure")
     p.add_argument("structure")

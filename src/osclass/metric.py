@@ -22,7 +22,7 @@ METRIC_SLACK = 1e-12
 MATCH_SLACK = 1e-9
 
 #: Default cap on domain sizes for the brute-force correspondence search.
-DEFAULT_DK_CAP = 6
+DEFAULT_DK_CAP = 8
 
 #: Exhaustive correspondence enumeration is used while |D| * |E| stays below this.
 EXHAUSTIVE_PAIR_LIMIT = 20
@@ -258,8 +258,19 @@ def correspondence_extension(m: FiniteStructure, n: FiniteStructure, pairs,
 
 def _gap_tables(dx: np.ndarray, dy: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Per mask, the min over its cells (x', y') of ``dx[x, x'] + dy[y', y]``."""
+    cells = masks.reshape(len(masks), -1, 1, 1)
+    return np.where(cells, _cell_gaps(dx, dy), np.inf).min(axis=1)
+
+
+def _cell_gaps(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Per cell c = x' * q + y', the gap table ``dx[x, x'] + dy[y', y]`` of {c} alone.
+
+    A cell set's gap table (:func:`_gap_tables`) is the min of its cells'
+    tables; min is exact, so taking it in any order gives the same bits.
+    """
+    p, q = len(dx), len(dy)
     sums = dx[:, None, :, None] + dy.T[None, :, None, :]
-    return np.where(masks[:, None, None], sums, np.inf).min(axis=(3, 4))
+    return sums.reshape(p * q, p * q).T.reshape(p * q, p, q)
 
 
 def _gap_table(m: FiniteStructure, n: FiniteStructure, pairs) -> np.ndarray:
@@ -269,40 +280,21 @@ def _gap_table(m: FiniteStructure, n: FiniteStructure, pairs) -> np.ndarray:
     return _gap_tables(m.metric, n.metric, mask[None])[0]
 
 
-#: Entries in the widest array of one block of the d_k sweep: candidate masks
-#: are decoded this many cells at a time and scored this many table entries
-#: at a time, so the sweep's memory stays flat however many candidates it has.
+#: Entries in the widest array of one block of the d_k search: candidates
+#: are decoded, extended, bounded and scored this many table entries at a
+#: time, so memory stays flat however many candidates there are.
 DK_BLOCK_ENTRIES = 1 << 16
 
 
-def _correspondence_blocks(p: int, q: int):
-    """Full correspondences between p and q points, as boolean (B, p, q) masks.
+def _katetov_eps(g: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Per gap table g, the least eps at which its extension is Katetov.
 
-    While ``p * q <= EXHAUSTIVE_PAIR_LIMIT`` these are all cell sets covering
-    every row and column: bit ``a * q + b`` of each integer 1 .. 2^(pq) - 1
-    marks cell (a, b).  Beyond that they are the graphs of the onto maps from
-    the larger side to the smaller (the first side when sizes tie): the
-    base-s digits of 0 .. s^L - 1, most significant first, are the images of
-    the L larger-side points.  ``DK_BLOCK_ENTRIES // (p * q)`` integers are
-    decoded at a time.
+    That is the largest ``(d(x, x~) - g(x, y) - g(x~, y)) / 2`` over both
+    sides: ``d(x, x~) <= 2 eps + g(x, y) + g(x~, y)``, and likewise on y.
     """
-    chunk = max(1, DK_BLOCK_ENTRIES // max(1, p * q))
-    if p * q <= EXHAUSTIVE_PAIR_LIMIT:
-        cells = 1 << np.arange(p * q).reshape(p, q)
-        lines = np.concatenate([cells.sum(axis=1), cells.sum(axis=0)])
-        stop = 1 << (p * q)
-        for start in range(1, stop, chunk):
-            ints = np.arange(start, min(start + chunk, stop))
-            ints = ints[(ints[:, None] & lines != 0).all(axis=1)]
-            yield (ints[:, None] >> np.arange(p * q) & 1).astype(bool).reshape(-1, p, q)
-        return
-    big, small = max(p, q), min(p, q)
-    powers, stop = small ** np.arange(big - 1, -1, -1), small ** big
-    for start in range(0, stop, chunk):
-        images = np.arange(start, min(start + chunk, stop))[:, None] // powers % small
-        images = images[np.bitwise_or.reduce(1 << images, axis=1) == (1 << small) - 1]
-        masks = images[:, :, None] == np.arange(small)
-        yield masks if p >= q else masks.transpose(0, 2, 1)
+    return np.maximum(
+        ((dx[None, :, :, None] - g[:, :, None, :] - g[:, None, :, :]) / 2.0).max(axis=(1, 2, 3)),
+        ((dy[None, None] - g[:, :, :, None] - g[:, :, None, :]) / 2.0).max(axis=(1, 2, 3)))
 
 
 def _critical_eps(masks: np.ndarray, dx: np.ndarray, dy: np.ndarray, value_gaps) -> np.ndarray:
@@ -316,10 +308,7 @@ def _critical_eps(masks: np.ndarray, dx: np.ndarray, dy: np.ndarray, value_gaps)
     ``|R(x-tuple) - R(y-tuple)|`` over the domain tuples.
     """
     g = _gap_tables(dx, dy, masks)
-    # Katetov validity: d(x, x~) <= 2 eps + g(x, y) + g(x~, y), both sides.
-    eps = np.maximum(
-        ((dx[None, :, :, None] - g[:, :, None, :] - g[:, None, :, :]) / 2.0).max(axis=(1, 2, 3)),
-        ((dy[None, None] - g[:, :, :, None] - g[:, :, None, :]) / 2.0).max(axis=(1, 2, 3)))
+    eps = _katetov_eps(g, dx, dy)
     matched = g <= MATCH_SLACK
     for r, gaps in value_gaps:
         joint = np.ones((len(g),) + (1,) * (2 * r), dtype=bool)
@@ -331,6 +320,162 @@ def _critical_eps(masks: np.ndarray, dx: np.ndarray, dy: np.ndarray, value_gaps)
     return np.maximum(eps, 0.0)
 
 
+def _score_by_bound(masks: np.ndarray, bound: np.ndarray, best: float, dx: np.ndarray,
+                    dy: np.ndarray, value_gaps, first: int, batch: int) -> float:
+    """``min(best, least _critical_eps of masks)``, given a lower bound per mask.
+
+    Masks are scored in increasing order of bound, ``first`` at once, then
+    twice as many each time up to ``batch``, and the rest are skipped once
+    their bound reaches the best value: every value is at least its bound,
+    so the minimum is unchanged.  A tight bound wants a small ``first``,
+    since the first mask is often the best; a loose one wants a full batch.
+    """
+    order = np.argsort(bound, kind="stable")
+    start, size = 0, first
+    while start < len(order) and bound[order[start]] < best:
+        idx = order[start:start + size]
+        best = min(best, float(_critical_eps(masks[idx], dx, dy, value_gaps).min()))
+        if best == 0.0:
+            break
+        start, size = start + size, min(2 * size, batch)
+    return best
+
+
+def _subset_gaps(cols: np.ndarray) -> np.ndarray:
+    """Gap table of every subset of the cells ``cols``, indexed by the subset's bits."""
+    out = np.full((1 << len(cols),) + cols.shape[1:], np.inf)
+    for b, col in enumerate(cols):
+        out[1 << b:2 << b] = np.minimum(out[:1 << b], col)
+    return out
+
+
+def _sweep(dx: np.ndarray, dy: np.ndarray, value_gaps, best: float, batch: int) -> float:
+    """``min(best, least _critical_eps)`` over every cell set covering all rows and columns.
+
+    Bit ``a * q + b`` of each integer 1 .. 2^(pq) - 1 marks cell (a, b).
+    Each set's gap table is the min of the tables of its low and high halves
+    of bits (:func:`_subset_gaps`), so it has the bits ``_critical_eps``
+    computes, and so has its Katetov term: that term is part of the max
+    that makes the set's value, hence a lower bound for
+    :func:`_score_by_bound`.  ``DK_BLOCK_ENTRIES // (2 * p * q * max(p, q))``
+    integers are decoded at a time, so the widest array of their Katetov
+    terms takes at most half of ``DK_BLOCK_ENTRIES`` entries.
+    """
+    p, q = len(dx), len(dy)
+    cols = _cell_gaps(dx, dy)
+    half = p * q // 2
+    low, high = _subset_gaps(cols[:half]), _subset_gaps(cols[half:])
+    cells = 1 << np.arange(p * q).reshape(p, q)
+    lines = np.concatenate([cells.sum(axis=1), cells.sum(axis=0)])
+    chunk = max(1, DK_BLOCK_ENTRIES // max(1, 2 * p * q * max(p, q)))
+    stop = 1 << (p * q)
+    for start in range(1, stop, chunk):
+        ints = np.arange(start, min(start + chunk, stop))
+        ints = ints[(ints[:, None] & lines != 0).all(axis=1)]
+        bound = _katetov_eps(np.minimum(low[ints & (1 << half) - 1], high[ints >> half]), dx, dy)
+        keep = bound < best
+        masks = (ints[keep, None] >> np.arange(p * q) & 1).astype(bool).reshape(-1, p, q)
+        best = _score_by_bound(masks, bound[keep], best, dx, dy, value_gaps, batch, batch)
+        if best == 0.0:
+            break
+    return best
+
+
+def _graph_search(dx: np.ndarray, dy: np.ndarray, value_gaps, batch: int) -> float:
+    """Least ``_critical_eps`` over the graphs of the onto maps, by branch and bound.
+
+    The maps go from the larger domain to the smaller (the first on ties).
+    A depth-first search assigns the larger side's points in turn and keeps,
+    per partial map, its cells, its gap table (updated one cell at a time
+    from :func:`_cell_gaps`), how many images it covers and a lower bound.
+    It drops a partial map that can no longer be onto, or whose bound is at
+    least the best value found so far.  Complete maps are scored by
+    ``_critical_eps`` on their masks in the original orientation
+    (:func:`_score_by_bound`), so each value has the bits of scoring that
+    graph alone; the bounds only decide what is skipped, and each is at
+    most the value of every completion, so the minimum is unchanged.
+
+    The bound is the larger of two terms, each at most the same part of the
+    value of any completion, float for float:
+
+    - K, ``_katetov_eps`` of the partial gap table.  A completion has every
+      cell of the partial map, so its gap table is entrywise at most this
+      one.  ``(d - g - g~) / 2`` does not fall as g and g~ fall: rounded
+      subtraction is monotone in each argument, and so is halving.  So K is
+      at most the completion's Katetov term.
+    - D, the largest ``|dx[x, x~] - dy[y, y~]|`` over pairs of assigned cells
+      (x, y), (x~, y~), used only when the cells are separated: the entries
+      of the sum table ``dx[x, x'] + dy[y', y]`` at most ``MATCH_SLACK`` are
+      exactly those at (x, y) = (x', y').  A gap table entry is at most
+      ``MATCH_SLACK`` iff one of its cells' sums is (min returns one of its
+      arguments), so the pairs ``_critical_eps`` matches for a graph are
+      then exactly its cells.  Each point of the larger side has one matched
+      partner, each pair of them one matched pair, and the lifted metric's
+      epsilon-bijection term on that side is the max of the value gaps
+      ``|dx[x, x~] - dy[y, y~]|`` over all pairs of cells, the same floats
+      as here; D is the max over some of them.  With near-duplicate points
+      a pair can match more than its cells, and D need not bound the value,
+      so only K is used.
+
+    Blocks: one expansion extends ``nodes`` partial maps, and its survivors
+    are sorted by bound and pushed in blocks of ``nodes``, the best on top,
+    so the search dives to a good value before it backtracks.  The stack
+    then holds at most (larger side) x (smaller side) blocks, and both
+    their gap tables and the widest array of one expansion's bounds take
+    at most half of ``DK_BLOCK_ENTRIES`` table entries.
+    """
+    p, q = len(dx), len(dy)
+    best = np.inf
+    if min(p, q) == 0:
+        return best
+    big, small = max(p, q), min(p, q)
+    nodes = max(1, DK_BLOCK_ENTRIES // (2 * small * p * q * big))
+    cols = _cell_gaps(dx, dy)
+    separated = np.array_equal(cols.reshape(p * q, p * q) <= MATCH_SLACK,
+                               np.eye(p * q, dtype=bool))
+    # pair[c, c~]: the lifted metric's value gap between cells c and c~
+    pair = np.abs(dx[:, None, :, None] - dy[None, :, None, :]).reshape(p * q, p * q)
+    # cell[a, b]: the cell of larger-side point a sent to smaller-side point b
+    if p >= q:
+        cell = np.arange(p)[:, None] * q + np.arange(q)
+    else:
+        cell = np.arange(p)[None, :] * q + np.arange(q)[:, None]
+    zero = np.zeros(1, dtype=np.intp)
+    stack = [(np.zeros((1, 0), dtype=np.intp), np.full((1, p, q), np.inf), np.zeros(1),
+              zero, zero, np.zeros(1))]
+    while stack:
+        cells, g, dist, cover, count, bound = stack.pop()
+        keep = bound < best
+        cells, g, dist, cover, count = cells[keep], g[keep], dist[keep], cover[keep], count[keep]
+        depth = cells.shape[1]
+        fresh = (cover[:, None] >> np.arange(small) & 1) == 0
+        # onto: the points left can still reach every uncovered image
+        rows, img = np.nonzero(small - count[:, None] - fresh <= big - depth - 1)
+        if not rows.size:
+            continue
+        new = cell[depth, img]
+        g = np.minimum(g[rows], cols[new])
+        bound, dist = _katetov_eps(g, dx, dy), dist[rows]
+        if separated and depth:
+            dist = np.maximum(dist, pair[cells[rows], new[:, None]].max(axis=1))
+            bound = np.maximum(bound, dist)
+        cells = np.concatenate([cells[rows], new[:, None]], axis=1)
+        if depth + 1 == big:
+            masks = np.zeros((len(cells), p * q), dtype=bool)
+            masks[np.arange(len(cells))[:, None], cells] = True
+            best = _score_by_bound(masks.reshape(-1, p, q), bound, best, dx, dy,
+                                   value_gaps, 1, batch)
+            if best == 0.0:
+                break
+            continue
+        cover, count = cover[rows] | 1 << img, count[rows] + fresh[rows, img]
+        order = np.argsort(bound, kind="stable")
+        for start in range((len(order) - 1) // nodes * nodes, -1, -nodes):
+            idx = order[start:start + nodes]
+            stack.append((cells[idx], g[idx], dist[idx], cover[idx], count[idx], bound[idx]))
+    return best
+
+
 def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
                   cap: int = DEFAULT_DK_CAP) -> float:
     """Brute-force level-k distance between two finite structures.
@@ -338,8 +483,11 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
     Minimizes the critical epsilon of the Katetov extension over full
     correspondences between the level-k domains; exhaustive while the domain
     product is small, restricted to surjection graphs beyond that.  The
-    correspondences are scored a numpy block at a time, and the search stops
-    after the first block that reaches 0.
+    graphs of the onto maps are searched first, by branch and bound
+    (:func:`_graph_search`).  Beyond the exhaustive regime they are the
+    whole candidate set; within it, they are some of the candidates, and
+    their least value is the incumbent of the sweep over all of them
+    (:func:`_sweep`).  The search stops as soon as it reaches 0.
     """
     if cap < 0:
         raise DimensionError(f"cap must be >= 0, got {cap}")
@@ -363,15 +511,11 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
         value_gaps.append((tm.ndim, np.abs(tm.reshape(-1, 1) - tn.reshape(1, -1))))
     # widest per-candidate array: the gap sums (pq)^2 or a relation's gap table
     width = max([1, (p * q) ** 2] + [t.size for _, t in value_gaps])
+    batch = max(1, DK_BLOCK_ENTRIES // width)
     dx, dy = m.metric[np.ix_(dom_m, dom_m)], n.metric[np.ix_(dom_n, dom_n)]
-    block = max(1, DK_BLOCK_ENTRIES // width)
-    best = np.inf
-    for masks in _correspondence_blocks(p, q):
-        for start in range(0, len(masks), block):
-            eps = _critical_eps(masks[start:start + block], dx, dy, value_gaps)
-            best = min(best, float(eps.min()))
-            if best == 0.0:
-                return best
+    best = _graph_search(dx, dy, value_gaps, batch)
+    if best > 0.0 and p * q <= EXHAUSTIVE_PAIR_LIMIT:
+        best = _sweep(dx, dy, value_gaps, best, batch)
     if not np.isfinite(best):
         raise DimensionError("no full correspondence exists between the domains")
     return best

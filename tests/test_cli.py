@@ -333,9 +333,15 @@ class TestGh:
 
     def test_capacity(self, tmp_path):
         big = structure_file(tmp_path, "big.json",
-                             (np.ones((8, 8)) - np.eye(8)).tolist())
+                             (np.ones((9, 9)) - np.eye(9)).tolist())
         code, rep, _ = call(["gh-dist", big, big])
         assert code == EXIT_CAPACITY
+        # 8 points are within the default cap
+        eight = structure_file(tmp_path, "eight.json",
+                               (np.ones((8, 8)) - np.eye(8)).tolist())
+        code, rep, _ = call(["gh-dist", eight, eight])
+        assert code == 0 and rep["distance"] == 0.0
+        assert rep["tolerances"] == {"kmax": 3, "cap": 8}
 
     def test_negative_cap_is_an_input_error(self, tmp_path):
         m = structure_file(tmp_path, "m.json", [[0.0, 1.0], [1.0, 0.0]])

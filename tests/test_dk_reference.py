@@ -6,9 +6,12 @@ tables the package used before its numpy versions; every comparison is exact
 """
 
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osclass import metric
 from osclass.errors import DimensionError
@@ -202,6 +205,130 @@ def test_weighted_sum_matches_reference():
     n = relational(rng, 3, domains=((2,), (0, 2), (0, 1, 2)))
     expected = float(sum(2.0 ** (-k) * ref_dk(m, n, k) for k in (1, 2, 3)))
     assert dgh_structures(m, n) == expected
+
+
+#: (|D|, |E|) domain sizes of the property test: the exhaustive regime at
+#: up to 9 cells, then beyond it, where the reference scores up to 1806 graphs.
+SMALL_SIZES = [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]
+SIZES = SMALL_SIZES + [(5, 5), (4, 6), (7, 3)]
+
+
+@st.composite
+def structure_pairs(draw, top):
+    """Two structures on the same symbols, and the number of levels to compare.
+
+    The largest domains have sizes drawn from ``top``.
+    Points lie on a 3 x 3 grid (duplicates and tied distances) or anywhere
+    in a square; relation values lie in {0, 1/2, 1} or anywhere in [0, 1].
+    Nested domains take their sizes from ``SIZES`` too; a ternary relation
+    comes only with at most 25 cells.
+    """
+    p, q = draw(st.sampled_from(top))
+    levels = [(p, q)] * 2
+    if draw(st.booleans()):
+        first = draw(st.sampled_from([(a, b) for a, b in SIZES if a <= p and b <= q]))
+        levels = [first, draw(st.sampled_from([(a, b) for a, b in SIZES
+                                               if first[0] <= a <= p and first[1] <= b <= q]))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.booleans())
+    arities = draw(st.lists(st.integers(1, 3 if p * q <= 25 else 2), max_size=2))
+    names = [f"R{i}" for i in range(len(arities))]
+    sig = None
+    if draw(st.booleans()):
+        syms = tuple(RelationSymbol(nm, r) for nm, r in zip(names, arities))
+        sig = Signature(relations=syms, sublanguages=({"d"}, {"d", *names[:1]}, {"d", *names}))
+
+    def structure(size, side):
+        pts = rng.integers(0, 3, (size, 2)) if grid else rng.uniform(0, 2, (size, 2))
+        dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+
+        def values(shape):
+            return rng.integers(0, 3, shape) / 2 if grid else rng.uniform(0, 1, shape)
+
+        rels = {nm: values((size,) * r) for nm, r in zip(names, arities)}
+        order = rng.permutation(size)
+        doms = tuple(tuple(order[:sizes[side]]) for sizes in levels) + (tuple(range(size)),)
+        return FiniteStructure(dist, rels, doms, signature=sig)
+
+    return structure(p, 0), structure(q, 1), draw(st.integers(1, 3))
+
+
+@pytest.mark.parametrize("top,examples", [(SMALL_SIZES, 60), ([(5, 5)], 20), ([(4, 6)], 8),
+                                          ([(7, 3)], 8)], ids=["exhaustive", "5x5", "4x6", "7x3"])
+def test_search_and_weighted_sum_match_reference(top, examples):
+    settings(max_examples=examples)(given(structure_pairs(top))(check_against_reference))()
+
+
+def check_against_reference(pair):
+    m, n, k_max = pair
+    sig = m.signature
+    searched, levels = {}, []
+    for k in range(1, k_max + 1):
+        key = (m.domain(k), n.domain(k), sig.sublanguage(k) if sig is not None else None)
+        if key not in searched:
+            searched[key] = ref_dk(m, n, k)
+        levels.append(searched[key])
+        assert dk_bruteforce(m, n, k) == levels[-1]
+    assert dgh_structures(m, n, k_max) == float(sum(2.0 ** (-k) * v
+                                                    for k, v in enumerate(levels, start=1)))
+
+
+def count_scored(monkeypatch):
+    """Counts the candidates that ``_critical_eps`` scores."""
+    scored = []
+    critical_eps = metric._critical_eps
+    monkeypatch.setattr(metric, "_critical_eps",
+                        lambda masks, *a: scored.append(len(masks)) or critical_eps(masks, *a))
+    return scored
+
+
+def test_pruning_skips_most_surjections(monkeypatch):
+    # the graphs of the 1800 maps from 6 points onto 5 are the whole candidate set
+    rng = np.random.default_rng([6, 5])
+    m, n = FiniteStructure(euclidean(rng, 6)), FiniteStructure(euclidean(rng, 5))
+    scored = count_scored(monkeypatch)
+    assert dk_bruteforce(m, n) == ref_dk(m, n) > 0.0
+    assert 0 < sum(scored) < 1800
+
+
+def test_relabeling_exits_after_the_graphs(monkeypatch):
+    # a 4x4 pair is in the exhaustive regime, but a relabeling reaches 0 on a
+    # bijection's graph and the sweep over all 2^16 cell sets never runs
+    rng = np.random.default_rng(17)
+    s = relational(rng, 4)
+    t = s.relabel([3, 0, 2, 1])
+    monkeypatch.setattr(metric, "_sweep", lambda *a: pytest.fail("the sweep ran"))
+    scored = count_scored(monkeypatch)
+    for k in (1, 2, 3):
+        assert dk_bruteforce(s, t, k) == 0.0
+    assert sum(scored) <= 3 * 24
+
+
+#: 3x the slowest of ten runs of the test below (2.57 s on 2 cores, Python
+#: 3.11, numpy 2.4), most of it in the two 8x7 searches.
+EIGHT_POINT_BUDGET_S = 7.7
+
+
+def near_equilateral(rng, size):
+    d = np.triu(1.0 + 0.1 * rng.uniform(0, 1, (size, size)), 1)
+    return d + d.T
+
+
+def test_eight_points_within_the_default_cap():
+    # the cap is 8: a near-equilateral 8x8 pair and an 8x7 pair, each against
+    # relabelings and the diameter bound
+    start = time.perf_counter()
+    rng = np.random.default_rng(8)
+    m, n8, n7 = (FiniteStructure(near_equilateral(rng, size)) for size in (8, 8, 7))
+    perm = rng.permutation(8)
+    for n in (n8, n7):
+        value = dk_bruteforce(m, n)
+        assert value >= abs(m.metric.max() - n.metric.max()) / 2.0
+        assert dk_bruteforce(m.relabel(perm), n) == value
+    for s in (m, n8):
+        assert dk_bruteforce(s, s.relabel(perm)) == 0.0
+    assert dk_bruteforce(n7, n7.relabel(perm[perm < 7])) == 0.0
+    assert time.perf_counter() - start < EIGHT_POINT_BUDGET_S
 
 
 def test_empty_domain_has_no_correspondence():

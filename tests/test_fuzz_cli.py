@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from osclass.cli import EXIT_INVALID, EXIT_OK, run
 from osclass.io import parse_point_set
 
-FUZZ = settings(derandomize=True, max_examples=60, deadline=None, database=None,
+FUZZ = settings(max_examples=60,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
 moderate = st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0))

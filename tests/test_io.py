@@ -111,7 +111,7 @@ def with_key(obj, key, value):
     return obj if value is None else {**obj, key: value}
 
 
-SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+SETTINGS = settings(max_examples=300)
 
 
 @SETTINGS

@@ -129,7 +129,7 @@ def test_column_norm_below_the_normal_range_is_an_input_error():
         build_system([np.array([[0.3, 1], [-0.5, 0.2j]]) * 1e-310])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 8), exponent=st.integers(0, 50),
        conj=st.booleans())
 def test_both_routes_find_affine_images_at_every_scale(seed, m, exponent, conj):

@@ -3,6 +3,7 @@ import pytest
 
 from osclass import unitary
 from osclass.errors import CapacityError, DimensionError, NotUnitaryError
+from osclass.linalg import op_norm
 from osclass.unitary import (TWO_PI, CircleSet, canonical_form, circle_dist,
                              cois_unitary_oracle, cois_unitary_theorem,
                              four_point_obstruction, rigid_equivalent,
@@ -52,6 +53,23 @@ class TestSpectrum:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
             spectrum(np.diag([1.0, 2.0]))
+
+    def test_non_unitary_reports_the_operator_norm(self):
+        # ||U*U - I|| is 3 in the operator norm, sqrt(10) in the Frobenius norm
+        u = np.diag([1.0, 2.0, 1j * np.sqrt(2.0)])
+        with pytest.raises(NotUnitaryError) as err:
+            spectrum(u)
+        assert err.value.defect == op_norm(u.conj().T @ u - np.eye(3)) == 3.0
+
+    def test_unitarity_screen_skips_an_svd(self, monkeypatch):
+        # the two SVDs left are the norms of eig_normal
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        assert spectrum(q).size == 6
+        assert len(calls) == 2
 
 
 class TestCanonicalForm:
