@@ -27,6 +27,12 @@ DEFAULT_DK_CAP = 8
 #: Exhaustive correspondence enumeration is used while |D| * |E| stays below this.
 EXHAUSTIVE_PAIR_LIMIT = 20
 
+#: Entries in the widest arrays of one block of numpy work: the triangle check
+#: tests, and the d_k search extends, bounds and scores, at most this many
+#: table entries at a time, so memory stays flat however large the structure
+#: or the search.
+DK_BLOCK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class RelationSymbol:
@@ -94,12 +100,17 @@ class FiniteStructure:
             raise DimensionError("metric must be symmetric")
         if np.any(d < -METRIC_SLACK):
             raise DimensionError("metric must be nonnegative")
-        for i in range(m):
-            # entry (j, k): d(i, j) > d(i, k) + d(k, j), one row i at a time
-            bad = np.argwhere(d[i, :, None] > d[i, None, :] + d.T + METRIC_SLACK)
-            if bad.size:
-                j, k = bad[0]
-                raise DimensionError(f"triangle inequality fails at ({i},{j},{k})")
+        # entry (i, j, k): d(i, j) > d(i, k) + d(k, j), for a block of rows i
+        # whose two float temporaries take at most half of DK_BLOCK_ENTRIES
+        # entries; argwhere lists entries in C order, so the first is the least
+        # (i, j, k)
+        rows = max(1, DK_BLOCK_ENTRIES // (4 * m * m))
+        for start in range(0, m, rows):
+            block = d[start:start + rows]
+            bad = block[:, :, None] > block[:, None, :] + d.T + METRIC_SLACK
+            if bad.any():
+                i, j, k = np.argwhere(bad)[0]
+                raise DimensionError(f"triangle inequality fails at ({start + i},{j},{k})")
         rels = {}
         for name, table in self.relations.items():
             t = np.asarray(table, dtype=np.float64)
@@ -280,12 +291,6 @@ def _gap_table(m: FiniteStructure, n: FiniteStructure, pairs) -> np.ndarray:
     return _gap_tables(m.metric, n.metric, mask[None])[0]
 
 
-#: Entries in the widest array of one block of the d_k search: candidates
-#: are decoded, extended, bounded and scored this many table entries at a
-#: time, so memory stays flat however many candidates there are.
-DK_BLOCK_ENTRIES = 1 << 16
-
-
 def _katetov_eps(g: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Per gap table g, the least eps at which its extension is Katetov.
 
@@ -297,18 +302,16 @@ def _katetov_eps(g: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         ((dy[None, None] - g[:, :, :, None] - g[:, :, None, :]) / 2.0).max(axis=(1, 2, 3)))
 
 
-def _critical_eps(masks: np.ndarray, dx: np.ndarray, dy: np.ndarray, value_gaps) -> np.ndarray:
-    """Critical epsilon at which the extension of each full correspondence passes.
+def _relation_eps(g: np.ndarray, value_gaps, eps: np.ndarray) -> np.ndarray:
+    """``eps`` raised, per gap table g, to the epsilon-bijection term of every lifted relation.
 
-    Combines the Katetov-validity threshold of the extension with the
-    epsilon-bijection thresholds of every lifted relation in the sublanguage,
-    where lifted matching is only possible along pairs at zero gap (up to
-    ``MATCH_SLACK``).
+    Lifted matching is only possible along pairs at zero gap (up to
+    ``MATCH_SLACK``): a tuple's partners are the tuples matched to it
+    coordinatewise, and the term is the largest over tuples on either side
+    of the least value gap to a partner (inf with none).
     ``value_gaps`` holds, per relation, its arity r and the table of
     ``|R(x-tuple) - R(y-tuple)|`` over the domain tuples.
     """
-    g = _gap_tables(dx, dy, masks)
-    eps = _katetov_eps(g, dx, dy)
     matched = g <= MATCH_SLACK
     for r, gaps in value_gaps:
         joint = np.ones((len(g),) + (1,) * (2 * r), dtype=bool)
@@ -317,21 +320,32 @@ def _critical_eps(masks: np.ndarray, dx: np.ndarray, dy: np.ndarray, value_gaps)
         cost = np.where(joint.reshape(len(g), *gaps.shape), gaps, np.inf)
         eps = np.maximum(eps, np.maximum(cost.min(axis=2).max(axis=1),
                                          cost.min(axis=1).max(axis=1)))
-    return np.maximum(eps, 0.0)
+    return eps
+
+
+def _critical_eps(masks: np.ndarray, dx: np.ndarray, dy: np.ndarray, value_gaps) -> np.ndarray:
+    """Critical epsilon at which the extension of each full correspondence passes.
+
+    Combines the Katetov-validity threshold of the extension with the
+    epsilon-bijection thresholds of every lifted relation in the sublanguage
+    (:func:`_relation_eps`).
+    """
+    g = _gap_tables(dx, dy, masks)
+    return np.maximum(_relation_eps(g, value_gaps, _katetov_eps(g, dx, dy)), 0.0)
 
 
 def _score_by_bound(masks: np.ndarray, bound: np.ndarray, best: float, dx: np.ndarray,
-                    dy: np.ndarray, value_gaps, first: int, batch: int) -> float:
+                    dy: np.ndarray, value_gaps, batch: int) -> float:
     """``min(best, least _critical_eps of masks)``, given a lower bound per mask.
 
-    Masks are scored in increasing order of bound, ``first`` at once, then
-    twice as many each time up to ``batch``, and the rest are skipped once
-    their bound reaches the best value: every value is at least its bound,
-    so the minimum is unchanged.  A tight bound wants a small ``first``,
-    since the first mask is often the best; a loose one wants a full batch.
+    Masks are scored in increasing order of bound, one at first, then twice
+    as many each time up to ``batch``, and the rest are skipped once their
+    bound reaches the best value: every value is at least its bound, so the
+    minimum is unchanged.  Both searches hand over complete candidates whose
+    bounds are near or at their values, so the first mask is often the best.
     """
     order = np.argsort(bound, kind="stable")
-    start, size = 0, first
+    start, size = 0, 1
     while start < len(order) and bound[order[start]] < best:
         idx = order[start:start + size]
         best = min(best, float(_critical_eps(masks[idx], dx, dy, value_gaps).min()))
@@ -341,43 +355,95 @@ def _score_by_bound(masks: np.ndarray, bound: np.ndarray, best: float, dx: np.nd
     return best
 
 
-def _subset_gaps(cols: np.ndarray) -> np.ndarray:
-    """Gap table of every subset of the cells ``cols``, indexed by the subset's bits."""
-    out = np.full((1 << len(cols),) + cols.shape[1:], np.inf)
-    for b, col in enumerate(cols):
-        out[1 << b:2 << b] = np.minimum(out[:1 << b], col)
-    return out
-
-
-def _sweep(dx: np.ndarray, dy: np.ndarray, value_gaps, best: float, batch: int) -> float:
+def _cover_search(dx: np.ndarray, dy: np.ndarray, value_gaps, best: float, batch: int) -> float:
     """``min(best, least _critical_eps)`` over every cell set covering all rows and columns.
 
-    Bit ``a * q + b`` of each integer 1 .. 2^(pq) - 1 marks cell (a, b).
-    Each set's gap table is the min of the tables of its low and high halves
-    of bits (:func:`_subset_gaps`), so it has the bits ``_critical_eps``
-    computes, and so has its Katetov term: that term is part of the max
-    that makes the set's value, hence a lower bound for
-    :func:`_score_by_bound`.  ``DK_BLOCK_ENTRIES // (2 * p * q * max(p, q))``
-    integers are decoded at a time, so the widest array of their Katetov
-    terms takes at most half of ``DK_BLOCK_ENTRIES`` entries.
+    A depth-first search decides the cells c = a * q + b in turn, in or out.
+    A node holds its IN cells (a mask), their gap table g_IN (updated one
+    cell at a time from :func:`_cell_gaps`), K = ``_katetov_eps(g_IN)`` and
+    R = ``_relation_eps`` (from -inf) of ``min(g_IN, suffix)``, the gap table
+    of IN and the undecided cells together (``suffix`` is precomputed per
+    depth).  A node is dropped when a row or column has no IN cell and no
+    undecided one, or when ``max(K, R)`` is at least the best value so far.
+    Complete sets are scored by ``_critical_eps`` on their masks
+    (:func:`_score_by_bound`), so each value has the bits of scoring that
+    set alone, and the bounds only decide what is skipped.
+
+    Both terms are at most the same part of the value of any set S the node
+    can still reach (S holds IN and lies within IN and the undecided
+    cells), float for float, so the minimum is unchanged:
+
+    - K.  S's gap table is entrywise at most g_IN, and ``(d - g - g~) / 2``
+      does not fall as g and g~ fall: rounded subtraction is monotone in
+      each argument, and so is halving.
+    - R.  S's gap table is entrywise at least ``min(g_IN, suffix)``, a min
+      over more cells (min is exact).  So every pair matched for S is
+      matched here, each tuple has at least its lifted partners for S, and
+      ``where``, min and max give each cost entry, least gap and largest
+      term at most S's.  This needs no separated cells.
+
+    An IN child has its parent's union of IN and undecided cells, so it
+    keeps the parent's R; an OUT child keeps the parent's g_IN and K.  At
+    the root every cell is undecided, each gap is 0 and every pair matches,
+    so R is the value-set bound of Memoli ("Some properties of
+    Gromov-Hausdorff distances", DCG 48, 2012): the largest Hausdorff
+    distance between the value sets of a relation over the domain tuples.
+    Where the incumbent meets it, no set is scored.
+
+    Blocks: one expansion decides one cell for ``batch // 2`` nodes, and its
+    surviving children are sorted by bound and pushed in blocks of that
+    size, the best on top, so the search dives to a good value before it
+    backtracks.  The stack holds at most two blocks per cell, and each array
+    of an expansion takes at most half of ``DK_BLOCK_ENTRIES`` entries.
     """
     p, q = len(dx), len(dy)
+    if min(p, q) == 0:
+        return best
+    size = p * q
     cols = _cell_gaps(dx, dy)
-    half = p * q // 2
-    low, high = _subset_gaps(cols[:half]), _subset_gaps(cols[half:])
-    cells = 1 << np.arange(p * q).reshape(p, q)
-    lines = np.concatenate([cells.sum(axis=1), cells.sum(axis=0)])
-    chunk = max(1, DK_BLOCK_ENTRIES // max(1, 2 * p * q * max(p, q)))
-    stop = 1 << (p * q)
-    for start in range(1, stop, chunk):
-        ints = np.arange(start, min(start + chunk, stop))
-        ints = ints[(ints[:, None] & lines != 0).all(axis=1)]
-        bound = _katetov_eps(np.minimum(low[ints & (1 << half) - 1], high[ints >> half]), dx, dy)
+    # suffix[t]: the gap table of the cells t .. pq - 1, undecided at depth t
+    suffix = np.concatenate([np.minimum.accumulate(cols[::-1])[::-1],
+                             np.full((1, p, q), np.inf)])
+    # lines are the rows a and the columns p + b; open_lines[t]: those with a
+    # cell undecided at depth t
+    last = np.concatenate([np.arange(p) * q + q - 1, (p - 1) * q + np.arange(q)])
+    open_lines = np.arange(size + 1)[:, None] <= last
+    nodes = max(1, batch // 2)
+    rel = _relation_eps(suffix[:1], value_gaps, np.full(1, -np.inf))
+    stack = [(0, np.zeros((1, size), dtype=bool), np.full((1, p, q), np.inf),
+              np.full(1, -np.inf), rel, rel)]
+    while stack:
+        t, mask, g, kat, rel, bound = stack.pop()
         keep = bound < best
-        masks = (ints[keep, None] >> np.arange(p * q) & 1).astype(bool).reshape(-1, p, q)
-        best = _score_by_bound(masks, bound[keep], best, dx, dy, value_gaps, batch, batch)
-        if best == 0.0:
-            break
+        mask, g, kat, rel = mask[keep], g[keep], kat[keep], rel[keep]
+        if not len(g):
+            continue
+        # IN: cell t joins the cells, and the union (so R) stays the parent's
+        g_in = np.minimum(g, cols[t])
+        mask_in = mask.copy()
+        mask_in[:, t] = True
+        # OUT: cell t leaves the union; drop those that can no longer cover
+        cells = mask.reshape(-1, p, q)
+        covered = np.concatenate([cells.any(axis=2), cells.any(axis=1)], axis=1)
+        out = (covered | open_lines[t + 1]).all(axis=1) & (kat < best)
+        rel_out = _relation_eps(np.minimum(g[out], suffix[t + 1]), value_gaps,
+                                np.full(np.count_nonzero(out), -np.inf))
+        mask = np.concatenate([mask_in, mask[out]])
+        g = np.concatenate([g_in, g[out]])
+        kat = np.concatenate([_katetov_eps(g_in, dx, dy), kat[out]])
+        rel = np.concatenate([rel, rel_out])
+        bound = np.maximum(kat, rel)
+        if t + 1 == size:
+            best = _score_by_bound(mask.reshape(-1, p, q), bound, best, dx, dy,
+                                   value_gaps, batch)
+            if best == 0.0:
+                break
+            continue
+        order = np.argsort(bound, kind="stable")
+        order = order[bound[order] < best]
+        for start in range((len(order) - 1) // nodes * nodes, -1, -nodes):
+            idx = order[start:start + nodes]
+            stack.append((t + 1, mask[idx], g[idx], kat[idx], rel[idx], bound[idx]))
     return best
 
 
@@ -464,7 +530,7 @@ def _graph_search(dx: np.ndarray, dy: np.ndarray, value_gaps, batch: int) -> flo
             masks = np.zeros((len(cells), p * q), dtype=bool)
             masks[np.arange(len(cells))[:, None], cells] = True
             best = _score_by_bound(masks.reshape(-1, p, q), bound, best, dx, dy,
-                                   value_gaps, 1, batch)
+                                   value_gaps, batch)
             if best == 0.0:
                 break
             continue
@@ -486,8 +552,8 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
     graphs of the onto maps are searched first, by branch and bound
     (:func:`_graph_search`).  Beyond the exhaustive regime they are the
     whole candidate set; within it, they are some of the candidates, and
-    their least value is the incumbent of the sweep over all of them
-    (:func:`_sweep`).  The search stops as soon as it reaches 0.
+    their least value is the incumbent of the search over all of them
+    (:func:`_cover_search`).  The search stops as soon as it reaches 0.
     """
     if cap < 0:
         raise DimensionError(f"cap must be >= 0, got {cap}")
@@ -515,7 +581,7 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
     dx, dy = m.metric[np.ix_(dom_m, dom_m)], n.metric[np.ix_(dom_n, dom_n)]
     best = _graph_search(dx, dy, value_gaps, batch)
     if best > 0.0 and p * q <= EXHAUSTIVE_PAIR_LIMIT:
-        best = _sweep(dx, dy, value_gaps, best, batch)
+        best = _cover_search(dx, dy, value_gaps, best, batch)
     if not np.isfinite(best):
         raise DimensionError("no full correspondence exists between the domains")
     return best

@@ -293,11 +293,11 @@ def test_pruning_skips_most_surjections(monkeypatch):
 
 def test_relabeling_exits_after_the_graphs(monkeypatch):
     # a 4x4 pair is in the exhaustive regime, but a relabeling reaches 0 on a
-    # bijection's graph and the sweep over all 2^16 cell sets never runs
+    # bijection's graph and the search over all 2^16 cell sets never runs
     rng = np.random.default_rng(17)
     s = relational(rng, 4)
     t = s.relabel([3, 0, 2, 1])
-    monkeypatch.setattr(metric, "_sweep", lambda *a: pytest.fail("the sweep ran"))
+    monkeypatch.setattr(metric, "_cover_search", lambda *a: pytest.fail("the cover search ran"))
     scored = count_scored(monkeypatch)
     for k in (1, 2, 3):
         assert dk_bruteforce(s, t, k) == 0.0
@@ -331,10 +331,108 @@ def test_eight_points_within_the_default_cap():
     assert time.perf_counter() - start < EIGHT_POINT_BUDGET_S
 
 
+#: 3x the slowest of ten runs of the test below (0.023 s on 2 cores, Python
+#: 3.11, numpy 2.4); the sweep over every cell set that the cover search
+#: replaced took about 1 s per pair.
+FOUR_BY_FIVE_BUDGET_S = 0.07
+
+
+def test_four_by_five_within_the_budget():
+    # two Euclidean 4x5 pairs and their transposes, 20 cells each: the
+    # largest exhaustive searches
+    start = time.perf_counter()
+    for seed in (0, 1):
+        rng = np.random.default_rng([4, 5, seed])
+        m, n = FiniteStructure(euclidean(rng, 4)), FiniteStructure(euclidean(rng, 5))
+        for a, b in ((m, n), (n, m)):
+            assert dk_bruteforce(a, b) >= abs(a.metric.max() - b.metric.max()) / 2.0
+    assert time.perf_counter() - start < FOUR_BY_FIVE_BUDGET_S
+
+
 def test_empty_domain_has_no_correspondence():
     m = FiniteStructure(np.zeros((1, 1)), domains=((), (0,)))
     with pytest.raises(DimensionError, match="no full correspondence"):
         dk_bruteforce(m, m, 1)
+
+
+# --- the cover search in the exhaustive regime, past the property test's sizes -----
+
+
+def grid_metric(points):
+    pts = np.asarray(points, dtype=float)
+    return np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+
+
+def exhaustive_case(name):
+    """Two structures and a level whose domains have 12 to 20 cells."""
+    if name == "euclidean4x5":
+        rng = np.random.default_rng([4, 5, 21])
+        return FiniteStructure(euclidean(rng, 4)), FiniteStructure(euclidean(rng, 5)), 1
+    if name == "euclidean5x4":
+        rng = np.random.default_rng([5, 4, 21])
+        return FiniteStructure(euclidean(rng, 5)), FiniteStructure(euclidean(rng, 4)), 1
+    if name == "near-equilateral4x5":
+        rng = np.random.default_rng([4, 5, 22])
+        return (FiniteStructure(near_equilateral(rng, 4)),
+                FiniteStructure(near_equilateral(rng, 5)), 1)
+    if name == "grid-duplicates3x4":
+        # grid points with m's points 0, 1 and n's points 1, 2 equal: a cell
+        # matches pairs beyond itself, so the cells are not separated
+        rng = np.random.default_rng([3, 4, 1])
+        pm, pn = rng.integers(0, 3, (3, 2)), rng.integers(0, 3, (4, 2))
+        pm[1], pn[2] = pm[0], pn[1]
+        m, n = (FiniteStructure(grid_metric(pts), {"R": rng.integers(0, 3, len(pts)) / 2,
+                                                   "B": rng.integers(0, 3, (len(pts),) * 2) / 2},
+                                signature=SIG) for pts in (pm, pn))
+        return m, n, 2
+    if name == "ternary3x4":
+        rng = np.random.default_rng([3, 4, 23])
+        return (FiniteStructure(euclidean(rng, 3), {"T": rng.uniform(0, 1, (3, 3, 3))}),
+                FiniteStructure(euclidean(rng, 4), {"T": rng.uniform(0, 1, (4, 4, 4))}), 1)
+    if name == "nested4x5":
+        # level 2 takes 4 of m's 5 points and all 5 of n's, with d and R
+        rng = np.random.default_rng([4, 5, 27])
+        m = relational(rng, 5, domains=((1, 3), (0, 1, 3, 4), (0, 1, 2, 3, 4)))
+        n = relational(rng, 5, domains=((0, 2, 4), (0, 1, 2, 3, 4)))
+        return m, n, 2
+    raise ValueError(name)
+
+
+#: ref_dk of the 20-cell cases, as float.hex.  Each took ref_dk 4.5 to 6.5
+#: minutes (about 700k covers, scored one at a time), so it was run once and
+#: kept; the 12-cell cases are compared with ref_dk as they run.
+SLOW_REFERENCE = {"euclidean4x5": "0x1.b1f534b4687aap-2", "euclidean5x4": "0x1.9ced022731f58p-1",
+                  "near-equilateral4x5": "0x1.02bfbf398f220p-1",
+                  "nested4x5": "0x1.55a8e694e1163p-2"}
+
+EXHAUSTIVE_CASES = ["euclidean4x5", "euclidean5x4", "near-equilateral4x5", "grid-duplicates3x4",
+                    "ternary3x4", "nested4x5"]
+
+
+@pytest.mark.parametrize("block", [metric.DK_BLOCK_ENTRIES, 97], ids=["default", "97"])
+@pytest.mark.parametrize("name", EXHAUSTIVE_CASES)
+def test_cover_search_matches_reference(monkeypatch, name, block):
+    m, n, k = exhaustive_case(name)
+    cells = len(m.domain(k)) * len(n.domain(k))
+    assert 12 <= cells <= EXHAUSTIVE_PAIR_LIMIT
+    expected = float.fromhex(SLOW_REFERENCE[name]) if name in SLOW_REFERENCE else ref_dk(m, n, k)
+    monkeypatch.setattr(metric, "DK_BLOCK_ENTRIES", block)
+    assert dk_bruteforce(m, n, k) == expected
+
+
+def test_root_bound_ends_the_search_without_a_leaf(monkeypatch):
+    # sides {1, 2, 2} against {2, 2, 3}: the value sets {0, 1, 2} and
+    # {0, 2, 3} of d are 1 apart, and 1 is the value, so after the graphs
+    # the cover search drops its root
+    m = FiniteStructure(np.array([[0.0, 1, 2], [1, 0, 2], [2, 2, 0]]))
+    n = FiniteStructure(np.array([[0.0, 2, 3], [2, 0, 2], [3, 2, 0]]))
+    masks = []
+    critical_eps = metric._critical_eps
+    monkeypatch.setattr(metric, "_critical_eps",
+                        lambda mk, *a: masks.append(mk) or critical_eps(mk, *a))
+    assert dk_bruteforce(m, n) == ref_dk(m, n) == 1.0
+    scored = np.concatenate(masks)
+    assert np.all(scored.sum(axis=1) == 1) and np.all(scored.sum(axis=2) == 1)
 
 
 # --- structure checks and tables ----------------------------------------------------
@@ -354,6 +452,26 @@ def test_triangle_check_names_the_first_violation(seed):
         with pytest.raises(DimensionError) as err:
             FiniteStructure(d)
         assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("block", [metric.DK_BLOCK_ENTRIES, 97], ids=["default", "97"])
+@pytest.mark.parametrize("row", ["first", "last"])
+@pytest.mark.parametrize("size", [40, 60, 90, 120])
+def test_triangle_check_names_the_first_violation_past_one_block(monkeypatch, size, row, block):
+    # rows are checked block // (4 size^2) at a time; lengthen one side (i, size - 1)
+    # past the sum of any two others, with i the first or the last row of the
+    # second block, so rows i and size - 1 are the only ones that fail
+    monkeypatch.setattr(metric, "DK_BLOCK_ENTRIES", block)
+    rows = max(1, block // (4 * size**2))
+    i = rows if row == "first" else 2 * rows - 1
+    assert i < size - 1
+    d = euclidean(np.random.default_rng([size, i]), size)
+    d[i, -1] = d[-1, i] = d[i, -1] + 6.0
+    expected = ref_triangle_violation(d)
+    assert expected.startswith(f"triangle inequality fails at ({i},")
+    with pytest.raises(DimensionError) as err:
+        FiniteStructure(d)
+    assert str(err.value) == expected
 
 
 @pytest.mark.parametrize("seed", range(5))
