@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, EmptySystemError, NoUnitError
-from .linalg import TOL_NUM, FactoredSpan, as_matrix, op_norm, vec
+from .linalg import TOL_NUM, FactoredSpan, as_matrix, op_norm, top_singular, vec
 
 
 @dataclass(frozen=True)
@@ -207,8 +207,12 @@ def find_unit_coeffs(basis) -> np.ndarray:
 
 
 def amplified_norm(x: OperatorSystemSpan, a: AmplifiedElement) -> float:
-    """Norm of an element of M_n(X), computed in the concrete representation."""
-    return op_norm(x.assemble(a.coeffs))
+    """Norm of an element of M_n(X), computed in the concrete representation.
+
+    It is :func:`linalg.top_singular` of the assembled matrix, the kernel the
+    ``d_n`` ratios use, so an inner ratio is a quotient of two such norms.
+    """
+    return float(top_singular(x.assemble(a.coeffs)[None])[0])
 
 
 def min_os_norm(ball: PolyhedralDualBall, x) -> float:

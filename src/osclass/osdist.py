@@ -15,9 +15,14 @@ reproduces scipy's ``minimize(method="Nelder-Mead")`` iterate for iterate.
 Each simplex phase is one batched objective call: the outer search
 evaluates all its restarts' maps at once, and each such call runs the
 forward and backward inner ascents of all those maps as one lockstep
-search, whose ratios go through one stacked ``assemble`` and one stacked
-SVD per system.  Estimates, maps and reports are those of one scipy run per
-start, bit for bit.
+search.  Its ratios take one stacked ``assemble`` and one
+:func:`linalg.top_singular` call per system, the forward denominators with
+the backward numerators on X and the reverse on Y.  That kernel reads each
+norm off the top eigenvalue of the matrix's Gram matrix, or off an SVD where
+the Gram trace leaves ``linalg.GRAM_RANGE``, so a matrix has one value in
+any stack.  The iterates follow scipy's rules given these values: estimates,
+maps and reports are those of one scipy run per start whose norms come from
+``top_singular``, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionError, NotComparableError
 # op_norm stays importable from here: the benchmark's tracer test reads osdist.op_norm
-from .linalg import TOL_NUM, FactoredSpan, gram_rank, op_norm  # noqa: F401
+from .linalg import TOL_NUM, FactoredSpan, gram_rank, op_norm, top_singular  # noqa: F401
 from .opsys import OperatorSystemSpan, build_system
 
 #: Condition-number bound past which a candidate map is treated as singular.
@@ -38,6 +43,10 @@ COND_BOUND = 1e12
 #: outer search evaluates its maps in batches of this size, which bounds the
 #: memory of a many-restart search; larger batches save no time.
 _BATCH_VERTICES = 1 << 13
+
+#: Most matrix entries one assemble-and-norm call of :func:`_norms` builds,
+#: which bounds the memory of a large lockstep batch.
+_NORM_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -87,24 +96,50 @@ class DistanceReport:
     converged: dict = field(default_factory=dict)
 
 
-def _top_singular(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of every matrix of a stack, as ``op_norm`` finds it."""
-    if not np.isfinite(stack).all():
-        raise DimensionError("matrix has non-finite entries")
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+def _at_least_one(search: str, counts: dict) -> None:
+    for name, count in counts.items():
+        if count < 1:
+            raise DimensionError(f"{search} needs at least 1 {name}, got {count}")
+
+
+def _images(c: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """``c_i u_i^T`` for a stack of elements and their maps, one product each."""
+    return c @ maps.swapaxes(-1, -2)[:, None]
+
+
+def _norms(s: OperatorSystemSpan, c: np.ndarray) -> np.ndarray:
+    """:func:`top_singular` of every element of a stack ``c`` of M_n(S),
+    assembled at most ``_NORM_ENTRIES`` matrix entries at a time."""
+    size = s.ambient_dim * c.shape[-2]
+    step = max(1, _NORM_ENTRIES // (size * size))
+    if len(c) <= step:
+        return top_singular(s._assemble(c))
+    return np.concatenate([top_singular(s._assemble(c[i:i + step]))
+                           for i in range(0, len(c), step)])
 
 
 def _ratios(x: OperatorSystemSpan, y: OperatorSystemSpan, maps: np.ndarray,
-            c: np.ndarray) -> np.ndarray:
-    """The ratios ||assemble_Y(c_i u_i^T)|| / ||assemble_X(c_i)|| for a stack.
+            c: np.ndarray, back: np.ndarray | None = None,
+            back_c: np.ndarray | None = None) -> np.ndarray:
+    """The ratios ||assemble_Y(c_i u_i^T)|| / ||assemble_X(c_i)|| for a stack,
+    then the backward ratios ||assemble_X(b_j v_j^T)|| / ||assemble_Y(b_j)||.
 
     ``c`` is an (m, n, n, N) stack of elements of M_n(X) and ``maps`` the
-    (m, N, N) stack of their maps.  An element whose denominator is below
-    1e-14 has ratio 0.  Each ratio has the bits of the one-element quotient
-    of ``op_norm`` values: the products are stacked, never flattened.
+    (m, N, N) stack of their maps; ``back_c`` and ``back`` are elements of
+    M_n(Y) and their maps from Y to X, none when omitted.  The coefficients
+    are concatenated per system, never the assembled matrices, so X and Y
+    each make one ``assemble`` and one :func:`top_singular` call.  An element
+    whose denominator is below 1e-14 has ratio 0.  Each ratio has the bits
+    of the quotient of two ``amplified_norm`` values, as both take each
+    matrix alone.
     """
-    denom = _top_singular(x._assemble(c))
-    num = _top_singular(y._assemble(c @ maps.swapaxes(-1, -2)[:, None]))
+    if back_c is None or not len(back_c):
+        denom, num = _norms(x, c), _norms(y, _images(c, maps))
+    else:
+        m = len(c)
+        on_x = _norms(x, np.concatenate([c, _images(back_c, back)]))
+        on_y = _norms(y, np.concatenate([_images(c, maps), back_c]))
+        num, denom = np.concatenate([on_y[:m], on_x[m:]]), np.concatenate([on_x[:m], on_y[m:]])
     small = denom < 1e-14
     return np.where(small, 0.0, num / np.where(small, 1.0, denom))
 
@@ -162,10 +197,12 @@ def _nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
         ind = np.argsort(fsim, axis=1)
         sim, fsim = sim[rows, ind], fsim[rows, ind]
     while True:
-        # scipy's loop condition, then its convergence test
-        stop = ((fcalls >= maxfev)
-                | ((np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= xatol)
-                   & (np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= fatol)))
+        # scipy's loop condition, then its convergence test; the simplex
+        # diameter is measured only where the values already meet fatol
+        stop = fcalls >= maxfev
+        flat = np.flatnonzero(np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= fatol)
+        if flat.size:
+            stop[flat] |= np.max(np.abs(sim[flat, 1:] - sim[flat, :1]), axis=(1, 2)) <= xatol
         if stop.any():
             x_end[ids[stop]], f_end[ids[stop]] = sim[stop, 0], np.min(fsim[stop], axis=1)
             go = ~stop
@@ -216,41 +253,37 @@ def _nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
         sim, fsim = sim[rows, ind], fsim[rows, ind]
 
 
-def _ascents(groups, level: int, starts: int, iters: int, seed: int) -> list:
-    """Best ratio the seeded inner ascent finds for every map of every group.
+def _ascents(x: OperatorSystemSpan, y: OperatorSystemSpan, maps: np.ndarray,
+             back: np.ndarray, level: int, starts: int, iters: int, seed: int) -> tuple:
+    """Best ratio the seeded inner ascent finds for every map, both ways.
 
-    ``groups`` lists ``(x, y, maps)`` with ``maps`` an (m, N, N) stack of maps
-    from X to Y.  Every map is ascended from the unit element ``I_n (x) e_X``
-    and ``starts - 1`` seeded random elements, the same for every map, and all
-    these ascents run as one lockstep Nelder-Mead.  Returns one (m,) array of
-    best ratios per group.
+    ``maps`` is an (m, N, N) stack of maps from X to Y and ``back`` a stack
+    of maps from Y to X.  Every map is ascended from the unit element
+    ``I_n (x) e`` of its domain and ``starts - 1`` seeded random elements,
+    the same for every map, and all these ascents run as one lockstep
+    Nelder-Mead whose every call is one :func:`_ratios`.  Returns the best
+    ratios of ``maps`` and of ``back``.
     """
-    nn = groups[0][0].dim
+    nn = x.dim
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    noise = [rng.standard_normal(2 * level * level * nn) for _ in range(max(0, starts - 1))]
-    per_map = 1 + len(noise)
-    x0, bounds = [], [0]
-    for x, _, maps in groups:
-        unit = _complex_to_real(np.eye(level)[:, :, None] * x.unit_coeffs)
-        x0 += [unit, *noise] * len(maps)
-        bounds.append(bounds[-1] + per_map * len(maps))
-    best = np.zeros(bounds[-1] // per_map)
+    noise = [rng.standard_normal(2 * level * level * nn) for _ in range(starts - 1)]
+    ex, ey = (_complex_to_real(np.eye(level)[:, :, None] * s.unit_coeffs) for s in (x, y))
+    x0 = np.array([ex, *noise] * len(maps) + [ey, *noise] * len(back))
+    best = np.zeros(len(maps) + len(back))
 
     def neg(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
         c = _real_to_complex(points).reshape(-1, level, level, nn)
-        cut = np.searchsorted(owner, bounds)
-        r = np.concatenate([
-            _ratios(x, y, maps[owner[lo:hi] // per_map - start // per_map], c[lo:hi])
-            for (x, y, maps), lo, hi, start in zip(groups, cut, cut[1:], bounds) if hi > lo])
-        np.fmax.at(best, owner // per_map, r)
+        which = owner // starts
+        cut = np.searchsorted(which, len(maps))
+        r = _ratios(x, y, maps[which[:cut]], c[:cut], back[which[cut:] - len(maps)], c[cut:])
+        np.fmax.at(best, which, r)
         return -r
 
-    x0 = np.array(x0)
     if iters > 0:
         _nelder_mead(neg, x0, iters, 1e-10, 1e-12)
     else:
         neg(x0, np.arange(len(x0)))
-    return np.split(best, [b // per_map for b in bounds[1:-1]])
+    return best[:len(maps)], best[len(maps):]
 
 
 def amplified_map_norm(x: OperatorSystemSpan, y: OperatorSystemSpan, u,
@@ -263,13 +296,16 @@ def amplified_map_norm(x: OperatorSystemSpan, y: OperatorSystemSpan, u,
     element ``I_n (x) e_X``; every evaluated point is a true ratio, so the
     estimate never exceeds the supremum.  All starts run as one lockstep
     search (:func:`_nelder_mead`): each simplex step evaluates every start's
-    ratio in one stacked ``assemble`` and one stacked SVD, with the same
-    iterates and values as separate scipy Nelder-Mead runs.
+    ratio in one stacked ``assemble`` and one :func:`top_singular` call per
+    system, with the iterates that separate scipy Nelder-Mead runs would take
+    given those values.
     """
+    _at_least_one("the amplified-norm ascent", {"level": level, "start": starts})
     um = u.matrix if isinstance(u, LinearMapCoords) else np.asarray(u, dtype=np.complex128)
     if um.shape != (x.dim, y.dim) or x.dim != y.dim:
         raise DimensionError("map coordinates must be N x N for both systems")
-    return float(_ascents([(x, y, um[None])], level, starts, iters, seed)[0][0])
+    maps = um[None]
+    return float(_ascents(x, y, maps, maps[:0], level, starts, iters, seed)[0][0])
 
 
 def _objective(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int,
@@ -297,10 +333,10 @@ def _objective(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int,
             return out
         um = um[ok]
         uinv = np.linalg.inv(um)
-        gaps = _top_singular(y._assemble((um @ x.unit_coeffs)[:, None, None]) - y.unit())
+        gaps = top_singular(y._assemble((um @ x.unit_coeffs)[:, None, None]) - y.unit())
         # each map opens 2 * starts inner simplices of 2 n^2 N + 1 vertices
-        step = max(1, _BATCH_VERTICES // (2 * max(1, inner_starts) * (2 * level * level * nn + 1)))
-        parts = [_ascents([(x, y, um[i:i + step]), (y, x, uinv[i:i + step])],
+        step = max(1, _BATCH_VERTICES // (2 * inner_starts * (2 * level * level * nn + 1)))
+        parts = [_ascents(x, y, um[i:i + step], uinv[i:i + step],
                           level, inner_starts, inner_iters, seed)
                  for i in range(0, len(um), step)]
         fwd, bwd = (np.concatenate(p) for p in zip(*parts))
@@ -326,8 +362,8 @@ def dn_search(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int = 1,
     of all its maps as one lockstep search, so the values, the best record
     and its map are those of running the restarts one after another.
     """
-    if restarts < 1:
-        raise DimensionError(f"the d_n search needs at least 1 restart, got {restarts}")
+    _at_least_one("the d_n search",
+                  {"restart": restarts, "level": level, "inner start": inner_starts})
     if x.dim != y.dim:
         raise NotComparableError(
             f"systems have dimensions {x.dim} and {y.dim}; d_n compares equal dimensions"

@@ -420,6 +420,32 @@ def test_cover_search_matches_reference(monkeypatch, name, block):
     assert dk_bruteforce(m, n, k) == expected
 
 
+def near_duplicates(p, q, seed):
+    """Euclidean p x q, seed s, then on each side one point moved to 1e-10 to
+    9e-10 from another: within ``MATCH_SLACK``, so a cell set that leaves out
+    one of the two still matches it and scores finite, below some full
+    correspondences."""
+    rng = np.random.default_rng(seed)
+    sides = rng.uniform(0, 1, (p, 2)), rng.uniform(0, 1, (q, 2))
+    for pts in sides:
+        i, j = rng.choice(len(pts), 2, replace=False)
+        angle = rng.uniform(0, 2 * np.pi)
+        pts[j] = pts[i] + rng.uniform(1e-10, 9e-10) * np.array([np.cos(angle), np.sin(angle)])
+    return tuple(FiniteStructure(grid_metric(pts)) for pts in sides)
+
+
+@pytest.mark.parametrize("block", [metric.DK_BLOCK_ENTRIES, 97], ids=["default", "97"])
+@pytest.mark.parametrize("p,q,seed", [(3, 4, 34), (3, 4, 367), (4, 3, 147), (4, 3, 163)])
+def test_cover_condition_on_near_duplicates(monkeypatch, p, q, seed, block):
+    # on these pairs a cell set that misses a row or column scores up to
+    # 4e-10 below the least full correspondence, so a search that checks
+    # coverage one cell late returns that lower value
+    m, n = near_duplicates(p, q, seed)
+    expected = ref_dk(m, n)
+    monkeypatch.setattr(metric, "DK_BLOCK_ENTRIES", block)
+    assert dk_bruteforce(m, n) == expected
+
+
 def test_root_bound_ends_the_search_without_a_leaf(monkeypatch):
     # sides {1, 2, 2} against {2, 2, 3}: the value sets {0, 1, 2} and
     # {0, 2, 3} of d are 1 apart, and 1 is the value, so after the graphs

@@ -4,7 +4,8 @@ import scipy.linalg
 
 from osclass import linalg
 from osclass.errors import DimensionError, NotNormalError
-from osclass.linalg import FactoredSpan, eig_normal, gram_rank, kron, op_norm, vec
+from osclass.linalg import (FactoredSpan, eig_normal, gram_rank, kron, op_norm, top_singular,
+                            vec)
 
 
 def power_iteration_norm(a, iters=500, seed=0):
@@ -43,6 +44,82 @@ class TestOpNorm:
             op_norm([[np.inf, 0], [0, 0]])
         with pytest.raises(DimensionError):
             op_norm([[complex(0, np.nan), 0], [0, 0]])
+
+
+def cnormal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def with_singular_values(rng, shape, values):
+    """A random matrix of the given shape whose nonzero singular values are ``values``."""
+    u = np.linalg.qr(cnormal(rng, shape[0], shape[0]))[0][:, :len(values)]
+    v = np.linalg.qr(cnormal(rng, shape[1], shape[1]))[0][:, :len(values)]
+    return (u * values) @ v.conj().T
+
+
+KERNEL_SHAPES = ((1, 1), (2, 2), (3, 3), (6, 6), (9, 9), (2, 5), (5, 3))
+#: Whole stacks at these scales; from about 1e154 up, the squares of the entries overflow.
+KERNEL_SCALES = (1e-320, 1e-300, 1e-250, 1e-160, 1e-125, 1e125, 1e154, 1e160, 1e250, 1e308)
+
+
+def kernel_stacks():
+    """Seeded stacks of 1 to 9 matrices: generic, zero, rank one, a repeated
+    top singular value, rows scaled by 1e-250, and whole stacks at
+    ``KERNEL_SCALES``."""
+    rng = np.random.default_rng(2024)
+    for size in range(1, 10):
+        for shape in KERNEL_SHAPES:
+            r = min(shape)
+            generic = cnormal(rng, size, *shape)
+            rows = generic.copy()
+            rows[:, 1:] *= 1e-250
+            yield generic
+            yield np.zeros((size, *shape), dtype=complex)
+            yield cnormal(rng, size, shape[0], 1) @ cnormal(rng, size, 1, shape[1])
+            yield np.array([with_singular_values(rng, shape, [2.5] * min(2, r) + [1.0] * (r - 2))
+                            for _ in range(size)])
+            yield rows
+            # entries in the unit disc over max(shape), so every norm is below the scale
+            unit_disc = rng.uniform(-0.7, 0.7, (2, size, *shape)) / max(shape)
+            for scale in KERNEL_SCALES:
+                yield (unit_disc[0] + 1j * unit_disc[1]) * scale
+            # every kind in one stack
+            yield np.concatenate([generic[:1], np.zeros((1, *shape)), rows[:1],
+                                  unit_disc[0, :1] * 1e308, unit_disc[1, :1] * 1e-320])
+
+
+class TestTopSingular:
+    def test_agrees_with_the_svd(self):
+        for stack in kernel_stacks():
+            got = top_singular(stack)
+            want = np.linalg.svd(stack, compute_uv=False)[..., 0]
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 4e-15 * want), (stack.shape, got, want)
+
+    def test_a_matrix_has_one_value_in_any_stack(self):
+        rng = np.random.default_rng(7)
+        for stack in kernel_stacks():
+            got = top_singular(stack)
+            assert np.array_equal(top_singular(stack[::-1]), got[::-1])
+            perm = rng.permutation(len(stack))
+            assert np.array_equal(top_singular(stack[perm]), got[perm])
+            for i, a in enumerate(stack):
+                assert top_singular(a[None])[0] == got[i]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                     complex(0, np.inf)])
+    def test_rejects_non_finite(self, bad):
+        stack = cnormal(np.random.default_rng(3), 4, 3, 3)
+        stack[2, 1, 0] = bad
+        with pytest.raises(DimensionError, match="non-finite"):
+            top_singular(stack)
+        with pytest.raises(DimensionError, match="non-finite"):
+            top_singular(stack[2:3])
+
+    def test_rejects_empty_matrices(self):
+        for shape in ((3,), (2, 0, 3), (2, 3, 0)):
+            with pytest.raises(DimensionError):
+                top_singular(np.zeros(shape))
 
 
 class TestEigNormal:

@@ -3,8 +3,9 @@
 The references below are the inner ascent, the d_n objective and the outer
 search as the package wrote them before its lockstep version: one
 ``scipy.optimize.minimize(method="Nelder-Mead")`` run per start and one
-``op_norm`` per ratio.  Every comparison is exact (``==``), because the
-lockstep code performs the same float operations in the same order.
+norm per ratio, each from ``linalg.top_singular`` of that one matrix.  Every
+comparison is exact (``==``), because the lockstep code performs the same
+float operations in the same order.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import scipy.optimize
 
 from osclass import osdist
-from osclass.linalg import op_norm
+from osclass.linalg import top_singular
 from osclass.opsys import build_system
 from osclass.osdist import (COND_BOUND, LinearMapCoords, _nelder_mead, amplified_map_norm,
                             dgh_weighted, dn_search)
@@ -20,14 +21,18 @@ from osclass.osdist import (COND_BOUND, LinearMapCoords, _nelder_mead, amplified
 # --- one scipy run per start ----------------------------------------------------
 
 
+def norm(a):
+    return float(top_singular(a[None])[0])
+
+
 def ref_ratio_function(x, y, u, level):
     def ratio(cflat):
         c = cflat.reshape(level, level, x.dim)
         denom_mat = x.assemble(c)
-        denom = op_norm(denom_mat) if np.any(denom_mat) else 0.0
+        denom = norm(denom_mat) if np.any(denom_mat) else 0.0
         if denom < 1e-14:
             return 0.0
-        return op_norm(y.assemble(c @ u.T)) / denom
+        return norm(y.assemble(c @ u.T)) / denom
 
     return ratio
 
@@ -76,7 +81,7 @@ def ref_objective(x, y, level, inner_starts, inner_iters, seed):
                 or u.condition() > COND_BOUND:
             return 1e6
         uinv = np.linalg.inv(um)
-        unit_gap = op_norm(y.assemble(um @ x.unit_coeffs) - y.unit())
+        unit_gap = norm(y.assemble(um @ x.unit_coeffs) - y.unit())
         fwd = ref_amplified_map_norm(x, y, um, level, inner_starts, inner_iters, seed)
         bwd = ref_amplified_map_norm(y, x, uinv, level, inner_starts, inner_iters, seed)
         terms = [unit_gap]
@@ -196,6 +201,15 @@ def test_maps_split_into_batches_match_scipy(monkeypatch):
     x, y, _ = triple(10, 2)
     kw = dict(outer_iters=24, inner_starts=2, inner_iters=6)
     same_record(dn_search(x, y, 1, 3, 2, **kw), ref_dn_search(x, y, 1, 3, 2, **kw))
+
+
+def test_norms_split_into_chunks_match_scipy(monkeypatch):
+    # three level-2 matrices of a 2x2 system per assemble-and-norm call
+    monkeypatch.setattr(osdist, "_NORM_ENTRIES", 3 * 4 * 4)
+    x, y, u = triple(11, 2)
+    assert amplified_map_norm(x, y, u, 2, 3, 20) == ref_amplified_map_norm(x, y, u, 2, 3, 20)
+    kw = dict(outer_iters=12, inner_starts=2, inner_iters=6)
+    same_record(dn_search(x, y, 2, 2, 1, **kw), ref_dn_search(x, y, 2, 2, 1, **kw))
 
 
 def test_singular_starts_score_the_penalty():

@@ -199,6 +199,23 @@ class TestDnSearch:
         with pytest.raises(DimensionError, match="restart"):
             dgh_weighted(x, x, n_max=1, restarts=restarts)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_levels_and_starts_below_one_raise(self, count):
+        from osclass.opsys import build_system
+        x = build_system([np.array([[0, 1], [0, 0]], dtype=complex)])
+        u = np.eye(x.dim)
+        with pytest.raises(DimensionError, match="at least 1 level"):
+            amplified_map_norm(x, x, u, level=count)
+        with pytest.raises(DimensionError, match="at least 1 start"):
+            amplified_map_norm(x, x, u, starts=count)
+        for search in (dn_search, dn_estimate):
+            with pytest.raises(DimensionError, match="at least 1 level"):
+                search(x, x, level=count, restarts=1)
+            with pytest.raises(DimensionError, match="at least 1 inner start"):
+                search(x, x, restarts=1, inner_starts=count)
+        with pytest.raises(DimensionError, match="at least 1 inner start"):
+            dgh_weighted(x, x, n_max=1, restarts=1, inner_starts=count)
+
     def test_monotone_under_more_restarts(self):
         rng = np.random.default_rng(4)
         from osclass.opsys import build_system
