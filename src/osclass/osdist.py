@@ -15,9 +15,10 @@ reproduces scipy's ``minimize(method="Nelder-Mead")`` iterate for iterate.
 Each simplex phase is one batched objective call: the outer search
 evaluates all its restarts' maps at once, and each such call runs the
 forward and backward inner ascents of all those maps as one lockstep
-search.  Its ratios take one stacked ``assemble`` and one
-:func:`linalg.top_singular` call per system, the forward denominators with
-the backward numerators on X and the reverse on Y.  That kernel reads each
+search.  Its ratios build the matrices of both systems into one stack, the
+forward denominators with the backward numerators on X and the reverse on
+Y, and take all their norms from one :func:`linalg.top_singular` call, or
+one per matrix size when the two ambient sizes differ.  That kernel reads each
 norm off the top eigenvalue of the matrix's Gram matrix, or off an SVD where
 the Gram trace leaves ``linalg.GRAM_RANGE``, so a matrix has one value in
 any stack.  The iterates follow scipy's rules given these values: estimates,
@@ -44,9 +45,13 @@ COND_BOUND = 1e12
 #: memory of a many-restart search; larger batches save no time.
 _BATCH_VERTICES = 1 << 13
 
-#: Most matrix entries one assemble-and-norm call of :func:`_norms` builds,
-#: which bounds the memory of a large lockstep batch.
+#: Most matrix entries one assemble-and-norm call of :func:`_ratios` builds,
+#: both systems' matrices together, which bounds the memory of a large
+#: lockstep batch.
 _NORM_ENTRIES = 1 << 15
+
+#: Denominator norm below which :func:`_ratios` scores an element's ratio 0.
+RATIO_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -96,10 +101,12 @@ class DistanceReport:
     converged: dict = field(default_factory=dict)
 
 
-def _at_least_one(search: str, counts: dict) -> None:
+def _check_args(search: str, counts: dict, seed: int) -> None:
     for name, count in counts.items():
         if count < 1:
             raise DimensionError(f"{search} needs at least 1 {name}, got {count}")
+    if seed < 0:
+        raise DimensionError(f"{search} needs a nonnegative seed, got {seed}")
 
 
 def _images(c: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -107,15 +114,19 @@ def _images(c: np.ndarray, maps: np.ndarray) -> np.ndarray:
     return c @ maps.swapaxes(-1, -2)[:, None]
 
 
-def _norms(s: OperatorSystemSpan, c: np.ndarray) -> np.ndarray:
-    """:func:`top_singular` of every element of a stack ``c`` of M_n(S),
-    assembled at most ``_NORM_ENTRIES`` matrix entries at a time."""
-    size = s.ambient_dim * c.shape[-2]
-    step = max(1, _NORM_ENTRIES // (size * size))
-    if len(c) <= step:
-        return top_singular(s._assemble(c))
-    return np.concatenate([top_singular(s._assemble(c[i:i + step]))
-                           for i in range(0, len(c), step)])
+def _stacked_norms(sides: list, n: int) -> np.ndarray:
+    """:func:`top_singular` of every element of each ``(system, stack)`` pair,
+    the systems of one ambient size, from one stack and one kernel call.
+
+    Each element is its own system's (n^2, N) x (N, k^2) product, as in
+    ``assemble``, written into one preallocated stack.
+    """
+    k = sides[0][0].ambient_dim
+    blocks = np.empty((len(sides), len(sides[0][1]), n * n, k * k), dtype=np.complex128)
+    for out, (s, c) in zip(blocks, sides):
+        np.matmul(c.reshape(-1, n * n, s.dim), s.basis.reshape(s.dim, k * k), out=out)
+    mats = blocks.reshape(-1, n, n, k, k).swapaxes(-3, -2).reshape(-1, n * k, n * k)
+    return top_singular(mats).reshape(len(sides), -1)
 
 
 def _ratios(x: OperatorSystemSpan, y: OperatorSystemSpan, maps: np.ndarray,
@@ -127,20 +138,36 @@ def _ratios(x: OperatorSystemSpan, y: OperatorSystemSpan, maps: np.ndarray,
     ``c`` is an (m, n, n, N) stack of elements of M_n(X) and ``maps`` the
     (m, N, N) stack of their maps; ``back_c`` and ``back`` are elements of
     M_n(Y) and their maps from Y to X, none when omitted.  The coefficients
-    are concatenated per system, never the assembled matrices, so X and Y
-    each make one ``assemble`` and one :func:`top_singular` call.  An element
-    whose denominator is below 1e-14 has ratio 0.  Each ratio has the bits
-    of the quotient of two ``amplified_norm`` values, as both take each
-    matrix alone.
+    are concatenated per system (forward denominators with backward
+    numerators on X, the reverse on Y), never the assembled matrices.  At
+    most ``_NORM_ENTRIES`` matrix entries at a time, the same slice of both
+    sides is assembled into one stack that takes one :func:`top_singular`
+    call (:func:`_stacked_norms`), or one stack and call per matrix size when
+    the two ambient sizes differ.  An element whose denominator is below
+    ``RATIO_FLOOR`` has ratio 0.  Each ratio has the bits of the quotient of
+    two ``amplified_norm`` values, as both take each matrix alone.
     """
-    if back_c is None or not len(back_c):
-        denom, num = _norms(x, c), _norms(y, _images(c, maps))
-    else:
-        m = len(c)
-        on_x = _norms(x, np.concatenate([c, _images(back_c, back)]))
-        on_y = _norms(y, np.concatenate([_images(c, maps), back_c]))
-        num, denom = np.concatenate([on_y[:m], on_x[m:]]), np.concatenate([on_x[:m], on_y[m:]])
-    small = denom < 1e-14
+    m, n = len(c), c.shape[-2]
+    on_x, on_y = c, _images(c, maps)
+    if back_c is not None and len(back_c):
+        on_x = np.concatenate([on_x, _images(back_c, back)])
+        on_y = np.concatenate([on_y, back_c])
+    kx, ky = x.ambient_dim, y.ambient_dim
+    norms = np.empty((2, len(on_x)))
+    step = max(1, _NORM_ENTRIES // (n * n * (kx * kx + ky * ky)))
+    for i in range(0, len(on_x), step):
+        chunk = [(x, on_x[i:i + step]), (y, on_y[i:i + step])]
+        if kx == ky:
+            norms[:, i:i + step] = _stacked_norms(chunk, n)
+        else:
+            norms[:1, i:i + step], norms[1:, i:i + step] = (_stacked_norms([side], n)
+                                                            for side in chunk)
+    denom, num = norms
+    if len(on_x) > m:
+        num, denom = np.concatenate([num[:m], denom[m:]]), np.concatenate([denom[:m], num[m:]])
+    small = denom < RATIO_FLOOR
+    if not small.any():
+        return num / denom
     return np.where(small, 0.0, num / np.where(small, 1.0, denom))
 
 
@@ -296,11 +323,12 @@ def amplified_map_norm(x: OperatorSystemSpan, y: OperatorSystemSpan, u,
     element ``I_n (x) e_X``; every evaluated point is a true ratio, so the
     estimate never exceeds the supremum.  All starts run as one lockstep
     search (:func:`_nelder_mead`): each simplex step evaluates every start's
-    ratio in one stacked ``assemble`` and one :func:`top_singular` call per
-    system, with the iterates that separate scipy Nelder-Mead runs would take
-    given those values.
+    ratio from one stack of both systems' matrices and one
+    :func:`top_singular` call (one per matrix size when the ambient sizes
+    differ), with the iterates that separate scipy Nelder-Mead runs would
+    take given those values.
     """
-    _at_least_one("the amplified-norm ascent", {"level": level, "start": starts})
+    _check_args("the amplified-norm ascent", {"level": level, "start": starts}, seed)
     um = u.matrix if isinstance(u, LinearMapCoords) else np.asarray(u, dtype=np.complex128)
     if um.shape != (x.dim, y.dim) or x.dim != y.dim:
         raise DimensionError("map coordinates must be N x N for both systems")
@@ -362,8 +390,8 @@ def dn_search(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int = 1,
     of all its maps as one lockstep search, so the values, the best record
     and its map are those of running the restarts one after another.
     """
-    _at_least_one("the d_n search",
-                  {"restart": restarts, "level": level, "inner start": inner_starts})
+    _check_args("the d_n search",
+                {"restart": restarts, "level": level, "inner start": inner_starts}, seed)
     if x.dim != y.dim:
         raise NotComparableError(
             f"systems have dimensions {x.dim} and {y.dim}; d_n compares equal dimensions"
@@ -409,8 +437,7 @@ def dgh_weighted(x: OperatorSystemSpan, y: OperatorSystemSpan, n_max: int = 3,
 
     Level n + 1 is warm-started from level n's best map.
     """
-    if n_max < 1:
-        raise DimensionError(f"the weighted sum needs at least 1 level, got {n_max}")
+    _check_args("the weighted sum", {"level": n_max}, seed)
     per_level = []
     warm = []
     for level in range(1, n_max + 1):

@@ -167,7 +167,7 @@ def test_6_distance_estimator_sanity():
         for level in (1, 2, 3):
             val = amplified_map_norm(x, y, np.eye(3), level=level, starts=4, iters=30)
             assert abs(val - 1.0) <= 1e-9
-    assert time.monotonic() - start < 5.85
+    assert time.monotonic() - start < 4.56
 
 
 def test_7_minimal_norms_reproduce_and_satisfy_axioms():

@@ -658,6 +658,14 @@ class TestLevelsBelowOne:
         assert code == EXIT_INVALID
         assert rep["error"]["kind"] == "DimensionError" and "restart" in rep["error"]["message"]
 
+    def test_osdist_negative_seed(self, tmp_path):
+        fs = tmp_path / "sys.json"
+        fs.write_text(json.dumps(
+            {"generators": [{"rows": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}]}))
+        code, rep, _ = call(["osdist", str(fs), str(fs), "--restarts", "1", "--seed", "-1"])
+        assert code == EXIT_INVALID
+        assert rep["error"]["kind"] == "DimensionError" and "seed" in rep["error"]["message"]
+
     @pytest.mark.parametrize("kmax", ["0", "-2"])
     def test_gh_dist(self, tmp_path, kmax):
         m = structure_file(tmp_path, "m.json", [[0.0, 1.0], [1.0, 0.0]])

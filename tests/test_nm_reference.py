@@ -203,13 +203,51 @@ def test_maps_split_into_batches_match_scipy(monkeypatch):
     same_record(dn_search(x, y, 1, 3, 2, **kw), ref_dn_search(x, y, 1, 3, 2, **kw))
 
 
+def kernel_spy(monkeypatch):
+    """Record the number of matrices in every ``top_singular`` call of ``_ratios``."""
+    stacks, inside, ratios = [], [], osdist._ratios
+
+    def spy_ratios(*args):
+        inside.append(True)
+        try:
+            return ratios(*args)
+        finally:
+            inside.pop()
+
+    def spy(stack):
+        if inside:
+            stacks.append(len(stack))
+        return top_singular(stack)
+
+    monkeypatch.setattr(osdist, "_ratios", spy_ratios)
+    monkeypatch.setattr(osdist, "top_singular", spy)
+    return stacks
+
+
 def test_norms_split_into_chunks_match_scipy(monkeypatch):
-    # three level-2 matrices of a 2x2 system per assemble-and-norm call
-    monkeypatch.setattr(osdist, "_NORM_ENTRIES", 3 * 4 * 4)
-    x, y, u = triple(11, 2)
-    assert amplified_map_norm(x, y, u, 2, 3, 20) == ref_amplified_map_norm(x, y, u, 2, 3, 20)
+    # phases split into chunks of 1, 2, 3 and 5 elements, each chunk taking
+    # the same slice of the X and the Y side: forward rows only (the inner
+    # ascent) and forward with backward rows (the d_n objective), at levels 1
+    # and 2, for two 2x2 systems (one stack per chunk) and for a 2x2 and a 3x3
+    # system (one stack per matrix size and chunk)
+    stacks = kernel_spy(monkeypatch)
+    rng = np.random.default_rng(14)
+    mixed = (build_system([cnormal(rng, 2, 2)]), build_system([cnormal(rng, 3, 3)]),
+             np.eye(3) + 0.4 * cnormal(rng, 3, 3))
     kw = dict(outer_iters=12, inner_starts=2, inner_iters=6)
-    same_record(dn_search(x, y, 2, 2, 1, **kw), ref_dn_search(x, y, 2, 2, 1, **kw))
+    for x, y, u in (triple(11, 2), mixed):
+        pair_entries = x.ambient_dim ** 2 + y.ambient_dim ** 2
+        for per in (1, 2, 3, 5):
+            for level in (1, 2):
+                monkeypatch.setattr(osdist, "_NORM_ENTRIES", per * level * level * pair_entries)
+                stacks.clear()
+                assert (amplified_map_norm(x, y, u, level, 3, 20)
+                        == ref_amplified_map_norm(x, y, u, level, 3, 20))
+                assert max(stacks) == (2 * per if x.ambient_dim == y.ambient_dim else per)
+                stacks.clear()
+                same_record(dn_search(x, y, level, 2, 1, **kw),
+                            ref_dn_search(x, y, level, 2, 1, **kw))
+                assert max(stacks) == (2 * per if x.ambient_dim == y.ambient_dim else per)
 
 
 def test_singular_starts_score_the_penalty():

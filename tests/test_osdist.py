@@ -216,6 +216,17 @@ class TestDnSearch:
         with pytest.raises(DimensionError, match="at least 1 inner start"):
             dgh_weighted(x, x, n_max=1, restarts=1, inner_starts=count)
 
+    def test_negative_seed_raises(self):
+        from osclass.opsys import build_system
+        x = build_system([np.array([[0, 1], [0, 0]], dtype=complex)])
+        with pytest.raises(DimensionError, match="nonnegative seed, got -1"):
+            amplified_map_norm(x, x, np.eye(x.dim), seed=-1)
+        for search in (dn_search, dn_estimate):
+            with pytest.raises(DimensionError, match="nonnegative seed, got -1"):
+                search(x, x, restarts=1, seed=-1)
+        with pytest.raises(DimensionError, match="nonnegative seed, got -1"):
+            dgh_weighted(x, x, n_max=1, restarts=1, seed=-1)
+
     def test_monotone_under_more_restarts(self):
         rng = np.random.default_rng(4)
         from osclass.opsys import build_system
