@@ -18,7 +18,7 @@ from .errors import CapacityError, DimensionError
 #: Slack used for metric-axiom and Katetov checks.
 METRIC_SLACK = 1e-12
 
-#: Largest extension gap at which :func:`_critical_eps` counts a pair as matched.
+#: Largest extension gap at which :func:`_relation_eps` counts a pair as matched.
 MATCH_SLACK = 1e-9
 
 #: Default cap on domain sizes for the brute-force correspondence search.
@@ -267,17 +267,11 @@ def correspondence_extension(m: FiniteStructure, n: FiniteStructure, pairs,
     return eps + _gap_table(m, n, pairs)
 
 
-def _gap_tables(dx: np.ndarray, dy: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Per mask, the min over its cells (x', y') of ``dx[x, x'] + dy[y', y]``."""
-    cells = masks.reshape(len(masks), -1, 1, 1)
-    return np.where(cells, _cell_gaps(dx, dy), np.inf).min(axis=1)
-
-
 def _cell_gaps(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Per cell c = x' * q + y', the gap table ``dx[x, x'] + dy[y', y]`` of {c} alone.
 
-    A cell set's gap table (:func:`_gap_tables`) is the min of its cells'
-    tables; min is exact, so taking it in any order gives the same bits.
+    A cell set's gap table is the min of its cells' tables; min is exact,
+    so taking it in any order gives the same bits.
     """
     p, q = len(dx), len(dy)
     sums = dx[:, None, :, None] + dy.T[None, :, None, :]
@@ -286,9 +280,13 @@ def _cell_gaps(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 def _gap_table(m: FiniteStructure, n: FiniteStructure, pairs) -> np.ndarray:
     """min over pairs of d(x, x') + d(y', y); the eps-free part of the extension."""
-    mask = np.zeros((m.size, n.size), dtype=bool)
-    mask[tuple(np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T)] = True
-    return _gap_tables(m.metric, n.metric, mask[None])[0]
+    idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    bad = ((idx < 0) | (idx >= (m.size, n.size))).any(axis=1)
+    if bad.any():
+        raise DimensionError(f"pair {tuple(idx[bad][0].tolist())} lies outside the "
+                             f"domains of sizes {m.size} and {n.size}")
+    cells = idx[:, 0] * n.size + idx[:, 1]
+    return _cell_gaps(m.metric, n.metric)[cells].min(axis=0, initial=np.inf)
 
 
 def _katetov_eps(g: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -323,119 +321,71 @@ def _relation_eps(g: np.ndarray, value_gaps, eps: np.ndarray) -> np.ndarray:
     return eps
 
 
-def _critical_eps(masks: np.ndarray, dx: np.ndarray, dy: np.ndarray, value_gaps) -> np.ndarray:
-    """Critical epsilon at which the extension of each full correspondence passes.
-
-    Combines the Katetov-validity threshold of the extension with the
-    epsilon-bijection thresholds of every lifted relation in the sublanguage
-    (:func:`_relation_eps`).
-    """
-    g = _gap_tables(dx, dy, masks)
-    return np.maximum(_relation_eps(g, value_gaps, _katetov_eps(g, dx, dy)), 0.0)
+def _critical_eps(g: np.ndarray, kat: np.ndarray, value_gaps) -> np.ndarray:
+    """Critical epsilon of each complete cell set, from its gap table g, its
+    Katetov term ``kat`` and the lifted relations (:func:`_relation_eps`)."""
+    return np.maximum(_relation_eps(g, value_gaps, kat), 0.0)
 
 
-def _score_by_bound(masks: np.ndarray, bound: np.ndarray, best: float, dx: np.ndarray,
-                    dy: np.ndarray, value_gaps, batch: int) -> float:
-    """``min(best, least _critical_eps of masks)``, given a lower bound per mask.
+def _score_by_bound(g: np.ndarray, kat: np.ndarray, bound: np.ndarray, best: float,
+                    value_gaps, batch: int) -> float:
+    """``min(best, least _critical_eps)`` of complete cell sets, given a lower bound per set.
 
-    Masks are scored in increasing order of bound, one at first, then twice
+    Sets are scored in increasing order of bound, one at first, then twice
     as many each time up to ``batch``, and the rest are skipped once their
     bound reaches the best value: every value is at least its bound, so the
-    minimum is unchanged.  Both searches hand over complete candidates whose
-    bounds are near or at their values, so the first mask is often the best.
+    minimum is unchanged.  Both searches hand over complete sets whose
+    bounds are near or at their values, so the first set is often the best.
     """
     order = np.argsort(bound, kind="stable")
     start, size = 0, 1
     while start < len(order) and bound[order[start]] < best:
         idx = order[start:start + size]
-        best = min(best, float(_critical_eps(masks[idx], dx, dy, value_gaps).min()))
+        best = min(best, float(_critical_eps(g[idx], kat[idx], value_gaps).min()))
         if best == 0.0:
             break
         start, size = start + size, min(2 * size, batch)
     return best
 
 
-def _cover_search(dx: np.ndarray, dy: np.ndarray, value_gaps, best: float, batch: int) -> float:
-    """``min(best, least _critical_eps)`` over every cell set covering all rows and columns.
+def _branch_and_bound(expand, root: tuple, levels: int, best: float, value_gaps,
+                      batch: int, nodes: int) -> float:
+    """``min(best, least _critical_eps)`` over the leaves of a search tree, depth first.
 
-    A depth-first search decides the cells c = a * q + b in turn, in or out.
-    A node holds its IN cells (a mask), their gap table g_IN (updated one
-    cell at a time from :func:`_cell_gaps`), K = ``_katetov_eps(g_IN)`` and
-    R = ``_relation_eps`` (from -inf) of ``min(g_IN, suffix)``, the gap table
-    of IN and the undecided cells together (``suffix`` is precomputed per
-    depth).  A node is dropped when a row or column has no IN cell and no
-    undecided one, or when ``max(K, R)`` is at least the best value so far.
-    Complete sets are scored by ``_critical_eps`` on their masks
-    (:func:`_score_by_bound`), so each value has the bits of scoring that
-    set alone, and the bounds only decide what is skipped.
+    A block is a tuple of arrays over its nodes: gap tables g, Katetov terms
+    K = ``_katetov_eps(g)``, lower bounds, then what ``expand(t, best,
+    *block)`` keeps to make the block of children at depth t + 1; those at
+    depth ``levels`` are leaves, complete cell sets.  The loop pops a block,
+    keeps the nodes whose bound is below the best value, expands them and
+    scores the leaves (:func:`_score_by_bound`).  Other children are sorted
+    by bound and pushed in blocks of ``nodes``, best on top, so the search
+    dives to a good value before it backtracks.  It stops at 0.
 
-    Both terms are at most the same part of the value of any set S the node
-    can still reach (S holds IN and lies within IN and the undecided
-    cells), float for float, so the minimum is unchanged:
+    Leaf values: a node's g is the min of its cells' tables from
+    :func:`_cell_gaps`, taken one cell at a time; min is exact, so a leaf's
+    g and K have the bits of its set's gap table and Katetov term, and its
+    ``_critical_eps`` is that of scoring the set alone.
 
-    - K.  S's gap table is entrywise at most g_IN, and ``(d - g - g~) / 2``
-      does not fall as g and g~ fall: rounded subtraction is monotone in
-      each argument, and so is halving.
-    - R.  S's gap table is entrywise at least ``min(g_IN, suffix)``, a min
-      over more cells (min is exact).  So every pair matched for S is
-      matched here, each tuple has at least its lifted partners for S, and
-      ``where``, min and max give each cost entry, least gap and largest
-      term at most S's.  This needs no separated cells.
+    Bounds: each is at most the value of every leaf below, float for float,
+    so the minimum is unchanged.  K is part of each: a leaf holds every cell
+    of its ancestors, so its gap table is entrywise at most theirs, and
+    ``(d - g - g~) / 2`` does not fall as g and g~ fall (rounded subtraction
+    is monotone in each argument, and so is halving).
 
-    An IN child has its parent's union of IN and undecided cells, so it
-    keeps the parent's R; an OUT child keeps the parent's g_IN and K.  At
-    the root every cell is undecided, each gap is 0 and every pair matches,
-    so R is the value-set bound of Memoli ("Some properties of
-    Gromov-Hausdorff distances", DCG 48, 2012): the largest Hausdorff
-    distance between the value sets of a relation over the domain tuples.
-    Where the incumbent meets it, no set is scored.
-
-    Blocks: one expansion decides one cell for ``batch // 2`` nodes, and its
-    surviving children are sorted by bound and pushed in blocks of that
-    size, the best on top, so the search dives to a good value before it
-    backtracks.  The stack holds at most two blocks per cell, and each array
-    of an expansion takes at most half of ``DK_BLOCK_ENTRIES`` entries.
+    Memory: with at most f children per node, an expansion pushes at most f
+    blocks, all popped before the next block of its parent's depth, so the
+    stack holds at most f blocks per depth.
     """
-    p, q = len(dx), len(dy)
-    if min(p, q) == 0:
-        return best
-    size = p * q
-    cols = _cell_gaps(dx, dy)
-    # suffix[t]: the gap table of the cells t .. pq - 1, undecided at depth t
-    suffix = np.concatenate([np.minimum.accumulate(cols[::-1])[::-1],
-                             np.full((1, p, q), np.inf)])
-    # lines are the rows a and the columns p + b; open_lines[t]: those with a
-    # cell undecided at depth t
-    last = np.concatenate([np.arange(p) * q + q - 1, (p - 1) * q + np.arange(q)])
-    open_lines = np.arange(size + 1)[:, None] <= last
-    nodes = max(1, batch // 2)
-    rel = _relation_eps(suffix[:1], value_gaps, np.full(1, -np.inf))
-    stack = [(0, np.zeros((1, size), dtype=bool), np.full((1, p, q), np.inf),
-              np.full(1, -np.inf), rel, rel)]
+    stack = [(0, root)]
     while stack:
-        t, mask, g, kat, rel, bound = stack.pop()
-        keep = bound < best
-        mask, g, kat, rel = mask[keep], g[keep], kat[keep], rel[keep]
-        if not len(g):
+        t, block = stack.pop()
+        keep = block[2] < best
+        if not keep.any():
             continue
-        # IN: cell t joins the cells, and the union (so R) stays the parent's
-        g_in = np.minimum(g, cols[t])
-        mask_in = mask.copy()
-        mask_in[:, t] = True
-        # OUT: cell t leaves the union; drop those that can no longer cover
-        cells = mask.reshape(-1, p, q)
-        covered = np.concatenate([cells.any(axis=2), cells.any(axis=1)], axis=1)
-        out = (covered | open_lines[t + 1]).all(axis=1) & (kat < best)
-        rel_out = _relation_eps(np.minimum(g[out], suffix[t + 1]), value_gaps,
-                                np.full(np.count_nonzero(out), -np.inf))
-        mask = np.concatenate([mask_in, mask[out]])
-        g = np.concatenate([g_in, g[out]])
-        kat = np.concatenate([_katetov_eps(g_in, dx, dy), kat[out]])
-        rel = np.concatenate([rel, rel_out])
-        bound = np.maximum(kat, rel)
-        if t + 1 == size:
-            best = _score_by_bound(mask.reshape(-1, p, q), bound, best, dx, dy,
-                                   value_gaps, batch)
+        children = expand(t, best, *(a[keep] for a in block))
+        g, kat, bound = children[:3]
+        if t + 1 == levels:
+            best = _score_by_bound(g, kat, bound, best, value_gaps, batch)
             if best == 0.0:
                 break
             continue
@@ -443,59 +393,95 @@ def _cover_search(dx: np.ndarray, dy: np.ndarray, value_gaps, best: float, batch
         order = order[bound[order] < best]
         for start in range((len(order) - 1) // nodes * nodes, -1, -nodes):
             idx = order[start:start + nodes]
-            stack.append((t + 1, mask[idx], g[idx], kat[idx], rel[idx], bound[idx]))
+            stack.append((t + 1, tuple(a[idx] for a in children)))
     return best
+
+
+def _cover_search(dx: np.ndarray, dy: np.ndarray, value_gaps, best: float, batch: int) -> float:
+    """``min(best, least _critical_eps)`` over every cell set covering all rows and columns.
+
+    The search decides the cells c = a * q + b in turn, in or out.  A node
+    holds its IN cells' gap table g_IN and K, the rows and columns they
+    cover, and R = ``_relation_eps`` (from -inf) of ``min(g_IN, suffix)``,
+    the gap table of IN and the undecided cells together.  Its bound is
+    ``max(K, R)``.  No OUT child is made when a row or column would have no
+    IN or undecided cell left, or when K is at least the best value.  An IN
+    child keeps its parent's R (the same union), an OUT child its g_IN and K.
+
+    R is at most the same term of any set S the node can reach (S holds IN
+    and lies within IN and the undecided cells), float for float: S's gap
+    table is entrywise at least ``min(g_IN, suffix)``, a min over more
+    cells.  So every pair matched for S is matched here, each tuple has at
+    least its lifted partners for S, and ``where``, min and max give each
+    cost entry, least gap and largest term at most S's.  This needs no
+    separated cells.  At the root every gap is 0 and every pair matches, so
+    R is the value-set bound of Memoli ("Some properties of Gromov-Hausdorff
+    distances", DCG 48, 2012): the largest Hausdorff distance between the
+    value sets of a relation over the domain tuples.  Where the incumbent
+    meets it, no set is scored.
+
+    Blocks: ``batch // 2`` nodes per expansion, two children each, so each
+    array of an expansion takes at most half of ``DK_BLOCK_ENTRIES`` entries.
+    """
+    p, q = len(dx), len(dy)
+    size = p * q
+    cols = _cell_gaps(dx, dy)
+    # suffix[t]: the gap table of the cells t .. pq - 1, undecided at depth t
+    suffix = np.concatenate([np.minimum.accumulate(cols[::-1])[::-1],
+                             np.full((1, p, q), np.inf)])
+    # lines are the rows a and the columns p + b; lines[c]: those of cell c;
+    # open_lines[t]: those with a cell undecided at depth t
+    lines = np.concatenate([np.repeat(np.eye(p, dtype=bool), q, axis=0),
+                            np.tile(np.eye(q, dtype=bool), (p, 1))], axis=1)
+    last = np.concatenate([np.arange(p) * q + q - 1, (p - 1) * q + np.arange(q)])
+    open_lines = np.arange(size + 1)[:, None] <= last
+
+    def expand(t, best, g, kat, bound, covered, rel):
+        # IN: cell t joins the cells, and the union (so R) stays the parent's
+        g_in = np.minimum(g, cols[t])
+        # OUT: cell t leaves the union; drop those that can no longer cover
+        out = (covered | open_lines[t + 1]).all(axis=1) & (kat < best)
+        rel_out = _relation_eps(np.minimum(g[out], suffix[t + 1]), value_gaps,
+                                np.full(np.count_nonzero(out), -np.inf))
+        kat = np.concatenate([_katetov_eps(g_in, dx, dy), kat[out]])
+        rel = np.concatenate([rel, rel_out])
+        return (np.concatenate([g_in, g[out]]), kat, np.maximum(kat, rel),
+                np.concatenate([covered | lines[t], covered[out]]), rel)
+
+    rel = _relation_eps(suffix[:1], value_gaps, np.full(1, -np.inf))
+    root = (np.full((1, p, q), np.inf), np.full(1, -np.inf), rel,
+            np.zeros((1, p + q), dtype=bool), rel)
+    return _branch_and_bound(expand, root, size, best, value_gaps, batch, max(1, batch // 2))
 
 
 def _graph_search(dx: np.ndarray, dy: np.ndarray, value_gaps, batch: int) -> float:
     """Least ``_critical_eps`` over the graphs of the onto maps, by branch and bound.
 
     The maps go from the larger domain to the smaller (the first on ties).
-    A depth-first search assigns the larger side's points in turn and keeps,
-    per partial map, its cells, its gap table (updated one cell at a time
-    from :func:`_cell_gaps`), how many images it covers and a lower bound.
-    It drops a partial map that can no longer be onto, or whose bound is at
-    least the best value found so far.  Complete maps are scored by
-    ``_critical_eps`` on their masks in the original orientation
-    (:func:`_score_by_bound`), so each value has the bits of scoring that
-    graph alone; the bounds only decide what is skipped, and each is at
-    most the value of every completion, so the minimum is unchanged.
+    The search assigns the larger side's points in turn.  A node is a
+    partial map: its cells, their gap table (in the original orientation)
+    and K, the images it covers and D below.  No child is made that can no
+    longer be onto.  The bound is K, raised to D from depth 2 on when the
+    cells are separated.
 
-    The bound is the larger of two terms, each at most the same part of the
-    value of any completion, float for float:
+    D is the largest ``|dx[x, x~] - dy[y, y~]|`` over pairs of assigned
+    cells (x, y), (x~, y~).  Cells are separated when the entries of the sum
+    table ``dx[x, x'] + dy[y', y]`` at most ``MATCH_SLACK`` are exactly those
+    at (x, y) = (x', y').  A gap table entry is at most ``MATCH_SLACK`` iff
+    one of its cells' sums is (min returns one of its arguments), so the
+    pairs ``_critical_eps`` matches for a graph are then exactly its cells.
+    Each point of the larger side has one matched partner, each pair of
+    them one matched pair, and the lifted metric's epsilon-bijection term on
+    that side is the max of the value gaps over all pairs of cells, the
+    same floats as D, which takes some of them.  With near-duplicate points
+    a pair can match more than its cells, and D need not bound the value.
 
-    - K, ``_katetov_eps`` of the partial gap table.  A completion has every
-      cell of the partial map, so its gap table is entrywise at most this
-      one.  ``(d - g - g~) / 2`` does not fall as g and g~ fall: rounded
-      subtraction is monotone in each argument, and so is halving.  So K is
-      at most the completion's Katetov term.
-    - D, the largest ``|dx[x, x~] - dy[y, y~]|`` over pairs of assigned cells
-      (x, y), (x~, y~), used only when the cells are separated: the entries
-      of the sum table ``dx[x, x'] + dy[y', y]`` at most ``MATCH_SLACK`` are
-      exactly those at (x, y) = (x', y').  A gap table entry is at most
-      ``MATCH_SLACK`` iff one of its cells' sums is (min returns one of its
-      arguments), so the pairs ``_critical_eps`` matches for a graph are
-      then exactly its cells.  Each point of the larger side has one matched
-      partner, each pair of them one matched pair, and the lifted metric's
-      epsilon-bijection term on that side is the max of the value gaps
-      ``|dx[x, x~] - dy[y, y~]|`` over all pairs of cells, the same floats
-      as here; D is the max over some of them.  With near-duplicate points
-      a pair can match more than its cells, and D need not bound the value,
-      so only K is used.
-
-    Blocks: one expansion extends ``nodes`` partial maps, and its survivors
-    are sorted by bound and pushed in blocks of ``nodes``, the best on top,
-    so the search dives to a good value before it backtracks.  The stack
-    then holds at most (larger side) x (smaller side) blocks, and both
-    their gap tables and the widest array of one expansion's bounds take
-    at most half of ``DK_BLOCK_ENTRIES`` table entries.
+    Blocks: ``nodes`` partial maps per expansion, each with at most (smaller
+    side) children; their gap tables and the widest array of one
+    expansion's bounds take at most half of ``DK_BLOCK_ENTRIES`` entries.
     """
     p, q = len(dx), len(dy)
-    best = np.inf
-    if min(p, q) == 0:
-        return best
     big, small = max(p, q), min(p, q)
-    nodes = max(1, DK_BLOCK_ENTRIES // (2 * small * p * q * big))
     cols = _cell_gaps(dx, dy)
     separated = np.array_equal(cols.reshape(p * q, p * q) <= MATCH_SLACK,
                                np.eye(p * q, dtype=bool))
@@ -506,40 +492,26 @@ def _graph_search(dx: np.ndarray, dy: np.ndarray, value_gaps, batch: int) -> flo
         cell = np.arange(p)[:, None] * q + np.arange(q)
     else:
         cell = np.arange(p)[None, :] * q + np.arange(q)[:, None]
-    zero = np.zeros(1, dtype=np.intp)
-    stack = [(np.zeros((1, 0), dtype=np.intp), np.full((1, p, q), np.inf), np.zeros(1),
-              zero, zero, np.zeros(1))]
-    while stack:
-        cells, g, dist, cover, count, bound = stack.pop()
-        keep = bound < best
-        cells, g, dist, cover, count = cells[keep], g[keep], dist[keep], cover[keep], count[keep]
-        depth = cells.shape[1]
+
+    def expand(depth, best, g, kat, bound, cells, dist, cover, count):
         fresh = (cover[:, None] >> np.arange(small) & 1) == 0
         # onto: the points left can still reach every uncovered image
         rows, img = np.nonzero(small - count[:, None] - fresh <= big - depth - 1)
-        if not rows.size:
-            continue
         new = cell[depth, img]
         g = np.minimum(g[rows], cols[new])
-        bound, dist = _katetov_eps(g, dx, dy), dist[rows]
+        kat = bound = _katetov_eps(g, dx, dy)
+        dist = dist[rows]
         if separated and depth:
             dist = np.maximum(dist, pair[cells[rows], new[:, None]].max(axis=1))
-            bound = np.maximum(bound, dist)
-        cells = np.concatenate([cells[rows], new[:, None]], axis=1)
-        if depth + 1 == big:
-            masks = np.zeros((len(cells), p * q), dtype=bool)
-            masks[np.arange(len(cells))[:, None], cells] = True
-            best = _score_by_bound(masks.reshape(-1, p, q), bound, best, dx, dy,
-                                   value_gaps, batch)
-            if best == 0.0:
-                break
-            continue
-        cover, count = cover[rows] | 1 << img, count[rows] + fresh[rows, img]
-        order = np.argsort(bound, kind="stable")
-        for start in range((len(order) - 1) // nodes * nodes, -1, -nodes):
-            idx = order[start:start + nodes]
-            stack.append((cells[idx], g[idx], dist[idx], cover[idx], count[idx], bound[idx]))
-    return best
+            bound = np.maximum(kat, dist)
+        return (g, kat, bound, np.concatenate([cells[rows], new[:, None]], axis=1), dist,
+                cover[rows] | 1 << img, count[rows] + fresh[rows, img])
+
+    nodes = max(1, DK_BLOCK_ENTRIES // (2 * small * p * q * big))
+    zero = np.zeros(1, dtype=np.intp)
+    root = (np.full((1, p, q), np.inf), np.full(1, -np.inf), np.full(1, -np.inf),
+            np.zeros((1, 0), dtype=np.intp), np.zeros(1), zero, zero)
+    return _branch_and_bound(expand, root, big, np.inf, value_gaps, batch, nodes)
 
 
 def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
@@ -549,11 +521,13 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
     Minimizes the critical epsilon of the Katetov extension over full
     correspondences between the level-k domains; exhaustive while the domain
     product is small, restricted to surjection graphs beyond that.  The
-    graphs of the onto maps are searched first, by branch and bound
-    (:func:`_graph_search`).  Beyond the exhaustive regime they are the
-    whole candidate set; within it, they are some of the candidates, and
-    their least value is the incumbent of the search over all of them
-    (:func:`_cover_search`).  The search stops as soon as it reaches 0.
+    graphs of the onto maps are searched first (:func:`_graph_search`).
+    Beyond the exhaustive regime they are the whole candidate set; within
+    it, they are some of the candidates, and their least value is the
+    incumbent of the search over all of them (:func:`_cover_search`).  Both
+    run one branch and bound (:func:`_branch_and_bound`), which stops as
+    soon as it reaches 0.  Without a signature the symbols are d and every
+    relation of either structure.
     """
     if cap < 0:
         raise DimensionError(f"cap must be >= 0, got {cap}")
@@ -566,7 +540,7 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
     if sig is not None:
         names = set(sig.sublanguage(k)) | {"d"}
     else:
-        names = {"d"} | set(m.relations)
+        names = {"d"} | set(m.relations) | set(n.relations)
     p, q = len(dom_m), len(dom_n)
     value_gaps = []
     for name in sorted(names):
@@ -575,6 +549,8 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
             raise DimensionError(f"relation {name!r} has mismatched arities")
         tm, tn = tm[np.ix_(*[dom_m] * tm.ndim)], tn[np.ix_(*[dom_n] * tn.ndim)]
         value_gaps.append((tm.ndim, np.abs(tm.reshape(-1, 1) - tn.reshape(1, -1))))
+    if not (p and q):
+        raise DimensionError("no full correspondence exists between the domains")
     # widest per-candidate array: the gap sums (pq)^2 or a relation's gap table
     width = max([1, (p * q) ** 2] + [t.size for _, t in value_gaps])
     batch = max(1, DK_BLOCK_ENTRIES // width)
@@ -582,8 +558,6 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
     best = _graph_search(dx, dy, value_gaps, batch)
     if best > 0.0 and p * q <= EXHAUSTIVE_PAIR_LIMIT:
         best = _cover_search(dx, dy, value_gaps, best, batch)
-    if not np.isfinite(best):
-        raise DimensionError("no full correspondence exists between the domains")
     return best
 
 

@@ -101,12 +101,15 @@ class DistanceReport:
     converged: dict = field(default_factory=dict)
 
 
-def _check_args(search: str, counts: dict, seed: int) -> None:
+def _check_args(search: str, counts: dict, budgets: dict) -> None:
+    """Every count must be at least 1; every budget (the seed, or a number of
+    evaluations, where 0 scores the starts only) at least 0."""
     for name, count in counts.items():
         if count < 1:
             raise DimensionError(f"{search} needs at least 1 {name}, got {count}")
-    if seed < 0:
-        raise DimensionError(f"{search} needs a nonnegative seed, got {seed}")
+    for name, budget in budgets.items():
+        if budget < 0:
+            raise DimensionError(f"{search} needs a nonnegative {name}, got {budget}")
 
 
 def _images(c: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -328,7 +331,8 @@ def amplified_map_norm(x: OperatorSystemSpan, y: OperatorSystemSpan, u,
     differ), with the iterates that separate scipy Nelder-Mead runs would
     take given those values.
     """
-    _check_args("the amplified-norm ascent", {"level": level, "start": starts}, seed)
+    _check_args("the amplified-norm ascent", {"level": level, "start": starts},
+                {"seed": seed, "iters": iters})
     um = u.matrix if isinstance(u, LinearMapCoords) else np.asarray(u, dtype=np.complex128)
     if um.shape != (x.dim, y.dim) or x.dim != y.dim:
         raise DimensionError("map coordinates must be N x N for both systems")
@@ -391,7 +395,8 @@ def dn_search(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int = 1,
     and its map are those of running the restarts one after another.
     """
     _check_args("the d_n search",
-                {"restart": restarts, "level": level, "inner start": inner_starts}, seed)
+                {"restart": restarts, "level": level, "inner start": inner_starts},
+                {"seed": seed, "outer_iters": outer_iters, "inner_iters": inner_iters})
     if x.dim != y.dim:
         raise NotComparableError(
             f"systems have dimensions {x.dim} and {y.dim}; d_n compares equal dimensions"
@@ -437,7 +442,7 @@ def dgh_weighted(x: OperatorSystemSpan, y: OperatorSystemSpan, n_max: int = 3,
 
     Level n + 1 is warm-started from level n's best map.
     """
-    _check_args("the weighted sum", {"level": n_max}, seed)
+    _check_args("the weighted sum", {"level": n_max}, {"seed": seed})
     per_level = []
     warm = []
     for level in range(1, n_max + 1):

@@ -331,6 +331,18 @@ class TestGh:
         assert rep["error"]["kind"] == "InputFormatError"
         assert "outside range(3)" in rep["error"]["message"]
 
+    def test_relation_of_one_side_only_exits_invalid_in_both_orders(self, tmp_path):
+        # the symbols used to come from the first structure alone, so one
+        # order exited 0 with distance 0 and the other exited 2
+        plain = structure_file(tmp_path, "plain.json", [[0.0, 1.0], [1.0, 0.0]])
+        marked = structure_file(tmp_path, "marked.json", [[0.0, 1.0], [1.0, 0.0]],
+                                {"T": {"arity": 1, "table": {"1": 1.0}}})
+        for a, b in ((plain, marked), (marked, plain)):
+            code, rep, _ = call(["gh-dist", a, b])
+            assert code == EXIT_INVALID
+            assert rep["error"]["kind"] == "DimensionError"
+            assert "relation 'T' is missing" in rep["error"]["message"]
+
     def test_capacity(self, tmp_path):
         big = structure_file(tmp_path, "big.json",
                              (np.ones((9, 9)) - np.eye(9)).tolist())

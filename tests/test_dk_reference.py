@@ -79,7 +79,10 @@ def ref_surjection_graphs(dom_m, dom_n):
 def ref_dk(m, n, k=1):
     dom_m, dom_n = m.domain(k), n.domain(k)
     sig = m.signature or n.signature
-    names = (set(sig.sublanguage(k)) | {"d"}) if sig is not None else {"d"} | set(m.relations)
+    if sig is not None:
+        names = set(sig.sublanguage(k)) | {"d"}
+    else:
+        names = {"d"} | set(m.relations) | set(n.relations)
     if len(dom_m) * len(dom_n) <= EXHAUSTIVE_PAIR_LIMIT:
         candidates = ref_full_correspondences(dom_m, dom_n)
     else:
@@ -155,12 +158,26 @@ def test_both_regimes_match_reference(p, q):
     assert dk_bruteforce(n, m) == ref_dk(n, m)
 
 
-@pytest.mark.parametrize("p,q", [(3, 4), (4, 6)])
-def test_tiny_blocks_match_reference(monkeypatch, p, q):
-    # many decode chunks and many scoring blocks per chunk, ragged last ones
+def grid_duplicates(rng, size):
+    """``relational`` on a 3 x 3 grid with values in {0, 1/2, 1}, points 0 and
+    1 equal: a cell matches pairs beyond itself, so the cells are not
+    separated."""
+    pts = rng.integers(0, 3, (size, 2))
+    pts[1] = pts[0]
+    rels = {"R": rng.integers(0, 3, size) / 2, "B": rng.integers(0, 3, (size, size)) / 2}
+    return FiniteStructure(grid_metric(pts), rels, signature=SIG)
+
+
+@pytest.mark.parametrize("p,q,duplicates", [(3, 4, False), (4, 6, False), (5, 5, True)],
+                         ids=["3-4", "4-6", "grid-duplicates5x5"])
+def test_tiny_blocks_match_reference(monkeypatch, p, q, duplicates):
+    # many decode chunks and many scoring blocks per chunk, ragged last ones;
+    # the 5x5 grid pair is past 20 cells and not separated, so the graph
+    # search runs on the Katetov bound alone
     monkeypatch.setattr(metric, "DK_BLOCK_ENTRIES", 97)
     rng = np.random.default_rng([p, q, 1])
-    m, n = relational(rng, p), relational(rng, q)
+    build = grid_duplicates if duplicates else relational
+    m, n = build(rng, p), build(rng, q)
     assert dk_bruteforce(m, n, 3) == ref_dk(m, n, 3)
 
 
@@ -274,11 +291,11 @@ def check_against_reference(pair):
 
 
 def count_scored(monkeypatch):
-    """Counts the candidates that ``_critical_eps`` scores."""
+    """Counts the cell sets that ``_critical_eps`` scores."""
     scored = []
     critical_eps = metric._critical_eps
     monkeypatch.setattr(metric, "_critical_eps",
-                        lambda masks, *a: scored.append(len(masks)) or critical_eps(masks, *a))
+                        lambda g, *a: scored.append(len(g)) or critical_eps(g, *a))
     return scored
 
 
@@ -449,16 +466,20 @@ def test_cover_condition_on_near_duplicates(monkeypatch, p, q, seed, block):
 def test_root_bound_ends_the_search_without_a_leaf(monkeypatch):
     # sides {1, 2, 2} against {2, 2, 3}: the value sets {0, 1, 2} and
     # {0, 2, 3} of d are 1 apart, and 1 is the value, so after the graphs
-    # the cover search drops its root
+    # the cover search drops its root: every scored set is a graph's
     m = FiniteStructure(np.array([[0.0, 1, 2], [1, 0, 2], [2, 2, 0]]))
     n = FiniteStructure(np.array([[0.0, 2, 3], [2, 0, 2], [3, 2, 0]]))
-    masks = []
+    phase = ["graphs"]
+    cover_search = metric._cover_search
+    monkeypatch.setattr(metric, "_cover_search",
+                        lambda *a: phase.append("cover") or cover_search(*a))
+    scored = []
     critical_eps = metric._critical_eps
     monkeypatch.setattr(metric, "_critical_eps",
-                        lambda mk, *a: masks.append(mk) or critical_eps(mk, *a))
+                        lambda g, *a: scored.append(phase[-1]) or critical_eps(g, *a))
     assert dk_bruteforce(m, n) == ref_dk(m, n) == 1.0
-    scored = np.concatenate(masks)
-    assert np.all(scored.sum(axis=1) == 1) and np.all(scored.sum(axis=2) == 1)
+    assert phase == ["graphs", "cover"]
+    assert scored and set(scored) == {"graphs"}
 
 
 # --- structure checks and tables ----------------------------------------------------

@@ -146,6 +146,18 @@ class TestLiftRelation:
         assert lifted.psi[a, b] == pytest.approx(max(psi[1, 0], 1.0))
 
 
+class TestCorrespondenceExtension:
+    @pytest.mark.parametrize("pair", [(-1, 0), (3, 0), (0, 2), (0, -1)])
+    def test_pair_outside_the_domains_is_rejected(self, pair):
+        # (-1, 0) used to act as (2, 0), and (3, 0) raised an IndexError
+        with pytest.raises(DimensionError, match=rf"pair \({pair[0]}, {pair[1]}\) lies outside"):
+            correspondence_extension(FiniteStructure(PATH3), TWO_D2, [(0, 0), pair], 0.0)
+
+    def test_no_pairs_give_the_all_inf_table(self):
+        psi = correspondence_extension(FiniteStructure(PATH3), TWO_D2, [], 0.0)
+        assert psi.shape == (3, 2) and np.all(psi == np.inf)
+
+
 class TestDk:
     def test_identical_structures(self):
         s = FiniteStructure(PATH3)
@@ -186,6 +198,15 @@ class TestDk:
         lvl1 = dk_bruteforce(s, t, k=1)
         lvl2 = dk_bruteforce(s, t, k=2)
         assert lvl1 <= lvl2  # the bigger domain exposes the distance-2 pair
+
+    def test_relation_of_one_side_only_is_rejected_in_both_orders(self):
+        # without a signature the symbols are those of both structures; the
+        # symbols used to come from the first alone, so (plain, marked) gave 0
+        plain = TWO_D1
+        marked = FiniteStructure(TWO_D1.metric, relations={"T": np.array([0.0, 1.0])})
+        for a, b in ((plain, marked), (marked, plain)):
+            with pytest.raises(DimensionError, match="relation 'T' is missing"):
+                dk_bruteforce(a, b)
 
     @pytest.mark.parametrize("k", [0, -1, -5])
     def test_levels_below_one_rejected(self, k):

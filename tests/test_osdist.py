@@ -227,6 +227,20 @@ class TestDnSearch:
         with pytest.raises(DimensionError, match="nonnegative seed, got -1"):
             dgh_weighted(x, x, n_max=1, restarts=1, seed=-1)
 
+    def test_negative_evaluation_budgets_raise(self):
+        from osclass.opsys import build_system
+        x = build_system([np.array([[0, 1], [0, 0]], dtype=complex)])
+        with pytest.raises(DimensionError, match="nonnegative iters, got -3"):
+            amplified_map_norm(x, x, np.eye(x.dim), iters=-3)
+        for search in (dn_search, dn_estimate):
+            with pytest.raises(DimensionError, match="nonnegative outer_iters, got -2"):
+                search(x, x, restarts=1, outer_iters=-2, inner_iters=-7)
+            with pytest.raises(DimensionError, match="nonnegative inner_iters, got -7"):
+                search(x, x, restarts=1, inner_iters=-7)
+        for kw in ({"outer_iters": -1}, {"inner_iters": -1}):
+            with pytest.raises(DimensionError, match="nonnegative"):
+                dgh_weighted(x, x, n_max=1, restarts=1, **kw)
+
     def test_monotone_under_more_restarts(self):
         rng = np.random.default_rng(4)
         from osclass.opsys import build_system

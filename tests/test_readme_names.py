@@ -1,0 +1,63 @@
+"""Every code name the README cites, against the package.
+
+A backticked ``module.name`` (``metric.dk_bruteforce``), ``Class.name``
+(``FactoredSpan.fit``) or bare private name (``_CUTOFF``) must name an
+attribute of an ``osclass`` module, so renaming or deleting a cited name
+fails here instead of leaving the README pointing at nothing.
+"""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+MODULES = ("linalg", "unitary", "degree1", "opsys", "osdist", "metric", "formulas", "io",
+           "cli", "errors")
+
+
+def cited(pattern: str) -> list:
+    return sorted(set(re.findall(pattern, README.read_text(encoding="utf-8"))))
+
+
+def holders(name: str) -> list:
+    """The ``osclass`` modules that have an attribute ``name``."""
+    mods = [importlib.import_module(f"osclass.{module}") for module in MODULES]
+    return [mod for mod in mods if hasattr(mod, name)]
+
+
+def resolves(owner, path: list) -> bool:
+    for part in path:
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+DOTTED = cited(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+MODULE_REFS = [ref for ref in DOTTED if ref.split(".")[0] in MODULES]
+CLASS_REFS = [ref for ref in DOTTED if ref[0].isupper()]
+PRIVATE = cited(r"`(_\w+)`")
+
+
+def test_the_readme_cites_code_names():
+    assert len(MODULE_REFS) >= 10 and CLASS_REFS and PRIVATE
+
+
+@pytest.mark.parametrize("ref", MODULE_REFS)
+def test_module_reference_resolves(ref):
+    module, *path = ref.split(".")
+    assert resolves(importlib.import_module(f"osclass.{module}"), path), ref
+
+
+@pytest.mark.parametrize("ref", CLASS_REFS)
+def test_class_reference_resolves(ref):
+    cls, *path = ref.split(".")
+    assert any(resolves(getattr(mod, cls), path) for mod in holders(cls)), ref
+
+
+@pytest.mark.parametrize("name", PRIVATE)
+def test_private_name_resolves(name):
+    assert holders(name), name
