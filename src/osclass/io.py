@@ -41,6 +41,14 @@ def parse_complex(obj) -> complex:
     raise InputFormatError(f"expected a complex number as [re, im], got {obj!r}")
 
 
+def parse_integer(obj, what: str) -> int:
+    """A JSON integer: an ``int`` that is not a ``bool``, never a float or a
+    string that ``int()`` would truncate or parse."""
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return obj
+    raise InputFormatError(f"{what} must be an integer, got {obj!r}")
+
+
 def _complex_array(obj, ndim: int) -> np.ndarray | None:
     """``obj`` as an ndim-dimensional complex array of [re, im] pairs, or None.
 
@@ -87,7 +95,8 @@ def parse_system(obj) -> OperatorSystemSpan:
     gens = [parse_matrix(g) for g in obj["generators"]]
     include_identity = bool(obj.get("include_identity", True))
     system = build_system(gens, include_identity=include_identity)
-    if "ambient_dim" in obj and int(obj["ambient_dim"]) != system.ambient_dim:
+    if ("ambient_dim" in obj
+            and parse_integer(obj["ambient_dim"], '"ambient_dim"') != system.ambient_dim):
         raise InputFormatError(
             f'declared ambient_dim {obj["ambient_dim"]} does not match generators'
         )
@@ -104,7 +113,7 @@ def parse_point_set(obj) -> PointSet:
     data = _complex_array(pts, 2)
     if data is None:
         data = [[parse_complex(c) for c in p] for p in pts]
-    dim = int(obj.get("dim", len(data[0])))
+    dim = parse_integer(obj["dim"], '"dim"') if "dim" in obj else len(data[0])
     return PointSet(ambient=dim, points=np.asarray(data, dtype=np.complex128))
 
 
@@ -137,8 +146,10 @@ def parse_structure(obj) -> FiniteStructure:
     for name, rel in (obj.get("relations") or {}).items():
         if not isinstance(rel, dict) or "arity" not in rel or "table" not in rel:
             raise InputFormatError(f'relation {name!r} needs "arity" and "table" keys')
-        relations[name] = _parse_table(rel["table"], int(rel["arity"]), size)
-    domains = tuple(tuple(int(i) for i in d) for d in obj.get("domains") or [])
+        arity = parse_integer(rel["arity"], f"the arity of relation {name!r}")
+        relations[name] = _parse_table(rel["table"], arity, size)
+    domains = tuple(tuple(parse_integer(i, "a domain index") for i in d)
+                    for d in obj.get("domains") or [])
     return FiniteStructure(metric=metric, relations=relations, domains=domains)
 
 
@@ -153,12 +164,14 @@ def parse_element(obj) -> AmplifiedElement:
             [[[parse_complex(c) for c in vecs] for vecs in row] for row in obj["coeffs"]],
             dtype=np.complex128,
         )
-    return AmplifiedElement(level=int(obj.get("level", coeffs.shape[0])), coeffs=coeffs)
+    level = parse_integer(obj["level"], '"level"') if "level" in obj else coeffs.shape[0]
+    return AmplifiedElement(level=level, coeffs=coeffs)
 
 
 def parse_bijection(obj, size: int) -> np.ndarray:
     """A permutation of ``range(size)`` given as a list of indices."""
-    if not (isinstance(obj, list) and all(isinstance(i, int) for i in obj)
+    if not (isinstance(obj, list)
+            and all(isinstance(i, int) and not isinstance(i, bool) for i in obj)
             and sorted(obj) == list(range(size))):
         raise InputFormatError(f"expected a permutation of range({size}), got {obj!r}")
     return np.array(obj, dtype=int)

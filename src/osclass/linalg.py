@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# np.linalg.eigvalsh's own gufunc: see _top_eigenvalues
+from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
 from .errors import CapacityError, DimensionError, NotNormalError
 
@@ -68,11 +70,37 @@ def op_norm(a) -> float:
 GRAM_RANGE = 1e250
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
+def _gram(a: np.ndarray) -> np.ndarray:
+    """``A* A`` of every matrix of a stack, quietly: a square that overflows
+    or underflows shows on the diagonal, which :func:`top_singular` checks."""
+    return a.conj().swapaxes(-1, -2) @ a
+
+
+def _nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _top_eigenvalues(gram: np.ndarray) -> np.ndarray:
+    """The top eigenvalue of every matrix of a complex128 Hermitian stack.
+
+    This is ``np.linalg.eigvalsh(gram)[..., -1]``: the same gufunc under the
+    same error state (a matrix LAPACK cannot diagonalise raises
+    ``LinAlgError``), without the wrapper's type and shape checks, which
+    :func:`top_singular` has already made and which cost more than LAPACK
+    on a few small matrices.
+    """
+    return _eigvalsh_lo(gram, signature="D->d")[..., -1]
+
+
 def top_singular(stack) -> np.ndarray:
     """Largest singular value of every matrix of a (..., m, n) stack.
 
     For each matrix A it is the square root of the top eigenvalue of the
-    Gram matrix ``A* A``, from one stacked ``eigvalsh``: backward stable, so
+    Gram matrix ``A* A``, from one stacked ``eigvalsh`` (its gufunc, called
+    by :func:`_top_eigenvalues` without the wrapper): backward stable, so
     within a few eps of :func:`op_norm`.  A matrix whose Gram trace
     ``||A||_F^2`` is 0 or outside ``[1 / GRAM_RANGE, GRAM_RANGE]`` (squares
     that overflow, or that underflow by more than rounding) takes
@@ -86,21 +114,20 @@ def top_singular(stack) -> np.ndarray:
     a = np.ascontiguousarray(stack, dtype=np.complex128)
     if a.ndim < 2 or 0 in a.shape[-2:]:
         raise DimensionError(f"expected a stack of nonempty matrices, got shape {a.shape}")
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        gram = a.conj().swapaxes(-1, -2) @ a
+    gram = _gram(a)
     # a non-finite entry makes its diagonal inf or NaN, never finite; every
     # diagonal entry within [1 / GRAM_RANGE, GRAM_RANGE / n] puts every trace in range
     diag = gram.diagonal(0, -2, -1).real
     if (diag.min(initial=1.0 / GRAM_RANGE) >= 1.0 / GRAM_RANGE
             and diag.max(initial=0.0) <= GRAM_RANGE / diag.shape[-1]):
-        return np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+        return np.sqrt(_top_eigenvalues(gram))
     with np.errstate(over="ignore"):
         trace = diag.sum(-1)
     safe = (trace >= 1.0 / GRAM_RANGE) & (trace <= GRAM_RANGE)
     if not np.isfinite(a[~safe]).all():
         raise DimensionError("matrix has non-finite entries")
     out = np.empty(trace.shape)
-    out[safe] = np.sqrt(np.linalg.eigvalsh(gram[safe])[..., -1])
+    out[safe] = np.sqrt(_top_eigenvalues(gram[safe]))
     out[~safe] = np.linalg.svd(a[~safe], compute_uv=False)[..., 0]
     return out
 

@@ -280,6 +280,11 @@ def _cell_gaps(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 def _gap_table(m: FiniteStructure, n: FiniteStructure, pairs) -> np.ndarray:
     """min over pairs of d(x, x') + d(y', y); the eps-free part of the extension."""
+    pairs = [tuple(p) for p in pairs]
+    for p in pairs:
+        if len(p) != 2 or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                                  for i in p):
+            raise DimensionError(f"pair {p} is not a pair of integer indices")
     idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     bad = ((idx < 0) | (idx >= (m.size, n.size))).any(axis=1)
     if bad.any():

@@ -15,10 +15,14 @@ reproduces scipy's ``minimize(method="Nelder-Mead")`` iterate for iterate.
 Each simplex phase is one batched objective call: the outer search
 evaluates all its restarts' maps at once, and each such call runs the
 forward and backward inner ascents of all those maps as one lockstep
-search.  Its ratios build the matrices of both systems into one stack, the
-forward denominators with the backward numerators on X and the reverse on
-Y, and take all their norms from one :func:`linalg.top_singular` call, or
-one per matrix size when the two ambient sizes differ.  That kernel reads each
+search.  What the inner phases share is built once per search
+(:class:`_Plan`: the start template, both flattened bases, the chunk
+size), so a phase only converts its points to elements, gathers each
+point's map, takes the images with one product per element and calls
+:func:`_ratios`.  That writes every matrix of the phase, each its own
+(n^2, N) x (N, k^2) product, into one stack of denominators and numerators
+and takes all their norms from one :func:`linalg.top_singular` call, or one
+per matrix size when the two ambient sizes differ.  That kernel reads each
 norm off the top eigenvalue of the matrix's Gram matrix, or off an SVD where
 the Gram trace leaves ``linalg.GRAM_RANGE``, so a matrix has one value in
 any stack.  The iterates follow scipy's rules given these values: estimates,
@@ -112,66 +116,81 @@ def _check_args(search: str, counts: dict, budgets: dict) -> None:
             raise DimensionError(f"{search} needs a nonnegative {name}, got {budget}")
 
 
-def _images(c: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """``c_i u_i^T`` for a stack of elements and their maps, one product each."""
-    return c @ maps.swapaxes(-1, -2)[:, None]
+class _Plan:
+    """What every phase of one search's inner ascents reuses.
 
-
-def _stacked_norms(sides: list, n: int) -> np.ndarray:
-    """:func:`top_singular` of every element of each ``(system, stack)`` pair,
-    the systems of one ambient size, from one stack and one kernel call.
-
-    Each element is its own system's (n^2, N) x (N, k^2) product, as in
-    ``assemble``, written into one preallocated stack.
+    Built once per ``amplified_map_norm`` or ``dn_search``: the start
+    template (the unit element ``I_n (x) e`` of each side, then ``starts - 1``
+    seeded random elements shared by every map), both bases flattened to
+    (N, k^2), and the chunk size that keeps a kernel call at most
+    ``_NORM_ENTRIES`` matrix entries.
     """
-    k = sides[0][0].ambient_dim
-    blocks = np.empty((len(sides), len(sides[0][1]), n * n, k * k), dtype=np.complex128)
-    for out, (s, c) in zip(blocks, sides):
-        np.matmul(c.reshape(-1, n * n, s.dim), s.basis.reshape(s.dim, k * k), out=out)
-    mats = blocks.reshape(-1, n, n, k, k).swapaxes(-3, -2).reshape(-1, n * k, n * k)
-    return top_singular(mats).reshape(len(sides), -1)
+
+    def __init__(self, x: OperatorSystemSpan, y: OperatorSystemSpan, level: int,
+                 starts: int, iters: int, seed: int):
+        self.level, self.starts, self.iters, self.dim = level, starts, iters, x.dim
+        nn, kx, ky = x.dim, x.ambient_dim, y.ambient_dim
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        noise = [rng.standard_normal(2 * level * level * nn) for _ in range(starts - 1)]
+        self.template = [np.array([_complex_to_real(np.eye(level)[:, :, None] * s.unit_coeffs),
+                                   *noise]) for s in (x, y)]
+        self.bases = [s.basis.reshape(nn, -1) for s in (x, y)]
+        self.sizes = (kx,) if kx == ky else (kx, ky)
+        self.step = max(1, _NORM_ENTRIES // (level * level * (kx * kx + ky * ky)))
+
+    def norms(self, c: np.ndarray, img: np.ndarray, cut: int) -> tuple:
+        """Denominator and numerator norms of a chunk whose first ``cut`` rows
+        are forward (``c`` on X over ``img`` on Y) and the rest backward (the
+        reverse), from one stack per matrix size: one size holds the
+        denominators, then the numerators; two sizes hold X's matrices and
+        Y's, forward rows first."""
+        m, n = len(c), self.level
+        (bx, by), sizes = self.bases, self.sizes
+        one = len(sizes) == 1
+        stacks = [np.empty((2 * m if one else m, n * n, k * k), dtype=np.complex128)
+                  for k in sizes]
+        sx, sy = (stacks[0][:m], stacks[0][m:]) if one else stacks
+        np.matmul(c[:cut], bx, out=sx[:cut])
+        np.matmul(img[:cut], by, out=sy[:cut])
+        if cut < m:
+            den, num = (sx, sy) if one else (sy, sx)
+            np.matmul(c[cut:], by, out=den[cut:])
+            np.matmul(img[cut:], bx, out=num[cut:])
+        res = [top_singular(b.reshape(-1, n, n, k, k).swapaxes(-3, -2).reshape(-1, n * k, n * k))
+               for b, k in zip(stacks, sizes)]
+        if one:
+            return res[0][:m], res[0][m:]
+        nx, ny = res
+        return np.concatenate([nx[:cut], ny[cut:]]), np.concatenate([ny[:cut], nx[cut:]])
 
 
-def _ratios(x: OperatorSystemSpan, y: OperatorSystemSpan, maps: np.ndarray,
-            c: np.ndarray, back: np.ndarray | None = None,
-            back_c: np.ndarray | None = None) -> np.ndarray:
-    """The ratios ||assemble_Y(c_i u_i^T)|| / ||assemble_X(c_i)|| for a stack,
-    then the backward ratios ||assemble_X(b_j v_j^T)|| / ||assemble_Y(b_j)||.
+def _ratios(plan: _Plan, c: np.ndarray, maps: np.ndarray, cut: int) -> np.ndarray:
+    """The ratios of one phase's elements under their maps.
 
-    ``c`` is an (m, n, n, N) stack of elements of M_n(X) and ``maps`` the
-    (m, N, N) stack of their maps; ``back_c`` and ``back`` are elements of
-    M_n(Y) and their maps from Y to X, none when omitted.  The coefficients
-    are concatenated per system (forward denominators with backward
-    numerators on X, the reverse on Y), never the assembled matrices.  At
-    most ``_NORM_ENTRIES`` matrix entries at a time, the same slice of both
-    sides is assembled into one stack that takes one :func:`top_singular`
-    call (:func:`_stacked_norms`), or one stack and call per matrix size when
-    the two ambient sizes differ.  An element whose denominator is below
-    ``RATIO_FLOOR`` has ratio 0.  Each ratio has the bits of the quotient of
-    two ``amplified_norm`` values, as both take each matrix alone.
+    ``c`` is an (m, n, n, N) stack of elements and ``maps`` the (m, N, N)
+    stack of their maps: rows before ``cut`` are elements of M_n(X) under
+    maps from X to Y, with ratio ||assemble_Y(c_i u_i^T)|| / ||assemble_X(c_i)||,
+    and the rest elements of M_n(Y) under maps from Y to X, the other way
+    round.  The images take one product per row; at most ``plan.step``
+    elements at a time, the chunk's denominators and numerators take one
+    :func:`top_singular` call, or one per matrix size when the two ambient
+    sizes differ (:meth:`_Plan.norms`).  An element whose denominator is
+    below ``RATIO_FLOOR`` has ratio 0.  Each ratio has the bits of the
+    quotient of two ``amplified_norm`` values, as both take each matrix alone.
     """
-    m, n = len(c), c.shape[-2]
-    on_x, on_y = c, _images(c, maps)
-    if back_c is not None and len(back_c):
-        on_x = np.concatenate([on_x, _images(back_c, back)])
-        on_y = np.concatenate([on_y, back_c])
-    kx, ky = x.ambient_dim, y.ambient_dim
-    norms = np.empty((2, len(on_x)))
-    step = max(1, _NORM_ENTRIES // (n * n * (kx * kx + ky * ky)))
-    for i in range(0, len(on_x), step):
-        chunk = [(x, on_x[i:i + step]), (y, on_y[i:i + step])]
-        if kx == ky:
-            norms[:, i:i + step] = _stacked_norms(chunk, n)
+    m, n = len(c), plan.level
+    img = (c @ maps.swapaxes(-1, -2)[:, None]).reshape(m, n * n, -1)
+    c = c.reshape(m, n * n, -1)
+    out = np.empty(m)
+    for i in range(0, m, plan.step):
+        j = min(i + plan.step, m)
+        den, num = plan.norms(c[i:j], img[i:j], min(max(cut - i, 0), j - i))
+        small = den < RATIO_FLOOR
+        if np.count_nonzero(small):
+            out[i:j] = np.where(small, 0.0, num / np.where(small, 1.0, den))
         else:
-            norms[:1, i:i + step], norms[1:, i:i + step] = (_stacked_norms([side], n)
-                                                            for side in chunk)
-    denom, num = norms
-    if len(on_x) > m:
-        num, denom = np.concatenate([num[:m], denom[m:]]), np.concatenate([denom[:m], num[m:]])
-    small = denom < RATIO_FLOOR
-    if not small.any():
-        return num / denom
-    return np.where(small, 0.0, num / np.where(small, 1.0, denom))
+            np.divide(num, den, out=out[i:j])
+    return out
 
 
 def _real_to_complex(v: np.ndarray) -> np.ndarray:
@@ -189,6 +208,35 @@ def _complex_to_real(c: np.ndarray) -> np.ndarray:
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
 
+# An iteration's trial points are A xbar - B x_w, one (A, B) pair each:
+# reflection, expansion, outside contraction, inside contraction.  scipy
+# writes the last (1 - psi) xbar + psi x_w; (-psi) x_w is -(psi x_w) and
+# a - (-b) is a + b exactly, so every point has scipy's bits.
+_TRIAL_A, _TRIAL_B = np.array([[1 + _RHO, _RHO], [1 + _RHO * _CHI, _RHO * _CHI],
+                               [1 + _PSI * _RHO, _PSI * _RHO],
+                               [1 - _PSI, -_PSI]]).T[:, :, None, None]
+_EXPAND, _OUTSIDE, _INSIDE = 1, 2, 3
+# the second trial of a row by 2 [f_r < f_0] + [f_r < f_worst]: an
+# expansion whenever the reflection beats the best vertex, else a contraction
+_SECOND = np.array([_INSIDE, _OUTSIDE, _EXPAND, _EXPAND])
+
+
+@np.errstate(invalid="ignore")
+def _converged(sim: np.ndarray, fsim: np.ndarray, xatol: float, fatol: float) -> np.ndarray:
+    """scipy's ``xatol``/``fatol`` test on every sorted simplex, quietly.
+
+    argsort puts NaN last, so on a sorted row the largest |f_i - f_0| is
+    f_last - f_0: with no NaN, f_0 <= f_i <= f_last and rounding is
+    monotone, so 0 <= f_i - f_0 <= f_last - f_0 as computed; inf - f_0 is
+    inf, and inf - inf or -inf - -inf is NaN; a NaN value is f_last.  Each
+    of these fails the test on both sides, as NaN does in scipy.  The
+    simplex diameter is measured only where the values already pass.
+    """
+    flat = fsim[:, -1] - fsim[:, 0] <= fatol
+    if np.count_nonzero(flat):
+        flat &= np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
+    return flat
+
 
 def _nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
     """Minimise ``fun`` from every row of ``x0`` at once, as scipy would from each.
@@ -198,14 +246,20 @@ def _nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
     arithmetic, sorts and ``maxfev`` rules.  A call past the budget is
     refused and ends that start, which keeps its best vertex and value; the
     initial simplex is cut short when ``maxfev < N + 1``; the
-    ``xatol``/``fatol`` test runs before each iteration.  (scipy also moves
-    the vertex whose call a cut shrink refused; no result reads it.)
+    ``xatol``/``fatol`` test runs before each iteration; a shrink cut short
+    by the budget moves the vertices it evaluates and the one whose call it
+    refuses, which keeps its old value.
 
     The starts advance in lockstep: each phase (initial simplex, reflection,
     expansion or contraction, shrink) makes one call ``fun(points, owner)``
     with the points of every start that needs one, ``owner`` naming each
     point's start in nondecreasing order, so ``fun`` must give a point the
-    value it would give it alone.
+    value it would give it alone.  Between the calls an iteration works on
+    whole arrays: the convergence test reads the sorted values' ends, all
+    four trial points of every row come from one product with a table of
+    coefficients, a row's second trial is a lookup in that stack, shrinks
+    run only on rows whose contraction failed, and one ``argsort`` and one
+    gather sort every simplex.
 
     Returns ``(x, fval, f0)``: scipy's ``res.x`` and ``res.fun`` for every
     start, and the value at the start itself.
@@ -220,99 +274,102 @@ def _nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
     fsim[:, :first] = fun(sim[:, :first].reshape(-1, n), owner).reshape(b, first)
     f0 = fsim[:, 0].copy()
     x_end, f_end = np.empty((b, n)), np.empty(b)
-    # the rows still running: their start ids, simplices and call counts
+    # the rows still running: their start ids and call counts; base holds
+    # each row's offset into the flattened simplices
     ids, fcalls = np.arange(b), np.full(b, first)
-    rows = ids[:, None]
+    base = (n + 1) * ids[:, None]
+
+    def order(sim, fsim):
+        # scipy's argsort of each row, then one gather of vertices and values
+        ind = fsim.argsort(axis=1)
+        ind += base
+        return sim.reshape(-1, n).take(ind, axis=0), fsim.take(ind)
+
     for _ in range(2):  # scipy sorts the initial simplex twice
-        ind = np.argsort(fsim, axis=1)
-        sim, fsim = sim[rows, ind], fsim[rows, ind]
+        sim, fsim = order(sim, fsim)
     while True:
-        # scipy's loop condition, then its convergence test; the simplex
-        # diameter is measured only where the values already meet fatol
-        stop = fcalls >= maxfev
-        flat = np.flatnonzero(np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= fatol)
-        if flat.size:
-            stop[flat] |= np.max(np.abs(sim[flat, 1:] - sim[flat, :1]), axis=(1, 2)) <= xatol
-        if stop.any():
+        # scipy's loop condition, then its convergence test
+        stop = (fcalls >= maxfev) | _converged(sim, fsim, xatol, fatol)
+        if np.count_nonzero(stop):
             x_end[ids[stop]], f_end[ids[stop]] = sim[stop, 0], np.min(fsim[stop], axis=1)
             go = ~stop
             ids, fcalls, sim, fsim = ids[go], fcalls[go], sim[go], fsim[go]
-            rows = np.arange(ids.size)[:, None]
             if not ids.size:
                 return x_end, f_end, f0
+            base = (n + 1) * np.arange(ids.size)[:, None]
         xbar = np.add.reduce(sim[:, :-1], 1) / n
-        worst = sim[:, -1]
-        xr = (1 + _RHO) * xbar - _RHO * worst
+        trial = _TRIAL_A * xbar - _TRIAL_B * sim[:, -1]
+        xr = trial[0]
         fxr = fun(xr, ids)
         fcalls += 1
         # scipy's branches, written with its comparisons so that NaN goes the same way
         expand = fxr < fsim[:, 0]
         put = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~put & (fxr < fsim[:, -1])
-        shrink = np.zeros(ids.size, bool)
         # a call past the budget is refused: that row keeps its simplex
-        second = np.flatnonzero(~put & (fcalls < maxfev))
-        if second.size:
-            e, o = expand[second], outside[second]
-            xb, xw = xbar[second], worst[second]
-            pts = np.where(e[:, None], (1 + _RHO * _CHI) * xb - _RHO * _CHI * xw,
-                           np.where(o[:, None], (1 + _PSI * _RHO) * xb - _PSI * _RHO * xw,
-                                    (1 - _PSI) * xb + _PSI * xw))
-            f2 = fun(pts, ids[second])
-            fcalls[second] += 1
-            take = ((e & (f2 < fxr[second])) | (o & (f2 <= fxr[second]))
-                    | (~e & ~o & (f2 < fsim[second, -1])))
-            # xr and fxr now hold each row's new vertex: an expansion keeps xr
-            # unless xe is better, a contraction that fails shrinks instead
-            xr[second[take]], fxr[second[take]] = pts[take], f2[take]
-            put[second] = e | take
-            shrink[second] = ~(e | take)
-        sim[put, -1], fsim[put, -1] = xr[put], fxr[put]
-        if shrink.any():
-            r = np.flatnonzero(shrink)
-            # a shrink cut short by the budget moves only the vertices it evaluated
-            ev = np.arange(1, n + 1) <= (maxfev - fcalls[r])[:, None]
-            sr, fr = sim[r], fsim[r]
-            sr[:, 1:] = np.where(ev[:, :, None], sr[:, :1] + _SIGMA * (sr[:, 1:] - sr[:, :1]),
-                                 sr[:, 1:])
+        sec = (~put & (fcalls < maxfev)).nonzero()[0]
+        if sec.size:
+            fr, fw = fxr[sec], fsim[sec, -1]
+            kind = _SECOND[2 * expand[sec] + (fr < fw)]
+            pts = trial[kind, sec]
+            f2 = fun(pts, ids[sec])
+            fcalls[sec] += 1
+            # an expansion replaces xr if better; an outside contraction is
+            # taken if no worse than xr, an inside one if better than the
+            # worst vertex; a contraction not taken shrinks the simplex
+            take = f2 < fr
+            np.less_equal(f2, fr, out=take, where=kind == _OUTSIDE)
+            np.less(f2, fw, out=take, where=kind == _INSIDE)
+            xr[sec[take]], fxr[sec[take]] = pts[take], f2[take]
+            keep = take | (kind == _EXPAND)
+            put[sec] = keep
+            sec = sec[~keep]
+        np.copyto(sim[:, -1], xr, where=put[:, None])
+        np.copyto(fsim[:, -1], fxr, where=put)
+        if sec.size:
+            # a shrink cut short by the budget evaluates the vertices it can
+            # and moves one more, as scipy does
+            left = (maxfev - fcalls[sec])[:, None]
+            sr, fr = sim[sec], fsim[sec]
+            np.copyto(sr[:, 1:], sr[:, :1] + _SIGMA * (sr[:, 1:] - sr[:, :1]),
+                      where=(diag <= left)[:, :, None])
+            ev = diag < left
             if ev.any():
-                fr[:, 1:][ev] = fun(sr[:, 1:][ev], np.repeat(ids[r], ev.sum(1)))
-                fcalls[r] += ev.sum(1)
-            sim[r], fsim[r] = sr, fr
-        ind = np.argsort(fsim, axis=1)
-        sim, fsim = sim[rows, ind], fsim[rows, ind]
+                fr[:, 1:][ev] = fun(sr[:, 1:][ev], ids[sec].repeat(ev.sum(1)))
+                fcalls[sec] += ev.sum(1)
+            sim[sec], fsim[sec] = sr, fr
+        sim, fsim = order(sim, fsim)
 
 
-def _ascents(x: OperatorSystemSpan, y: OperatorSystemSpan, maps: np.ndarray,
-             back: np.ndarray, level: int, starts: int, iters: int, seed: int) -> tuple:
+def _ascents(plan: _Plan, maps: np.ndarray, back: np.ndarray) -> tuple:
     """Best ratio the seeded inner ascent finds for every map, both ways.
 
     ``maps`` is an (m, N, N) stack of maps from X to Y and ``back`` a stack
-    of maps from Y to X.  Every map is ascended from the unit element
-    ``I_n (x) e`` of its domain and ``starts - 1`` seeded random elements,
-    the same for every map, and all these ascents run as one lockstep
-    Nelder-Mead whose every call is one :func:`_ratios`.  Returns the best
-    ratios of ``maps`` and of ``back``.
+    of maps from Y to X.  Every map is ascended from the plan's start
+    template of its domain, and all these ascents run as one lockstep
+    Nelder-Mead.  Each of its phases converts the points to elements,
+    gathers each point's map and makes one :func:`_ratios` call; the best
+    ratio of every map is taken once, over every value, when the search
+    ends.  Returns the best ratios of ``maps`` and of ``back``.
     """
-    nn = x.dim
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    noise = [rng.standard_normal(2 * level * level * nn) for _ in range(starts - 1)]
-    ex, ey = (_complex_to_real(np.eye(level)[:, :, None] * s.unit_coeffs) for s in (x, y))
-    x0 = np.array([ex, *noise] * len(maps) + [ey, *noise] * len(back))
-    best = np.zeros(len(maps) + len(back))
+    n, nn, starts = plan.level, plan.dim, plan.starts
+    x0 = np.concatenate([np.tile(t, (len(u), 1)) for t, u in zip(plan.template, (maps, back))])
+    per_row = np.concatenate([maps, back])[np.arange(len(x0)) // starts]
+    forward = len(maps) * starts
+    seen = []
 
     def neg(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        c = _real_to_complex(points).reshape(-1, level, level, nn)
-        which = owner // starts
-        cut = np.searchsorted(which, len(maps))
-        r = _ratios(x, y, maps[which[:cut]], c[:cut], back[which[cut:] - len(maps)], c[cut:])
-        np.fmax.at(best, which, r)
+        c = _real_to_complex(points).reshape(-1, n, n, nn)
+        r = _ratios(plan, c, per_row[owner], owner.searchsorted(forward))
+        seen.append((owner, r))
         return -r
 
-    if iters > 0:
-        _nelder_mead(neg, x0, iters, 1e-10, 1e-12)
+    if plan.iters > 0:
+        _nelder_mead(neg, x0, plan.iters, 1e-10, 1e-12)
     else:
         neg(x0, np.arange(len(x0)))
+    owner, r = (np.concatenate(t) for t in zip(*seen))
+    best = np.zeros(len(maps) + len(back))
+    np.fmax.at(best, owner // starts, r)
     return best[:len(maps)], best[len(maps):]
 
 
@@ -337,7 +394,7 @@ def amplified_map_norm(x: OperatorSystemSpan, y: OperatorSystemSpan, u,
     if um.shape != (x.dim, y.dim) or x.dim != y.dim:
         raise DimensionError("map coordinates must be N x N for both systems")
     maps = um[None]
-    return float(_ascents(x, y, maps, maps[:0], level, starts, iters, seed)[0][0])
+    return float(_ascents(_Plan(x, y, level, starts, iters, seed), maps, maps[:0])[0][0])
 
 
 def _objective(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int,
@@ -351,6 +408,10 @@ def _objective(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int,
     ``_BATCH_VERTICES`` initial-simplex vertices.
     """
     nn = x.dim
+    plan = _Plan(x, y, level, inner_starts, inner_iters, seed)
+    unit = y.unit()
+    # each map opens 2 * starts inner simplices of 2 n^2 N + 1 vertices
+    step = max(1, _BATCH_VERTICES // (2 * inner_starts * (2 * level * level * nn + 1)))
 
     def f(points: np.ndarray, _owner=None) -> np.ndarray:
         um = _real_to_complex(points).reshape(-1, nn, nn)
@@ -365,16 +426,13 @@ def _objective(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int,
             return out
         um = um[ok]
         uinv = np.linalg.inv(um)
-        gaps = top_singular(y._assemble((um @ x.unit_coeffs)[:, None, None]) - y.unit())
-        # each map opens 2 * starts inner simplices of 2 n^2 N + 1 vertices
-        step = max(1, _BATCH_VERTICES // (2 * inner_starts * (2 * level * level * nn + 1)))
-        parts = [_ascents(x, y, um[i:i + step], uinv[i:i + step],
-                          level, inner_starts, inner_iters, seed)
+        gaps = top_singular(y._assemble((um @ x.unit_coeffs)[:, None, None]) - unit)
+        parts = [_ascents(plan, um[i:i + step], uinv[i:i + step])
                  for i in range(0, len(um), step)]
         fwd, bwd = (np.concatenate(p) for p in zip(*parts))
-        for i, gap, fw, bw in zip(ok, gaps, fwd.tolist(), bwd.tolist()):
-            terms = [gap, np.log(fw) if fw > 0 else -np.inf, np.log(bw) if bw > 0 else -np.inf]
-            out[i] = float(max(terms))
+        # a best ratio is never negative or NaN, and log 0 is the -inf of no ratio
+        with np.errstate(divide="ignore"):
+            out[ok] = np.maximum(gaps, np.maximum(np.log(fwd), np.log(bwd)))
         return out
 
     return f

@@ -331,6 +331,15 @@ class TestGh:
         assert rep["error"]["kind"] == "InputFormatError"
         assert "outside range(3)" in rep["error"]["message"]
 
+    @pytest.mark.parametrize("domains", [[[0.9], [0, 1.7, 2]], [[True], [0, "1", 2]]])
+    def test_non_integer_domain_index_exits_invalid(self, tmp_path, domains):
+        # these domains used to pass as [[0], [0, 1, 2]] and exit 0
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"metric": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "domains": domains}))
+        code, rep, _ = call(["gh-dist", str(p), str(p)])
+        assert code == EXIT_INVALID
+        assert rep["error"]["kind"] == "InputFormatError"
+
     def test_relation_of_one_side_only_exits_invalid_in_both_orders(self, tmp_path):
         # the symbols used to come from the first structure alone, so one
         # order exited 0 with distance 0 and the other exited 2

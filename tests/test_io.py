@@ -40,7 +40,8 @@ def entrywise_point_set(obj):
     if not isinstance(pts, list) or not pts:
         raise InputFormatError('"points" must be a nonempty list')
     data = [[parse_complex(c) for c in p] for p in pts]
-    dim = int(obj.get("dim", len(data[0])))
+    # integer fields follow io.parse_integer, tested on its own below
+    dim = io.parse_integer(obj["dim"], '"dim"') if "dim" in obj else len(data[0])
     return PointSet(ambient=dim, points=np.array(data, dtype=np.complex128))
 
 
@@ -52,7 +53,8 @@ def entrywise_element(obj):
         [[[parse_complex(c) for c in vecs] for vecs in row] for row in obj["coeffs"]],
         dtype=np.complex128,
     )
-    return AmplifiedElement(level=int(obj.get("level", coeffs.shape[0])), coeffs=coeffs)
+    level = io.parse_integer(obj["level"], '"level"') if "level" in obj else coeffs.shape[0]
+    return AmplifiedElement(level=level, coeffs=coeffs)
 
 
 def outcome(parse, obj):
@@ -147,3 +149,58 @@ def test_entry_bits_are_those_of_complex(entry):
 def test_integer_past_the_float_range_is_an_input_error(rows):
     with pytest.raises(InputFormatError, match="too large"):
         io.parse_matrix({"rows": rows})
+
+
+PATH3 = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+
+
+VALID = object()
+
+
+def integer_fields(value=VALID):
+    """Every count or index field of the input dialect, set to ``value``, or
+    to a valid integer by default."""
+    def field(ok):
+        return ok if value is VALID else value
+
+    return [
+        (io.parse_structure, {"metric": PATH3, "domains": [[field(0)], [0, 1, 2]]}),
+        (io.parse_structure, {"metric": PATH3, "domains": [[0], [0, field(1), 2]]}),
+        (io.parse_structure, {"metric": PATH3,
+                              "relations": {"R": {"arity": field(1), "table": [0.0, 0.5, 1.0]}}}),
+        (io.parse_point_set, {"points": [[[0.0, 0.0]], [[1.0, 0.0]]], "dim": field(1)}),
+        (io.parse_system, {"generators": [{"rows": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}],
+                           "ambient_dim": field(2)}),
+        (io.parse_element, {"coeffs": [[[[0, 0], [1, 0], [0, 0]]]], "level": field(1)}),
+    ]
+
+
+@pytest.mark.parametrize("value", [0.9, 1.0, 1.7, 1.9, True, False, "1", None, [1]])
+def test_integer_fields_take_only_json_integers(value):
+    # int() used to truncate 0.9, 1.7 and 1.9 and to read true and "1" as 1
+    for parse, obj in integer_fields(value):
+        with pytest.raises(InputFormatError, match="must be an integer"):
+            parse(obj)
+
+
+def test_integer_fields_take_integers():
+    for parse, obj in integer_fields():
+        parse(obj)
+    st = io.parse_structure({"metric": PATH3, "domains": [[0], [0, 1, 2]],
+                             "relations": {"R": {"arity": 1, "table": [0.0, 0.5, 1.0]}}})
+    assert st.domains == ((0,), (0, 1, 2)) and st.relations["R"].shape == (3,)
+
+
+@pytest.mark.parametrize("domains", [[[0.9], [0, 1.7, 2]], [[True], [0, "1", 2]]])
+def test_domains_are_not_coerced(domains):
+    # both used to pass as [[0], [0, 1, 2]]
+    with pytest.raises(InputFormatError, match="a domain index must be an integer"):
+        io.parse_structure({"metric": PATH3, "domains": domains})
+
+
+@pytest.mark.parametrize("perm", [[True, 0], [False, True, 2], [0, 1.0, 2], [0, "1", 2]])
+def test_bijection_indices_are_json_integers(perm):
+    # [true, 0] used to pass as the permutation [1, 0]
+    with pytest.raises(InputFormatError, match="expected a permutation"):
+        io.parse_bijection(perm, len(perm))
+    assert io.parse_bijection([1, 0, 2], 3).tolist() == [1, 0, 2]

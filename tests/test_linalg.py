@@ -121,6 +121,17 @@ class TestTopSingular:
             with pytest.raises(DimensionError):
                 top_singular(np.zeros(shape))
 
+    def test_top_eigenvalues_are_those_of_eigvalsh(self):
+        # the kernel calls eigvalsh's gufunc directly; it must give the
+        # public function's values, bit for bit, on every stack it gets
+        for stack in kernel_stacks():
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                gram = stack.conj().swapaxes(-1, -2) @ stack
+            gram = gram[np.isfinite(gram).all(axis=(1, 2))]
+            want = np.linalg.eigvalsh(gram)[..., -1]
+            assert np.array_equal(linalg._top_eigenvalues(gram), want)
+            assert np.array_equal(linalg._top_eigenvalues(gram[:0]), want[:0])
+
 
 class TestEigNormal:
     def test_reconstructs_hermitian(self):

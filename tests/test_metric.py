@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,18 @@ class TestCorrespondenceExtension:
         # (-1, 0) used to act as (2, 0), and (3, 0) raised an IndexError
         with pytest.raises(DimensionError, match=rf"pair \({pair[0]}, {pair[1]}\) lies outside"):
             correspondence_extension(FiniteStructure(PATH3), TWO_D2, [(0, 0), pair], 0.0)
+
+    @pytest.mark.parametrize("pair", [(0.7, 1.9), (True, "1"), (True, 1), (0, 1.0), (0, 1, 1)])
+    def test_pair_of_non_integers_is_rejected(self, pair):
+        # (0.7, 1.9) used to act as (0, 1), and (True, "1") as (1, 1)
+        message = re.escape(f"pair {pair} is not a pair of integer indices")
+        with pytest.raises(DimensionError, match=message):
+            correspondence_extension(FiniteStructure(PATH3), TWO_D2, [(0, 0), pair], 0.0)
+
+    def test_numpy_integer_pairs_are_taken(self):
+        m = FiniteStructure(PATH3)
+        psi = correspondence_extension(m, TWO_D2, np.array([[0, 0], [2, 1]]), 0.0)
+        assert np.array_equal(psi, correspondence_extension(m, TWO_D2, [(0, 0), (2, 1)], 0.0))
 
     def test_no_pairs_give_the_all_inf_table(self):
         psi = correspondence_extension(FiniteStructure(PATH3), TWO_D2, [], 0.0)

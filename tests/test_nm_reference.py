@@ -294,6 +294,17 @@ def holes(v):
     return r * r - v[0]
 
 
+def plateau(v):
+    # piecewise constant: many comparisons of a simplex's values are exact
+    # ties, so the order argsort gives tied values decides the iterates
+    return float(np.floor(16.0 * np.abs(v - 0.3).sum()))
+
+
+# 19 vertices: past 16, argsort no longer sorts a row by insertion, so the
+# order it gives tied values is its own
+WIDE = [np.random.default_rng(18).standard_normal(18), np.linspace(-1.0, 1.0, 18)]
+
+
 def lockstep(fun, x0, maxfev, xatol=1e-10, fatol=1e-12):
     nfev = np.zeros(len(x0), int)
 
@@ -306,25 +317,29 @@ def lockstep(fun, x0, maxfev, xatol=1e-10, fatol=1e-12):
     return x, fval, f0, nfev
 
 
-@pytest.mark.parametrize("fun", [bumpy, quadratic, holes])
+@pytest.mark.parametrize("fun", [bumpy, quadratic, holes, plateau])
 def test_lockstep_matches_scipy_on_plain_functions(fun):
     rng = np.random.default_rng(12)
     x0 = [rng.standard_normal(3), np.zeros(3), rng.standard_normal(3) * 0.2,
           np.array([0.5, 0.0, -0.5])]
     stale = False
-    for maxfev in [*range(1, 40), 60, 150, 2000]:
-        x, fval, f0, nfev = lockstep(fun, x0, maxfev)
-        for i, start in enumerate(x0):
-            res = scipy.optimize.minimize(fun, start, method="Nelder-Mead",
-                                          options={"maxfev": maxfev, "xatol": 1e-10,
-                                                   "fatol": 1e-12})
-            assert np.array_equal(x[i], res.x)
-            assert fval[i] == res.fun or (np.isnan(fval[i]) and np.isnan(res.fun))
-            assert nfev[i] == res.nfev
-            assert f0[i] == fun(start) or np.isnan(f0[i])
-            sim, fsim = res.final_simplex
-            # a shrink cut short by the budget keeps a moved vertex with its old value
-            stale |= any(fv != fun(v) for v, fv in zip(sim, fsim) if np.isfinite(fv))
+    for starts in (x0, WIDE):
+        for maxfev in [*range(1, 40), 60, 150, 2000]:
+            x, fval, f0, nfev = lockstep(fun, starts, maxfev)
+            for i, start in enumerate(starts):
+                # scipy's own convergence test takes inf - inf once a simplex
+                # of infinite values (holes, from a wide start) has collapsed
+                with np.errstate(invalid="ignore"):
+                    res = scipy.optimize.minimize(fun, start, method="Nelder-Mead",
+                                                  options={"maxfev": maxfev, "xatol": 1e-10,
+                                                           "fatol": 1e-12})
+                assert np.array_equal(x[i], res.x)
+                assert fval[i] == res.fun or (np.isnan(fval[i]) and np.isnan(res.fun))
+                assert nfev[i] == res.nfev
+                assert f0[i] == fun(start) or np.isnan(f0[i])
+                sim, fsim = res.final_simplex
+                # a shrink cut short by the budget keeps a moved vertex with its old value
+                stale |= any(fv != fun(v) for v, fv in zip(sim, fsim) if np.isfinite(fv))
     if fun is bumpy:
         assert stale
 
@@ -335,6 +350,20 @@ def test_lockstep_stops_on_convergence_like_scipy():
         x, fval, _, nfev = lockstep(quadratic, x0, 5000, xatol, fatol)
         for i, start in enumerate(x0):
             res = scipy.optimize.minimize(quadratic, start, method="Nelder-Mead",
+                                          options={"maxfev": 5000, "xatol": xatol,
+                                                   "fatol": fatol})
+            assert res.nfev < 5000 and res.status == 0
+            assert np.array_equal(x[i], res.x) and fval[i] == res.fun
+            assert nfev[i] == res.nfev
+
+
+def test_lockstep_stops_on_tied_values_like_scipy():
+    # a loose xatol leaves the test to the values: on a plateau most of a
+    # simplex's values tie with the best, and only the last one's decides
+    for xatol, fatol in ((1.0, 1e-12), (0.1, 0.5)):
+        x, fval, _, nfev = lockstep(plateau, WIDE, 5000, xatol, fatol)
+        for i, start in enumerate(WIDE):
+            res = scipy.optimize.minimize(plateau, start, method="Nelder-Mead",
                                           options={"maxfev": 5000, "xatol": xatol,
                                                    "fatol": fatol})
             assert res.nfev < 5000 and res.status == 0

@@ -134,7 +134,8 @@ def test_inner_ratio_is_a_quotient_of_amplified_norms():
             for level in (1, 2, 3):
                 cs = (rng.standard_normal((5, level, level, nn))
                       + 1j * rng.standard_normal((5, level, level, nn)))
-                ratios = osdist._ratios(x, y, np.array([u] * 5), cs)
+                plan = osdist._Plan(x, y, level, starts=1, iters=0, seed=0)
+                ratios = osdist._ratios(plan, cs, np.array([u] * 5), 5)
                 for c, ratio in zip(cs, ratios):
                     quotient = (amplified_norm(y, AmplifiedElement(level, c @ u.T))
                                 / amplified_norm(x, AmplifiedElement(level, c)))
