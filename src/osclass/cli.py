@@ -203,10 +203,9 @@ def _replay_certificates(report: dict, args) -> list:
         ss = unitary.spectrum(io.parse_matrix(io.load_json(args.left)), args.tol)
         tt = unitary.spectrum(io.parse_matrix(io.load_json(args.right)), args.tol)
         if "motion" in cert:
-            reflect = cert["motion"]["reflect"]
-            if not isinstance(reflect, bool):
-                raise InputFormatError(f"motion reflect must be true or false, got {reflect!r}")
-            motion = unitary.RigidMotion(float(cert["motion"]["rotation"]), reflect)
+            rotation, reflect = cert["motion"]["rotation"], cert["motion"]["reflect"]
+            motion = unitary.RigidMotion(io.parse_real(rotation),
+                                         io.parse_boolean(reflect, "motion reflect"))
             resid = unitary._hausdorff_angles(motion.apply_angles(tt.angles), ss.angles)
             checks.append(_check("rigid motion", np.array(resid), np.array(0.0)))
         else:
@@ -224,7 +223,7 @@ def _replay_certificates(report: dict, args) -> list:
         perm = io.parse_bijection(witness["bijection"], d.size)
         for half, src, dst in (("forward", d, e.points[perm]),
                                ("backward", e, d.points[np.argsort(perm)])):
-            coeffs = [[io.parse_complex(c) for c in row] for row in witness[half]["coeffs"]]
+            coeffs = io._numbers(witness[half]["coeffs"], 2, io.parse_complex)
             out = degree1.DegreeOneMap(ambient=src.ambient, coeffs=coeffs).apply(src)
             checks.append(_check(f"degree-1 {half} map", out, dst))
             # a degree-1 map also has every product out_k conj(out_l) in the span

@@ -1,14 +1,18 @@
 """JSON dialect shared by the CLI: parsing of inputs and canonical reports.
 
-Complex numbers are two-element arrays [re, im]; matrices are {"rows": [...]};
-reports are rendered with sorted keys and 17-significant-digit floats so that
-identical inputs produce byte-identical output.
+One rule reads each JSON type.  A number is a JSON number, true and false
+included as 1 and 0, never a string or null; a complex number is a number or
+an [re, im] pair, and arrays of numbers are nested lists (:func:`_numbers`).
+A count or index is an integer, never a boolean, float or string; a table key
+joins decimal integers with commas.  A flag is true or false.  Reports have
+sorted keys and 17-significant-digit floats: identical inputs, identical bytes.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 
 import numpy as np
 
@@ -33,6 +37,13 @@ def as_input_error(parse):
     return checked
 
 
+def parse_real(obj) -> float:
+    """A JSON number; an integer past the float range raises OverflowError."""
+    if isinstance(obj, (int, float)):
+        return float(obj)
+    raise InputFormatError(f"expected a real number, got {obj!r}")
+
+
 def parse_complex(obj) -> complex:
     if isinstance(obj, (int, float)):
         return complex(obj)
@@ -42,33 +53,39 @@ def parse_complex(obj) -> complex:
 
 
 def parse_integer(obj, what: str) -> int:
-    """A JSON integer: an ``int`` that is not a ``bool``, never a float or a
-    string that ``int()`` would truncate or parse."""
+    """A JSON integer, never a bool, or a float or string ``int()`` would read."""
     if isinstance(obj, int) and not isinstance(obj, bool):
         return obj
     raise InputFormatError(f"{what} must be an integer, got {obj!r}")
 
 
-def _complex_array(obj, ndim: int) -> np.ndarray | None:
-    """``obj`` as an ndim-dimensional complex array of [re, im] pairs, or None.
+def parse_boolean(obj, what: str) -> bool:
+    """A JSON boolean, never a number, string or null that ``bool()`` would read."""
+    if isinstance(obj, bool):
+        return obj
+    raise InputFormatError(f"{what} must be true or false, got {obj!r}")
 
-    One ``np.array`` call reads the whole nested list.  Only a numeric array of
-    shape (..., 2) is taken, and its planes are copied into the real and
-    imaginary parts with no arithmetic, so every entry has the bits
-    ``complex(re, im)`` gives (-0.0, NaN and inf included).  Anything else
-    (bare reals, ragged rows, huge integers, junk) gives None, and the caller
-    parses entry by entry for the result or the error message.
+
+def _numbers(obj, depth: int, read):
+    """``obj`` as ``depth`` nested lists of numbers read by ``read``, for ``np.asarray``.
+
+    A numeric array of that depth (of [re, im] pairs, viewed as complex with
+    no arithmetic, for :func:`parse_complex`) takes one ``np.array`` call and
+    keeps the bits ``read`` gives each entry; anything else is read item by
+    item, one level down, for the same result or error.
     """
+    if depth < 1:
+        return read(obj)
+    pairs = read is parse_complex
     try:
         arr = np.array(obj)
     except (OverflowError, TypeError, ValueError):
-        return None
-    if arr.dtype.kind not in "biuf" or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
-        return None
-    out = np.empty(arr.shape[:-1], dtype=np.complex128)
-    out.real = arr[..., 0]
-    out.imag = arr[..., 1]
-    return out
+        arr = None
+    if (arr is not None and arr.dtype.kind in "biuf" and arr.ndim == depth + pairs
+            and (not pairs or arr.shape[-1] == 2)):
+        out = arr.astype(np.float64, copy=False)
+        return out.view(np.complex128)[..., 0] if pairs else out
+    return [_numbers(x, depth - 1, read) for x in obj]
 
 
 @as_input_error
@@ -78,14 +95,10 @@ def parse_matrix(obj) -> np.ndarray:
     rows = obj["rows"]
     if not isinstance(rows, list) or not rows:
         raise InputFormatError('"rows" must be a nonempty list')
-    fast = _complex_array(rows, 2)
-    if fast is not None:
-        return fast
-    data = [[parse_complex(e) for e in row] for row in rows]
-    widths = {len(r) for r in data}
-    if len(widths) != 1:
+    data = _numbers(rows, 2, parse_complex)
+    if len({len(r) for r in data}) != 1:
         raise InputFormatError("matrix rows have unequal lengths")
-    return np.array(data, dtype=np.complex128)
+    return np.asarray(data, dtype=np.complex128)
 
 
 @as_input_error
@@ -93,7 +106,7 @@ def parse_system(obj) -> OperatorSystemSpan:
     if not isinstance(obj, dict) or "generators" not in obj:
         raise InputFormatError('expected a system object with a "generators" key')
     gens = [parse_matrix(g) for g in obj["generators"]]
-    include_identity = bool(obj.get("include_identity", True))
+    include_identity = parse_boolean(obj.get("include_identity", True), '"include_identity"')
     system = build_system(gens, include_identity=include_identity)
     if ("ambient_dim" in obj
             and parse_integer(obj["ambient_dim"], '"ambient_dim"') != system.ambient_dim):
@@ -110,28 +123,26 @@ def parse_point_set(obj) -> PointSet:
     pts = obj["points"]
     if not isinstance(pts, list) or not pts:
         raise InputFormatError('"points" must be a nonempty list')
-    data = _complex_array(pts, 2)
-    if data is None:
-        data = [[parse_complex(c) for c in p] for p in pts]
+    data = _numbers(pts, 2, parse_complex)
     dim = parse_integer(obj["dim"], '"dim"') if "dim" in obj else len(data[0])
     return PointSet(ambient=dim, points=np.asarray(data, dtype=np.complex128))
 
 
 def _parse_table(spec, arity: int, size: int) -> np.ndarray:
-    if isinstance(spec, list):
-        arr = np.asarray(spec, dtype=np.float64)
-        if arr.shape != (size,) * arity:
-            raise InputFormatError(f"relation table has shape {arr.shape}, expected {(size,) * arity}")
-        return arr
+    if isinstance(spec, list):  # FiniteStructure checks its size
+        return np.asarray(_numbers(spec, arity, parse_real), dtype=np.float64)
     if isinstance(spec, dict):
         arr = np.zeros((size,) * arity)
         for key, value in spec.items():
+            # int() alone would also read " 1", "+1" and "1_0"
+            if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", str(key)):
+                raise InputFormatError(f"table key {key!r} must be integers joined by commas")
             idx = tuple(int(t) for t in str(key).split(","))
             if len(idx) != arity:
                 raise InputFormatError(f"table key {key!r} does not match arity {arity}")
             if not all(0 <= i < size for i in idx):
                 raise InputFormatError(f"table key {key!r} has an index outside range({size})")
-            arr[idx] = float(value)
+            arr[idx] = parse_real(value)
         return arr
     raise InputFormatError("relation table must be a nested list or an index-keyed object")
 
@@ -140,17 +151,19 @@ def _parse_table(spec, arity: int, size: int) -> np.ndarray:
 def parse_structure(obj) -> FiniteStructure:
     if not isinstance(obj, dict) or "metric" not in obj:
         raise InputFormatError('expected a structure object with a "metric" key')
-    metric = np.asarray(obj["metric"], dtype=np.float64)
-    size = metric.shape[0] if metric.ndim == 2 else 0
-    relations = {}
-    for name, rel in (obj.get("relations") or {}).items():
+    metric = np.asarray(_numbers(obj["metric"], 2, parse_real), dtype=np.float64)
+    relations = obj.get("relations", {})
+    if not isinstance(relations, dict):
+        raise InputFormatError(f'"relations" must be an object, got {relations!r}')
+    tables = {}
+    for name, rel in relations.items():
         if not isinstance(rel, dict) or "arity" not in rel or "table" not in rel:
             raise InputFormatError(f'relation {name!r} needs "arity" and "table" keys')
         arity = parse_integer(rel["arity"], f"the arity of relation {name!r}")
-        relations[name] = _parse_table(rel["table"], arity, size)
+        tables[name] = _parse_table(rel["table"], arity, len(metric))
     domains = tuple(tuple(parse_integer(i, "a domain index") for i in d)
                     for d in obj.get("domains") or [])
-    return FiniteStructure(metric=metric, relations=relations, domains=domains)
+    return FiniteStructure(metric=metric, relations=tables, domains=domains)
 
 
 @as_input_error
@@ -158,12 +171,7 @@ def parse_element(obj) -> AmplifiedElement:
     """An element of M_n(X): an n x n array of coefficient vectors."""
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise InputFormatError('element file needs a "coeffs" key')
-    coeffs = _complex_array(obj["coeffs"], 3)
-    if coeffs is None:
-        coeffs = np.array(
-            [[[parse_complex(c) for c in vecs] for vecs in row] for row in obj["coeffs"]],
-            dtype=np.complex128,
-        )
+    coeffs = np.asarray(_numbers(obj["coeffs"], 3, parse_complex), dtype=np.complex128)
     level = parse_integer(obj["level"], '"level"') if "level" in obj else coeffs.shape[0]
     return AmplifiedElement(level=level, coeffs=coeffs)
 

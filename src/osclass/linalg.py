@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-# np.linalg.eigvalsh's own gufunc: see _top_eigenvalues
-from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
+try:  # np.linalg.eigvalsh's own gufunc: see _top_eigenvalues
+    from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
+except ImportError:  # a numpy that moved it: the public function calls the same gufunc
+    _eigvalsh_lo = np.linalg.eigvalsh
 
 from .errors import CapacityError, DimensionError, NotNormalError
 
@@ -92,7 +94,7 @@ def _top_eigenvalues(gram: np.ndarray) -> np.ndarray:
     :func:`top_singular` has already made and which cost more than LAPACK
     on a few small matrices.
     """
-    return _eigvalsh_lo(gram, signature="D->d")[..., -1]
+    return _eigvalsh_lo(gram)[..., -1]
 
 
 def top_singular(stack) -> np.ndarray:

@@ -371,6 +371,53 @@ class TestGh:
         assert rep["error"]["kind"] == "DimensionError" and "cap" in rep["error"]["message"]
 
 
+def json_file(tmp_path, name, obj):
+    p = tmp_path / name
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+PATH3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+NILPOTENT = {"rows": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
+
+
+class TestJsonTypes:
+    """Values of the wrong JSON type exit 2 with an InputFormatError; each
+    of these used to be coerced and exit 0, or to end in a traceback."""
+
+    @pytest.mark.parametrize("structure", [
+        {"metric": [[0, "1"], ["1", 0]]},
+        {"metric": PATH3, "relations": {"R": {"arity": 1, "table": ["1", 0, 0]}}},
+        {"metric": [[0, 1], [1, 0]], "relations": {"R": {"arity": 1, "table": ["1", 0]}}},
+        {"metric": PATH3, "relations": {"R": {"arity": 1, "table": {"0": "2.5"}}}},
+        {"metric": [[abs(i - j) for j in range(11)] for i in range(11)],
+         "relations": {"R": {"arity": 1, "table": {"1_0": 5}}}},
+        {"metric": PATH3, "relations": {"R": {"arity": 1, "table": {" 1": 5}}}},
+        {"metric": PATH3, "relations": [1]},
+        {"metric": PATH3, "relations": "abc"},
+    ])
+    @pytest.mark.parametrize("command", ["gh-dist", "gh-theory"])
+    def test_structure_exits_invalid(self, tmp_path, structure, command):
+        m = json_file(tmp_path, "m.json", structure)
+        code, rep, _ = call([command, m] + [m] * (command == "gh-dist"))
+        assert code == EXIT_INVALID
+        assert rep["error"]["kind"] == "InputFormatError"
+
+    def test_relations_that_are_no_object_name_the_key(self, tmp_path):
+        m = json_file(tmp_path, "m.json", {"metric": PATH3, "relations": [1]})
+        code, rep, _ = call(["gh-theory", m])
+        assert code == EXIT_INVALID and '"relations"' in rep["error"]["message"]
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, None])
+    def test_include_identity_must_be_a_boolean(self, tmp_path, flag):
+        s = json_file(tmp_path, "s.json", {"generators": [NILPOTENT], "include_identity": flag})
+        e = json_file(tmp_path, "e.json", {"coeffs": [[[[0, 0], [1, 0], [0, 0]]]]})
+        code, rep, _ = call(["norm", s, "--element", e])
+        assert code == EXIT_INVALID
+        assert rep["error"]["kind"] == "InputFormatError"
+        assert "include_identity" in rep["error"]["message"]
+
+
 class TestDeterminism:
     def test_byte_identical_across_runs_and_jobs(self, tmp_path):
         fu = matrix_file(tmp_path, "u.json", FOUR_POINT_U)

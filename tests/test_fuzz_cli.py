@@ -141,12 +141,14 @@ def structures(draw):
         obj = {"metric": [[abs(a - b) for b in xs] for a in xs]}
     if draw(st.integers(0, 2)) == 2:
         arity = draw(st.integers(0, 3))
-        table = draw(st.one_of(tables(n, arity, st.floats(0.0, 1.0)), tables(n, arity, reals),
-                               st.dictionaries(st.sampled_from(["0", "1,0", "0,0", "x", "9"]),
-                                               reals, max_size=2),
-                               junk))
+        # strings are no numbers, and "1_0" and " 1" no indices, though
+        # float() and int() read them
+        values = st.one_of(reals, st.sampled_from(["1", "2.5", "nan"]))
+        keys = st.sampled_from(["0", "1,0", "0,0", "x", "9", "1_0", " 1"])
+        table = draw(st.one_of(tables(n, arity, st.floats(0.0, 1.0)), tables(n, arity, values),
+                               st.dictionaries(keys, values, max_size=2), junk))
         rel = draw(st.sampled_from([{"arity": arity, "table": table}, {"table": table}, table]))
-        obj["relations"] = {"R": rel}
+        obj["relations"] = draw(st.sampled_from([{"R": rel}, {"R": rel}, [1], "abc"]))
     if draw(st.booleans()):
         # valid chains first, among them an empty first domain
         obj["domains"] = draw(st.one_of(

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -131,6 +137,34 @@ class TestTopSingular:
             want = np.linalg.eigvalsh(gram)[..., -1]
             assert np.array_equal(linalg._top_eigenvalues(gram), want)
             assert np.array_equal(linalg._top_eigenvalues(gram[:0]), want[:0])
+
+    def test_import_falls_back_to_the_public_eigvalsh(self):
+        # a numpy without the private gufunc still imports the package, and
+        # the public function it falls back to gives the same bits
+        script = textwrap.dedent("""
+            import sys, types
+            import numpy as np
+            import numpy.linalg._umath_linalg as private
+            hidden = types.ModuleType(private.__name__)
+            vars(hidden).update((k, v) for k, v in vars(private).items() if k != "eigvalsh_lo")
+            sys.modules[private.__name__] = hidden
+            import osclass
+            from osclass import linalg
+            assert linalg._eigvalsh_lo is np.linalg.eigvalsh
+            rng = np.random.default_rng(17)
+            stack = rng.standard_normal((40, 3, 4)) + 1j * rng.standard_normal((40, 3, 4))
+            print(linalg.top_singular(stack).tobytes().hex())
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        rng = np.random.default_rng(17)
+        stack = rng.standard_normal((40, 3, 4)) + 1j * rng.standard_normal((40, 3, 4))
+        assert linalg._eigvalsh_lo is not np.linalg.eigvalsh
+        assert proc.stdout.strip() == top_singular(stack).tobytes().hex()
 
 
 class TestEigNormal:
