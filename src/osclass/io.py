@@ -132,7 +132,7 @@ def _parse_table(spec, arity: int, size: int) -> np.ndarray:
     if isinstance(spec, list):  # FiniteStructure checks its size
         return np.asarray(_numbers(spec, arity, parse_real), dtype=np.float64)
     if isinstance(spec, dict):
-        arr = np.zeros((size,) * arity)
+        arr = np.zeros(np.broadcast_to(size, arity))  # a stride-0 shape: free at any arity
         for key, value in spec.items():
             # int() alone would also read " 1", "+1" and "1_0"
             if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", str(key)):
@@ -160,6 +160,8 @@ def parse_structure(obj) -> FiniteStructure:
         if not isinstance(rel, dict) or "arity" not in rel or "table" not in rel:
             raise InputFormatError(f'relation {name!r} needs "arity" and "table" keys')
         arity = parse_integer(rel["arity"], f"the arity of relation {name!r}")
+        if arity < 0:
+            raise InputFormatError(f"relation {name!r} has negative arity {arity}")
         tables[name] = _parse_table(rel["table"], arity, len(metric))
     domains = tuple(tuple(parse_integer(i, "a domain index") for i in d)
                     for d in obj.get("domains") or [])

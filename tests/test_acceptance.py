@@ -257,7 +257,8 @@ def test_8_structure_distance_and_fingerprints():
     assert time.monotonic() - start < 1.0
 
 
-def test_9_cli_reports_are_byte_identical(tmp_path):
+def cli_commands(tmp_path):
+    """One argv per subcommand and variant that prints a report, on small inputs."""
     def jfile(name, obj):
         p = tmp_path / name
         p.write_text(json.dumps(obj))
@@ -280,7 +281,7 @@ def test_9_cli_reports_are_byte_identical(tmp_path):
     fm = jfile("m.json", {"metric": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]})
     fn = jfile("n.json", {"metric": [[0.0, 2.0, 2.0], [2.0, 0.0, 2.0], [2.0, 2.0, 0.0]]})
 
-    commands = [
+    return [
         ["spectrum", fu],
         ["canon", fu],
         ["unitary-cois", fu, fv, "--oracle"],
@@ -294,7 +295,10 @@ def test_9_cli_reports_are_byte_identical(tmp_path):
         ["gh-dist", fm, fn, "--kmax", "2"],
         ["gh-theory", fm, "--depth", "2"],
     ]
-    for argv in commands:
+
+
+def test_9_cli_reports_are_byte_identical(tmp_path):
+    for argv in cli_commands(tmp_path):
         outputs = []
         for _ in range(2):
             buf = StringIO()
@@ -302,3 +306,28 @@ def test_9_cli_reports_are_byte_identical(tmp_path):
             assert code == EXIT_OK, argv
             outputs.append(buf.getvalue())
         assert len(set(outputs)) == 1, f"report bytes drifted for {argv}"
+
+
+def carries_certificate(argv) -> bool:
+    """Whether the report of ``argv`` from :func:`cli_commands` holds a replayable certificate."""
+    if argv[0] == "unitary-cois":
+        return argv[1] == argv[2]  # the 4-point pair U, V is not isomorphic
+    if argv[0] == "deg1":
+        return "--via-opsys" not in argv  # the opsys route reports no maps
+    return argv[:4] == ["family", "wt", "--variant", "2x2"]
+
+
+def test_9_every_cli_report_verifies(tmp_path):
+    commands = cli_commands(tmp_path)
+    fu = str(tmp_path / "u.json")
+    for i, argv in enumerate(commands + [["unitary-cois", fu, fu]]):
+        buf = StringIO()
+        assert run(argv, stdout=buf) == EXIT_OK, argv
+        report = tmp_path / f"report{i}.json"
+        report.write_text(buf.getvalue())
+        buf = StringIO()
+        code = run(["verify", str(report)], stdout=buf)
+        verdict = json.loads(buf.getvalue())
+        assert code == EXIT_OK and verdict["verified"] and verdict["replay_identical"], argv
+        assert bool(verdict["certificate_checks"]) == carries_certificate(argv), argv
+        assert all(c["pass"] for c in verdict["certificate_checks"]), argv

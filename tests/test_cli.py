@@ -662,6 +662,25 @@ def test_verify_report_naming_itself_exits_invalid(tmp_path, prefix):
     assert rep["error"]["kind"] == "InputFormatError"
 
 
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_echoed_help_leaves_one_report_on_stdout(tmp_path, capsys, flag):
+    # argparse used to print its help to stdout ahead of the report
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps({"command": ["spectrum", flag]}))
+    assert run(["verify", str(p)]) == EXIT_INVALID
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("arity", [-3, 9007199254740993])
+def test_arity_out_of_range_leaves_one_report_on_stdout(tmp_path, capsys, arity):
+    # -3 used to read as a 0-ary relation, and 2**53 + 1 ended in a MemoryError
+    p = structure_file(tmp_path, "m.json", [[0]], {"R": {"arity": arity, "table": {}}})
+    assert run(["gh-dist", p, p]) == EXIT_INVALID
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "InputFormatError"
+
+
 @pytest.mark.parametrize("command,obj", [
     ("deg1", {"dim": "x", "points": [[[0, 0]], [[1, 0]]]}),
     ("gh-theory", {"metric": "abc"}),

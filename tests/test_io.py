@@ -250,6 +250,8 @@ def entrywise_structure(obj):
         if not isinstance(rel, dict) or "arity" not in rel or "table" not in rel:
             raise InputFormatError(f'relation {name!r} needs "arity" and "table" keys')
         arity = io.parse_integer(rel["arity"], f"the arity of relation {name!r}")
+        if arity < 0:
+            raise InputFormatError(f"relation {name!r} has negative arity {arity}")
         tables[name] = entrywise_table(rel["table"], arity, len(metric))
     domains = tuple(tuple(io.parse_integer(i, "a domain index") for i in d)
                     for d in obj.get("domains") or [])

@@ -3,14 +3,18 @@
 A backticked ``module.name`` (``metric.dk_bruteforce``), ``Class.name``
 (``FactoredSpan.fit``) or bare private name (``_CUTOFF``) must name an
 attribute of an ``osclass`` module, so renaming or deleting a cited name
-fails here instead of leaving the README pointing at nothing.
+fails here instead of leaving the README pointing at nothing.  The CLI
+section's command block shows each subcommand the parser declares, once.
 """
 
+import argparse
 import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+from osclass.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -61,3 +65,12 @@ def test_class_reference_resolves(ref):
 @pytest.mark.parametrize("name", PRIVATE)
 def test_private_name_resolves(name):
     assert holders(name), name
+
+
+def test_cli_block_names_each_subcommand_once():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    shown = sorted(line.split()[1] for line in block.splitlines() if line.startswith("osclass "))
+    declared = next(a.choices for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert shown == sorted(declared)
