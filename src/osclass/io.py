@@ -18,7 +18,7 @@ import numpy as np
 
 from .degree1 import PointSet
 from .errors import InputFormatError, OsclassError
-from .metric import FiniteStructure
+from .metric import MAX_ARITY, FiniteStructure
 from .opsys import AmplifiedElement, OperatorSystemSpan, build_system
 
 
@@ -162,6 +162,9 @@ def parse_structure(obj) -> FiniteStructure:
         arity = parse_integer(rel["arity"], f"the arity of relation {name!r}")
         if arity < 0:
             raise InputFormatError(f"relation {name!r} has negative arity {arity}")
+        if arity > MAX_ARITY:
+            raise InputFormatError(f"relation {name!r} has arity {arity}, past the largest "
+                                   f"supported arity {MAX_ARITY}")
         tables[name] = _parse_table(rel["table"], arity, len(metric))
     domains = tuple(tuple(parse_integer(i, "a domain index") for i in d)
                     for d in obj.get("domains") or [])

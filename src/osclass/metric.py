@@ -12,6 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+try:  # the most axes a numpy array holds: 64 since numpy 2.0
+    from numpy._core.multiarray import MAXDIMS as _NUMPY_MAXDIMS
+except ImportError:  # numpy 1.x holds 32
+    _NUMPY_MAXDIMS = 32
 
 from .errors import CapacityError, DimensionError
 
@@ -32,6 +36,10 @@ EXHAUSTIVE_PAIR_LIMIT = 20
 #: table entries at a time, so memory stays flat however large the structure
 #: or the search.
 DK_BLOCK_ENTRIES = 1 << 16
+
+#: Largest relation arity: :func:`_relation_eps` lifts a relation of arity r
+#: over 2r + 1 array axes, at most numpy's ``MAXDIMS``.
+MAX_ARITY = (_NUMPY_MAXDIMS - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,9 @@ class FiniteStructure:
         rels = {}
         for name, table in self.relations.items():
             t = np.asarray(table, dtype=np.float64)
+            if t.ndim > MAX_ARITY:
+                raise DimensionError(f"relation {name!r} has arity {t.ndim}, past the "
+                                     f"largest supported arity {MAX_ARITY}")
             if t.shape != (m,) * t.ndim:
                 raise DimensionError(f"relation {name!r} table must be cubical in size {m}")
             if not np.all(np.isfinite(t)):

@@ -23,11 +23,13 @@ point's map, takes the images with one product per element and calls
 (n^2, N) x (N, k^2) product, into one stack of denominators and numerators
 and takes all their norms from one :func:`linalg.top_singular` call, or one
 per matrix size when the two ambient sizes differ.  That kernel reads each
-norm off the top eigenvalue of the matrix's Gram matrix, or off an SVD where
-the Gram trace leaves ``linalg.GRAM_RANGE``, so a matrix has one value in
-any stack.  The iterates follow scipy's rules given these values: estimates,
-maps and reports are those of one scipy run per start whose norms come from
-``top_singular``, bit for bit.
+norm off the top eigenvalue of the matrix's Gram matrix, in closed form for
+the 2x2 matrices of a 2x2 system's level-1 ratios and gap terms and off
+``eigvalsh`` for larger ones, or off an SVD where the Gram trace leaves
+``linalg.GRAM_RANGE``, so a matrix has one value in any stack.  The iterates
+follow scipy's rules given these values: estimates, maps and reports are
+those of one scipy run per start whose norms come from ``top_singular``,
+bit for bit.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import pytest
 from osclass import cli, unitary
 from osclass.cli import EXIT_CAPACITY, EXIT_INVALID, EXIT_OK, run
 from osclass.io import canonical_report
+from osclass.metric import MAX_ARITY
 
 
 def call(argv):
@@ -679,6 +680,21 @@ def test_arity_out_of_range_leaves_one_report_on_stdout(tmp_path, capsys, arity)
     assert run(["gh-dist", p, p]) == EXIT_INVALID
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("arity", [31, 32, 64, 65, 2 ** 53 + 1])
+def test_arity_past_the_lift_exits_invalid_with_the_limit(tmp_path, arity):
+    # d_k lifts a relation of arity r over 2r + 1 of numpy's 64 axes: 32 to 64
+    # used to end in a ValueError or IndexError traceback, 65 up in numpy's message
+    p = structure_file(tmp_path, "m.json", [[0]], {"R": {"arity": arity, "table": {}}})
+    code, rep, _ = call(["gh-dist", p, p])
+    if arity <= MAX_ARITY:  # 31 with numpy 2
+        assert code == EXIT_OK and rep["distance"] == 0
+        return
+    assert code == EXIT_INVALID
+    assert rep["error"]["kind"] == "InputFormatError"
+    message = rep["error"]["message"]
+    assert f"arity {arity}, past the largest supported arity {MAX_ARITY}" in message
 
 
 @pytest.mark.parametrize("command,obj", [

@@ -115,12 +115,57 @@ class TestTopSingular:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
                                      complex(0, np.inf)])
     def test_rejects_non_finite(self, bad):
-        stack = cnormal(np.random.default_rng(3), 4, 3, 3)
-        stack[2, 1, 0] = bad
-        with pytest.raises(DimensionError, match="non-finite"):
-            top_singular(stack)
-        with pytest.raises(DimensionError, match="non-finite"):
-            top_singular(stack[2:3])
+        for shape in ((3, 3), (2, 2)):  # the eigvalsh route and the closed-form 2x2 one
+            stack = cnormal(np.random.default_rng(3), 4, *shape)
+            stack[2, 1, 0] = bad
+            with pytest.raises(DimensionError, match="non-finite"):
+                top_singular(stack)
+            with pytest.raises(DimensionError, match="non-finite"):
+                top_singular(stack[2:3])
+
+    def test_2x2_near_equal_singular_values_match_the_svd(self):
+        # f^2 - 4|det A|^2 cancels when the two singular values are close;
+        # the Gram-entry form's discriminant is a sum of squares and does not
+        rng = np.random.default_rng(29)
+        stacks = [np.array([with_singular_values(rng, (2, 2), [s, s * (1 - gap)])
+                            for s in (1e-120, 1e-3, 1.0, 7.5, 1e120)])
+                  for gap in (1e-7, 1e-12)]
+        near_unitary = np.linalg.qr(cnormal(rng, 64, 2, 2))[0]
+        stacks += [near_unitary, near_unitary + 1e-9 * cnormal(rng, 64, 2, 2)]
+        textbook_error = 0.0
+        for stack in stacks:
+            got = top_singular(stack)
+            want = np.linalg.svd(stack, compute_uv=False)[..., 0]
+            assert np.all(np.abs(got - want) <= 4e-15 * want), (got, want)
+            peak = np.abs(stack).max(axis=(1, 2))  # scaled first, as f^2 overflows
+            unit = stack / peak[:, None, None]
+            f = (np.abs(unit) ** 2).sum(axis=(1, 2))
+            det = np.abs(np.linalg.det(unit)) ** 2
+            textbook = peak * np.sqrt((f + np.sqrt(np.maximum(f * f - 4 * det, 0.0))) / 2)
+            textbook_error = max(textbook_error, (np.abs(textbook - want) / want).max())
+        assert textbook_error > 4e-15  # the panel tells the two forms apart
+
+    def test_2x2_stacks_skip_lapack_unless_out_of_range(self, monkeypatch):
+        svd = np.linalg.svd
+        calls = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a 2x2 stack")
+
+        def counted_svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_eigvalsh_lo", refuse)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        stack = cnormal(np.random.default_rng(31), 40, 2, 2)
+        got = top_singular(stack)
+        assert calls == []
+        assert np.all(np.abs(got - svd(stack, compute_uv=False)[:, 0]) <= 4e-15 * got)
+        stack[5] *= 1e300  # its Gram trace leaves GRAM_RANGE: the SVD reads it
+        got = top_singular(stack)
+        assert calls == [(1, 2, 2)]
+        assert np.all(np.abs(got - svd(stack, compute_uv=False)[:, 0]) <= 4e-15 * got)
 
     def test_rejects_empty_matrices(self):
         for shape in ((3,), (2, 0, 3), (2, 3, 0)):

@@ -68,6 +68,16 @@ class TestFiniteStructure:
         with pytest.raises(DimensionError):
             FiniteStructure(PATH3, relations={"B": np.zeros((2, 2))})
 
+    def test_arity_past_the_lift_is_refused(self):
+        # d_k lifts an arity-r table over 2r + 1 axes; 32 used to fail in dk_bruteforce
+        point = np.zeros((1, 1))
+        top = FiniteStructure(point, relations={"R": np.zeros((1,) * metric.MAX_ARITY)})
+        assert dk_bruteforce(top, top) == 0.0
+        past = metric.MAX_ARITY + 1
+        with pytest.raises(DimensionError, match=f"arity {past}, past the largest supported "
+                                                 f"arity {past - 1}"):
+            FiniteStructure(point, relations={"R": np.zeros((1,) * past)})
+
     def test_signature_bound_enforced(self):
         sig = Signature(relations=(RelationSymbol("R", 1, bound=1.0),),
                         sublanguages=(frozenset({"d", "R"}),))

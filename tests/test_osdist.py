@@ -273,6 +273,37 @@ class TestWeightedDistance:
         assert rep.weighted <= 2e-6
 
 
+def zero_pair(kind):
+    """A seeded 2x2 system and a second one spanning it up to a complete
+    isometry, so their true d_n is 0 at every level."""
+    from osclass.opsys import build_system
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    u = random_unitary(rng, 2)
+    other = {"adjoint": g.conj().T, "conjugate": u @ g @ u.conj().T,
+             "affine": (2 - 1j) * g + (0.5 + 1j) * np.eye(2)}[kind]
+    return build_system([g]), build_system([other])
+
+
+#: The estimates of the 2x2 zero panel at 4 restarts, before the closed-form
+#: 2x2 norms; a change to the kernel may move them, but not up by more than 1e-9.
+ZERO_PANEL = {
+    ("adjoint", 1): 0.19862626672000225,
+    ("adjoint", 2): 0.005372838657590611,
+    ("conjugate", 1): 8.881784197001248e-16,
+    ("conjugate", 2): 8.881784197001248e-16,
+    ("affine", 1): 1.0961339703429334,
+    ("affine", 2): 0.38889728456775,
+}
+
+
+@pytest.mark.parametrize("kind,level", sorted(ZERO_PANEL))
+def test_zero_panel_does_not_get_worse(kind, level):
+    # a quality gate that reads values, not bits: every pair's answer is 0
+    x, y = zero_pair(kind)
+    assert dn_estimate(x, y, level=level, restarts=4) <= ZERO_PANEL[kind, level] + 1e-9
+
+
 def test_linear_map_coords_condition():
     assert LinearMapCoords(np.eye(3)).condition() == pytest.approx(1.0)
     assert np.isinf(LinearMapCoords(np.zeros((2, 2))).condition())
