@@ -5,6 +5,7 @@ prints a single machine-readable report with certificates, seeds, and
 tolerances.  Exit codes: 0 computed, 2 invalid input, 4 capacity exceeded.
 Each subcommand's parser declaration names its handler and, for ``unitary-cois``,
 ``deg1`` and ``family``, the certificate replay ``verify`` runs, defined beside it.
+A replay reads the inputs its handler decoded in the same call (:func:`_decoded`).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, summary, *parents, replay=None):
         p = sub.add_parser(name, help=summary, parents=parents)
-        p.set_defaults(handler=handler, replay=replay)
+        p.set_defaults(handler=handler, replay=replay, decoded=None)
         return p
 
     p = command("spectrum", _cmd_spectrum, "spectrum of a unitary as sorted circle angles", tol)
@@ -123,11 +124,25 @@ def _cmd_canon(args) -> tuple[dict, int]:
     }, EXIT_OK
 
 
-def _cmd_unitary_cois(args) -> tuple[dict, int]:
+def _decoded(args, decode):
+    """``decode(args)``, run once per parsed command: ``verify``'s replay
+    reads what its re-run of the command decoded, and nothing outlives the
+    parsed arguments."""
+    if args.decoded is None:
+        args.decoded = decode(args)
+    return args.decoded
+
+
+def _unitary_spectra(args) -> tuple:
     u = io.parse_matrix(io.load_json(args.left))
     v = io.parse_matrix(io.load_json(args.right))
-    # the spectra are extracted once and shared by the decision and the obstruction
-    ss, tt = unitary.spectrum(u, tol=args.tol), unitary.spectrum(v, tol=args.tol)
+    return unitary.spectrum(u, tol=args.tol), unitary.spectrum(v, tol=args.tol)
+
+
+def _cmd_unitary_cois(args) -> tuple[dict, int]:
+    # the spectra are extracted once and shared by the decision, the
+    # obstruction and the replay
+    ss, tt = _decoded(args, _unitary_spectra)
     dec = unitary.cois_unitary_theorem(ss, tt, tol=args.tol)
     payload = {**vars(dec), "tolerances": {"tol": args.tol, "cap": args.cap}}
     # the theorem calls the oracle on two 4-point spectra only
@@ -141,8 +156,7 @@ def _replay_unitary_cois(args, report: dict) -> list:
     if not (report.get("verdict") == "Isomorphic" and isinstance(cert, dict)
             and ("bijection" in cert or "motion" in cert)):
         return []
-    ss = unitary.spectrum(io.parse_matrix(io.load_json(args.left)), args.tol)
-    tt = unitary.spectrum(io.parse_matrix(io.load_json(args.right)), args.tol)
+    ss, tt = _decoded(args, _unitary_spectra)
     if "motion" in cert:
         rotation, reflect = cert["motion"]["rotation"], cert["motion"]["reflect"]
         motion = unitary.RigidMotion(io.parse_real(rotation),
@@ -158,9 +172,12 @@ def _replay_unitary_cois(args, report: dict) -> list:
     return checks
 
 
+def _point_sets(args) -> tuple:
+    return io.parse_point_set(io.load_json(args.left)), io.parse_point_set(io.load_json(args.right))
+
+
 def _cmd_deg1(args) -> tuple[dict, int]:
-    d = io.parse_point_set(io.load_json(args.left))
-    e = io.parse_point_set(io.load_json(args.right))
+    d, e = _decoded(args, _point_sets)
     decide = degree1.deg1_via_opsys if args.via_opsys else degree1.degree_one_homeomorphic
     dec = decide(d, e, tol=args.tol, cap=args.cap)
     return {**vars(dec), "tolerances": {"tol": args.tol, "cap": args.cap}}, EXIT_OK
@@ -171,8 +188,7 @@ def _replay_deg1(args, report: dict) -> list:
     if not (report.get("homeomorphic") and isinstance(witness, dict) and "forward" in witness):
         return []
     checks = []
-    d = io.parse_point_set(io.load_json(args.left))
-    e = io.parse_point_set(io.load_json(args.right))
+    d, e = _decoded(args, _point_sets)
     perm = io.parse_bijection(witness["bijection"], d.size)
     for half, src, dst in (("forward", d, e.points[perm]),
                            ("backward", e, d.points[np.argsort(perm)])):
@@ -256,7 +272,7 @@ def _check(name: str, predicted: np.ndarray, expected: np.ndarray) -> dict:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    stored = io.load_json(args.report)
+    text, stored = io.read_json(args.report)
     argv = stored.get("command") if isinstance(stored, dict) else None
     if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
         raise InputFormatError("report carries no command echo to replay")
@@ -271,8 +287,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         # it would then recurse without end
         raise InputFormatError("the echoed command is verify; verify the report it checked")
     fresh, _ = _report(argv, echoed)
-    with open(args.report, "r", encoding="utf-8") as fh:
-        identical = fresh == fh.read().strip()
+    identical = fresh == text.strip()
     checks = io.as_input_error(echoed.replay)(echoed, stored) if echoed.replay else []
     ok = identical and all(c["pass"] for c in checks)
     return {

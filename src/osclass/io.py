@@ -190,12 +190,18 @@ def parse_bijection(obj, size: int) -> np.ndarray:
     return np.array(obj, dtype=int)
 
 
-def load_json(path: str):
+def read_json(path: str) -> tuple[str, object]:
+    """The text of a JSON file and the value it holds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        return text, json.loads(text)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputFormatError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def load_json(path: str):
+    return read_json(path)[1]
 
 
 def _render(value, parts: list):

@@ -165,6 +165,10 @@ _PENCIL_THETA = (math.sqrt(5.0) - 1.0) / 2.0
 #: cluster in :func:`eig_normal`.
 _CLUSTER_GAP = 1e-6
 
+#: Relative slack, per squared dimension, of the norm bounds that let
+#: :func:`eig_normal` skip its SVDs.
+_NORM_SLACK = 1e-12
+
 
 def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
     """Eigendecomposition of a normal matrix with an orthonormal eigenbasis.
@@ -191,24 +195,83 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
     The eigenvalues are the diagonal of B.  The residual ``||A Q - Q Lam||``
     is checked in the Frobenius norm, which bounds the operator norm.
 
+    Prescale.  A is first multiplied by the power of two 2^-e that puts its
+    largest real or imaginary part in [0.5, 1) (e clamped to [-1021, 1023],
+    so that 2^-e and 2^e are floats), and the eigenvalues by 2^e at the end.
+    No product then overflows or underflows for want of range, and as every
+    step rounds alike at any power-of-two scale, each value below is that
+    of the unscaled matrix times its power of 2^-e: a defect reported for
+    the residual is multiplied back.
+
+    Screened norms.  Every threshold reads ``||a||`` or the commutator norm
+    as ``op_norm`` computes them, an SVD each, but most decisions follow
+    from bounds on products formed anyway.  With n the dimension,
+    M = fl(A* A) and C = fl(A A*) - M:
+
+    - ``lo = sqrt(max_j M_jj) (1 - s)`` and ``hi = sqrt(max_i sum_j |M_ij|)
+      (1 + s)``, s = ``_NORM_SLACK * n^2``, bracket the SVD's ``||A||``.
+      ``M_jj`` is the squared norm of column j, a sum of 2n nonnegative
+      rounded products, so it is within gamma_2n (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, 2nd ed., Secs. 3.1 and 3.6) of a
+      lower bound of ``||A||^2``.  ``||A||^2`` is the spectral radius of the
+      exact A* A, at most its largest absolute row sum, and each entry of M
+      misses that product by at most sqrt(2) gamma_(n+2) times ``(|A|^T
+      |A|)_ij <= ||A||^2`` (Cauchy-Schwarz), so the row sums of M miss by n
+      times that, about 1.5 n^2 u of ``||A||^2``.  The SVD's value is exact
+      for A + E, ``||E|| <= p(n) u ||A||`` (LAPACK Users' Guide, Sec. 4.9),
+      with p modest; s = 1e-12 n^2, about 4500 n^2 u, covers both with room
+      for the roundings of the square roots and of the screens' products.
+    - ``||C||`` is at most its Frobenius norm, computed within n^2 u, so
+      ``||C||_F (1 + s)`` bounds the SVD's value of it.
+
+    The decisions, each reading the screen first and ``op_norm`` (at most
+    once per norm) only when the screen leaves it open or an error reports
+    the value:
+
+    - normality passes when ``||C||_F (1 + s) <= tol lo^2``, since rounding
+      is monotone and the defect is at most that over ``lo^2``;
+    - a pencil gap above ``_CLUSTER_GAP hi`` separates clusters and one at
+      most ``_CLUSTER_GAP lo`` does not; only a gap between the two takes
+      the norm, for ``fl(g lo) <= fl(g ||A||) <= fl(g hi)``;
+    - the residual passes when it is at most ``tol lo 10``, as
+      ``max(tol, sqrt(defect)) >= tol``.
+
+    After the prescale every entry of M and C is at most 4n in modulus, so
+    every bound is finite, and s < 1 below n = 10^6.  So every verdict,
+    eigenvalue, eigenvector and ``NotNormalError`` value is the one the two
+    SVDs would give, and a unitary takes no SVD.
+
     Raises:
         DimensionError: if ``a`` is not square.
         NotNormalError: if ``a a* - a* a`` exceeds ``tol * ||a||^2``, or if the
             residual exceeds ``max(tol, sqrt(defect)) * ||a|| * 10``.
     """
     m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
+    n = m.shape[0]
+    if m.shape[1] != n:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    nrm = op_norm(m)
-    if nrm == 0.0:
-        n = m.shape[0]
+    peak = max(np.abs(m.real).max(), np.abs(m.imag).max())
+    if peak == 0.0:
         return SpectralDecomposition(np.zeros(n, dtype=np.complex128), np.eye(n, dtype=np.complex128))
-    defect = op_norm(m @ m.conj().T - m.conj().T @ m) / nrm**2
-    if defect > tol:
-        raise NotNormalError(defect, tol)
+    e = min(max(math.frexp(peak)[1], -1021), 1023)
+    m = m * 2.0**-e
+    mhm = m.conj().T @ m
+    comm = m @ m.conj().T - mhm
+    slack = _NORM_SLACK * n * n
+    lo = math.sqrt(mhm.diagonal().real.max()) * (1.0 - slack)
+    hi = math.sqrt(np.abs(mhm).sum(axis=1).max()) * (1.0 + slack)
+    nrm = defect = None
+    if not np.linalg.norm(comm) * (1.0 + slack) <= tol * lo * lo:
+        nrm = op_norm(m)
+        defect = op_norm(comm) / nrm**2
+        if defect > tol:
+            raise NotNormalError(defect, tol)
     half = m * (0.5 - 0.5j * _PENCIL_THETA)
     w, q = np.linalg.eigh(half + half.conj().T)  # H + theta K
-    label = np.r_[0, np.cumsum(np.diff(w) > _CLUSTER_GAP * nrm)]
+    gaps = np.diff(w)
+    if nrm is None and ((gaps > _CLUSTER_GAP * lo) & (gaps <= _CLUSTER_GAP * hi)).any():
+        nrm = op_norm(m)
+    label = np.r_[0, np.cumsum(gaps > _CLUSTER_GAP * (hi if nrm is None else nrm))]
     for c in np.flatnonzero(np.bincount(label) > 1):
         qc = q[:, label == c]
         v = np.linalg.eig(qc.conj().T @ m @ qc)[1]
@@ -220,9 +283,12 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
     x = (x - x.conj().T) / 2
     q = q + q @ x
     resid = np.linalg.norm(aq + aq @ x - q * lam)
-    if resid > max(tol, np.sqrt(defect)) * nrm * 10:
-        raise NotNormalError(resid / nrm**2, tol)
-    return SpectralDecomposition(lam, q)
+    if not resid <= tol * lo * 10:
+        nrm = op_norm(m) if nrm is None else nrm
+        defect = op_norm(comm) / nrm**2 if defect is None else defect
+        if resid > max(tol, np.sqrt(defect)) * nrm * 10:
+            raise NotNormalError(resid / nrm**2 * 2.0**-e, tol)
+    return SpectralDecomposition(lam * 2.0**e, q)
 
 
 _CUTOFF = 1e-13  # singular values of the equilibrated span up to this times the largest are cut

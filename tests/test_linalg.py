@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,169 @@ def test_pencil_collision_lands_on_one_pencil_value():
     lam1, lam2 = 1.0 + 0j, pencil_collision(theta, 1.0, 2.0)
     pencil = [z.real + theta * z.imag for z in (lam1, lam2)]
     assert abs(lam1 - lam2) > 1 and pencil[0] == pytest.approx(pencil[1], abs=1e-15)
+
+
+# --- eig_normal against its unscreened version --------------------------------
+
+def reference_eig_normal(a, tol=linalg.TOL_NUM):
+    """``eig_normal`` as it was before its norm screens and prescale: both
+    norms from ``op_norm`` up front, on the unscaled matrix."""
+    m = linalg.as_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    nrm = op_norm(m)
+    if nrm == 0.0:
+        n = m.shape[0]
+        return linalg.SpectralDecomposition(np.zeros(n, dtype=np.complex128),
+                                            np.eye(n, dtype=np.complex128))
+    defect = op_norm(m @ m.conj().T - m.conj().T @ m) / nrm**2
+    if defect > tol:
+        raise NotNormalError(defect, tol)
+    half = m * (0.5 - 0.5j * linalg._PENCIL_THETA)
+    w, q = np.linalg.eigh(half + half.conj().T)  # H + theta K
+    label = np.r_[0, np.cumsum(np.diff(w) > linalg._CLUSTER_GAP * nrm)]
+    for c in np.flatnonzero(np.bincount(label) > 1):
+        qc = q[:, label == c]
+        v = np.linalg.eig(qc.conj().T @ m @ qc)[1]
+        q[:, label == c] = qc @ np.linalg.qr(v)[0]
+    aq = m @ q
+    b = q.conj().T @ aq
+    lam = np.diag(b).copy()
+    x = np.divide(b, lam - lam[:, None], out=np.zeros_like(b), where=label[:, None] != label)
+    x = (x - x.conj().T) / 2
+    q = q + q @ x
+    resid = np.linalg.norm(aq + aq @ x - q * lam)
+    if resid > max(tol, np.sqrt(defect)) * nrm * 10:
+        raise NotNormalError(resid / nrm**2, tol)
+    return linalg.SpectralDecomposition(lam, q)
+
+
+def screen_panel():
+    """Unitaries (some with a repeated eigenvalue, regular polygons jittered by
+    1e-10), scaled unitaries, Hermitian, normal, near-normal and generic
+    matrices, at sizes 1 to 80."""
+    for seed in range(3):
+        rng = np.random.default_rng(100 + seed)
+        for m in list(range(1, 13)) + [16, 20, 30, 40, 60, 80]:
+            u = haar(rng, m)
+            h = cnormal(rng, m, m)
+            angles = rng.uniform(0, 2 * np.pi, m)
+            angles[:m // 2] = angles[0]
+            poly = np.exp(2j * np.pi * np.arange(m) / m + 1e-10j * rng.standard_normal(m))
+            yield f"haar-m{m}-s{seed}", u
+            yield f"scaled-haar-m{m}-s{seed}", u * 10.0 ** rng.uniform(-30, 30)
+            yield f"repeated-m{m}-s{seed}", framed(rng, np.exp(1j * angles))
+            yield f"polygon-m{m}-s{seed}", framed(rng, poly)
+            yield f"hermitian-m{m}-s{seed}", h + h.conj().T
+            yield f"normal-m{m}-s{seed}", framed(rng, cnormal(rng, m)) * 10.0 ** rng.uniform(-9, 9)
+            yield f"near-normal-m{m}-s{seed}", u + 10.0 ** rng.uniform(-12, -3) * h
+            yield f"generic-m{m}-s{seed}", h
+
+
+def outcome(fn, a, tol):
+    """Eigenvalues and eigenvectors, or the exception's type, defect and message."""
+    try:
+        dec = fn(a, tol=tol)
+    except NotNormalError as exc:
+        return type(exc), exc.defect, str(exc)
+    return "ok", dec.eigenvalues, dec.eigenvectors
+
+
+def test_screened_eig_normal_has_the_bits_of_the_reference():
+    cases = errors = 0
+    for name, a in screen_panel():
+        for tol in (1e-12, 1e-9, 1e-6):
+            got, want = outcome(eig_normal, a, tol), outcome(reference_eig_normal, a, tol)
+            assert got[0] == want[0], (name, tol)
+            if want[0] == "ok":
+                assert np.array_equal(got[1], want[1]), (name, tol)
+                assert np.array_equal(got[2], want[2]), (name, tol)
+            else:
+                assert got[1:] == want[1:], (name, tol)
+                errors += 1
+            cases += 1
+    assert cases == 1296 and 100 < errors < cases / 2  # both outcomes are well represented
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("m", [6, 80])
+def test_a_unitary_takes_no_svd(m, svd_calls):
+    u = haar(np.random.default_rng(m), m)
+    dec = eig_normal(u)
+    assert svd_calls == []
+    want = reference_eig_normal(u)
+    assert np.array_equal(dec.eigenvalues, want.eigenvalues)
+    assert np.array_equal(dec.eigenvectors, want.eigenvectors)
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_a_pencil_gap_inside_the_screen_window_takes_the_norm(side, svd_calls):
+    # q diag(r e^{i theta}) q*: A* A = q diag(r^2) q* does not move with theta,
+    # so the screen window (g lo, g hi] stays put while theta places the gap
+    q = haar(np.random.default_rng(7), 3)
+    r = np.array([1.0, 2.0, 3.0])
+    gram = (q * r**2) @ q.conj().T
+    lo, hi = np.sqrt(gram.diagonal().real.max()), np.sqrt(np.abs(gram).sum(axis=1).max())
+    gap = linalg._CLUSTER_GAP * 3.0 * (1 + side * 1e-4)  # ||A|| = 3: either side of the cut
+    assert linalg._CLUSTER_GAP * lo < gap * (1 - 1e-3)
+    assert gap * (1 + 1e-3) < linalg._CLUSTER_GAP * hi
+    theta = linalg._PENCIL_THETA
+    phi, scale = np.arctan(theta), np.hypot(1.0, theta)  # pencil value r scale cos(angle - phi)
+    first = phi + 2.0
+    second = phi + np.arccos((3.0 * scale * np.cos(first - phi) + gap) / (2.0 * scale))
+    a = (q * (r * np.exp(1j * np.array([0.3, second, first])))) @ q.conj().T
+    dec = eig_normal(a)
+    assert svd_calls == [1]
+    want = reference_eig_normal(a)
+    assert np.array_equal(dec.eigenvalues, want.eigenvalues)
+    assert np.array_equal(dec.eigenvectors, want.eigenvectors)
+
+
+def test_a_residual_failure_reports_the_value_of_the_reference(monkeypatch):
+    # eigh's basis mixed by 0.01 rad: the first-order step leaves about 1e-4
+    # of the residual, which fails the check at any scale
+    eigh = np.linalg.eigh
+
+    def mixed(h):
+        w, q = eigh(h)
+        c, s = np.cos(0.01), np.sin(0.01)
+        q[:, :2] = q[:, :2] @ np.array([[c, -s], [s, c]])
+        return w, q
+
+    monkeypatch.setattr(np.linalg, "eigh", mixed)
+    u = haar(np.random.default_rng(9), 5)
+    for scale in (1.0, 1e-5, 3e7):
+        got = outcome(eig_normal, u * scale, 1e-9)
+        want = outcome(reference_eig_normal, u * scale, 1e-9)
+        assert got[0] is NotNormalError and got[1:] == want[1:], scale
+
+
+Q4 = np.linalg.qr(cnormal(np.random.default_rng(0), 4, 4))[0]
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170, 1e-160, 1e-20, 1e20, 1e155, 1e160,
+                                   1e200, 1e300])
+def test_a_unitary_at_any_scale(scale):
+    # the squares of 1e-170 underflow and those of 1e155 overflow unless
+    # eig_normal scales first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = eig_normal(Q4 * scale).eigenvalues
+    assert np.abs(np.abs(lam) / scale - 1).max() <= 2e-15
+    assert np.allclose(lam / scale, eig_normal(Q4).eigenvalues, rtol=0, atol=1e-14)
+
+
+def test_subnormal_diagonal_keeps_its_entries():
+    tiny = np.diag([3.0, 1.0j]) * 5e-324
+    dec = eig_normal(tiny)
+    assert set(dec.eigenvalues.tolist()) == set(np.diag(tiny).tolist())
 
 
 class TestSpanMembership:

@@ -21,6 +21,15 @@ SETTABLE = {
     "degree1.degree_one_homeomorphic", "degree1.deg1_via_opsys",
 }
 
+#: Module-level float constants named like thresholds, each of which needs a
+#: row in the table.
+THRESHOLD_NAME = re.compile(r"TOL|(_SLACK|_GAP|_RANGE|_CUTOFF|_FLOOR|_BOUND)$")
+
+#: Constants named like thresholds that are none, with the reason.
+NOT_THRESHOLDS = {
+    "formulas.CONNECTIVE_BOUND": "it clips a logical connective and is not a float threshold",
+}
+
 
 def tolerance_table() -> list:
     """(constant, value, module) for each row of the README's Tolerances table."""
@@ -51,3 +60,19 @@ def test_only_the_cli_tolerance_is_settable():
                         and {"tol", "slack"} & set(inspect.signature(fn).parameters)):
                     found.add(f"{module}.{name}")
     assert found == SETTABLE
+
+
+def test_every_threshold_constant_has_a_row():
+    rows = {name: module for name, _, module in tolerance_table()}
+    for module in MODULES:
+        mod = importlib.import_module(f"osclass.{module}")
+        source = inspect.getsource(mod)
+        for name, value in vars(mod).items():
+            if (not isinstance(value, float) or not THRESHOLD_NAME.search(name)
+                    or f"{module}.{name}" in NOT_THRESHOLDS):
+                continue
+            assert name in rows, f"{module}.{name} has no row in the Tolerances table"
+            if re.search(rf"^{name}\b[^=\n]*=", source, flags=re.M):  # defined here
+                assert rows[name] == module, (module, name)
+            else:  # imported from the module of its row
+                assert getattr(importlib.import_module(f"osclass.{rows[name]}"), name) is value
