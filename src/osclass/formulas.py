@@ -8,24 +8,24 @@ exact value; the canonically enumerated universal sentences give a theory
 fingerprint that separates non-isomorphic structures.
 
 :func:`eval_formula` evaluates one formula by recursion over assignments and
-is the reference.  :func:`universal_fingerprint` gets the same floats another
-way: it evaluates each distinct quantifier-free term once, as a numpy array
-over all assignments of the variables to the first domain, built from its
-children's arrays, and takes each sentence's value as the first maximal
-entry of its term's array.  The assignments go in blocks of a fixed number of
-term values (``_BLOCK_ENTRIES``, 2^16, so 512 KiB of values plus a few times
-that in temporaries), so memory stays flat however large the domain is.
+is the reference.  :func:`universal_fingerprint` gets the same floats from
+the enumeration's term table, one row per term: it evaluates each row once,
+as a numpy array over all assignments of the variables to the first domain
+built from its children's arrays, and takes each sentence's value as the
+first maximal entry of its term's array.  The assignments go in blocks of
+``_BLOCK_ENTRIES`` (2^16) term values, so memory stays flat however large
+the domain is, and ``MAX_TERMS`` bounds the table.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import CapacityError, DimensionError
 from .metric import FiniteStructure, Signature
 
 #: Clipping bound for the truncated connectives.
@@ -176,21 +176,24 @@ def eval_formula(phi: Formula, m: FiniteStructure, assignment: dict | None = Non
     return ev(phi, env)
 
 
-def _canonical_tuples(arity: int, max_vars: int):
-    """Variable tuples in first-occurrence normal form (x1 appears before x2, ...)."""
-    out = []
-    for tup in itertools.product(range(1, min(arity, max_vars) + 1), repeat=arity):
-        seen: list[int] = []
-        ok = True
-        for v in tup:
-            if v not in seen:
-                if v != len(seen) + 1:
-                    ok = False
-                    break
-                seen.append(v)
-        if ok:
-            out.append(tuple(f"x{v}" for v in tup))
-    return out
+#: Most terms an enumeration may hold: the term table counts its rows in
+#: closed form before it builds any, and a larger one raises CapacityError.
+MAX_TERMS = 1 << 16
+
+
+def _canonical_tuples(arity: int) -> list:
+    """Variable tuples in first-occurrence normal form (x1 appears before x2,
+    ...) with at most three variables."""
+    tuples = [()]
+    for _ in range(arity):
+        tuples = [t + (v,) for t in tuples for v in range(1, min(max(t, default=0) + 1, 3) + 1)]
+    return [tuple(f"x{v}" for v in t) for t in tuples]
+
+
+def _tuple_count(arity: int) -> int:
+    """``len(_canonical_tuples(arity))``, the partitions of ``arity`` slots into
+    at most three blocks: S(r, 0) + ... + S(r, 3), Stirling numbers of the 2nd kind."""
+    return 1 if arity == 0 else 2 ** (arity - 1) + (3 ** arity - 3 * 2 ** arity + 3) // 6
 
 
 def _relation_names(signature: Signature | None, m: FiniteStructure | None) -> list:
@@ -206,42 +209,65 @@ def _relation_names(signature: Signature | None, m: FiniteStructure | None) -> l
     return sorted((n, arities[n]) for n in names)
 
 
-def enumerate_universal_terms(signature: Signature | None, depth: int,
-                              m: FiniteStructure | None = None,
-                              max_vars: int = 3) -> list:
-    """Quantifier-free lattice terms up to the given syntactic size.
+#: The unary connectives of the enumeration: Formula class, key tag, constant.
+_UNARY = ((AddConst, "add", Fraction(1)), (Scale, "scale", Fraction(1, 2)))
 
-    Deterministic and nested: the size-d list is a prefix of the size-(d+1)
-    list.  Atoms have size 1; each connective adds one.
+
+def _term_table(names: list, depth: int) -> list:
+    """The enumeration up to size ``depth`` as rows ``(key, kind, children, const, size)``.
+
+    ``kind`` is the Formula class, ``children`` the rows of its arguments,
+    ``const`` the ``AddConst``/``Scale`` constant (else None), and the key its
+    ``key()``, built from the children's stored keys.  Size s holds ``+1`` and
+    ``*1/2`` of each size-(s-1) term and max and min of each pair (a, b) of
+    sizes summing to s - 1 with key(a) <= key(b), sorted by key after the
+    smaller sizes.  Keys are distinct, so the pairs number n_i n_j over both
+    orders of sizes i != j and n_i (n_i + 1) / 2 for i = j; so the rows are
+    counted before any is built, and more than ``MAX_TERMS`` raise CapacityError.
     """
     if depth < 1:
         raise DimensionError("depth must be at least 1")
-    names = _relation_names(signature, m)
-    by_size: dict[int, list] = {}
-    atoms = []
-    for name, arity in names:
-        for tup in _canonical_tuples(arity, max_vars):
-            atoms.append(Atom(name, tup))
-    atoms.sort(key=lambda a: a.key())
-    by_size[1] = atoms
+    n = [sum(_tuple_count(arity) for _, arity in names)]  # n[s - 1] terms of size s
+    while len(n) < depth and sum(n) <= MAX_TERMS:
+        s = len(n) + 1
+        n.append(2 * n[-1] + sum(n[i] * n[s - 3 - i] for i in range(s - 2))
+                 + (n[(s - 3) // 2] if s % 2 else 0))
+    if sum(n) > MAX_TERMS:
+        raise CapacityError(f"the depth-{depth} enumeration has more than {MAX_TERMS} terms")
+    rows = sorted(((("atom", name, tup), Atom, (), None, 1)
+                   for name, arity in names for tup in _canonical_tuples(arity)),
+                  key=lambda r: r[0])
+    start = [0, 0, len(rows)]  # the rows of size s are rows[start[s]:start[s + 1]]
     for s in range(2, depth + 1):
-        terms: list[Formula] = []
-        for t in by_size[s - 1]:
-            terms.append(AddConst(Fraction(1), t))
-            terms.append(Scale(Fraction(1, 2), t))
+        level = [((tag, str(q), rows[c][0]), kind, (c,), q, s)
+                 for c in range(start[s - 1], start[s]) for kind, tag, q in _UNARY]
         for ls in range(1, s - 1):
-            rs = s - 1 - ls
-            for a in by_size[ls]:
-                for b in by_size[rs]:
-                    if a.key() <= b.key():
-                        terms.append(Max(a, b))
-                        terms.append(Min(a, b))
-        terms.sort(key=lambda t: t.key())
-        by_size[s] = terms
-    out = []
-    for s in range(1, depth + 1):
-        out.extend(by_size[s])
-    return out
+            lo, hi = start[s - 1 - ls], start[s - ls]
+            right = [r[0] for r in rows[lo:hi]]
+            level += [((tag, rows[a][0], rows[b][0]), kind, (a, b), None, s)
+                      for a in range(start[ls], start[ls + 1])
+                      for b in range(lo + bisect.bisect_left(right, rows[a][0]), hi)
+                      for kind, tag in ((Max, "max"), (Min, "min"))]
+        level.sort(key=lambda r: r[0])
+        rows += level
+        start.append(len(rows))
+    return rows
+
+
+def enumerate_universal_terms(signature: Signature | None, depth: int,
+                              m: FiniteStructure | None = None) -> list:
+    """Quantifier-free lattice terms up to the given syntactic size.
+
+    Deterministic and nested: the size-d list is a prefix of the size-(d+1)
+    list.  Atoms have size 1; each connective adds one.  One Formula per row
+    of the term table; a child is the object built for its row.
+    """
+    terms: list[Formula] = []
+    for key, kind, children, const, _ in _term_table(_relation_names(signature, m), depth):
+        args = [terms[c] for c in children]
+        terms.append(Atom(*key[1:]) if kind is Atom
+                     else kind(*args) if const is None else kind(const, *args))
+    return terms
 
 
 def close_universally(term: Formula, domain: int = 1) -> Formula:
@@ -252,44 +278,8 @@ def close_universally(term: Formula, domain: int = 1) -> Formula:
     return phi
 
 
-#: Term values held at once by :func:`universal_fingerprint`: the assignments
-#: are walked in blocks of ``_BLOCK_ENTRIES // len(terms)``, so memory stays
-#: flat however many assignments the first domain has.
+#: Term values :func:`universal_fingerprint` holds at once, whatever the domain.
 _BLOCK_ENTRIES = 1 << 16
-
-
-def _term_plan(terms: list):
-    """Bottom-up evaluation plan of an enumerated term list.
-
-    Returns the atoms as ``(row, atom)`` pairs and the other terms as groups
-    ``(kind, rows, left, right, consts)`` (row index arrays, and a column of
-    the ``AddConst``/``Scale`` constants), one group per connective and
-    height, in increasing height.  Every child is lower than its parent, so
-    a group is one numpy pass over rows computed before it.  Children are
-    found by object identity: the enumeration builds every term once and
-    reuses that object wherever it is a child.
-    """
-    row = {id(t): i for i, t in enumerate(terms)}
-    height, atoms, groups = [], [], {}
-    for i, t in enumerate(terms):
-        kind = type(t)
-        if kind is Atom:
-            height.append(0)
-            atoms.append((i, t))
-            continue
-        if kind is Max or kind is Min:
-            left, right, const = row[id(t.left)], row[id(t.right)], 0.0
-        else:
-            left = right = row[id(t.arg)]
-            const = float(t.const)
-        height.append(1 + max(height[left], height[right]))
-        groups.setdefault((height[i], kind), []).append((i, left, right, const))
-    plan = []
-    for (_, kind), records in sorted(groups.items(), key=lambda g: g[0][0]):
-        rows, left, right, consts = zip(*records)
-        plan.append((kind, np.array(rows), np.array(left), np.array(right),
-                     np.array(consts)[:, None]))
-    return atoms, plan
 
 
 def universal_fingerprint(m: FiniteStructure, depth: int = 3) -> np.ndarray:
@@ -301,13 +291,15 @@ def universal_fingerprint(m: FiniteStructure, depth: int = 3) -> np.ndarray:
     :func:`enumerate_universal_terms` is bit for bit
     ``eval_formula(close_universally(t), m)``, signed zeros included.
 
-    Each distinct term is evaluated once, as an array over all assignments of
-    x1..xV to the points of ``m.domain(1)`` (V the most variables of an
-    atom), built from its children's arrays: an atom is one fancy index into
-    its table, ``AddConst`` and ``Scale`` clip ``a + q`` and ``q * a``, and
-    ``Max`` and ``Min`` keep the left value unless the right one is strictly
-    larger or smaller, as Python's ``max`` and ``min`` do.  The sentence
-    value is the first maximal entry in C order of the assignments.
+    Each row of :func:`_term_table` is evaluated once, as an array over all
+    assignments of x1..xV to the points of ``m.domain(1)`` (V the most
+    variables of an atom), built from its children's arrays in one numpy pass
+    per size and connective, as every child is smaller than its parent: the
+    atoms of a relation are one fancy index into its table, ``AddConst`` and
+    ``Scale`` clip ``a + q`` and ``q * a``, and ``Max`` and ``Min`` keep the
+    left value unless the right one is strictly larger or smaller, as
+    Python's ``max`` and ``min`` do.  The sentence value is the first maximal
+    entry in C order of the assignments.
 
     That equals the nested ``Sup`` of :func:`close_universally`.  The atoms'
     variable tuples are in first-occurrence normal form, so an atom's free
@@ -331,10 +323,17 @@ def universal_fingerprint(m: FiniteStructure, depth: int = 3) -> np.ndarray:
     dom = np.asarray(m.domain(1), dtype=np.intp)
     if dom.size == 0:
         raise DimensionError("the first domain is empty, so universal sentences have no value")
-    terms = enumerate_universal_terms(m.signature, depth, m)
-    atoms, plan = _term_plan(terms)
-    nvars = max(len(a.free_vars()) for _, a in atoms)
-    tables = [(r, m.table(a.relation), [int(v[1:]) - 1 for v in a.variables]) for r, a in atoms]
+    terms = _term_table(_relation_names(m.signature, m), depth)
+    atoms, groups = {}, {}
+    for i, (key, kind, children, const, size) in enumerate(terms):
+        if kind is Atom:  # its row, then the variable each slot reads
+            atoms.setdefault(key[1], []).append([i] + [int(v[1:]) - 1 for v in key[2]])
+        else:
+            groups.setdefault((size, kind), []).append(
+                (i, children[0], children[-1], float(const or 0)))
+    nvars = max(len(set(key[2])) for key, kind, *_ in terms if kind is Atom)
+    tables = [(m.table(name), np.array(recs, dtype=np.intp).T) for name, recs in atoms.items()]
+    plan = [(kind, *(np.array(c) for c in zip(*recs))) for (_, kind), recs in groups.items()]
     total = dom.size ** nvars
     block = max(1, _BLOCK_ENTRIES // len(terms))
     values = np.empty((len(terms), min(block, total)))
@@ -344,14 +343,14 @@ def universal_fingerprint(m: FiniteStructure, depth: int = 3) -> np.ndarray:
         stop = min(start + block, total)
         points = dom[np.array(np.unravel_index(np.arange(start, stop), (dom.size,) * nvars))]
         v = values[:, :stop - start]
-        for r, table, slots in tables:
-            v[r] = table[tuple(points[s] for s in slots)]
+        for table, (out, *slots) in tables:
+            v[out] = table[tuple(points[s] for s in slots)]
         for kind, out, left, right, q in plan:
             a = v[left]
             if kind is AddConst:
-                v[out] = np.clip(a + q, -CONNECTIVE_BOUND, CONNECTIVE_BOUND)
+                v[out] = np.clip(a + q[:, None], -CONNECTIVE_BOUND, CONNECTIVE_BOUND)
             elif kind is Scale:
-                v[out] = np.clip(q * a, -CONNECTIVE_BOUND, CONNECTIVE_BOUND)
+                v[out] = np.clip(q[:, None] * a, -CONNECTIVE_BOUND, CONNECTIVE_BOUND)
             else:
                 b = v[right]
                 v[out] = np.where(b > a if kind is Max else b < a, b, a)

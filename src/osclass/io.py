@@ -17,8 +17,8 @@ import re
 import numpy as np
 
 from .degree1 import PointSet
-from .errors import InputFormatError, OsclassError
-from .metric import MAX_ARITY, FiniteStructure
+from .errors import CapacityError, InputFormatError, OsclassError
+from .metric import MAX_ARITY, MAX_TABLE_ENTRIES, FiniteStructure
 from .opsys import AmplifiedElement, OperatorSystemSpan, build_system
 
 
@@ -132,7 +132,10 @@ def _parse_table(spec, arity: int, size: int) -> np.ndarray:
     if isinstance(spec, list):  # FiniteStructure checks its size
         return np.asarray(_numbers(spec, arity, parse_real), dtype=np.float64)
     if isinstance(spec, dict):
-        arr = np.zeros(np.broadcast_to(size, arity))  # a stride-0 shape: free at any arity
+        if size ** arity > MAX_TABLE_ENTRIES:
+            raise CapacityError(f"a keyed table of arity {arity} on {size} points has "
+                                f"{size}^{arity} entries, past {MAX_TABLE_ENTRIES}")
+        arr = np.zeros((size,) * arity)
         for key, value in spec.items():
             # int() alone would also read " 1", "+1" and "1_0"
             if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", str(key)):

@@ -41,13 +41,17 @@ DK_BLOCK_ENTRIES = 1 << 16
 #: over 2r + 1 array axes, at most numpy's ``MAXDIMS``.
 MAX_ARITY = (_NUMPY_MAXDIMS - 1) // 2
 
+#: Most entries of a dense table built from a relation: a keyed relation
+#: table in a JSON input, and a relation's value-gap table in the d_k search.
+#: A larger one raises CapacityError before it is allocated.
+MAX_TABLE_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True)
 class RelationSymbol:
     name: str
     arity: int
     bound: float = 16.0
-    modulus: str = "1-lipschitz"
 
 
 @dataclass(frozen=True)
@@ -55,12 +59,11 @@ class Signature:
     """Relation symbols with an increasing chain of finite sublanguages.
 
     ``sublanguages[k-1]`` is the symbol set of level k; the metric symbol "d"
-    always belongs to level 1.  ``domains`` counts the nested domain symbols.
+    always belongs to level 1.
     """
 
     relations: tuple = ()
     sublanguages: tuple = (frozenset({"d"}),)
-    domains: int = 1
 
     def __post_init__(self):
         subs = tuple(frozenset(s) for s in self.sublanguages)
@@ -563,6 +566,9 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
         tm, tn = m.table(name), n.table(name)
         if tm.ndim != tn.ndim:
             raise DimensionError(f"relation {name!r} has mismatched arities")
+        if (p * q) ** tm.ndim > MAX_TABLE_ENTRIES:
+            raise CapacityError(f"relation {name!r} has a value-gap table of {p}^{tm.ndim} x "
+                                f"{q}^{tm.ndim} entries, past {MAX_TABLE_ENTRIES}")
         tm, tn = tm[np.ix_(*[dom_m] * tm.ndim)], tn[np.ix_(*[dom_n] * tn.ndim)]
         value_gaps.append((tm.ndim, np.abs(tm.reshape(-1, 1) - tn.reshape(1, -1))))
     if not (p and q):

@@ -34,7 +34,7 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +104,6 @@ class DistanceReport:
     per_level: tuple  # of dicts {level, estimate, map, restarts}
     weighted: float
     seed: int
-    converged: dict = field(default_factory=dict)
 
 
 def _check_args(search: str, counts: dict, budgets: dict) -> None:
@@ -514,7 +513,6 @@ def dgh_weighted(x: OperatorSystemSpan, y: OperatorSystemSpan, n_max: int = 3,
         per_level=tuple(per_level),
         weighted=float(weighted),
         seed=seed,
-        converged={"levels": n_max, "restarts": restarts},
     )
 
 

@@ -298,6 +298,27 @@ class TestFamily:
         assert code == EXIT_INVALID
 
 
+def line_metric(n):
+    return [[abs(i - j) for j in range(n)] for i in range(n)]
+
+
+#: Inputs past a budget, the subcommand, and a word of the refusal: each used
+#: to run out of time or memory.
+BUDGET_REFUSALS = {
+    # 6e14 variable tuples of one arity-31 atom, counted, never walked
+    "theory-arity-31": ("gh-theory", {"metric": [[0]],
+                                      "relations": {"R": {"arity": 31, "table": {}}}}, "terms"),
+    # a keyed table of 10^9 entries, 8 GB
+    "keyed-10-points-arity-9": ("gh-theory", {"metric": line_metric(10),
+                                              "relations": {"R": {"arity": 9, "table": {}}}},
+                                "keyed table"),
+    # a value-gap table of 4^8 x 4^8 entries, 34 GB
+    "dist-4-points-arity-8": ("gh-dist", {"metric": line_metric(4),
+                                          "relations": {"R": {"arity": 8, "table": {}}}},
+                              "value-gap table"),
+}
+
+
 class TestGh:
     def test_dist_and_theory(self, tmp_path):
         m = structure_file(tmp_path, "m.json", [[0.0, 1.0], [1.0, 0.0]])
@@ -364,6 +385,31 @@ class TestGh:
         code, rep, _ = call(["gh-dist", eight, eight])
         assert code == 0 and rep["distance"] == 0.0
         assert rep["tolerances"] == {"kmax": 3, "cap": 8}
+
+    @pytest.mark.parametrize("name", sorted(BUDGET_REFUSALS))
+    def test_past_a_budget_exits_with_capacity_in_a_second_and_small_memory(self, tmp_path,
+                                                                              name):
+        command, obj, says = BUDGET_REFUSALS[name]
+        s = json_file(tmp_path, "s.json", obj)
+        script = textwrap.dedent(f"""
+            import io, json, resource, time
+            import osclass.cli
+
+            out, start = io.StringIO(), time.monotonic()
+            code = osclass.cli.run({[command] + [s] * (1 + (command == "gh-dist"))!r}, stdout=out)
+            print(json.dumps([code, time.monotonic() - start, json.loads(out.getvalue()),
+                              resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, seconds, rep, peak_kb = json.loads(proc.stdout)
+        assert code == EXIT_CAPACITY and rep["error"]["kind"] == "capacity"
+        assert says in rep["error"]["message"]
+        assert seconds < 1.0 and peak_kb < 200 * 1024  # the whole process, numpy included
 
     def test_negative_cap_is_an_input_error(self, tmp_path):
         m = structure_file(tmp_path, "m.json", [[0.0, 1.0], [1.0, 0.0]])

@@ -1,14 +1,15 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from osclass import formulas
-from osclass.errors import DimensionError
+from osclass.errors import CapacityError, DimensionError
 from osclass.formulas import (AddConst, Atom, Formula, Inf, Max, Min, Scale,
                               Sup, close_universally, enumerate_universal_terms,
                               eval_formula, universal_fingerprint)
-from osclass.metric import FiniteStructure
+from osclass.metric import FiniteStructure, RelationSymbol, Signature
 
 PATH3 = FiniteStructure(np.array([[0.0, 1.0, 2.0],
                                   [1.0, 0.0, 1.0],
@@ -135,7 +136,7 @@ FINGERPRINT_PANEL = {
     # the first domain is a proper subset of the points
     "nested": (panel_structure(1, 4, (1, 2), domains=((0, 2), (0, 1, 2, 3))), 5),
     "signed": (panel_structure(5, 4, (1, 2), signed_metric=True), 5),
-    # arity 4 exceeds max_vars = 3, so its atoms repeat variables
+    # arity 4 exceeds the three variables of an atom, so its atoms repeat variables
     "arity3-4": (panel_structure(2, 3, (3, 4)), 3),
     "one-point": (panel_structure(3, 1, (1, 2, 3, 4), signed_metric=True), 3),
     "one-point-deep": (panel_structure(4, 1, (1, 2)), 5),
@@ -184,3 +185,76 @@ def test_fingerprint_rejects_an_empty_first_domain():
 def test_formula_base_class_is_abstract():
     with pytest.raises(NotImplementedError):
         Formula().free_vars()
+
+
+def recursive_levels(signature, m, depth):
+    """The terms of each size 1..depth as enumerated by recursion over Formula
+    trees: atoms from every variable tuple in first-occurrence normal form,
+    pairs kept when ``a.key() <= b.key()``, and each size sorted by ``key()``."""
+    names = formulas._relation_names(signature, m)
+    atoms = []
+    for name, arity in names:
+        for tup in itertools.product(range(1, min(arity, 3) + 1), repeat=arity):
+            seen = []
+            for v in tup:
+                if v not in seen:
+                    if v != len(seen) + 1:
+                        break
+                    seen.append(v)
+            else:
+                atoms.append(Atom(name, tuple(f"x{v}" for v in tup)))
+    levels = [sorted(atoms, key=lambda a: a.key())]
+    for s in range(2, depth + 1):
+        terms = []
+        for t in levels[-1]:
+            terms += [AddConst(Fraction(1), t), Scale(Fraction(1, 2), t)]
+        for ls in range(1, s - 1):
+            for a in levels[ls - 1]:
+                for b in levels[s - 2 - ls]:
+                    if a.key() <= b.key():
+                        terms += [Max(a, b), Min(a, b)]
+        levels.append(sorted(terms, key=lambda t: t.key()))
+    return levels
+
+
+#: The signature of the benchmark's relational structures: a unary and a binary relation.
+REL4 = Signature(relations=(RelationSymbol("R", 1), RelationSymbol("B", 2)),
+                 sublanguages=({"d"}, {"d", "R"}, {"d", "R", "B"}))
+
+#: Depth-6 enumerations within MAX_TERMS; the others have 260 000 and more terms.
+KEY_CASES = [(name, m.signature, m, 6 if name in ("nested", "signed", "one-point-deep") else 5)
+             for name, (m, _) in sorted(FINGERPRINT_PANEL.items())] + [("rel4", REL4, None, 6)]
+
+
+@pytest.mark.parametrize("name,signature,m,depth", KEY_CASES, ids=[c[0] for c in KEY_CASES])
+def test_enumeration_matches_the_recursive_reference_key_for_key(name, signature, m, depth,
+                                                                   monkeypatch):
+    levels = recursive_levels(signature, m, depth)
+    for d in range(1, depth + 1):
+        want = [t.key() for level in levels[:d] for t in level]
+        terms = enumerate_universal_terms(signature, d, m)
+        assert [t.key() for t in terms] == want, d
+        # the closed-form count is exact: the budget admits the enumeration at
+        # its own size and refuses it one term below
+        monkeypatch.setattr(formulas, "MAX_TERMS", len(want))
+        assert len(enumerate_universal_terms(signature, d, m)) == len(want)
+        monkeypatch.setattr(formulas, "MAX_TERMS", len(want) - 1)
+        with pytest.raises(CapacityError):
+            enumerate_universal_terms(signature, d, m)
+        monkeypatch.undo()
+    if depth < 6:
+        with pytest.raises(CapacityError):
+            enumerate_universal_terms(signature, 6, m)
+
+
+@pytest.mark.parametrize("arity", range(9))
+def test_tuple_count_is_the_number_of_canonical_tuples(arity):
+    assert formulas._tuple_count(arity) == len(formulas._canonical_tuples(arity))
+
+
+@pytest.mark.parametrize("arity,depth", [(31, 1), (12, 1), (2, 10 ** 9)])
+def test_enumeration_past_the_budget_raises_before_building(arity, depth):
+    # 6e14 variable tuples at arity 31: counted in closed form, never walked
+    m = FiniteStructure(np.zeros((1, 1)), {"R": np.zeros((1,) * arity)})
+    with pytest.raises(CapacityError):
+        universal_fingerprint(m, depth)

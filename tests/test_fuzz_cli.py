@@ -4,8 +4,11 @@ Generated system, element, matrix, point-set and structure objects, well
 formed or not, go through ``norm``, ``osdist``, ``spectrum``, ``deg1``,
 ``gh-dist`` and ``gh-theory``, and stored reports with one field replaced or
 deleted go through ``verify``.  Every run must end in a report with exit 0 or
-2: malformed or unusable input is an input error, never a crash.  The
-examples are derandomized so the suite stays reproducible.
+2: malformed or unusable input is an input error, never a crash.  Structures
+may also carry keyed tables of any arity up to ``metric.MAX_ARITY``, so
+``gh-dist`` and ``gh-theory`` may exit 4 at a table or term budget, but never
+hang or run out of memory.  The examples are derandomized so the suite stays
+reproducible.
 """
 
 import json
@@ -20,8 +23,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from osclass.cli import EXIT_INVALID, EXIT_OK, run
+from osclass.cli import EXIT_CAPACITY, EXIT_INVALID, EXIT_OK, run
 from osclass.io import parse_point_set
+from osclass.metric import MAX_ARITY
 
 FUZZ = settings(max_examples=60,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -149,6 +153,14 @@ def structures(draw):
                                st.dictionaries(keys, values, max_size=2), junk))
         rel = draw(st.sampled_from([{"arity": arity, "table": table}, {"table": table}, table]))
         obj["relations"] = draw(st.sampled_from([{"R": rel}, {"R": rel}, [1], "abc"]))
+    elif shape == "metric" and draw(st.booleans()):
+        # a keyed table is dense, n^arity entries, and the atoms of an arity
+        # past 10 outnumber the fingerprint's terms
+        arity = draw(st.integers(0, MAX_ARITY))
+        index = st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity)
+        keyed = st.dictionaries(index.map(lambda ix: ",".join(map(str, ix))),
+                                st.floats(0.0, 1.0), max_size=2)
+        obj["relations"] = {"W": {"arity": arity, "table": draw(keyed)}}
     if draw(st.booleans()):
         # valid chains first, among them an empty first domain
         obj["domains"] = draw(st.one_of(
@@ -158,7 +170,7 @@ def structures(draw):
     return obj
 
 
-def run_on(files: dict, argv: list, tmp: str | None = None):
+def run_on(files: dict, argv: list, tmp: str | None = None, codes=(EXIT_OK, EXIT_INVALID)):
     with tempfile.TemporaryDirectory() as scratch:
         paths = {}
         for name, obj in files.items():
@@ -167,12 +179,14 @@ def run_on(files: dict, argv: list, tmp: str | None = None):
         out, err = StringIO(), StringIO()
         with redirect_stderr(err):
             code = run([paths.get(a, a) for a in argv], stdout=out)
-    assert code in (EXIT_OK, EXIT_INVALID), out.getvalue()
+    assert code in codes, out.getvalue()
     assert "Traceback" not in err.getvalue()
     report = json.loads(out.getvalue())
     assert report["command"][0] == argv[0]
-    if code == EXIT_INVALID and "verified" not in report:  # verify fails without an error
+    if code != EXIT_OK and "verified" not in report:  # verify fails without an error
         assert set(report["error"]) == {"kind", "message"}
+    if code == EXIT_CAPACITY:
+        assert report["error"]["kind"] == "capacity"
     return report
 
 
@@ -220,17 +234,29 @@ def test_deg1_never_crashes(left, right, via_opsys):
         assert finite_monomials(left) and finite_monomials(right)
 
 
+def wide(n, arity):
+    """``n`` points on a line with an empty keyed table of the given arity."""
+    return {"metric": [[abs(i - j) for j in range(n)] for i in range(n)],
+            "relations": {"W": {"arity": arity, "table": {}}}}
+
+
 @FUZZ
 @given(structures(), structures())
+@example(wide(4, 8), wide(4, 8))
+@example(wide(2, 19), wide(1, 19))
 def test_gh_dist_never_crashes(left, right):
-    run_on({"a": left, "b": right}, ["gh-dist", "a", "b", "--kmax", "2", "--cap", "4"])
+    run_on({"a": left, "b": right}, ["gh-dist", "a", "b", "--kmax", "2", "--cap", "4"],
+           codes=(EXIT_OK, EXIT_INVALID, EXIT_CAPACITY))
 
 
 @FUZZ
 @given(structures())
 @example({"metric": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "domains": [[], [0, 1, 2]]})
+@example(wide(1, MAX_ARITY))
+@example(wide(4, 10))
 def test_gh_theory_never_crashes(structure):
-    run_on({"s": structure}, ["gh-theory", "s", "--depth", "2"])
+    run_on({"s": structure}, ["gh-theory", "s", "--depth", "2"],
+           codes=(EXIT_OK, EXIT_INVALID, EXIT_CAPACITY))
 
 
 def _diag(angles):
