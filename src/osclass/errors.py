@@ -13,7 +13,9 @@ class NotNormalError(OsclassError, ValueError):
     """A matrix failed the normality test.
 
     Attributes:
-        defect: norm of A A* - A* A relative to ||A||^2.
+        defect: norm of A A* - A* A relative to ||A||^2, or for an
+            eigenbasis that fails its check, the residual ||A Q - Q Lam||_F
+            relative to ||A||.
     """
 
     def __init__(self, defect: float, tol: float):

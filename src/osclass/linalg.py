@@ -137,6 +137,13 @@ def top_singular(stack) -> np.ndarray:
     a = np.ascontiguousarray(stack, dtype=np.complex128)
     if a.ndim < 2 or 0 in a.shape[-2:]:
         raise DimensionError(f"expected a stack of nonempty matrices, got shape {a.shape}")
+    return _top_singular(a)
+
+
+def _top_singular(a: np.ndarray) -> np.ndarray:
+    """:func:`top_singular` of a C-contiguous complex128 stack of nonempty
+    matrices, which the caller guarantees; a non-finite entry still raises
+    ``DimensionError``."""
     gram = _gram(a)
     top = _top_eigenvalues_2x2 if a.shape[-2:] == (2, 2) else _top_eigenvalues
     # a non-finite entry makes its diagonal inf or NaN, never finite; every
@@ -193,15 +200,17 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
       over ``|1 - i theta|``.
 
     The eigenvalues are the diagonal of B.  The residual ``||A Q - Q Lam||``
-    is checked in the Frobenius norm, which bounds the operator norm.
+    is checked in the Frobenius norm, which bounds the operator norm, and a
+    failure reports it over ``||a||``, a value that does not depend on the
+    scale of ``a``.
 
     Prescale.  A is first multiplied by the power of two 2^-e that puts its
     largest real or imaginary part in [0.5, 1) (e clamped to [-1021, 1023],
     so that 2^-e and 2^e are floats), and the eigenvalues by 2^e at the end.
     No product then overflows or underflows for want of range, and as every
     step rounds alike at any power-of-two scale, each value below is that
-    of the unscaled matrix times its power of 2^-e: a defect reported for
-    the residual is multiplied back.
+    of the unscaled matrix times its power of 2^-e, and both reported
+    defects are ratios of two values of the same power.
 
     Screened norms.  Every threshold reads ``||a||`` or the commutator norm
     as ``op_norm`` computes them, an SVD each, but most decisions follow
@@ -244,7 +253,9 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
     Raises:
         DimensionError: if ``a`` is not square.
         NotNormalError: if ``a a* - a* a`` exceeds ``tol * ||a||^2``, or if the
-            residual exceeds ``max(tol, sqrt(defect)) * ||a|| * 10``.
+            residual exceeds ``max(tol, sqrt(defect)) * ||a|| * 10``; the
+            error's ``defect`` is ``||a a* - a* a|| / ||a||^2`` or the
+            residual over ``||a||``.
     """
     m = as_matrix(a)
     n = m.shape[0]
@@ -287,7 +298,7 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
         nrm = op_norm(m) if nrm is None else nrm
         defect = op_norm(comm) / nrm**2 if defect is None else defect
         if resid > max(tol, np.sqrt(defect)) * nrm * 10:
-            raise NotNormalError(resid / nrm**2 * 2.0**-e, tol)
+            raise NotNormalError(resid / nrm, tol)
     return SpectralDecomposition(lam * 2.0**e, q)
 
 
@@ -550,11 +561,6 @@ def gram_rank(vectors) -> int:
         raise DimensionError("need one or more vectors of equal lengths")
     return numerical_rank(np.linalg.svd(equilibrate(np.column_stack(cols))[0], compute_uv=False),
                           TOL_NUM)
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product with the standard block layout ``A_ij * B``."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def vec(a) -> np.ndarray:

@@ -21,15 +21,18 @@ size), so a phase only converts its points to elements, gathers each
 point's map, takes the images with one product per element and calls
 :func:`_ratios`.  That writes every matrix of the phase, each its own
 (n^2, N) x (N, k^2) product, into one stack of denominators and numerators
-and takes all their norms from one :func:`linalg.top_singular` call, or one
-per matrix size when the two ambient sizes differ.  That kernel reads each
-norm off the top eigenvalue of the matrix's Gram matrix, in closed form for
-the 2x2 matrices of a 2x2 system's level-1 ratios and gap terms and off
-``eigvalsh`` for larger ones, or off an SVD where the Gram trace leaves
-``linalg.GRAM_RANGE``, so a matrix has one value in any stack.  The iterates
-follow scipy's rules given these values: estimates, maps and reports are
-those of one scipy run per start whose norms come from ``top_singular``,
-bit for bit.
+and takes all their norms from one call of the :func:`linalg.top_singular`
+kernel, or one per matrix size when the two ambient sizes differ.  That
+kernel reads each norm off the top eigenvalue of the matrix's Gram matrix,
+in closed form for the 2x2 matrices of a 2x2 system's level-1 ratios and
+gap terms and off ``eigvalsh`` for larger ones, or off an SVD where the
+Gram trace leaves ``linalg.GRAM_RANGE``, so a matrix has one value in any
+stack.  Every map's ascents start from the template's initial simplices,
+whose denominators depend on the vertex alone, so a d_n search computes
+them once, with its plan, and the first phase of each ascent takes only
+its numerators.  The iterates follow scipy's rules given these values:
+estimates, maps and reports are those of one scipy run per start whose
+norms come from ``top_singular``, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ import numpy as np
 
 from .errors import DimensionError, NotComparableError
 # op_norm stays importable from here: the benchmark's tracer test reads osdist.op_norm
-from .linalg import TOL_NUM, FactoredSpan, gram_rank, op_norm, top_singular  # noqa: F401
+from .linalg import (TOL_NUM, FactoredSpan, _top_singular, gram_rank, op_norm,  # noqa: F401
+                     top_singular)
 from .opsys import OperatorSystemSpan, build_system
 
 #: Condition-number bound past which a candidate map is treated as singular.
@@ -124,11 +128,17 @@ class _Plan:
     template (the unit element ``I_n (x) e`` of each side, then ``starts - 1``
     seeded random elements shared by every map), both bases flattened to
     (N, k^2), and the chunk size that keeps a kernel call at most
-    ``_NORM_ENTRIES`` matrix entries.
+    ``_NORM_ENTRIES`` matrix entries.  A plan that ``share``s its starts, the
+    one of a ``dn_search``, whose objective ascends many maps both ways,
+    also holds ``start_den``: the denominators of the first phase of every
+    ascent, which evaluates the initial simplex of each start of its side.
+    They depend on the vertex alone, so they are computed once per search
+    (:meth:`_start_norms`) and every map's first phase takes only its
+    numerators.
     """
 
     def __init__(self, x: OperatorSystemSpan, y: OperatorSystemSpan, level: int,
-                 starts: int, iters: int, seed: int):
+                 starts: int, iters: int, seed: int, share: bool = False):
         self.level, self.starts, self.iters, self.dim = level, starts, iters, x.dim
         nn, kx, ky = x.dim, x.ambient_dim, y.ambient_dim
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -138,60 +148,94 @@ class _Plan:
         self.bases = [s.basis.reshape(nn, -1) for s in (x, y)]
         self.sizes = (kx,) if kx == ky else (kx, ky)
         self.step = max(1, _NORM_ENTRIES // (level * level * (kx * kx + ky * ky)))
+        self.start_den = self._start_norms() if share else None
 
-    def norms(self, c: np.ndarray, img: np.ndarray, cut: int) -> tuple:
-        """Denominator and numerator norms of a chunk whose first ``cut`` rows
-        are forward (``c`` on X over ``img`` on Y) and the rest backward (the
-        reverse), from one stack per matrix size: one size holds the
-        denominators, then the numerators; two sizes hold X's matrices and
-        Y's, forward rows first."""
-        m, n = len(c), self.level
-        (bx, by), sizes = self.bases, self.sizes
-        one = len(sizes) == 1
-        stacks = [np.empty((2 * m if one else m, n * n, k * k), dtype=np.complex128)
-                  for k in sizes]
-        sx, sy = (stacks[0][:m], stacks[0][m:]) if one else stacks
-        np.matmul(c[:cut], bx, out=sx[:cut])
-        np.matmul(img[:cut], by, out=sy[:cut])
-        if cut < m:
-            den, num = (sx, sy) if one else (sy, sx)
-            np.matmul(c[cut:], by, out=den[cut:])
-            np.matmul(img[cut:], bx, out=num[cut:])
-        res = [top_singular(b.reshape(-1, n, n, k, k).swapaxes(-3, -2).reshape(-1, n * k, n * k))
-               for b, k in zip(stacks, sizes)]
-        if one:
-            return res[0][:m], res[0][m:]
-        nx, ny = res
-        return np.concatenate([nx[:cut], ny[cut:]]), np.concatenate([ny[:cut], nx[cut:]])
+    def norms(self, parts) -> np.ndarray:
+        """Norms of ``assemble_side(c)`` for every element of every part, a
+        pair (an (m, n^2, N) stack ``c``, a side: 0 for X, 1 for Y), in
+        order: one kernel call per matrix size."""
+        if len(self.sizes) == 1:
+            return self._stack_norms(parts, self.sizes[0])
+        res = [self._stack_norms([p for p in parts if p[1] == side], k)
+               for side, k in enumerate(self.sizes)]
+        at, out = [0, 0], []
+        for c, side in parts:
+            out.append(res[side][at[side]:at[side] + len(c)])
+            at[side] += len(c)
+        return np.concatenate(out)
+
+    def _stack_norms(self, parts, k: int) -> np.ndarray:
+        """:meth:`norms` of parts whose matrices are all k x k, from one stack."""
+        n = self.level
+        rows = [len(c) for c, _ in parts]
+        stack = np.empty((sum(rows), n * n, k * k), dtype=np.complex128)
+        i = 0
+        for (c, side), m in zip(parts, rows):
+            if m:
+                np.matmul(c, self.bases[side], out=stack[i:i + m])
+                i += m
+        if not i:
+            return np.empty(0)
+        if n > 1:  # an element's n x n blocks of k x k matrices, as one nk x nk matrix
+            stack = stack.reshape(-1, n, n, k, k).swapaxes(-3, -2)
+        return _top_singular(stack.reshape(-1, n * k, n * k))
+
+    def _start_norms(self) -> tuple:
+        """The first-phase denominators of the ascents from each side's
+        template: one per start and vertex of its initial simplex that the
+        phase evaluates (only the start itself when ``iters`` is 0),
+        start-major.  ``step`` vertices a side at a time, a chunk's two sides
+        take one kernel call per matrix size."""
+        n, step, d = self.level, self.step, self.template[0].shape[1]
+        first = min(d + 1, self.iters) or 1
+        cx, cy = (_real_to_complex(_initial_simplex(t)[:, :first].reshape(-1, d))
+                  .reshape(-1, n * n, self.dim) for t in self.template)
+        chunks = [self.norms([(cx[i:i + step], 0), (cy[i:i + step], 1)])
+                  for i in range(0, len(cx), step)]
+        return (np.concatenate([r[:len(r) // 2] for r in chunks]),
+                np.concatenate([r[len(r) // 2:] for r in chunks]))
 
 
-def _ratios(plan: _Plan, c: np.ndarray, maps: np.ndarray, cut: int) -> np.ndarray:
+def _quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``, and 0 where ``den`` is below ``RATIO_FLOOR``."""
+    small = den < RATIO_FLOOR
+    if np.count_nonzero(small):
+        return np.where(small, 0.0, num / np.where(small, 1.0, den))
+    return num / den
+
+
+def _ratios(plan: _Plan, c: np.ndarray, maps: np.ndarray, cut: int,
+            den: np.ndarray | None = None) -> np.ndarray:
     """The ratios of one phase's elements under their maps.
 
     ``c`` is an (m, n, n, N) stack of elements and ``maps`` the (m, N, N)
     stack of their maps: rows before ``cut`` are elements of M_n(X) under
     maps from X to Y, with ratio ||assemble_Y(c_i u_i^T)|| / ||assemble_X(c_i)||,
     and the rest elements of M_n(Y) under maps from Y to X, the other way
-    round.  The images take one product per row; at most ``plan.step``
-    elements at a time, the chunk's denominators and numerators take one
-    :func:`top_singular` call, or one per matrix size when the two ambient
-    sizes differ (:meth:`_Plan.norms`).  An element whose denominator is
-    below ``RATIO_FLOOR`` has ratio 0.  Each ratio has the bits of the
-    quotient of two ``amplified_norm`` values, as both take each matrix alone.
+    round.  ``den``, when given, holds the denominators already (the plan's
+    ``start_den``), and only the numerators are computed.  The images take one
+    product per row; at most ``plan.step`` elements at a time, the chunk's
+    norms take one call of the :func:`top_singular` kernel, or one per
+    matrix size when the two ambient sizes differ (:meth:`_Plan.norms`).  An
+    element whose denominator is below ``RATIO_FLOOR`` has ratio 0.  Each
+    ratio has the bits of the quotient of two ``amplified_norm`` values, as
+    both take each matrix alone.
     """
     m, n = len(c), plan.level
     img = (c @ maps.swapaxes(-1, -2)[:, None]).reshape(m, n * n, -1)
     c = c.reshape(m, n * n, -1)
-    out = np.empty(m)
-    for i in range(0, m, plan.step):
-        j = min(i + plan.step, m)
-        den, num = plan.norms(c[i:j], img[i:j], min(max(cut - i, 0), j - i))
-        small = den < RATIO_FLOOR
-        if np.count_nonzero(small):
-            out[i:j] = np.where(small, 0.0, num / np.where(small, 1.0, den))
-        else:
-            np.divide(num, den, out=out[i:j])
-    return out
+
+    def chunk(i: int, j: int) -> np.ndarray:
+        t = min(max(cut, i), j)
+        num = [(img[i:t], 1), (img[t:j], 0)]
+        if den is not None:
+            return _quotients(plan.norms(num), den[i:j])
+        r = plan.norms([(c[i:t], 0), (c[t:j], 1), *num])
+        return _quotients(r[j - i:], r[:j - i])
+
+    if m <= plan.step:
+        return chunk(0, m)
+    return np.concatenate([chunk(i, min(i + plan.step, m)) for i in range(0, m, plan.step)])
 
 
 def _real_to_complex(v: np.ndarray) -> np.ndarray:
@@ -239,6 +283,15 @@ def _converged(sim: np.ndarray, fsim: np.ndarray, xatol: float, fatol: float) ->
     return flat
 
 
+def _initial_simplex(x0: np.ndarray) -> np.ndarray:
+    """scipy's initial simplex of every row of ``x0``: (b, d + 1, d)."""
+    b, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    diag = np.arange(n)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
+    return sim
+
+
 def _nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
     """Minimise ``fun`` from every row of ``x0`` at once, as scipy would from each.
 
@@ -266,9 +319,8 @@ def _nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
     start, and the value at the start itself.
     """
     b, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    sim = _initial_simplex(x0)
     diag = np.arange(n)
-    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
     fsim = np.full((b, n + 1), np.inf)
     first = min(n + 1, maxfev)
     owner = np.repeat(np.arange(b), first)
@@ -356,11 +408,16 @@ def _ascents(plan: _Plan, maps: np.ndarray, back: np.ndarray) -> tuple:
     x0 = np.concatenate([np.tile(t, (len(u), 1)) for t, u in zip(plan.template, (maps, back))])
     per_row = np.concatenate([maps, back])[np.arange(len(x0)) // starts]
     forward = len(maps) * starts
+    # the first call evaluates each row's initial simplex (its start alone
+    # when iters is 0), row by row, whose denominators a sharing plan holds
+    first = None if plan.start_den is None else np.concatenate(
+        [np.tile(d, len(u)) for d, u in zip(plan.start_den, (maps, back))])
     seen = []
 
     def neg(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
         c = _real_to_complex(points).reshape(-1, n, n, nn)
-        r = _ratios(plan, c, per_row[owner], owner.searchsorted(forward))
+        r = _ratios(plan, c, per_row[owner], owner.searchsorted(forward),
+                    None if seen else first)
         seen.append((owner, r))
         return -r
 
@@ -409,7 +466,7 @@ def _objective(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int,
     ``_BATCH_VERTICES`` initial-simplex vertices.
     """
     nn = x.dim
-    plan = _Plan(x, y, level, inner_starts, inner_iters, seed)
+    plan = _Plan(x, y, level, inner_starts, inner_iters, seed, share=True)
     unit = y.unit()
     # each map opens 2 * starts inner simplices of 2 n^2 N + 1 vertices
     step = max(1, _BATCH_VERTICES // (2 * inner_starts * (2 * level * level * nn + 1)))

@@ -143,7 +143,10 @@ def structures(draw):
         # distances on a line are a metric
         xs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
         obj = {"metric": [[abs(a - b) for b in xs] for a in xs]}
-    if draw(st.integers(0, 2)) == 2:
+    # about half the examples carry relations: a small table, well formed
+    # or not, or on a metric a keyed table of any arity
+    relations = draw(st.sampled_from(["table", "keyed", None]))
+    if relations == "table" or relations == "keyed" and shape != "metric":
         arity = draw(st.integers(0, 3))
         # strings are no numbers, and "1_0" and " 1" no indices, though
         # float() and int() read them
@@ -153,7 +156,7 @@ def structures(draw):
                                st.dictionaries(keys, values, max_size=2), junk))
         rel = draw(st.sampled_from([{"arity": arity, "table": table}, {"table": table}, table]))
         obj["relations"] = draw(st.sampled_from([{"R": rel}, {"R": rel}, [1], "abc"]))
-    elif shape == "metric" and draw(st.booleans()):
+    elif relations == "keyed":
         # a keyed table is dense, n^arity entries, and the atoms of an arity
         # past 10 outnumber the fingerprint's terms
         arity = draw(st.integers(0, MAX_ARITY))

