@@ -12,17 +12,21 @@ class DimensionError(OsclassError, ValueError):
 class NotNormalError(OsclassError, ValueError):
     """A matrix failed the normality test.
 
+    The message names the test that failed, "commutator defect" or
+    "eigenbasis residual".
+
     Attributes:
         defect: norm of A A* - A* A relative to ||A||^2, or for an
             eigenbasis that fails its check, the residual ||A Q - Q Lam||_F
             relative to ||A||.
+        bound: the largest defect the test accepts.
     """
 
-    def __init__(self, defect: float, tol: float):
+    def __init__(self, check: str, defect: float, bound: float):
         self.defect = defect
-        self.tol = tol
+        self.bound = bound
         super().__init__(
-            f"matrix is not normal: commutator defect {defect:.3e} exceeds tol {tol:.3e}"
+            f"matrix is not normal: {check} {defect:.3e} exceeds bound {bound:.3e}"
         )
 
 

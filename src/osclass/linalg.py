@@ -254,8 +254,9 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
         DimensionError: if ``a`` is not square.
         NotNormalError: if ``a a* - a* a`` exceeds ``tol * ||a||^2``, or if the
             residual exceeds ``max(tol, sqrt(defect)) * ||a|| * 10``; the
-            error's ``defect`` is ``||a a* - a* a|| / ||a||^2`` or the
-            residual over ``||a||``.
+            error names the test, its ``defect`` is
+            ``||a a* - a* a|| / ||a||^2`` or the residual over ``||a||``, and
+            its ``bound`` is ``tol`` or ``max(tol, sqrt(defect)) * 10``.
     """
     m = as_matrix(a)
     n = m.shape[0]
@@ -276,7 +277,7 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
         nrm = op_norm(m)
         defect = op_norm(comm) / nrm**2
         if defect > tol:
-            raise NotNormalError(defect, tol)
+            raise NotNormalError("commutator defect", defect, tol)
     half = m * (0.5 - 0.5j * _PENCIL_THETA)
     w, q = np.linalg.eigh(half + half.conj().T)  # H + theta K
     gaps = np.diff(w)
@@ -297,8 +298,9 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
     if not resid <= tol * lo * 10:
         nrm = op_norm(m) if nrm is None else nrm
         defect = op_norm(comm) / nrm**2 if defect is None else defect
-        if resid > max(tol, np.sqrt(defect)) * nrm * 10:
-            raise NotNormalError(resid / nrm, tol)
+        limit = max(tol, np.sqrt(defect))
+        if resid > limit * nrm * 10:
+            raise NotNormalError("eigenbasis residual", resid / nrm, limit * 10)
     return SpectralDecomposition(lam * 2.0**e, q)
 
 

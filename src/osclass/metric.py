@@ -1,10 +1,13 @@
-"""Finite metric structures, approximate isometries, and brute-force distances.
+"""Finite metric structures and the structure distance d_k.
 
 A finite structure is a metric table with relation tables and nested domains
-of quantification.  Approximate isometries are two-variable Katetov functions;
-lifting them through relations and measuring the least epsilon at which they
-become epsilon-bijections yields the per-sublanguage distance d_k and its
-weighted Gromov-Hausdorff sum.
+of quantification.  A correspondence between two level-k domains extends to
+the Katetov table ``eps + min over its pairs (x', y') of d(x, x') + d(y', y)``;
+its critical epsilon (:func:`_critical_eps`) is the least eps at which that
+table is Katetov on both sides and an epsilon-bijection through the metric and
+every relation of the level-k sublanguage, lifted coordinatewise.  d_k is the
+least critical epsilon over the full correspondences (:func:`dk_bruteforce`),
+and :func:`dgh_structures` sums ``2^-k d_k``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ except ImportError:  # numpy 1.x holds 32
 
 from .errors import CapacityError, DimensionError
 
-#: Slack used for metric-axiom and Katetov checks.
+#: Slack used for the metric-axiom and relation-bound checks.
 METRIC_SLACK = 1e-12
 
 #: Largest extension gap at which :func:`_relation_eps` counts a pair as matched.
@@ -182,103 +185,11 @@ class FiniteStructure:
         return FiniteStructure(self.metric[np.ix_(inv, inv)], rels, doms, self.signature)
 
 
-def katetov_check(f, x: FiniteStructure) -> bool:
-    """Whether ``|f(a) - f(b)| <= d(a, b) <= f(a) + f(b)`` for all pairs, up
-    to ``METRIC_SLACK``."""
-    v = np.asarray(f, dtype=np.float64).ravel()
-    if v.size != x.size:
-        raise DimensionError(f"expected {x.size} values, got {v.size}")
-    return _katetov_table(v, x.metric)
-
-
-@dataclass(frozen=True)
-class ApproxIsometry:
-    """A separately-Katetov table psi between two finite metric spaces."""
-
-    psi: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.psi, dtype=np.float64)
-        dx = np.asarray(self.dx, dtype=np.float64)
-        dy = np.asarray(self.dy, dtype=np.float64)
-        if p.ndim != 2 or p.shape != (dx.shape[0], dy.shape[0]):
-            raise DimensionError("psi shape must match the two metric tables")
-        if np.any(p < -METRIC_SLACK):
-            raise DimensionError("psi must be nonnegative")
-        for j in range(p.shape[1]):
-            col = p[:, j]
-            if not _katetov_table(col, dx):
-                raise DimensionError(f"psi column {j} is not Katetov on the source")
-        for i in range(p.shape[0]):
-            row = p[i, :]
-            if not _katetov_table(row, dy):
-                raise DimensionError(f"psi row {i} is not Katetov on the target")
-        object.__setattr__(self, "psi", p)
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dy", dy)
-
-
-def _katetov_table(v: np.ndarray, d: np.ndarray) -> bool:
-    diff = np.abs(v[:, None] - v[None, :])
-    total = v[:, None] + v[None, :]
-    return bool(np.all(diff <= d + METRIC_SLACK) and np.all(d <= total + METRIC_SLACK))
-
-
-def eps_of_bijection(psi: ApproxIsometry) -> float:
-    """The least epsilon making psi an epsilon-bijection.
-
-    Every source point needs a partner below every r > epsilon and vice versa,
-    so the value is the max over rows and columns of the minimum entry.
-    """
-    p = psi.psi
-    return max(float(np.max(np.min(p, axis=1))), float(np.max(np.min(p, axis=0))))
-
-
 def _on_axes(a: np.ndarray, i: int, r: int) -> np.ndarray:
     """The last two axes of ``a`` spread over axes i and r + i of 2r broadcast axes."""
     shape = [1] * (2 * r)
     shape[i], shape[r + i] = a.shape[-2:]
     return a.reshape(a.shape[:-2] + tuple(shape))
-
-
-def _lift_table(psi: np.ndarray, tm: np.ndarray, tn: np.ndarray) -> np.ndarray:
-    """Entry (x-tuple, y-tuple): max of ``psi`` on matched coordinates and the value gap.
-
-    Tuples run over all index tuples of the two relation tables in
-    ``itertools.product`` order.
-    """
-    r = tm.ndim
-    table = np.abs(tm.reshape(tm.shape + (1,) * r) - tn.reshape((1,) * r + tn.shape))
-    for i in range(r):
-        table = np.maximum(table, _on_axes(psi, i, r))
-    return table.reshape(tm.size, tn.size)
-
-
-def lift_relation(psi: ApproxIsometry, name: str, m: FiniteStructure,
-                  n: FiniteStructure) -> ApproxIsometry:
-    """The lifted approximate isometry between the graphs of a relation.
-
-    Entry at (x-tuple, y-tuple) is the max of the psi values of the matched
-    coordinates and the gap between the two relation values; each graph
-    carries the max-metric of its coordinates and values.
-    """
-    tm, tn = m.table(name), n.table(name)
-    if tm.ndim != tn.ndim:
-        raise DimensionError(f"relation {name!r} has mismatched arities")
-    return ApproxIsometry(psi=_lift_table(psi.psi, tm, tn),
-                          dx=_lift_table(m.metric, tm, tm), dy=_lift_table(n.metric, tn, tn))
-
-
-def correspondence_extension(m: FiniteStructure, n: FiniteStructure, pairs,
-                             eps: float) -> np.ndarray:
-    """Smallest Katetov-valid majorant of the value eps on the given pairs.
-
-    The table ``psi(x, y) = eps + min over (x', y') in pairs of
-    (d(x, x') + d(y', y))`` is the standard metric amalgamation extension.
-    """
-    return eps + _gap_table(m, n, pairs)
 
 
 def _cell_gaps(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -290,22 +201,6 @@ def _cell_gaps(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     p, q = len(dx), len(dy)
     sums = dx[:, None, :, None] + dy.T[None, :, None, :]
     return sums.reshape(p * q, p * q).T.reshape(p * q, p, q)
-
-
-def _gap_table(m: FiniteStructure, n: FiniteStructure, pairs) -> np.ndarray:
-    """min over pairs of d(x, x') + d(y', y); the eps-free part of the extension."""
-    pairs = [tuple(p) for p in pairs]
-    for p in pairs:
-        if len(p) != 2 or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-                                  for i in p):
-            raise DimensionError(f"pair {p} is not a pair of integer indices")
-    idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    bad = ((idx < 0) | (idx >= (m.size, n.size))).any(axis=1)
-    if bad.any():
-        raise DimensionError(f"pair {tuple(idx[bad][0].tolist())} lies outside the "
-                             f"domains of sizes {m.size} and {n.size}")
-    cells = idx[:, 0] * n.size + idx[:, 1]
-    return _cell_gaps(m.metric, n.metric)[cells].min(axis=0, initial=np.inf)
 
 
 def _katetov_eps(g: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -537,16 +432,17 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
                   cap: int = DEFAULT_DK_CAP) -> float:
     """Brute-force level-k distance between two finite structures.
 
-    Minimizes the critical epsilon of the Katetov extension over full
+    The least critical epsilon (:func:`_critical_eps`) over the full
     correspondences between the level-k domains; exhaustive while the domain
-    product is small, restricted to surjection graphs beyond that.  The
-    graphs of the onto maps are searched first (:func:`_graph_search`).
-    Beyond the exhaustive regime they are the whole candidate set; within
-    it, they are some of the candidates, and their least value is the
-    incumbent of the search over all of them (:func:`_cover_search`).  Both
-    run one branch and bound (:func:`_branch_and_bound`), which stops as
-    soon as it reaches 0.  Without a signature the symbols are d and every
-    relation of either structure.
+    product is at most ``EXHAUSTIVE_PAIR_LIMIT``, restricted to surjection
+    graphs beyond that.  The graphs of the onto maps are searched first
+    (:func:`_graph_search`).  Beyond the exhaustive regime they are the whole
+    candidate set; within it, they are some of the candidates, and their
+    least value is the incumbent of the search over all of them
+    (:func:`_cover_search`).  Both run one branch and bound
+    (:func:`_branch_and_bound`), which stops as soon as it reaches 0.
+    Without a signature the symbols are d and every relation of either
+    structure.
     """
     if cap < 0:
         raise DimensionError(f"cap must be >= 0, got {cap}")

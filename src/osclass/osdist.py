@@ -546,12 +546,6 @@ def dn_search(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int = 1,
     }
 
 
-def dn_estimate(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int = 1,
-                restarts: int = 32, seed: int = 0, **kwargs) -> float:
-    """Best-found value of the d_n objective (see :func:`dn_search`)."""
-    return dn_search(x, y, level, restarts, seed, **kwargs)["estimate"]
-
-
 def dgh_weighted(x: OperatorSystemSpan, y: OperatorSystemSpan, n_max: int = 3,
                  restarts: int = 32, seed: int = 0, **kwargs) -> DistanceReport:
     """Truncated weighted distance ``sum_{n <= n_max} 2^-n d_n``.

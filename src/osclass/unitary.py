@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, NotUnitaryError
+from .errors import DimensionError, NotUnitaryError
 from .linalg import TOL_NUM, FactoredSpan, as_matrix, bijection_sweep, eig_normal, op_norm
 
 TWO_PI = 2.0 * np.pi
@@ -309,7 +309,7 @@ def _bijection_decision(ss: CircleSet, tt: CircleSet, tol: float) -> CoisDecisio
     )
 
 
-def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int | None = None) -> CoisDecision:
+def cois_unitary_oracle(u, v, tol: float = TOL_NUM) -> CoisDecision:
     """Exact finite-spectrum oracle for complete order isomorphism.
 
     Both systems contain the generator products, so a complete order
@@ -319,32 +319,13 @@ def cois_unitary_oracle(u, v, tol: float = TOL_NUM, cap: int | None = None) -> C
     ``h^-1`` in span{1, w, conj w} on the target.  :func:`bijection_sweep`
     finds the lexicographically first such bijection by a depth-first search
     pruned by the projectors onto the two spans.  A negative reports
-    ``failed_count = m!``.  An explicit ``cap`` bounds the spectrum size.
+    ``failed_count = m!``.
     """
     ss, tt = spectrum(u, tol), spectrum(v, tol)
     m = ss.size
     if m != tt.size:
         return CoisDecision("NotIsomorphic", "oracle", {"cardinalities": [m, tt.size]})
-    if cap is not None and m > cap:
-        raise CapacityError(f"spectrum size {m} exceeds enumeration cap {cap}")
     return _bijection_decision(ss, tt, tol)
-
-
-def validate_unitary_image(alpha: complex, beta: complex, gamma: complex) -> bool:
-    """Check the coefficient relations forced on the image of a unitary.
-
-    A *-isomorphism sending ``U`` to ``alpha I + beta V + gamma V*`` with
-    five-point spectra forces all four displayed relations, hence ``alpha = 0``
-    and exactly one of ``|beta| = 1``, ``|gamma| = 1``; each holds within
-    ``TOL_FLOOR``.
-    """
-    checks = [
-        abs(abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2 - 1.0),
-        abs(np.conj(alpha) * beta + alpha * np.conj(gamma)),
-        abs(alpha * np.conj(beta) + np.conj(alpha) * gamma),
-        abs(np.conj(beta) * gamma),
-    ]
-    return all(c <= TOL_FLOOR for c in checks)
 
 
 def four_point_obstruction(u, v, tol: float = TOL_NUM) -> dict:

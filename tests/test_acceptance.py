@@ -21,7 +21,7 @@ from osclass.degree1 import PointSet, deg1_via_opsys, degree_one_homeomorphic
 from osclass.metric import FiniteStructure, dgh_structures
 from osclass.formulas import universal_fingerprint
 from osclass.opsys import PolyhedralDualBall, build_system, min_os_norm
-from osclass.osdist import (amplified_map_norm, dn_estimate, wt_classify,
+from osclass.osdist import (amplified_map_norm, dn_search, wt_classify,
                             wt_matrix, wt_system, trace_invariants,
                             commutant_dimension, WtParams)
 from osclass.unitary import (TWO_PI, CircleSet, canonical_form,
@@ -160,10 +160,10 @@ def test_6_distance_estimator_sanity():
         assert x.dim == 3
         u = random_unitary(rng, 3)
         y = build_system([u @ g @ u.conj().T])
-        assert dn_estimate(x, x, restarts=2, outer_iters=0,
-                           inner_starts=1, inner_iters=0) <= 1e-6
-        assert dn_estimate(x, y, restarts=32, outer_iters=20,
-                           inner_starts=1, inner_iters=8) <= 1e-3
+        assert dn_search(x, x, restarts=2, outer_iters=0,
+                         inner_starts=1, inner_iters=0)["estimate"] <= 1e-6
+        assert dn_search(x, y, restarts=32, outer_iters=20,
+                         inner_starts=1, inner_iters=8)["estimate"] <= 1e-3
         for level in (1, 2, 3):
             val = amplified_map_norm(x, y, np.eye(3), level=level, starts=4, iters=30)
             assert abs(val - 1.0) <= 1e-9

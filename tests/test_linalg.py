@@ -231,7 +231,7 @@ class TestEigNormal:
     def test_rejects_non_normal(self):
         for a in ([[0, 1], [0, 0]], [[1, 1e-3], [0, 1j]],
                   np.diag(np.exp(1j * np.arange(5))) + np.diag([1e-4] * 4, 1)):
-            with pytest.raises(NotNormalError):
+            with pytest.raises(NotNormalError, match="commutator defect .* exceeds bound"):
                 eig_normal(a)
 
     def test_rejects_rectangular(self):
@@ -339,7 +339,7 @@ def reference_eig_normal(a, tol=linalg.TOL_NUM):
                                             np.eye(n, dtype=np.complex128))
     defect = op_norm(m @ m.conj().T - m.conj().T @ m) / nrm**2
     if defect > tol:
-        raise NotNormalError(defect, tol)
+        raise NotNormalError("commutator defect", defect, tol)
     half = m * (0.5 - 0.5j * linalg._PENCIL_THETA)
     w, q = np.linalg.eigh(half + half.conj().T)  # H + theta K
     label = np.r_[0, np.cumsum(np.diff(w) > linalg._CLUSTER_GAP * nrm)]
@@ -354,8 +354,9 @@ def reference_eig_normal(a, tol=linalg.TOL_NUM):
     x = (x - x.conj().T) / 2
     q = q + q @ x
     resid = np.linalg.norm(aq + aq @ x - q * lam)
-    if resid > max(tol, np.sqrt(defect)) * nrm * 10:
-        raise NotNormalError(resid / nrm, tol)
+    limit = max(tol, np.sqrt(defect))
+    if resid > limit * nrm * 10:
+        raise NotNormalError("eigenbasis residual", resid / nrm, limit * 10)
     return linalg.SpectralDecomposition(lam, q)
 
 
@@ -462,9 +463,16 @@ def test_a_residual_failure_reports_the_value_of_the_reference(monkeypatch):
     u = haar(np.random.default_rng(9), 5)
     defects = []
     for scale in (1.0, 1e-5, 3e7):
-        got = outcome(eig_normal, u * scale, 1e-9)
-        want = outcome(reference_eig_normal, u * scale, 1e-9)
+        a = u * scale
+        got = outcome(eig_normal, a, 1e-9)
+        want = outcome(reference_eig_normal, a, 1e-9)
         assert got[0] is NotNormalError and got[1:] == want[1:], scale
+        # the message names the residual check and the bound it applied,
+        # max(tol, sqrt(commutator defect)) * 10, not tol
+        nrm = op_norm(a)
+        bound = max(1e-9, np.sqrt(op_norm(a @ a.conj().T - a.conj().T @ a) / nrm**2)) * 10
+        assert got[2] == (f"matrix is not normal: eigenbasis residual {got[1]:.3e} "
+                          f"exceeds bound {bound:.3e}"), scale
         defects.append(got[1])
     # the residual over ||a|| does not depend on the scale, and exceeds tol
     assert defects == pytest.approx([defects[0]] * 3, rel=1e-9)

@@ -1,15 +1,12 @@
 import itertools
-import re
 
 import numpy as np
 import pytest
 
 from osclass import metric
 from osclass.errors import CapacityError, DimensionError
-from osclass.metric import (ApproxIsometry, FiniteStructure, Signature,
-                            RelationSymbol, correspondence_extension,
-                            dgh_structures, dk_bruteforce, eps_of_bijection,
-                            katetov_check, lift_relation)
+from osclass.metric import (FiniteStructure, RelationSymbol, Signature, dgh_structures,
+                            dk_bruteforce)
 
 PATH3 = np.array([[0.0, 1.0, 2.0],
                   [1.0, 0.0, 1.0],
@@ -96,89 +93,6 @@ class TestFiniteStructure:
         inv = np.argsort(p)
         back = t.relabel(list(inv))
         assert np.allclose(back.metric, s.metric)
-
-
-class TestKatetov:
-    def test_distance_functions_are_katetov(self):
-        s = FiniteStructure(PATH3)
-        for i in range(3):
-            assert katetov_check(s.metric[i], s)
-
-    def test_violations_detected(self):
-        s = FiniteStructure(PATH3)
-        assert not katetov_check([0.0, 0.0, 5.0], s)  # jumps faster than d
-        assert not katetov_check([0.0, 0.0, 0.0], s)  # sum side fails at (0, 2)
-
-
-class TestApproxIsometry:
-    def test_diagonal_psi_between_copies(self):
-        eps = 0.25
-        psi = correspondence_extension(TWO_D1, TWO_D1, [(0, 0), (1, 1)], eps)
-        ai = ApproxIsometry(psi=psi, dx=TWO_D1.metric, dy=TWO_D1.metric)
-        assert eps_of_bijection(ai) == pytest.approx(eps)
-
-    def test_eps_formula(self):
-        psi = np.array([[0.1, 0.9], [0.9, 0.3]])
-        ai = ApproxIsometry(psi=psi, dx=TWO_D1.metric, dy=TWO_D1.metric)
-        # rows give max(min) = 0.3, columns the same
-        assert eps_of_bijection(ai) == pytest.approx(0.3)
-
-    def test_rejects_non_katetov_table(self):
-        bad = np.array([[0.0, 5.0], [5.0, 0.0]])  # varies faster than d allows
-        with pytest.raises(DimensionError):
-            ApproxIsometry(psi=bad, dx=TWO_D1.metric, dy=TWO_D1.metric)
-
-    def test_checks_with_the_slack_of_katetov_check(self):
-        # a column that varies 1e-10 faster than d: past the metric slack for both
-        col = np.array([0.0, 1.0 + 1e-10])
-        assert not katetov_check(col, TWO_D1)
-        with pytest.raises(DimensionError, match="column 0"):
-            ApproxIsometry(psi=np.column_stack([col, col[::-1]]), dx=TWO_D1.metric,
-                           dy=TWO_D1.metric)
-        within = np.array([0.0, 1.0 + 1e-13])
-        assert katetov_check(within, TWO_D1)
-        ApproxIsometry(psi=np.column_stack([within, within[::-1]]), dx=TWO_D1.metric,
-                       dy=TWO_D1.metric)
-
-
-class TestLiftRelation:
-    def test_lifted_table_formula(self):
-        eps = 0.5
-        psi = correspondence_extension(TWO_D1, TWO_D1, [(0, 0), (1, 1)], eps)
-        ai = ApproxIsometry(psi=psi, dx=TWO_D1.metric, dy=TWO_D1.metric)
-        lifted = lift_relation(ai, "d", TWO_D1, TWO_D1)
-        assert lifted.psi.shape == (4, 4)
-        # entry at ((0,1), (0,1)): coordinates matched at psi = eps, values equal
-        pairs = list(itertools.product(range(2), repeat=2))
-        a = pairs.index((0, 1))
-        assert lifted.psi[a, a] == pytest.approx(eps)
-        # entry at ((0,1), (0,0)): value gap |1 - 0| dominates psi
-        b = pairs.index((0, 0))
-        assert lifted.psi[a, b] == pytest.approx(max(psi[1, 0], 1.0))
-
-
-class TestCorrespondenceExtension:
-    @pytest.mark.parametrize("pair", [(-1, 0), (3, 0), (0, 2), (0, -1)])
-    def test_pair_outside_the_domains_is_rejected(self, pair):
-        # (-1, 0) used to act as (2, 0), and (3, 0) raised an IndexError
-        with pytest.raises(DimensionError, match=rf"pair \({pair[0]}, {pair[1]}\) lies outside"):
-            correspondence_extension(FiniteStructure(PATH3), TWO_D2, [(0, 0), pair], 0.0)
-
-    @pytest.mark.parametrize("pair", [(0.7, 1.9), (True, "1"), (True, 1), (0, 1.0), (0, 1, 1)])
-    def test_pair_of_non_integers_is_rejected(self, pair):
-        # (0.7, 1.9) used to act as (0, 1), and (True, "1") as (1, 1)
-        message = re.escape(f"pair {pair} is not a pair of integer indices")
-        with pytest.raises(DimensionError, match=message):
-            correspondence_extension(FiniteStructure(PATH3), TWO_D2, [(0, 0), pair], 0.0)
-
-    def test_numpy_integer_pairs_are_taken(self):
-        m = FiniteStructure(PATH3)
-        psi = correspondence_extension(m, TWO_D2, np.array([[0, 0], [2, 1]]), 0.0)
-        assert np.array_equal(psi, correspondence_extension(m, TWO_D2, [(0, 0), (2, 1)], 0.0))
-
-    def test_no_pairs_give_the_all_inf_table(self):
-        psi = correspondence_extension(FiniteStructure(PATH3), TWO_D2, [], 0.0)
-        assert psi.shape == (3, 2) and np.all(psi == np.inf)
 
 
 class TestDk:

@@ -4,9 +4,8 @@ import pytest
 from osclass.errors import DimensionError, NotComparableError
 from osclass.linalg import gram_rank
 from osclass.osdist import (LinearMapCoords, WtParams, amplified_map_norm,
-                            commutant_dimension, dgh_weighted, dn_estimate,
-                            dn_search, trace_invariants, wt_classify,
-                            wt_matrix, wt_system)
+                            commutant_dimension, dgh_weighted, dn_search,
+                            trace_invariants, wt_classify, wt_matrix, wt_system)
 
 
 def random_unitary(rng, k):
@@ -169,8 +168,8 @@ class TestDnSearch:
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         from osclass.opsys import build_system
         x = build_system([g])
-        assert dn_estimate(x, x, restarts=2, outer_iters=0, inner_starts=1,
-                           inner_iters=0) <= 1e-9
+        assert dn_search(x, x, restarts=2, outer_iters=0, inner_starts=1,
+                         inner_iters=0)["estimate"] <= 1e-9
 
     def test_conjugated_pair_is_close(self):
         rng = np.random.default_rng(3)
@@ -179,7 +178,8 @@ class TestDnSearch:
         from osclass.opsys import build_system
         x = build_system([g])
         y = conjugated_system(x, u)
-        est = dn_estimate(x, y, restarts=4, outer_iters=20, inner_starts=1, inner_iters=8)
+        est = dn_search(x, y, restarts=4, outer_iters=20, inner_starts=1,
+                        inner_iters=8)["estimate"]
         assert est <= 1e-3
 
     def test_dimension_mismatch(self):
@@ -193,9 +193,8 @@ class TestDnSearch:
     def test_restarts_below_one_raise(self, restarts):
         from osclass.opsys import build_system
         x = build_system([np.array([[0, 1], [0, 0]], dtype=complex)])
-        for search in (dn_search, dn_estimate):
-            with pytest.raises(DimensionError, match="restart"):
-                search(x, x, restarts=restarts)
+        with pytest.raises(DimensionError, match="restart"):
+            dn_search(x, x, restarts=restarts)
         with pytest.raises(DimensionError, match="restart"):
             dgh_weighted(x, x, n_max=1, restarts=restarts)
 
@@ -208,11 +207,10 @@ class TestDnSearch:
             amplified_map_norm(x, x, u, level=count)
         with pytest.raises(DimensionError, match="at least 1 start"):
             amplified_map_norm(x, x, u, starts=count)
-        for search in (dn_search, dn_estimate):
-            with pytest.raises(DimensionError, match="at least 1 level"):
-                search(x, x, level=count, restarts=1)
-            with pytest.raises(DimensionError, match="at least 1 inner start"):
-                search(x, x, restarts=1, inner_starts=count)
+        with pytest.raises(DimensionError, match="at least 1 level"):
+            dn_search(x, x, level=count, restarts=1)
+        with pytest.raises(DimensionError, match="at least 1 inner start"):
+            dn_search(x, x, restarts=1, inner_starts=count)
         with pytest.raises(DimensionError, match="at least 1 inner start"):
             dgh_weighted(x, x, n_max=1, restarts=1, inner_starts=count)
 
@@ -221,9 +219,8 @@ class TestDnSearch:
         x = build_system([np.array([[0, 1], [0, 0]], dtype=complex)])
         with pytest.raises(DimensionError, match="nonnegative seed, got -1"):
             amplified_map_norm(x, x, np.eye(x.dim), seed=-1)
-        for search in (dn_search, dn_estimate):
-            with pytest.raises(DimensionError, match="nonnegative seed, got -1"):
-                search(x, x, restarts=1, seed=-1)
+        with pytest.raises(DimensionError, match="nonnegative seed, got -1"):
+            dn_search(x, x, restarts=1, seed=-1)
         with pytest.raises(DimensionError, match="nonnegative seed, got -1"):
             dgh_weighted(x, x, n_max=1, restarts=1, seed=-1)
 
@@ -232,11 +229,10 @@ class TestDnSearch:
         x = build_system([np.array([[0, 1], [0, 0]], dtype=complex)])
         with pytest.raises(DimensionError, match="nonnegative iters, got -3"):
             amplified_map_norm(x, x, np.eye(x.dim), iters=-3)
-        for search in (dn_search, dn_estimate):
-            with pytest.raises(DimensionError, match="nonnegative outer_iters, got -2"):
-                search(x, x, restarts=1, outer_iters=-2, inner_iters=-7)
-            with pytest.raises(DimensionError, match="nonnegative inner_iters, got -7"):
-                search(x, x, restarts=1, inner_iters=-7)
+        with pytest.raises(DimensionError, match="nonnegative outer_iters, got -2"):
+            dn_search(x, x, restarts=1, outer_iters=-2, inner_iters=-7)
+        with pytest.raises(DimensionError, match="nonnegative inner_iters, got -7"):
+            dn_search(x, x, restarts=1, inner_iters=-7)
         for kw in ({"outer_iters": -1}, {"inner_iters": -1}):
             with pytest.raises(DimensionError, match="nonnegative"):
                 dgh_weighted(x, x, n_max=1, restarts=1, **kw)
@@ -247,8 +243,8 @@ class TestDnSearch:
         x = build_system([rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))])
         y = build_system([rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))])
         kw = dict(outer_iters=15, inner_starts=1, inner_iters=6)
-        few = dn_estimate(x, y, restarts=2, seed=0, **kw)
-        many = dn_estimate(x, y, restarts=6, seed=0, **kw)
+        few = dn_search(x, y, restarts=2, seed=0, **kw)["estimate"]
+        many = dn_search(x, y, restarts=6, seed=0, **kw)["estimate"]
         assert many <= few + 1e-12  # seeded starts are nested
 
 
@@ -301,7 +297,7 @@ ZERO_PANEL = {
 def test_zero_panel_does_not_get_worse(kind, level):
     # a quality gate that reads values, not bits: every pair's answer is 0
     x, y = zero_pair(kind)
-    assert dn_estimate(x, y, level=level, restarts=4) <= ZERO_PANEL[kind, level] + 1e-9
+    assert dn_search(x, y, level=level, restarts=4)["estimate"] <= ZERO_PANEL[kind, level] + 1e-9
 
 
 def test_linear_map_coords_condition():

@@ -3,17 +3,21 @@
 A backticked ``module.name`` (``metric.dk_bruteforce``), ``Class.name``
 (``FactoredSpan.fit``) or bare private name (``_CUTOFF``) must name an
 attribute of an ``osclass`` module, so renaming or deleting a cited name
-fails here instead of leaving the README pointing at nothing.  The CLI
-section's command block shows each subcommand the parser declares, once.
+fails here instead of leaving the README pointing at nothing.  Conversely,
+every name ``osclass`` exports, other than its modules, appears in a code
+span of the README, so no export goes undocumented.  The CLI section's
+command block shows each subcommand the parser declares, once.
 """
 
 import argparse
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
+import osclass
 from osclass.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -65,6 +69,12 @@ def test_class_reference_resolves(ref):
 @pytest.mark.parametrize("name", PRIVATE)
 def test_private_name_resolves(name):
     assert holders(name), name
+
+
+def test_every_export_is_cited():
+    words = {word for span in cited(r"`([^`\n]+)`") for word in re.findall(r"\w+", span)}
+    exports = [name for name in osclass.__all__ if not inspect.ismodule(getattr(osclass, name))]
+    assert exports and sorted(set(exports) - words) == []
 
 
 def test_cli_block_names_each_subcommand_once():

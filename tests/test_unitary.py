@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from osclass import unitary
-from osclass.errors import CapacityError, DimensionError, NotUnitaryError
+from osclass.errors import DimensionError, NotUnitaryError
 from osclass.linalg import op_norm
 from osclass.unitary import (TWO_PI, CircleSet, canonical_form, circle_dist,
                              cois_unitary_oracle, cois_unitary_theorem,
-                             four_point_obstruction, rigid_equivalent,
-                             spectrum, validate_unitary_image)
+                             four_point_obstruction, rigid_equivalent, spectrum)
 
 FOUR_POINT_U = np.diag([1, -1, 1j, -1j])
 FOUR_POINT_V = np.diag([1, (1 + 1j) / np.sqrt(2), 1j, -1])
@@ -343,18 +342,6 @@ class TestOracle:
         assert cois_unitary_oracle(u, v).verdict == "Isomorphic"
         assert cois_unitary_theorem(u, v).verdict == "Isomorphic"
 
-    def test_capacity(self):
-        rng = np.random.default_rng(4)
-        u = np.diag(np.exp(1j * np.sort(rng.uniform(0, TWO_PI, 6))))
-        with pytest.raises(CapacityError):
-            cois_unitary_oracle(u, u, cap=5)
-
-
-def test_validate_unitary_image_relations():
-    assert validate_unitary_image(0.0, 1.0, 0.0)
-    assert validate_unitary_image(0.0, 0.0, np.exp(1j * 0.3))
-    assert not validate_unitary_image(0.0, 0.6, 0.8)  # both coefficients nonzero
-    assert not validate_unitary_image(0.1, 1.0, 0.0)  # norm relation broken
 
 
 class TestFourPointObstruction:
