@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "complete order isomorphism decision for two unitaries", pair, tol,
                 replay=_replay_unitary_cois)
     p.add_argument("--oracle", action="store_true", help="ignored; every size is decided exactly")
-    p.add_argument("--cap", type=int, default=20, help="ignored; echoed in the report")
 
     p = command("deg1", _cmd_deg1, "degree-1 homeomorphism decision for two point sets",
                 pair, tol, replay=_replay_deg1)
@@ -144,7 +143,7 @@ def _cmd_unitary_cois(args) -> tuple[dict, int]:
     # obstruction and the replay
     ss, tt = _decoded(args, _unitary_spectra)
     dec = unitary.cois_unitary_theorem(ss, tt, tol=args.tol)
-    payload = {**vars(dec), "tolerances": {"tol": args.tol, "cap": args.cap}}
+    payload = {**vars(dec), "tolerances": {"tol": args.tol}}
     # the theorem calls the oracle on two 4-point spectra only
     if dec.verdict == "NotIsomorphic" and dec.method == "oracle":
         payload["obstruction"] = unitary.four_point_obstruction(ss, tt, tol=args.tol)

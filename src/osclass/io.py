@@ -5,7 +5,7 @@ included as 1 and 0, never a string or null; a complex number is a number or
 an [re, im] pair, and arrays of numbers are nested lists (:func:`_numbers`).
 A count or index is an integer, never a boolean, float or string; a table key
 joins decimal integers with commas.  A flag is true or false.  Reports have
-sorted keys and 17-significant-digit floats: identical inputs, identical bytes.
+sorted keys and shortest round-trip floats: identical inputs, identical bytes.
 """
 
 from __future__ import annotations
@@ -207,47 +207,22 @@ def load_json(path: str):
     return read_json(path)[1]
 
 
-def _render(value, parts: list):
-    """Append the canonical text of ``value``: dict keys as sorted strings,
-    tuples and numpy arrays as lists, complex numbers as ``[re, im]``, numpy
-    scalars as their Python values, other objects with attributes (such as
-    dataclasses) as the dict of those, and anything else as its string."""
-    if isinstance(value, dict):
-        parts.append("{")
-        for i, key in enumerate(sorted(value, key=str)):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(key)))
-            parts.append(":")
-            _render(value[key], parts)
-        parts.append("}")
-    elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(value):
-            if i:
-                parts.append(",")
-            _render(v, parts)
-        parts.append("]")
-    elif isinstance(value, np.ndarray):
-        _render(value.tolist(), parts)
-    elif isinstance(value, (bool, np.bool_)):
-        parts.append("true" if value else "false")
-    elif isinstance(value, (complex, np.complexfloating)):
-        parts.append(f"[{float(value.real):.17g},{float(value.imag):.17g}]")
-    elif isinstance(value, (float, np.floating)):
-        parts.append(format(float(value), ".17g"))
-    elif isinstance(value, (int, np.integer)):
-        parts.append(str(int(value)))
-    elif value is None:
-        parts.append("null")
-    elif not isinstance(value, str) and hasattr(value, "__dict__"):
-        _render(vars(value), parts)
-    else:
-        parts.append(json.dumps(str(value)))
+def _jsonable(value):
+    """What the encoder writes in place of ``value``, which it cannot write
+    itself: a numpy array as a list, a complex number as ``[re, im]``, a
+    numpy scalar as its Python value, another object with attributes (such
+    as a dataclass) as the dict of those, and anything else as its string."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, np.generic):
+        return value.item()
+    if hasattr(value, "__dict__"):
+        return vars(value)
+    return str(value)
 
 
 def canonical_report(report: dict) -> str:
-    """Canonical JSON text: sorted keys, 17-significant-digit floats."""
-    parts: list = []
-    _render(report, parts)
-    return "".join(parts)
+    """Canonical JSON text: sorted keys, no spaces, shortest round-trip floats."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":"), default=_jsonable)

@@ -421,10 +421,7 @@ def _ascents(plan: _Plan, maps: np.ndarray, back: np.ndarray) -> tuple:
         seen.append((owner, r))
         return -r
 
-    if plan.iters > 0:
-        _nelder_mead(neg, x0, plan.iters, 1e-10, 1e-12)
-    else:
-        neg(x0, np.arange(len(x0)))
+    _nelder_mead(neg, x0, max(plan.iters, 1), 1e-10, 1e-12)
     owner, r = (np.concatenate(t) for t in zip(*seen))
     best = np.zeros(len(maps) + len(back))
     np.fmax.at(best, owner // starts, r)
@@ -522,13 +519,11 @@ def dn_search(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int = 1,
     eye = _complex_to_real(np.eye(nn, dtype=np.complex128))
     starts = [eye] + [_complex_to_real(np.asarray(w, dtype=np.complex128)) for w in warm_starts]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    while len(starts) < max(restarts, len(starts)):
+    while len(starts) < restarts:
         starts.append(eye + 0.7 * rng.standard_normal(2 * nn * nn))
     x0 = np.array(starts)
-    if outer_iters > 0:
-        xs, fs, f0 = _nelder_mead(f, x0, outer_iters, 1e-9, 1e-12)
-    else:
-        xs, fs, f0 = x0, np.full(len(x0), np.inf), f(x0)
+    # a budget of 1 scores each start and stops, so it serves a budget of 0 too
+    xs, fs, f0 = _nelder_mead(f, x0, max(outer_iters, 1), 1e-9, 1e-12)
     best_val = np.inf
     best_v = x0[0]
     for i in range(len(x0)):

@@ -97,14 +97,16 @@ class TestUnitaryCois:
         _, plain, _ = call(["unitary-cois", fu, fv])
         assert {**plain, "command": rep["command"]} == rep
 
-    def test_cap_is_inert(self, tmp_path):
-        # --oracle and --cap are accepted and echoed; the decision ignores them
+    def test_oracle_is_inert_and_cap_is_gone(self, tmp_path):
+        # --oracle is accepted and echoed, and the decision ignores it; the
+        # report echoes only the tolerance, and --cap is no flag
         fu = matrix_file(tmp_path, "u.json", FOUR_POINT_U)
         fv = matrix_file(tmp_path, "v.json", FOUR_POINT_V)
-        code, rep, _ = call(["unitary-cois", fu, fv, "--oracle", "--cap", "3"])
+        code, rep, _ = call(["unitary-cois", fu, fv, "--oracle"])
         assert code == EXIT_OK
         assert rep["certificate"] == {"failed_count": 24}
-        assert rep["tolerances"] == {"tol": 1e-9, "cap": 3}
+        assert rep["tolerances"] == {"tol": 1e-9}
+        assert call(["unitary-cois", fu, fv, "--cap", "3"])[:2] == (EXIT_INVALID, None)
 
     def test_four_point_negative_extracts_each_spectrum_once(self, tmp_path, monkeypatch):
         calls = []

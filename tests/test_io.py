@@ -5,10 +5,12 @@ read a well-formed nested list of numbers (of [re, im] pairs, or of reals for
 metrics and relation tables) with one ``np.array`` call.  The per-entry
 parsers below are the reference: on every generated input both must give the
 same array bits or the same error message.  The rest pins the one rule per
-JSON type: numbers, integers, booleans and relation-table keys.
+JSON type: numbers, integers, booleans and relation-table keys, and the
+report writer: every float of a report reads back as the same float.
 """
 
 import json
+from dataclasses import dataclass
 from io import StringIO
 
 import numpy as np
@@ -433,3 +435,97 @@ def test_string_rotation_in_a_stored_report_is_an_input_error(tmp_path):
     assert run(["verify", str(stored)], stdout=buf) == EXIT_INVALID
     error = json.loads(buf.getvalue())["error"]
     assert error["kind"] == "InputFormatError" and "expected a real number" in error["message"]
+
+
+@dataclass
+class Record:
+    value: float
+    items: list
+
+
+writer_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.0, -2.0, 3.0, 1e16,
+                     -1e16, 2.0 ** 53, 1e300, -1e300, 1e-9, 0.1]))
+writer_leaves = st.one_of(
+    writer_floats, st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.none(),
+    st.builds(complex, writer_floats, writer_floats),
+    writer_floats.map(np.float64), writer_floats.map(np.complex128),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.lists(writer_floats, max_size=4).map(np.array),
+    st.lists(st.builds(complex, writer_floats, writer_floats), max_size=3).map(np.array),
+    st.builds(Record, writer_floats, st.lists(writer_floats, max_size=2)))
+writer_keys = st.text("abc_XYZ019", min_size=1, max_size=4)
+reports = st.recursive(
+    writer_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(writer_keys, inner, max_size=4)),
+    max_leaves=12)
+
+
+def plain(value):
+    """The JSON value a report value stands for, by the writer's rules."""
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return plain(value.tolist())
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, Record):
+        return plain(vars(value))
+    return value
+
+
+def assert_same(got, want):
+    """Equal as JSON values, with every float the same float, sign of zero included."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, float):
+        assert got.hex() == want.hex()
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert_same(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    else:
+        assert got == want
+
+
+def sorted_pairs(pairs):
+    keys = [k for k, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+@settings(max_examples=300)
+@given(reports)
+def test_report_floats_read_back_bit_for_bit(report):
+    text = io.canonical_report({"report": report})
+    assert " " not in text
+    back = json.loads(text, object_pairs_hook=sorted_pairs)
+    assert_same(back, {"report": plain(report)})
+    # writing a parsed report again gives the same bytes, as verify needs
+    assert io.canonical_report(back) == text
+
+
+@pytest.mark.parametrize("value, text", [(-0.0, "-0.0"), (2.0, "2.0"), (1e-09, "1e-09"),
+                                         (1e16, "1e+16"), (0.1, "0.1"),
+                                         (float("nan"), "NaN"), (float("inf"), "Infinity")])
+def test_floats_are_written_shortest_and_read_by_json(value, text):
+    assert io.canonical_report({"x": value}) == f'{{"x":{text}}}'
+    assert json.loads(text).hex() == value.hex()
+
+
+def test_signed_zeros_of_a_fingerprint_reach_the_report(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"metric": [[0, 1], [1, 0]],
+                                "relations": {"R": {"arity": 1, "table": [-0.0, -0.0]}}}))
+    buf = StringIO()
+    assert run(["gh-theory", str(path), "--depth", "1"], stdout=buf) == EXIT_OK
+    assert_same(json.loads(buf.getvalue())["fingerprint"], [-0.0, 0.0, 1.0])

@@ -6,7 +6,8 @@ attribute of an ``osclass`` module, so renaming or deleting a cited name
 fails here instead of leaving the README pointing at nothing.  Conversely,
 every name ``osclass`` exports, other than its modules, appears in a code
 span of the README, so no export goes undocumented.  The CLI section's
-command block shows each subcommand the parser declares, once.
+command block shows each subcommand the parser declares, once, and every
+flag the README names after a subcommand is one that subcommand declares.
 """
 
 import argparse
@@ -77,10 +78,30 @@ def test_every_export_is_cited():
     assert exports and sorted(set(exports) - words) == []
 
 
-def test_cli_block_names_each_subcommand_once():
+def subparsers() -> dict:
+    """Each subcommand's parser, by name."""
+    return next(a.choices for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def cli_block() -> list:
     text = README.read_text(encoding="utf-8")
     block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
-    shown = sorted(line.split()[1] for line in block.splitlines() if line.startswith("osclass "))
-    declared = next(a.choices for a in _build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    assert shown == sorted(declared)
+    return [line.split("#")[0] for line in block.splitlines() if line.startswith("osclass ")]
+
+
+def test_cli_block_names_each_subcommand_once():
+    shown = sorted(line.split()[1] for line in cli_block())
+    assert shown == sorted(subparsers())
+
+
+def test_every_flag_named_after_a_subcommand_is_declared():
+    # a backticked `deg1 --cap`, or a line of the command block, names flags
+    # of its subcommand; a flag the parser no longer declares fails here
+    commands = subparsers()
+    uses = [line.split(None, 1)[1] for line in cli_block()]
+    uses += [span for span in cited(r"`([a-z][\w-]* --[^`\n]*)`") if span.split()[0] in commands]
+    assert len(uses) > len(commands)
+    for use in uses:
+        declared = commands[use.split()[0]]._option_string_actions
+        assert [f for f in re.findall(r"--[\w-]+", use) if f not in declared] == [], use
