@@ -41,11 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotComparableError
+from .errors import CapacityError, DimensionError, NotComparableError
 # op_norm stays importable from here: the benchmark's tracer test reads osdist.op_norm
 from .linalg import (TOL_NUM, FactoredSpan, _top_singular, gram_rank, op_norm,  # noqa: F401
                      top_singular)
 from .opsys import OperatorSystemSpan, build_system
+from .unitary import CoisDecision
 
 #: Condition-number bound past which a candidate map is treated as singular.
 COND_BOUND = 1e12
@@ -62,6 +63,10 @@ _NORM_ENTRIES = 1 << 15
 
 #: Denominator norm below which :func:`_ratios` scores an element's ratio 0.
 RATIO_FLOOR = 1e-14
+
+#: Most floats of the initial simplices of one search: the outer d_n
+#: search's, or one map's inner ascents'.  Checked before any is built.
+MAX_SIMPLEX_FLOATS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,19 @@ def _check_args(search: str, counts: dict, budgets: dict) -> None:
     for name, budget in budgets.items():
         if budget < 0:
             raise DimensionError(f"{search} needs a nonnegative {name}, got {budget}")
+
+
+def _check_simplices(search: str, dim: int, level: int, inner: int, outer: int = 0) -> None:
+    """``inner`` starts of a level-n ascent, in d = 2 n^2 N real dimensions,
+    and ``outer`` starts of a d_n search, in d = 2 N^2, hold
+    ``starts * (d + 1) * d`` simplex floats each; neither may pass
+    ``MAX_SIMPLEX_FLOATS``."""
+    for name, count, d in (("inner", inner, 2 * level * level * dim),
+                           ("outer", outer, 2 * dim * dim)):
+        floats = count * (d + 1) * d
+        if floats > MAX_SIMPLEX_FLOATS:
+            raise CapacityError(f"{search} would open {floats} {name} simplex floats, "
+                                f"past MAX_SIMPLEX_FLOATS = {MAX_SIMPLEX_FLOATS}")
 
 
 class _Plan:
@@ -448,6 +466,7 @@ def amplified_map_norm(x: OperatorSystemSpan, y: OperatorSystemSpan, u,
     um = u.matrix if isinstance(u, LinearMapCoords) else np.asarray(u, dtype=np.complex128)
     if um.shape != (x.dim, y.dim) or x.dim != y.dim:
         raise DimensionError("map coordinates must be N x N for both systems")
+    _check_simplices("the amplified-norm ascent", x.dim, level, starts)
     maps = um[None]
     return float(_ascents(_Plan(x, y, level, starts, iters, seed), maps, maps[:0])[0][0])
 
@@ -514,8 +533,9 @@ def dn_search(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int = 1,
         raise NotComparableError(
             f"systems have dimensions {x.dim} and {y.dim}; d_n compares equal dimensions"
         )
-    f = _objective(x, y, level, inner_starts, inner_iters, seed)
     nn = x.dim
+    _check_simplices("the d_n search", nn, level, 2 * inner_starts, restarts)
+    f = _objective(x, y, level, inner_starts, inner_iters, seed)
     eye = _complex_to_real(np.eye(nn, dtype=np.complex128))
     starts = [eye] + [_complex_to_real(np.asarray(w, dtype=np.complex128)) for w in warm_starts]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -542,16 +562,21 @@ def dn_search(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int = 1,
 
 
 def dgh_weighted(x: OperatorSystemSpan, y: OperatorSystemSpan, n_max: int = 3,
-                 restarts: int = 32, seed: int = 0, **kwargs) -> DistanceReport:
+                 restarts: int = 32, seed: int = 0, inner_starts: int = 2,
+                 **kwargs) -> DistanceReport:
     """Truncated weighted distance ``sum_{n <= n_max} 2^-n d_n``.
 
-    Level n + 1 is warm-started from level n's best map.
+    Level n + 1 is warm-started from level n's best map.  Level ``n_max``
+    opens the largest simplices, and a sum whose last level would pass
+    ``MAX_SIMPLEX_FLOATS`` stops before level 1 runs.
     """
     _check_args("the weighted sum", {"level": n_max}, {"seed": seed})
+    _check_simplices("the d_n search", x.dim, n_max, 2 * inner_starts, restarts)
     per_level = []
     warm = []
     for level in range(1, n_max + 1):
-        rec = dn_search(x, y, level, restarts, seed + level - 1, warm_starts=warm, **kwargs)
+        rec = dn_search(x, y, level, restarts, seed + level - 1, inner_starts=inner_starts,
+                        warm_starts=warm, **kwargs)
         per_level.append(rec)
         warm = [rec["map"]]
     weighted = sum(2.0 ** (-rec["level"]) * rec["estimate"] for rec in per_level)
@@ -594,7 +619,7 @@ def commutant_dimension(matrices) -> int:
 
 
 def wt_classify(t: float, s: float, variant: str = "three_by_three",
-                restarts: int = 128, seed: int = 0) -> "CoisDecision":
+                restarts: int = 128, seed: int = 0) -> CoisDecision:
     """Decide complete order isomorphism within a W family.
 
     The 3x3 family is decided exactly: a trace-preserving unitary conjugation
@@ -609,8 +634,6 @@ def wt_classify(t: float, s: float, variant: str = "three_by_three",
     span{I, W_s, W_s*} and the onto check.
     ``restarts`` and ``seed`` are accepted and ignored; no verdict is searched.
     """
-    from .unitary import CoisDecision  # local import to avoid a cycle
-
     pt, ps = WtParams(t, variant), WtParams(s, variant)
     wt = wt_matrix(pt)
     if variant == "three_by_three":

@@ -198,14 +198,24 @@ def _arcs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(d, TWO_PI - d)
 
 
+def _nearest_arcs(ref: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """For each of ``pts``, the smaller ``_arcs`` value to its two
+    ``searchsorted`` neighbours in the sorted ``ref``, wrapping at both ends.
+
+    One of the two is nearest in exact arithmetic, and a computed arc is
+    within 2u * 2pi of the exact one (u = 2^-53), so while the angles of
+    ``ref`` are further apart than 4u * 2pi < 3e-15, as every
+    :class:`CircleSet`'s are, the result has the bits of the row minimum of
+    the full table ``_arcs(pts[..., None], ref)``.
+    """
+    at = np.searchsorted(ref, pts)
+    return np.minimum(_arcs(pts, ref[at - 1]), _arcs(pts, ref[at % ref.size]))
+
+
 def _hausdorff_angles(a: np.ndarray, b: np.ndarray) -> float:
-    d = _arcs(a[:, None], b[None, :])
-    return max(float(np.max(np.min(d, axis=1))), float(np.max(np.min(d, axis=0))))
-
-
-# Float slack of the rigid-motion screen, far above the 4u * 2pi < 3e-15
-# (u = 2^-53) by which a screen bound can exceed the residual it bounds.
-_SCREEN_SLACK = 1e-12
+    """Hausdorff distance of two sorted angle sets, each separated as
+    :func:`_nearest_arcs` needs: the larger of the two directed sweeps."""
+    return max(float(_nearest_arcs(b, a).max()), float(_nearest_arcs(a, b).max()))
 
 
 def rigid_equivalent(s: CircleSet, t: CircleSet, tol: float = TOL_FLOOR):
@@ -213,41 +223,21 @@ def rigid_equivalent(s: CircleSet, t: CircleSet, tol: float = TOL_FLOOR):
 
     The 2 * |t| candidate motions align each point of ``t`` (plain or
     reflected) to the first point of ``s``; the passing candidate with the
-    smallest Hausdorff residual wins, the first one on a tie.
-
-    A screen skips the candidates that cannot pass.  For a moved point x,
-    ``searchsorted`` finds the neighbours of x in ``s`` (wrapping at both
-    ends), and the bound of a candidate is the largest, over its moved
-    points, of the smaller arc to the two neighbours.  Only candidates whose
-    bound is at most ``tol + _SCREEN_SLACK`` get the full Hausdorff table.
-    Proof that the screen drops no candidate the table accepts: on the
-    circle of circumference C = TWO_PI, every point of ``s`` other than the
-    two neighbours lies beyond one of them as seen from x, so one neighbour
-    is nearest to x in exact arithmetic.  A computed arc is within 2u·C of
-    the exact one (u = 2^-53): ``|a - b|`` rounds once, ``% C`` is exact, and
-    ``C - d`` rounds once.  So each point's bound exceeds its row minimum in
-    the table by at most 4u·C < 3e-15, and the residual is at least the
-    largest row minimum; a candidate with residual <= tol has a bound below
-    tol + _SCREEN_SLACK.  The candidates left are tested in the same order
-    with the same floats as without the screen, so the result is the same.
-
-    On generic or rigidly moved sets the screen leaves one candidate or
-    none, so a call costs O(m^2 log m).  In the worst case, a near-regular
-    polygon where every candidate is within tol, all 2m candidates pass the
-    screen and the call costs the O(m^3) of the full sweep plus the screen.
+    smallest Hausdorff residual wins, the first one on a tie.  One
+    :func:`_nearest_arcs` sweep of every candidate's moved points gives
+    each candidate's forward residual, the first half of its Hausdorff
+    residual, and only the candidates within ``tol`` there take the reverse
+    sweep, so a call costs O(m^2 log m) in every case.
     """
     if s.size != t.size:
         return None
-    m = s.size
     best = None
     best_resid = np.inf
     for reflect in (False, True):
         base = (-t.angles) % TWO_PI if reflect else t.angles
         rots = (s.angles[0] - base) % TWO_PI
         moved = (base + rots[:, None]) % TWO_PI  # row j: the candidate aligning base[j]
-        at = np.searchsorted(s.angles, moved)
-        near = np.minimum(_arcs(moved, s.angles[at - 1]), _arcs(moved, s.angles[at % m]))
-        for j in np.flatnonzero(near.max(axis=1) <= tol + _SCREEN_SLACK):
+        for j in np.flatnonzero(_nearest_arcs(s.angles, moved).max(axis=1) <= tol):
             resid = _hausdorff_angles(np.sort(moved[j]), s.angles)
             if resid <= tol and resid < best_resid:
                 best = RigidMotion(rotation=float(rots[j]), reflect=reflect)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from io import StringIO
 from pathlib import Path
 
@@ -273,6 +274,19 @@ class TestOsdist:
         assert code == EXIT_INVALID
         assert rep["error"]["kind"] == "DimensionError"
         assert "overflow" in rep["error"]["message"]
+
+    @pytest.mark.parametrize("flag,value", [("--levels", "40"), ("--restarts", "100000000")])
+    def test_simplices_past_the_bound_exit_capacity_at_once(self, tmp_path, flag, value):
+        # level 40 would open a 4 x 9601 x 9600 inner simplex for one map, and
+        # 10^8 restarts an outer simplex of 3.4e10 floats
+        fs = tmp_path / "sys.json"
+        fs.write_text(json.dumps(
+            {"generators": [{"rows": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}]}))
+        start = time.perf_counter()
+        code, rep, _ = call(["osdist", str(fs), str(fs), flag, value])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CAPACITY
+        assert "MAX_SIMPLEX_FLOATS" in rep["error"]["message"]
 
 
 class TestFamily:
@@ -698,6 +712,16 @@ def test_malformed_report_exits_invalid(tmp_path, text):
     p = tmp_path / "report.json"
     p.write_text(text)
     code, rep, _ = call(["verify", str(p)])
+    assert code == EXIT_INVALID
+    assert rep["error"]["kind"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_deeply_nested_json_exits_invalid(tmp_path, command):
+    # nesting past the decoder's recursion limit used to end in a RecursionError traceback
+    p = tmp_path / "deep.json"
+    p.write_text('{"rows": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}")
+    code, rep, _ = call([command, str(p)])
     assert code == EXIT_INVALID
     assert rep["error"]["kind"] == "InputFormatError"
 

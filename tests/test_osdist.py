@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from osclass.errors import DimensionError, NotComparableError
+from osclass.errors import CapacityError, DimensionError, NotComparableError
 from osclass.linalg import gram_rank
 from osclass.osdist import (LinearMapCoords, WtParams, amplified_map_norm,
                             commutant_dimension, dgh_weighted, dn_search,
@@ -236,6 +236,28 @@ class TestDnSearch:
         for kw in ({"outer_iters": -1}, {"inner_iters": -1}):
             with pytest.raises(DimensionError, match="nonnegative"):
                 dgh_weighted(x, x, n_max=1, restarts=1, **kw)
+
+    def test_simplices_past_the_bound_raise_before_any_search(self, monkeypatch):
+        from osclass import osdist
+        from osclass.opsys import build_system
+        x = build_system([np.array([[0, 1], [0, 0]], dtype=complex)])
+        assert x.dim == 3  # outer simplices of 19 x 18 floats a restart
+        cap = osdist.MAX_SIMPLEX_FLOATS
+        osdist._check_simplices("the d_n search", 3, 1, 0, cap // 342)
+        with pytest.raises(CapacityError, match="outer simplex"):
+            osdist._check_simplices("the d_n search", 3, 1, 0, cap // 342 + 1)
+        monkeypatch.setattr(osdist, "_Plan", None)  # nothing may be built
+        with pytest.raises(CapacityError, match="MAX_SIMPLEX_FLOATS"):
+            amplified_map_norm(x, x, np.eye(3), level=40)
+        with pytest.raises(CapacityError, match="inner simplex"):
+            dn_search(x, x, level=40, restarts=1)
+        with pytest.raises(CapacityError, match="outer simplex"):
+            dn_search(x, x, restarts=10 ** 8)
+        levels = []
+        monkeypatch.setattr(osdist, "dn_search", lambda *a, **k: levels.append(a[2]))
+        with pytest.raises(CapacityError, match="inner simplex"):
+            dgh_weighted(x, x, n_max=40, restarts=1)
+        assert levels == []
 
     def test_monotone_under_more_restarts(self):
         rng = np.random.default_rng(4)

@@ -1,4 +1,4 @@
-"""The documented tolerance policy, read from the README, against the code."""
+"""The documented tolerance and capacity policy, read from the README, against the code."""
 
 import importlib
 import inspect
@@ -76,3 +76,31 @@ def test_every_threshold_constant_has_a_row():
                 assert rows[name] == module, (module, name)
             else:  # imported from the module of its row
                 assert getattr(importlib.import_module(f"osclass.{rows[name]}"), name) is value
+
+
+#: Module-level int constants named like size limits, each of which needs a
+#: row in the Capacity table.
+CAPACITY_NAME = re.compile(r"^MAX_|_BUDGET$|_CAP$")
+
+
+def capacity_table() -> dict:
+    """{constant: (value, module)} for each row of the README's Capacity
+    table, a value written as an integer or as a power ``10^6``."""
+    section = README.read_text(encoding="utf-8").split("\n## Capacity\n", 1)[1]
+    section = re.split(r"^#", section, maxsplit=1, flags=re.M)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (\d+)(?:\^(\d+))? \| `(\w+)` \|", section, flags=re.M)
+    return {name: (int(base) ** int(exp or 1), module) for name, base, exp, module in rows}
+
+
+def test_every_capacity_constant_has_a_row_with_its_value():
+    rows = capacity_table()
+    assert "SEARCH_NODE_BUDGET" in rows and "MAX_SIMPLEX_FLOATS" in rows
+    for name, (value, module) in rows.items():
+        assert getattr(importlib.import_module(f"osclass.{module}"), name) == value, name
+    for module in MODULES:
+        mod = importlib.import_module(f"osclass.{module}")
+        for name, value in vars(mod).items():
+            if (isinstance(value, int) and not isinstance(value, bool)
+                    and CAPACITY_NAME.search(name)):
+                assert name in rows, f"{module}.{name} has no row in the Capacity table"
+                assert getattr(importlib.import_module(f"osclass.{rows[name][1]}"), name) == value

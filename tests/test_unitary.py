@@ -144,7 +144,7 @@ def hausdorff_inputs(rng, m):
 class TestHausdorffAngles:
     def test_matches_the_scalar_loop(self):
         rng = np.random.default_rng(11)
-        for m in (1, 2, 3, 5, 8, 20, 40, 80):
+        for m in (1, 2, 3, 5, 8, 20, 40, 80, 200):
             for a, b in hausdorff_inputs(rng, m):
                 assert unitary._hausdorff_angles(a, b) == scalar_hausdorff(a, b), m
 
@@ -160,8 +160,8 @@ class TestHausdorffAngles:
 
 
 def sweep_rigid_equivalent(s, t, tol=1e-8):
-    """Reference for rigid_equivalent: all 2m candidates, each with the full
-    Hausdorff table, in the same order and with the same strict < choice."""
+    """Reference for rigid_equivalent: all 2m candidates, each with its full
+    Hausdorff residual, in the same order and with the same strict < choice."""
     if s.size != t.size:
         return None
     best, best_resid = None, np.inf
@@ -177,7 +177,7 @@ def sweep_rigid_equivalent(s, t, tol=1e-8):
     return best
 
 
-def motion_inputs(rng, m, tol, polygons=True):
+def motion_inputs(rng, m, tol):
     """Rigid images, reflections, generic draws, images moved by about tol
     and jittered regular polygons, all of size m."""
     a = np.sort(rng.uniform(0, TWO_PI, m))
@@ -188,14 +188,13 @@ def motion_inputs(rng, m, tol, polygons=True):
     yield a, rng.uniform(0, TWO_PI, m)
     yield a, (a + rot + rng.uniform(-tol, tol, m)) % TWO_PI
     yield a, (-a + rot + rng.uniform(-2 * tol, 2 * tol, m)) % TWO_PI
-    if polygons:
-        yield poly, (poly + rot) % TWO_PI
-        yield poly, (-poly + rot) % TWO_PI
+    yield poly, (poly + rot) % TWO_PI
+    yield poly, (-poly + rot) % TWO_PI
 
 
 class TestScreenedRigidEquivalent:
-    # polygons pass every candidate through the screen, so the largest size
-    # runs without them, and at one tolerance, to keep the test short
+    # polygons pass every candidate's forward sweep, and the largest size
+    # runs at one tolerance to keep the test short
     @pytest.mark.parametrize("m,tols", [(5, (1e-8, 1e-6, 1e-3)), (6, (1e-8, 1e-5, 1e-3)),
                                         (7, (1e-8, 1e-4)), (12, (1e-8, 1e-6, 1e-3)),
                                         (40, (1e-8, 1e-4, 1e-3)), (80, (1e-8, 1e-3)),
@@ -203,7 +202,7 @@ class TestScreenedRigidEquivalent:
     def test_matches_the_full_sweep(self, m, tols):
         rng = np.random.default_rng(m)
         for tol in tols:
-            for a, b in motion_inputs(rng, m, tol, polygons=m < 200):
+            for a, b in motion_inputs(rng, m, tol):
                 s, t = CircleSet(a), CircleSet(b)
                 assert rigid_equivalent(s, t, tol) == sweep_rigid_equivalent(s, t, tol), (m, tol)
 
@@ -227,6 +226,44 @@ class TestScreenedRigidEquivalent:
         poly = np.arange(9) * TWO_PI / 9 + np.random.default_rng(4).uniform(-3e-10, 3e-10, 9)
         assert rigid_equivalent(CircleSet(poly), CircleSet((poly + 1.0) % TWO_PI)) is not None
         assert len(calls) == 18
+
+    def test_work_is_quadratic_on_jittered_polygons(self, monkeypatch):
+        # every candidate of a jittered polygon passes, and each used to take
+        # the whole m x m table: 22, 164 and 404 m^2 arcs at m = 9, 80, 200
+        counted = []
+        arcs = unitary._arcs
+        monkeypatch.setattr(unitary, "_arcs",
+                            lambda a, b: counted.append(np.broadcast(a, b).size) or arcs(a, b))
+        rng = np.random.default_rng(5)
+        for m in (9, 80, 200):
+            poly = np.arange(m) * TWO_PI / m + rng.uniform(-3e-10, 3e-10, m)
+            counted.clear()
+            assert rigid_equivalent(CircleSet(poly), CircleSet((poly + 1.0) % TWO_PI)) is not None
+            assert sum(counted) <= 12 * m * m, (m, sum(counted) / m / m)
+
+
+def separation_floor_sets(rng):
+    """Angle sets with gaps just above SPECTRUM_DEDUP_TOL, clustered inside
+    the circle, across 0/2pi and among generic points."""
+    gap = 1.001 * unitary.SPECTRUM_DEDUP_TOL
+    yield np.arange(5) * gap + 1.0
+    yield np.arange(-3, 3) * gap + gap / 2
+    yield np.arange(-2, 3) * gap
+    yield np.concatenate([rng.uniform(0.1, 6.0, 20), np.arange(-2, 3) * gap,
+                          3.0 + np.arange(4) * gap])
+    yield np.arange(7) * TWO_PI / 7
+
+
+def test_nearest_arcs_have_the_bits_of_the_table_minimum():
+    rng = np.random.default_rng(6)
+    edges = [0.0, np.nextafter(0.0, 1.0), np.nextafter(TWO_PI, 0.0), TWO_PI]
+    for angles in separation_floor_sets(rng):
+        ref = CircleSet(angles).angles
+        mids = np.append((ref[:-1] + ref[1:]) / 2, (ref[-1] + ref[0] + TWO_PI) / 2 % TWO_PI)
+        q = np.concatenate([ref, mids, edges])
+        fast = unitary._nearest_arcs(ref, q)
+        assert not np.isnan(fast).any()
+        assert np.array_equal(fast, unitary._arcs(q[:, None], ref).min(axis=1)), ref
 
 
 def test_necklace_equality_is_a_dihedral_match():
