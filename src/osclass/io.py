@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import reprlib
 
 import numpy as np
 
@@ -20,6 +21,12 @@ from .degree1 import PointSet
 from .errors import CapacityError, InputFormatError, OsclassError
 from .metric import MAX_ARITY, MAX_TABLE_ENTRIES, FiniteStructure
 from .opsys import AmplifiedElement, OperatorSystemSpan, build_system
+
+
+# a bad value's repr in a message: a few items a level and a few levels, whatever its size
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel, _BRIEF.maxlist, _BRIEF.maxdict, _BRIEF.maxstring = 3, 4, 4, 40
+_brief = _BRIEF.repr
 
 
 def as_input_error(parse):
@@ -41,7 +48,7 @@ def parse_real(obj) -> float:
     """A JSON number; an integer past the float range raises OverflowError."""
     if isinstance(obj, (int, float)):
         return float(obj)
-    raise InputFormatError(f"expected a real number, got {obj!r}")
+    raise InputFormatError(f"expected a real number, got {_brief(obj)}")
 
 
 def parse_complex(obj) -> complex:
@@ -49,21 +56,21 @@ def parse_complex(obj) -> complex:
         return complex(obj)
     if isinstance(obj, list) and len(obj) == 2 and all(isinstance(t, (int, float)) for t in obj):
         return complex(obj[0], obj[1])
-    raise InputFormatError(f"expected a complex number as [re, im], got {obj!r}")
+    raise InputFormatError(f"expected a complex number as [re, im], got {_brief(obj)}")
 
 
 def parse_integer(obj, what: str) -> int:
     """A JSON integer, never a bool, or a float or string ``int()`` would read."""
     if isinstance(obj, int) and not isinstance(obj, bool):
         return obj
-    raise InputFormatError(f"{what} must be an integer, got {obj!r}")
+    raise InputFormatError(f"{what} must be an integer, got {_brief(obj)}")
 
 
 def parse_boolean(obj, what: str) -> bool:
     """A JSON boolean, never a number, string or null that ``bool()`` would read."""
     if isinstance(obj, bool):
         return obj
-    raise InputFormatError(f"{what} must be true or false, got {obj!r}")
+    raise InputFormatError(f"{what} must be true or false, got {_brief(obj)}")
 
 
 def _numbers(obj, depth: int, read):
@@ -139,12 +146,13 @@ def _parse_table(spec, arity: int, size: int) -> np.ndarray:
         for key, value in spec.items():
             # int() alone would also read " 1", "+1" and "1_0"
             if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", str(key)):
-                raise InputFormatError(f"table key {key!r} must be integers joined by commas")
+                raise InputFormatError(f"table key {_brief(key)} must be integers joined by commas")
             idx = tuple(int(t) for t in str(key).split(","))
             if len(idx) != arity:
-                raise InputFormatError(f"table key {key!r} does not match arity {arity}")
+                raise InputFormatError(f"table key {_brief(key)} does not match arity {arity}")
             if not all(0 <= i < size for i in idx):
-                raise InputFormatError(f"table key {key!r} has an index outside range({size})")
+                raise InputFormatError(
+                    f"table key {_brief(key)} has an index outside range({size})")
             arr[idx] = parse_real(value)
         return arr
     raise InputFormatError("relation table must be a nested list or an index-keyed object")
@@ -157,16 +165,16 @@ def parse_structure(obj) -> FiniteStructure:
     metric = np.asarray(_numbers(obj["metric"], 2, parse_real), dtype=np.float64)
     relations = obj.get("relations", {})
     if not isinstance(relations, dict):
-        raise InputFormatError(f'"relations" must be an object, got {relations!r}')
+        raise InputFormatError(f'"relations" must be an object, got {_brief(relations)}')
     tables = {}
     for name, rel in relations.items():
         if not isinstance(rel, dict) or "arity" not in rel or "table" not in rel:
-            raise InputFormatError(f'relation {name!r} needs "arity" and "table" keys')
-        arity = parse_integer(rel["arity"], f"the arity of relation {name!r}")
+            raise InputFormatError(f'relation {_brief(name)} needs "arity" and "table" keys')
+        arity = parse_integer(rel["arity"], f"the arity of relation {_brief(name)}")
         if arity < 0:
-            raise InputFormatError(f"relation {name!r} has negative arity {arity}")
+            raise InputFormatError(f"relation {_brief(name)} has negative arity {arity}")
         if arity > MAX_ARITY:
-            raise InputFormatError(f"relation {name!r} has arity {arity}, past the largest "
+            raise InputFormatError(f"relation {_brief(name)} has arity {arity}, past the largest "
                                    f"supported arity {MAX_ARITY}")
         tables[name] = _parse_table(rel["table"], arity, len(metric))
     domains = tuple(tuple(parse_integer(i, "a domain index") for i in d)
@@ -189,7 +197,7 @@ def parse_bijection(obj, size: int) -> np.ndarray:
     if not (isinstance(obj, list)
             and all(isinstance(i, int) and not isinstance(i, bool) for i in obj)
             and sorted(obj) == list(range(size))):
-        raise InputFormatError(f"expected a permutation of range({size}), got {obj!r}")
+        raise InputFormatError(f"expected a permutation of range({size}), got {_brief(obj)}")
     return np.array(obj, dtype=int)
 
 

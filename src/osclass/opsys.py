@@ -8,13 +8,14 @@ norms, and the minimal operator-space norm driven by a polyhedral dual ball.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionError, EmptySystemError, NoUnitError
-from .linalg import TOL_NUM, FactoredSpan, as_matrix, op_norm, top_singular, vec
+from .linalg import TOL_NUM, FactoredSpan, _top_singular, as_matrix, op_norm, vec
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,11 @@ class OperatorSystemSpan:
     def dim(self) -> int:
         return len(self.basis)
 
+    @functools.cached_property
+    def _flat(self) -> np.ndarray:
+        """The basis as one (N, k^2) array, which :func:`_stack` multiplies by."""
+        return self.basis.reshape(len(self.basis), -1)
+
     def assemble(self, coeffs) -> np.ndarray:
         """The nk x nk matrix sum_ij E_ij (x) (sum_m coeffs_ijm basis_m).
 
@@ -49,19 +55,8 @@ class OperatorSystemSpan:
         if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[2] != self.dim:
             raise DimensionError(f"expected {self.dim} coefficients or an (n, n, {self.dim}) "
                                  f"array, got shape {np.shape(coeffs)}")
-        return self._assemble(c)
-
-    def _assemble(self, c: np.ndarray) -> np.ndarray:
-        """``assemble`` on an (..., n, n, N) complex stack, giving (..., nk, nk).
-
-        Each element is one (n^2, N) x (N, k^2) product, stacked and never
-        flattened into one product, so it has the bits of assembling it alone.
-        """
-        k, nn = self.ambient_dim, self.dim
-        lead, n = c.shape[:-3], c.shape[-2]
-        blocks = c.reshape(*lead, n * n, nn) @ self.basis.reshape(nn, k * k)
-        blocks = blocks.reshape(*lead, n, n, k, k).swapaxes(-3, -2)
-        return blocks.reshape(*lead, n * k, n * k)
+        n = c.shape[0]
+        return _stack([(c.reshape(1, n * n, self.dim), self)], n)[0]
 
     def unit(self) -> np.ndarray:
         return self.assemble(self.unit_coeffs)
@@ -206,13 +201,55 @@ def find_unit_coeffs(basis) -> np.ndarray:
     return coeffs[:, 0]
 
 
-def amplified_norm(x: OperatorSystemSpan, a: AmplifiedElement) -> float:
-    """Norm of an element of M_n(X), computed in the concrete representation.
+def _stack(parts, n: int) -> np.ndarray:
+    """Every element of M_n of every part, in order, as one (M, nk, nk) stack.
 
-    It is :func:`linalg.top_singular` of the assembled matrix, the kernel the
-    ``d_n`` ratios use, so an inner ratio is a quotient of two such norms.
+    A part is an (m, n^2, N) coefficient stack and its system, all of one
+    ambient size k.  An element is one (n^2, N) x (N, k^2) product, taken
+    alone, whose n x n blocks of k x k matrices make one nk x nk matrix.
     """
-    return float(top_singular(x.assemble(a.coeffs)[None])[0])
+    k = parts[0][1].ambient_dim
+    total = 0
+    for c, _ in parts:
+        total += len(c)
+    stack = np.empty((total, n * n, k * k), dtype=np.complex128)
+    i = 0
+    for c, system in parts:
+        m = len(c)
+        if m:
+            np.matmul(c, system._flat, out=stack[i:i + m])
+            i += m
+    if n > 1:
+        stack = stack.reshape(total, n, n, k, k).swapaxes(-3, -2)
+    return stack.reshape(total, n * k, n * k)
+
+
+def _norms(parts, n: int) -> np.ndarray:
+    """The norm of every element of :func:`_stack` of ``parts``, in order: one
+    :func:`linalg.top_singular` kernel call per ambient size."""
+    k = parts[0][1].ambient_dim
+    for _, system in parts:
+        if system.ambient_dim != k:
+            break
+    else:
+        return _top_singular(_stack(parts, n))
+    rows = [len(c) for c, _ in parts]
+    out = np.empty(sum(rows))
+    for size in {system.ambient_dim for _, system in parts}:
+        mine = [p for p in parts if p[1].ambient_dim == size]
+        out[np.repeat([p[1].ambient_dim == size for p in parts], rows)] = (
+            _top_singular(_stack(mine, n)))
+    return out
+
+
+def amplified_norm(x: OperatorSystemSpan, a: AmplifiedElement) -> float:
+    """Norm of an element of M_n(X) from :func:`_norms`, as every ``d_n``
+    ratio's, so an inner ratio is a quotient of two such norms."""
+    n, c = a.level, a.coeffs
+    if not n or c.shape[2] != x.dim:
+        raise DimensionError(f"expected an element of M_n(X) with {x.dim} coefficients, "
+                             f"got shape {c.shape}")
+    return float(_norms([(c.reshape(1, n * n, x.dim), x)], n)[0])
 
 
 def min_os_norm(ball: PolyhedralDualBall, x) -> float:

@@ -15,24 +15,11 @@ reproduces scipy's ``minimize(method="Nelder-Mead")`` iterate for iterate.
 Each simplex phase is one batched objective call: the outer search
 evaluates all its restarts' maps at once, and each such call runs the
 forward and backward inner ascents of all those maps as one lockstep
-search.  What the inner phases share is built once per search
-(:class:`_Plan`: the start template, both flattened bases, the chunk
-size), so a phase only converts its points to elements, gathers each
-point's map, takes the images with one product per element and calls
-:func:`_ratios`.  That writes every matrix of the phase, each its own
-(n^2, N) x (N, k^2) product, into one stack of denominators and numerators
-and takes all their norms from one call of the :func:`linalg.top_singular`
-kernel, or one per matrix size when the two ambient sizes differ.  That
-kernel reads each norm off the top eigenvalue of the matrix's Gram matrix,
-in closed form for the 2x2 matrices of a 2x2 system's level-1 ratios and
-gap terms and off ``eigvalsh`` for larger ones, or off an SVD where the
-Gram trace leaves ``linalg.GRAM_RANGE``, so a matrix has one value in any
-stack.  Every map's ascents start from the template's initial simplices,
-whose denominators depend on the vertex alone, so a d_n search computes
-them once, with its plan, and the first phase of each ascent takes only
-its numerators.  The iterates follow scipy's rules given these values:
-estimates, maps and reports are those of one scipy run per start whose
-norms come from ``top_singular``, bit for bit.
+search, whose phases take their ratios from one :func:`_ratios` call each
+(:class:`_Plan` holds what they share), every norm from ``opsys._norms``,
+as ``amplified_norm``'s.  The iterates follow scipy's rules given these
+values: estimates, maps and reports are those of one scipy run per start
+whose norms are ``amplified_norm`` values, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,9 +30,8 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, NotComparableError
 # op_norm stays importable from here: the benchmark's tracer test reads osdist.op_norm
-from .linalg import (TOL_NUM, FactoredSpan, _top_singular, gram_rank, op_norm,  # noqa: F401
-                     top_singular)
-from .opsys import OperatorSystemSpan, build_system
+from .linalg import TOL_NUM, FactoredSpan, gram_rank, op_norm, top_singular  # noqa: F401
+from .opsys import OperatorSystemSpan, _norms, _stack, build_system
 from .unitary import CoisDecision
 
 #: Condition-number bound past which a candidate map is treated as singular.
@@ -142,73 +128,36 @@ def _check_simplices(search: str, dim: int, level: int, inner: int, outer: int =
 class _Plan:
     """What every phase of one search's inner ascents reuses.
 
-    Built once per ``amplified_map_norm`` or ``dn_search``: the start
-    template (the unit element ``I_n (x) e`` of each side, then ``starts - 1``
-    seeded random elements shared by every map), both bases flattened to
-    (N, k^2), and the chunk size that keeps a kernel call at most
-    ``_NORM_ENTRIES`` matrix entries.  A plan that ``share``s its starts, the
-    one of a ``dn_search``, whose objective ascends many maps both ways,
-    also holds ``start_den``: the denominators of the first phase of every
-    ascent, which evaluates the initial simplex of each start of its side.
-    They depend on the vertex alone, so they are computed once per search
-    (:meth:`_start_norms`) and every map's first phase takes only its
-    numerators.
+    Built once per ``amplified_map_norm`` or ``dn_search``: the two systems,
+    the start template (the unit element ``I_n (x) e`` of each side, then
+    ``starts - 1`` seeded random elements shared by every map), and
+    ``step``, the most elements of a chunk, which keeps a norm call at most
+    ``_NORM_ENTRIES`` matrix entries.  The plan of a ``dn_search``
+    (``share``) also holds ``start_den``: the denominators of the first
+    phase of every ascent, which depend on its template's vertex alone, so
+    every map's first phase takes only its numerators.
     """
 
     def __init__(self, x: OperatorSystemSpan, y: OperatorSystemSpan, level: int,
                  starts: int, iters: int, seed: int, share: bool = False):
-        self.level, self.starts, self.iters, self.dim = level, starts, iters, x.dim
-        nn, kx, ky = x.dim, x.ambient_dim, y.ambient_dim
+        self.level, self.starts, self.iters, self.systems = level, starts, iters, (x, y)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        noise = [rng.standard_normal(2 * level * level * nn) for _ in range(starts - 1)]
+        noise = [rng.standard_normal(2 * level * level * x.dim) for _ in range(starts - 1)]
         self.template = [np.array([_complex_to_real(np.eye(level)[:, :, None] * s.unit_coeffs),
                                    *noise]) for s in (x, y)]
-        self.bases = [s.basis.reshape(nn, -1) for s in (x, y)]
-        self.sizes = (kx,) if kx == ky else (kx, ky)
-        self.step = max(1, _NORM_ENTRIES // (level * level * (kx * kx + ky * ky)))
+        self.step = max(1, _NORM_ENTRIES // level ** 2 // (x.ambient_dim ** 2 + y.ambient_dim ** 2))
         self.start_den = self._start_norms() if share else None
-
-    def norms(self, parts) -> np.ndarray:
-        """Norms of ``assemble_side(c)`` for every element of every part, a
-        pair (an (m, n^2, N) stack ``c``, a side: 0 for X, 1 for Y), in
-        order: one kernel call per matrix size."""
-        if len(self.sizes) == 1:
-            return self._stack_norms(parts, self.sizes[0])
-        res = [self._stack_norms([p for p in parts if p[1] == side], k)
-               for side, k in enumerate(self.sizes)]
-        at, out = [0, 0], []
-        for c, side in parts:
-            out.append(res[side][at[side]:at[side] + len(c)])
-            at[side] += len(c)
-        return np.concatenate(out)
-
-    def _stack_norms(self, parts, k: int) -> np.ndarray:
-        """:meth:`norms` of parts whose matrices are all k x k, from one stack."""
-        n = self.level
-        rows = [len(c) for c, _ in parts]
-        stack = np.empty((sum(rows), n * n, k * k), dtype=np.complex128)
-        i = 0
-        for (c, side), m in zip(parts, rows):
-            if m:
-                np.matmul(c, self.bases[side], out=stack[i:i + m])
-                i += m
-        if not i:
-            return np.empty(0)
-        if n > 1:  # an element's n x n blocks of k x k matrices, as one nk x nk matrix
-            stack = stack.reshape(-1, n, n, k, k).swapaxes(-3, -2)
-        return _top_singular(stack.reshape(-1, n * k, n * k))
 
     def _start_norms(self) -> tuple:
         """The first-phase denominators of the ascents from each side's
         template: one per start and vertex of its initial simplex that the
         phase evaluates (only the start itself when ``iters`` is 0),
-        start-major.  ``step`` vertices a side at a time, a chunk's two sides
-        take one kernel call per matrix size."""
-        n, step, d = self.level, self.step, self.template[0].shape[1]
+        start-major, ``step`` vertices a side at a time."""
+        (x, y), n, step, d = self.systems, self.level, self.step, self.template[0].shape[1]
         first = min(d + 1, self.iters) or 1
         cx, cy = (_real_to_complex(_initial_simplex(t)[:, :first].reshape(-1, d))
-                  .reshape(-1, n * n, self.dim) for t in self.template)
-        chunks = [self.norms([(cx[i:i + step], 0), (cy[i:i + step], 1)])
+                  .reshape(-1, n * n, x.dim) for t in self.template)
+        chunks = [_norms([(cx[i:i + step], x), (cy[i:i + step], y)], n)
                   for i in range(0, len(cx), step)]
         return (np.concatenate([r[:len(r) // 2] for r in chunks]),
                 np.concatenate([r[len(r) // 2:] for r in chunks]))
@@ -231,24 +180,21 @@ def _ratios(plan: _Plan, c: np.ndarray, maps: np.ndarray, cut: int,
     maps from X to Y, with ratio ||assemble_Y(c_i u_i^T)|| / ||assemble_X(c_i)||,
     and the rest elements of M_n(Y) under maps from Y to X, the other way
     round.  ``den``, when given, holds the denominators already (the plan's
-    ``start_den``), and only the numerators are computed.  The images take one
-    product per row; at most ``plan.step`` elements at a time, the chunk's
-    norms take one call of the :func:`top_singular` kernel, or one per
-    matrix size when the two ambient sizes differ (:meth:`_Plan.norms`).  An
-    element whose denominator is below ``RATIO_FLOOR`` has ratio 0.  Each
-    ratio has the bits of the quotient of two ``amplified_norm`` values, as
-    both take each matrix alone.
+    ``start_den``).  The images take one product per row, and each chunk of
+    ``plan.step`` elements one :func:`opsys._norms` call.  An element whose
+    denominator is below ``RATIO_FLOOR`` has ratio 0.  Each ratio is the
+    quotient of two ``amplified_norm`` values, bit for bit.
     """
-    m, n = len(c), plan.level
+    (x, y), m, n = plan.systems, len(c), plan.level
     img = (c @ maps.swapaxes(-1, -2)[:, None]).reshape(m, n * n, -1)
     c = c.reshape(m, n * n, -1)
 
     def chunk(i: int, j: int) -> np.ndarray:
         t = min(max(cut, i), j)
-        num = [(img[i:t], 1), (img[t:j], 0)]
+        num = [(img[i:t], y), (img[t:j], x)]
         if den is not None:
-            return _quotients(plan.norms(num), den[i:j])
-        r = plan.norms([(c[i:t], 0), (c[t:j], 1), *num])
+            return _quotients(_norms(num, n), den[i:j])
+        r = _norms([(c[i:t], x), (c[t:j], y), *num], n)
         return _quotients(r[j - i:], r[:j - i])
 
     if m <= plan.step:
@@ -422,7 +368,7 @@ def _ascents(plan: _Plan, maps: np.ndarray, back: np.ndarray) -> tuple:
     ratio of every map is taken once, over every value, when the search
     ends.  Returns the best ratios of ``maps`` and of ``back``.
     """
-    n, nn, starts = plan.level, plan.dim, plan.starts
+    n, nn, starts = plan.level, plan.systems[0].dim, plan.starts
     x0 = np.concatenate([np.tile(t, (len(u), 1)) for t, u in zip(plan.template, (maps, back))])
     per_row = np.concatenate([maps, back])[np.arange(len(x0)) // starts]
     forward = len(maps) * starts
@@ -456,10 +402,8 @@ def amplified_map_norm(x: OperatorSystemSpan, y: OperatorSystemSpan, u,
     element ``I_n (x) e_X``; every evaluated point is a true ratio, so the
     estimate never exceeds the supremum.  All starts run as one lockstep
     search (:func:`_nelder_mead`): each simplex step evaluates every start's
-    ratio from one stack of both systems' matrices and one
-    :func:`top_singular` call (one per matrix size when the ambient sizes
-    differ), with the iterates that separate scipy Nelder-Mead runs would
-    take given those values.
+    ratio (:func:`_ratios`), with the iterates that separate scipy
+    Nelder-Mead runs would take given those values.
     """
     _check_args("the amplified-norm ascent", {"level": level, "start": starts},
                 {"seed": seed, "iters": iters})
@@ -500,7 +444,7 @@ def _objective(x: OperatorSystemSpan, y: OperatorSystemSpan, level: int,
             return out
         um = um[ok]
         uinv = np.linalg.inv(um)
-        gaps = top_singular(y._assemble((um @ x.unit_coeffs)[:, None, None]) - unit)
+        gaps = top_singular(_stack([((um @ x.unit_coeffs)[:, None], y)], 1) - unit)
         parts = [_ascents(plan, um[i:i + step], uinv[i:i + step])
                  for i in range(0, len(um), step)]
         fwd, bwd = (np.concatenate(p) for p in zip(*parts))

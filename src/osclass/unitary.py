@@ -135,7 +135,13 @@ def spectrum(u, tol: float = TOL_NUM) -> CircleSet:
         defect = op_norm(gram)
         if defect > tol:
             raise NotUnitaryError(defect, tol)
-    eigs = eig_normal(m, tol=_floored(tol)).eigenvalues
+    # every U accepted here passes eig_normal's commutator test at 3t, t =
+    # _floored(tol): with E = U*U - I, ||E|| <= t + d (d the rounding of the
+    # test), and U = W P polar, UU* - U*U = W E W* - E has norm at most
+    # lam_max(E) - lam_min(E) and ||U||^2 = 1 + lam_max(E), so the defect is
+    # below 2 (t + d) / (1 + t + d) and at most 1; d and the defect's own
+    # rounding, each about m^2 u, leave room while 3 m^2 u <= TOL_FLOOR.
+    eigs = eig_normal(m, tol=3 * _floored(tol)).eigenvalues
     moduli = np.abs(eigs)
     if np.any(np.abs(moduli - 1.0) > _floored(tol) * 10):
         raise NotUnitaryError(float(np.max(np.abs(moduli - 1.0))), tol)
@@ -227,7 +233,8 @@ def rigid_equivalent(s: CircleSet, t: CircleSet, tol: float = TOL_FLOOR):
     :func:`_nearest_arcs` sweep of every candidate's moved points gives
     each candidate's forward residual, the first half of its Hausdorff
     residual, and only the candidates within ``tol`` there take the reverse
-    sweep, so a call costs O(m^2 log m) in every case.
+    sweep, so a call costs O(m^2 log m) in every case.  A residual is the
+    larger of the two halves, :func:`_hausdorff_angles` bit for bit.
     """
     if s.size != t.size:
         return None
@@ -237,8 +244,9 @@ def rigid_equivalent(s: CircleSet, t: CircleSet, tol: float = TOL_FLOOR):
         base = (-t.angles) % TWO_PI if reflect else t.angles
         rots = (s.angles[0] - base) % TWO_PI
         moved = (base + rots[:, None]) % TWO_PI  # row j: the candidate aligning base[j]
-        for j in np.flatnonzero(_nearest_arcs(s.angles, moved).max(axis=1) <= tol):
-            resid = _hausdorff_angles(np.sort(moved[j]), s.angles)
+        forward = _nearest_arcs(s.angles, moved).max(axis=1)
+        for j in np.flatnonzero(forward <= tol):
+            resid = max(float(forward[j]), float(_nearest_arcs(np.sort(moved[j]), s.angles).max()))
             if resid <= tol and resid < best_resid:
                 best = RigidMotion(rotation=float(rots[j]), reflect=reflect)
                 best_resid = resid

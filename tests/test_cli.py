@@ -63,6 +63,15 @@ class TestSpectrumAndCanon:
         assert rep["size"] == 2
         assert rep["angles"] == pytest.approx([0.0, math.pi / 2])
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-7, 1e-6])
+    def test_spectrum_accepts_a_unitarity_defect_up_to_tol(self, tmp_path, tol):
+        from test_unitary import near_unitary_draws
+
+        for i, u in enumerate(near_unitary_draws(tol)):
+            f = matrix_file(tmp_path, f"u{i}.json", u)
+            code, rep, out = call(["spectrum", f, "--tol", repr(tol)])
+            assert code == EXIT_OK and rep["size"] == len(u), out
+
     def test_canon(self, tmp_path):
         f = matrix_file(tmp_path, "u.json", np.diag([1.0, -1.0, 1j]))
         code, rep, _ = call(["canon", f])
@@ -250,6 +259,16 @@ class TestNorm:
         assert code == EXIT_OK
         assert rep["norm"] == pytest.approx(1.0)
         assert rep["system_dim"] == 3
+
+    def test_level_that_does_not_match_the_element_exits_invalid(self, tmp_path):
+        fs = tmp_path / "sys.json"
+        fs.write_text(json.dumps(
+            {"generators": [{"rows": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}]}))
+        fe = tmp_path / "el.json"
+        fe.write_text(json.dumps({"level": 1, "coeffs": [[[[0, 0], [1, 0], [0, 0]]]]}))
+        code, rep, _ = call(["norm", str(fs), "--element", str(fe), "--level", "2"])
+        assert code == EXIT_INVALID and rep["error"]["kind"] == "InputFormatError"
+        assert rep["error"]["message"] == "--level 2 does not match element level 1"
 
 
 class TestOsdist:
@@ -724,6 +743,16 @@ def test_deeply_nested_json_exits_invalid(tmp_path, command):
     code, rep, _ = call([command, str(p)])
     assert code == EXIT_INVALID
     assert rep["error"]["kind"] == "InputFormatError"
+
+
+def test_a_bad_value_is_cut_short_in_the_report(tmp_path):
+    # the message used to embed the whole nested value, 1800 brackets here
+    p = tmp_path / "nested.json"
+    p.write_text('{"rows": ' + "[" * 900 + "]" * 900 + "}")
+    code, rep, _ = call(["spectrum", str(p)])
+    message = rep["error"]["message"]
+    assert code == EXIT_INVALID and len(message) < 80
+    assert message.startswith("expected a complex number as [re, im], got [[")
 
 
 @pytest.mark.parametrize("prefix", [[], ["--timing"]])

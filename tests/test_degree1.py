@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from osclass import opsys
+from osclass import degree1, opsys
 from osclass.errors import CapacityError, DimensionError
 from osclass.degree1 import (DegreeOneMap, PointSet, deg1_via_opsys,
                              degree_one_homeomorphic, is_degree_one_assignment,
@@ -271,3 +271,12 @@ def test_monomial_matrix_rejects_overflow():
 def test_degree_one_map_shape_validation():
     with pytest.raises(DimensionError):
         DegreeOneMap(ambient=1, coeffs=np.zeros((1, 3)))
+
+
+def test_opsys_route_decides_different_sizes_without_a_search(monkeypatch):
+    monkeypatch.setattr(degree1, "bijection_sweep", lambda *args: pytest.fail("searched"))
+    d = PointSet(1, np.array([0.0, 1.0, 2j]))
+    e = PointSet(1, np.array([0.0, 1.0]))
+    for a, b in ((d, e), (e, d)):
+        dec = deg1_via_opsys(a, b)
+        assert not dec.homeomorphic and dec.witness is None and dec.tried == 0

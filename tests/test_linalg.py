@@ -238,6 +238,12 @@ class TestEigNormal:
         with pytest.raises(DimensionError):
             eig_normal(np.ones((2, 3)))
 
+    def test_zero_matrix(self):
+        for n in (1, 3):
+            dec = eig_normal(np.zeros((n, n)))
+            assert np.array_equal(dec.eigenvalues, np.zeros(n))
+            assert np.array_equal(dec.eigenvectors, np.eye(n))
+
 
 # --- eig_normal against complex Schur ----------------------------------------
 

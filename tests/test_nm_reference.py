@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from osclass import osdist
+from osclass import opsys, osdist
 from osclass.linalg import top_singular
 from osclass.opsys import build_system
 from osclass.osdist import (COND_BOUND, LinearMapCoords, _nelder_mead, amplified_map_norm,
@@ -205,9 +205,9 @@ def test_maps_split_into_batches_match_scipy(monkeypatch):
 
 def kernel_spy(monkeypatch):
     """Record every stack the inner ascents give the norm kernel
-    (``osdist._top_singular``) as a pair: whether ``_ratios`` made the call,
+    (``opsys._top_singular``, called by ``opsys._norms``) as a pair: whether ``_ratios`` made the call,
     and the stack.  The other calls are the plan's start denominators."""
-    calls, inside, ratios, kernel = [], [], osdist._ratios, osdist._top_singular
+    calls, inside, ratios, kernel = [], [], osdist._ratios, opsys._top_singular
 
     def spy_ratios(*args):
         inside.append(True)
@@ -221,7 +221,7 @@ def kernel_spy(monkeypatch):
         return kernel(stack)
 
     monkeypatch.setattr(osdist, "_ratios", spy_ratios)
-    monkeypatch.setattr(osdist, "_top_singular", spy)
+    monkeypatch.setattr(opsys, "_top_singular", spy)
     return calls
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from osclass import osdist
 from osclass.errors import CapacityError, DimensionError, NotComparableError
 from osclass.linalg import gram_rank
+from osclass.opsys import build_system
 from osclass.osdist import (LinearMapCoords, WtParams, amplified_map_norm,
                             commutant_dimension, dgh_weighted, dn_search,
                             trace_invariants, wt_classify, wt_matrix, wt_system)
@@ -327,3 +329,27 @@ def test_linear_map_coords_condition():
     assert np.isinf(LinearMapCoords(np.zeros((2, 2))).condition())
     with pytest.raises(DimensionError):
         LinearMapCoords(np.ones((2, 3)))
+
+
+def test_a_zero_element_scores_ratio_zero():
+    # a denominator below RATIO_FLOOR gives ratio 0, where 0 / 0 would be NaN
+    rng = np.random.default_rng(3)
+    x, y = (build_system([rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))])
+            for _ in range(2))
+    plan = osdist._Plan(x, y, 1, starts=1, iters=0, seed=0)
+    c = rng.standard_normal((3, 1, 1, x.dim)) + 0j
+    c[1] = 0.0
+    ratios = osdist._ratios(plan, c, np.array([np.eye(x.dim)] * 3), 3)
+    assert ratios[1] == 0.0 and ratios[0] > 0.0 and ratios[2] > 0.0
+
+
+def test_objective_with_no_usable_map_skips_the_ascents(monkeypatch):
+    # non-finite, zero and ill-conditioned maps score 1e6 with no inner work
+    x, y = zero_pair("adjoint")
+    monkeypatch.setattr(osdist, "_ascents", lambda *args: pytest.fail("a map was ascended"))
+    f = osdist._objective(x, y, 1, 1, 4, 0)
+    nn = x.dim
+    bad = [np.full((nn, nn), np.nan), np.full((nn, nn), np.inf), np.zeros((nn, nn)),
+           np.diag([1.0] + [1e-13] * (nn - 1))]
+    points = np.array([osdist._complex_to_real(m.astype(np.complex128)) for m in bad])
+    assert f(points).tolist() == [1e6] * len(bad)

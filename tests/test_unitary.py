@@ -71,6 +71,31 @@ class TestSpectrum:
         assert len(calls) == 0
 
 
+def near_unitary_draws(tol, draws=300):
+    """U = Q (I + 0.49 tol H), Q Haar, H Hermitian with ||H|| = 1, m = 2-11:
+    ||U*U - I|| <= 0.98 tol + (0.49 tol)^2 <= tol, while ||UU* - U*U|| can
+    reach about twice ||U*U - I||."""
+    rng = np.random.default_rng(0)
+    for _ in range(draws):
+        m = int(rng.integers(2, 12))
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        q, r = np.linalg.qr(a)
+        q = q * (np.diag(r) / np.abs(np.diag(r)))
+        h = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        h = h + h.conj().T
+        h /= np.linalg.norm(h, 2)
+        yield q @ (np.eye(m) + 0.49 * tol * h)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 5e-9, 1e-8, 1e-7, 1e-6])
+def test_spectrum_accepts_every_matrix_its_unitarity_test_passes(tol):
+    # the commutator test of eig_normal used to reject most of these draws
+    # from tol 1e-8 on: it allowed only tol ||U||^2 for a defect near 2 tol
+    for u in near_unitary_draws(tol):
+        assert np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2) <= tol
+        assert spectrum(u, tol).size == len(u)
+
+
 class TestCanonicalForm:
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(42)
@@ -192,6 +217,21 @@ def motion_inputs(rng, m, tol):
     yield poly, (-poly + rot) % TWO_PI
 
 
+def count_reverse_sweeps(monkeypatch):
+    """Log the size of every reverse sweep of ``rigid_equivalent``: a
+    ``_nearest_arcs`` call on one candidate's sorted points, where the
+    forward sweep of all candidates passes a 2-d stack."""
+    calls, nearest = [], unitary._nearest_arcs
+
+    def spy(ref, pts):
+        if np.ndim(pts) == 1:
+            calls.append(ref.size)
+        return nearest(ref, pts)
+
+    monkeypatch.setattr(unitary, "_nearest_arcs", spy)
+    return calls
+
+
 class TestScreenedRigidEquivalent:
     # polygons pass every candidate's forward sweep, and the largest size
     # runs at one tolerance to keep the test short
@@ -207,10 +247,7 @@ class TestScreenedRigidEquivalent:
                 assert rigid_equivalent(s, t, tol) == sweep_rigid_equivalent(s, t, tol), (m, tol)
 
     def test_screen_leaves_at_most_the_true_motion(self, monkeypatch):
-        calls = []
-        full_table = unitary._hausdorff_angles
-        monkeypatch.setattr(unitary, "_hausdorff_angles",
-                            lambda a, b: calls.append(a.size) or full_table(a, b))
+        calls = count_reverse_sweeps(monkeypatch)
         rng = np.random.default_rng(3)
         for m in (5, 20, 80):
             for a, b in list(motion_inputs(rng, m, 1e-8))[:3]:
@@ -219,10 +256,7 @@ class TestScreenedRigidEquivalent:
                 assert len(calls) <= 1, m
 
     def test_jittered_polygon_tests_every_candidate(self, monkeypatch):
-        calls = []
-        full_table = unitary._hausdorff_angles
-        monkeypatch.setattr(unitary, "_hausdorff_angles",
-                            lambda a, b: calls.append(a.size) or full_table(a, b))
+        calls = count_reverse_sweeps(monkeypatch)
         poly = np.arange(9) * TWO_PI / 9 + np.random.default_rng(4).uniform(-3e-10, 3e-10, 9)
         assert rigid_equivalent(CircleSet(poly), CircleSet((poly + 1.0) % TWO_PI)) is not None
         assert len(calls) == 18
