@@ -5,7 +5,8 @@ prints a single machine-readable report with certificates, seeds, and
 tolerances.  Exit codes: 0 computed, 2 invalid input, 4 capacity exceeded.
 Each subcommand's parser declaration names its handler and, for ``unitary-cois``,
 ``deg1`` and ``family``, the certificate replay ``verify`` runs, defined beside it.
-A replay reads the inputs its handler decoded in the same call (:func:`_decoded`).
+A replay decodes the stored certificate and hands it, with the inputs its
+handler decoded in the same call (:func:`_decoded`), to its route's check.
 """
 
 from __future__ import annotations
@@ -20,16 +21,12 @@ import numpy as np
 
 from . import degree1, formulas, io, metric, osdist, unitary
 from .errors import CapacityError, InputFormatError, OsclassError
-from .linalg import TOL_NUM, FactoredSpan, gram_rank
+from .linalg import TOL_NUM
 from .opsys import amplified_norm
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CAPACITY = 4
-
-#: A replayed certificate value passes within this of the expected one, times
-#: the largest expected magnitude when that exceeds 1.
-REPLAY_BOUND = 1e-7
 
 
 def _tolerance(text: str) -> float:
@@ -157,18 +154,14 @@ def _replay_unitary_cois(args, report: dict) -> list:
         return []
     ss, tt = _decoded(args, _unitary_spectra)
     if "motion" in cert:
-        rotation, reflect = cert["motion"]["rotation"], cert["motion"]["reflect"]
-        motion = unitary.RigidMotion(io.parse_real(rotation),
-                                     io.parse_boolean(reflect, "motion reflect"))
-        resid = unitary._hausdorff_angles(motion.apply_angles(tt.angles), ss.angles)
-        return [_check("rigid motion", np.array(resid), np.array(0.0))]
-    checks = []
-    zs, ws = ss.points(), tt.points()
-    perm = io.parse_bijection(cert["bijection"], zs.size)
-    for half, src, dst in (("forward", zs, ws[perm]), ("backward", ws, zs[np.argsort(perm)])):
-        a, b, c = (io.parse_complex(x) for x in cert[f"{half}_coeffs"])
-        checks.append(_check(f"{half} span coefficients", a + b * src + c * src.conj(), dst))
-    return checks
+        motion = cert["motion"]
+        decoded = {"motion": {"rotation": io.parse_real(motion["rotation"]),
+                              "reflect": io.parse_boolean(motion["reflect"], "motion reflect")}}
+    else:
+        decoded = {"bijection": io.parse_bijection(cert["bijection"], ss.size)}
+        for key in ("forward_coeffs", "backward_coeffs"):
+            decoded[key] = np.array([io.parse_complex(x) for x in cert[key]])
+    return unitary._certificate_checks(ss, tt, decoded)
 
 
 def _point_sets(args) -> tuple:
@@ -186,20 +179,12 @@ def _replay_deg1(args, report: dict) -> list:
     witness = report.get("witness")
     if not (report.get("homeomorphic") and isinstance(witness, dict) and "forward" in witness):
         return []
-    checks = []
     d, e = _decoded(args, _point_sets)
-    perm = io.parse_bijection(witness["bijection"], d.size)
-    for half, src, dst in (("forward", d, e.points[perm]),
-                           ("backward", e, d.points[np.argsort(perm)])):
+    decoded = {"bijection": io.parse_bijection(witness["bijection"], d.size)}
+    for half, src in (("forward", d), ("backward", e)):
         coeffs = io._numbers(witness[half]["coeffs"], 2, io.parse_complex)
-        out = degree1.DegreeOneMap(ambient=src.ambient, coeffs=coeffs).apply(src)
-        checks.append(_check(f"degree-1 {half} map", out, dst))
-        # a degree-1 map also has every product out_k conj(out_l) in the span
-        mono = degree1.monomial_matrix(src)
-        prods = degree1._coords_and_products(out)[:, src.ambient:]
-        fit, _, _ = FactoredSpan(mono).fit(prods)
-        checks.append(_check(f"degree-1 {half} products", mono @ fit, prods))
-    return checks
+        decoded[half] = degree1.DegreeOneMap(ambient=src.ambient, coeffs=coeffs)
+    return degree1._certificate_checks(d, e, decoded)
 
 
 def _cmd_norm(args) -> tuple[dict, int]:
@@ -238,15 +223,9 @@ def _replay_family(args, report: dict) -> list:
     cert = report.get("certificate")
     if not (args.variant == "2x2" and isinstance(cert, dict)):
         return []
-    u = io.parse_matrix({"rows": cert["unitary"]})
-    a, b, c = (io.parse_complex(x) for x in cert["coefficients"])
-    wt, ws = (osdist.wt_matrix(osdist.WtParams(x, "two_by_two")) for x in (args.t, args.s))
-    eye = np.eye(2)
-    moved = [u @ g @ u.conj().T for g in (eye, wt, wt.conj().T)]
-    onto = gram_rank([g.reshape(-1) for g in [eye, ws, ws.conj().T] + moved])
-    return [_check("W_t unitary", u.conj().T @ u, eye),
-            _check("W_t coefficients", moved[1], a * eye + b * ws + c * ws.conj().T),
-            _check("W_t onto rank", np.array(onto), np.array(3))]
+    decoded = {"unitary": io.parse_matrix({"rows": cert["unitary"]}),
+               "coefficients": np.array([io.parse_complex(x) for x in cert["coefficients"]])}
+    return osdist._certificate_checks(args.t, args.s, decoded)
 
 
 def _cmd_gh_dist(args) -> tuple[dict, int]:
@@ -262,12 +241,6 @@ def _cmd_gh_theory(args) -> tuple[dict, int]:
     m = io.parse_structure(io.load_json(args.structure))
     fp = formulas.universal_fingerprint(m, depth=args.depth)
     return {"fingerprint": list(fp), "depth": args.depth, "length": int(fp.size)}, EXIT_OK
-
-
-def _check(name: str, predicted: np.ndarray, expected: np.ndarray) -> dict:
-    resid = float(np.max(np.abs(predicted - expected)))  # relative past values of size 1
-    bound = REPLAY_BOUND * max(1.0, float(np.max(np.abs(expected))))
-    return {"check": name, "residual": resid, "pass": resid <= bound}
 
 
 def _cmd_verify(args) -> tuple[dict, int]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import opsys
 from .errors import CapacityError, DimensionError
-from .linalg import TOL_NUM, FactoredSpan, bijection_sweep
+from .linalg import TOL_NUM, FactoredSpan, _replay_check, bijection_sweep
 
 #: Most coordinate differences per numpy block of the coincidence check.
 _PAIR_BLOCK = 1 << 16
@@ -173,6 +173,23 @@ def degree_one_homeomorphic(d: PointSet, e: PointSet, tol: float = TOL_NUM,
         },
         tried=tried,
     )
+
+
+def _certificate_checks(d: PointSet, e: PointSet, witness: dict) -> list:
+    """The :func:`_replay_check` of a witness with both maps: each sends its
+    points onto the other set's, and the products of its values lie in the
+    monomial span."""
+    perm = np.asarray(witness["bijection"])
+    checks = []
+    for half, src, dst in (("forward", d, e.points[perm]),
+                           ("backward", e, d.points[np.argsort(perm)])):
+        mono, coeffs = monomial_matrix(src), witness[half].coeffs.T
+        out = mono @ coeffs
+        checks.append(_replay_check(f"degree-1 {half} map", out, dst, mono, coeffs))
+        prods = _coords_and_products(out)[:, src.ambient:]
+        fit = FactoredSpan(mono).fit(prods)[0]
+        checks.append(_replay_check(f"degree-1 {half} products", mono @ fit, prods, mono, fit))
+    return checks
 
 
 def _function_span(d: PointSet) -> np.ndarray:

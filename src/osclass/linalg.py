@@ -168,8 +168,8 @@ def _top_singular(a: np.ndarray) -> np.ndarray:
 #: polygon with a vertex at 1 share a pencil value.
 _PENCIL_THETA = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Pencil eigenvalues within this many ``||a||`` of their neighbour form one
-#: cluster in :func:`eig_normal`.
+#: Pencil eigenvalues within this many ``||a||`` of their neighbour, or within
+#: 4 sqrt(defect) ``||a||`` if that is more, form one cluster in :func:`eig_normal`.
 _CLUSTER_GAP = 1e-6
 
 #: Relative slack, per squared dimension, of the norm bounds that let
@@ -188,9 +188,11 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
 
     - Clusters.  Distinct eigenvalues can land on one pencil value, and
       near-equal pencil values mix their eigenvectors.  A run of pencil
-      eigenvalues each within ``_CLUSTER_GAP * ||a||`` of the next is a
-      cluster, and its compressed block Q_c* A Q_c is diagonalised by its
-      Schur vectors (``eig``'s eigenvectors, orthonormalised by QR in order).
+      eigenvalues each within the cut ``max(_CLUSTER_GAP ||a||, 4 sqrt(||C||))``
+      of the next, C = A A* - A* A, that is ``max(_CLUSTER_GAP, 4
+      sqrt(defect)) ||a||``, is a cluster, and its compressed block Q_c* A Q_c
+      is diagonalised by its Schur vectors (``eig``'s eigenvectors,
+      orthonormalised by QR in order).
     - Between clusters, rounding in ``eigh`` mixes two eigenvectors by about
       eps ||a|| / (pencil gap), which costs that times their eigenvalue
       distance in the residual.  With B = Q* A Q, the basis Q (I + X), X the
@@ -198,6 +200,21 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
       different clusters, removes that mix to first order.  Such a pair's
       pencil gap exceeds the cluster gap, so ``|B_jj - B_ii|`` exceeds it
       over ``|1 - i theta|``.
+
+    The slope 4.  A matrix that is not normal mixes the pencil's
+    eigenvectors too.  As C = -2i [H, K] and [H + theta K, K] = [H, K], in
+    the pencil's eigenbasis (values w) ``(w_i - w_j) K_ij = [H, K]_ij`` and
+    ``H_ij = -theta K_ij`` off the diagonal, so ``|B_ij| = |1 - i theta|
+    |[H, K]_ij| / |w_i - w_j|``.  Across the cut, then, each column of B has
+    squared norm at most ``(1 + theta^2) (||C|| / 2)^2 / (16 ||C||)``, below
+    0.022 ``||C||``, and the first-order mix ``|X_ij|`` is at most ``(1 +
+    theta^2) / 32 < 0.044``, well inside the range where first order holds.
+    The squared norm is what an eigenvalue, a Rayleigh quotient ``B_ii``,
+    loses in modulus to the other clusters: for a unitary up to t = ``||U*U
+    - I||``, ``||C|| <= 2 t`` (see ``spectrum``), so ``|lam|^2`` moves by
+    less than 0.05 t, against the 10 t that ``spectrum`` allows.  With the
+    cut at ``_CLUSTER_GAP ||a||`` alone, two pencil values sqrt(``||C||``)
+    apart mix to order 1, and their Rayleigh quotients leave the circle.
 
     The eigenvalues are the diagonal of B.  The residual ``||A Q - Q Lam||``
     is checked in the Frobenius norm, which bounds the operator norm, and a
@@ -230,8 +247,9 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
       for A + E, ``||E|| <= p(n) u ||A||`` (LAPACK Users' Guide, Sec. 4.9),
       with p modest; s = 1e-12 n^2, about 4500 n^2 u, covers both with room
       for the roundings of the square roots and of the screens' products.
-    - ``||C||`` is at most its Frobenius norm, computed within n^2 u, so
-      ``||C||_F (1 + s)`` bounds the SVD's value of it.
+    - ``||C||`` is at most its Frobenius norm, computed within n^2 u, and at
+      least that over sqrt(n), so ``||C||_F (1 - s) / sqrt(n)`` and
+      ``||C||_F (1 + s)`` bracket the SVD's value of it.
 
     The decisions, each reading the screen first and ``op_norm`` (at most
     once per norm) only when the screen leaves it open or an error reports
@@ -239,9 +257,10 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
 
     - normality passes when ``||C||_F (1 + s) <= tol lo^2``, since rounding
       is monotone and the defect is at most that over ``lo^2``;
-    - a pencil gap above ``_CLUSTER_GAP hi`` separates clusters and one at
-      most ``_CLUSTER_GAP lo`` does not; only a gap between the two takes
-      the norm, for ``fl(g lo) <= fl(g ||A||) <= fl(g hi)``;
+    - a pencil gap above the cut of the upper bounds separates clusters and
+      one at most the cut of the lower bounds does not, as the rounded cut
+      is monotone in both norms; only a gap between the two takes a norm,
+      ``||A||`` first and then ``||C||`` if one still falls between;
     - the residual passes when it is at most ``tol lo 10``, as
       ``max(tol, sqrt(defect)) >= tol``.
 
@@ -272,18 +291,28 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
     slack = _NORM_SLACK * n * n
     lo = math.sqrt(mhm.diagonal().real.max()) * (1.0 - slack)
     hi = math.sqrt(np.abs(mhm).sum(axis=1).max()) * (1.0 + slack)
-    nrm = defect = None
-    if not np.linalg.norm(comm) * (1.0 + slack) <= tol * lo * lo:
-        nrm = op_norm(m)
-        defect = op_norm(comm) / nrm**2
-        if defect > tol:
-            raise NotNormalError("commutator defect", defect, tol)
+    frob = np.linalg.norm(comm)
+    nrm = cnorm = None  # ||A|| and ||C|| as op_norm computes them, once taken
+    if not frob * (1.0 + slack) <= tol * lo * lo:
+        nrm, cnorm = op_norm(m), op_norm(comm)
+        if cnorm / nrm**2 > tol:
+            raise NotNormalError("commutator defect", cnorm / nrm**2, tol)
     half = m * (0.5 - 0.5j * _PENCIL_THETA)
     w, q = np.linalg.eigh(half + half.conj().T)  # H + theta K
     gaps = np.diff(w)
-    if nrm is None and ((gaps > _CLUSTER_GAP * lo) & (gaps <= _CLUSTER_GAP * hi)).any():
-        nrm = op_norm(m)
-    label = np.r_[0, np.cumsum(gaps > _CLUSTER_GAP * (hi if nrm is None else nrm))]
+
+    def cut(a: float, c: float) -> float:
+        """The cut between clusters, at bounds a and c of the norms not yet taken."""
+        return max(_CLUSTER_GAP * (a if nrm is None else nrm),
+                   4.0 * math.sqrt(c if cnorm is None else cnorm))
+
+    c_lo, c_hi = frob * (1.0 - slack) / math.sqrt(n), frob * (1.0 + slack)
+    while ((gaps > cut(lo, c_lo)) & (gaps <= cut(hi, c_hi))).any():
+        if nrm is None:
+            nrm = op_norm(m)
+        else:
+            cnorm = op_norm(comm)
+    label = np.r_[0, np.cumsum(gaps > cut(hi, c_hi))]
     for c in np.flatnonzero(np.bincount(label) > 1):
         qc = q[:, label == c]
         v = np.linalg.eig(qc.conj().T @ m @ qc)[1]
@@ -297,7 +326,7 @@ def eig_normal(a, tol: float = TOL_NUM) -> SpectralDecomposition:
     resid = np.linalg.norm(aq + aq @ x - q * lam)
     if not resid <= tol * lo * 10:
         nrm = op_norm(m) if nrm is None else nrm
-        defect = op_norm(comm) / nrm**2 if defect is None else defect
+        defect = (op_norm(comm) if cnorm is None else cnorm) / nrm**2
         limit = max(tol, np.sqrt(defect))
         if resid > limit * nrm * 10:
             raise NotNormalError("eigenbasis residual", resid / nrm, limit * 10)
@@ -402,6 +431,28 @@ class FactoredSpan:
         inner = basis.conj().T @ target
         resid = _column_norms(target - basis @ inner)
         return self._coef @ inner, resid, resid <= tol * np.maximum(1.0, size)
+
+
+#: A replayed certificate value passes within this of the magnitude of the
+#: terms that formed it (:func:`_replay_check`).
+REPLAY_BOUND = 1e-7
+
+
+def _replay_check(name: str, predicted, expected, basis=None, coeffs=None) -> dict:
+    """The one pass rule of a replayed certificate value: the absolute residual
+    ``max|predicted - expected|`` is at most ``REPLAY_BOUND`` times the size of
+    the terms that formed ``predicted``.  For a combination ``basis @ coeffs``
+    that is sum_i |c_i| max|b_i| over the columns b_i of ``basis``, the largest
+    over the columns of ``coeffs``: the componentwise backward-error scale
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Ch. 3),
+    which cancellation does not shrink.  Any other value takes max(1, max|expected|)."""
+    resid = float(np.max(np.abs(predicted - expected)))
+    if basis is None:
+        scale = max(1.0, float(np.max(np.abs(expected))))
+    else:
+        peaks = np.abs(basis).max(axis=0)
+        scale = float((peaks @ np.abs(coeffs).reshape(peaks.size, -1)).max())
+    return {"check": name, "residual": resid, "pass": resid <= REPLAY_BOUND * scale}
 
 
 #: Most nodes (partial bijections) one :func:`bijection_sweep` may visit; a

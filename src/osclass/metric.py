@@ -208,10 +208,13 @@ def _katetov_eps(g: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
     That is the largest ``(d(x, x~) - g(x, y) - g(x~, y)) / 2`` over both
     sides: ``d(x, x~) <= 2 eps + g(x, y) + g(x~, y)``, and likewise on y.
+    The maximum is halved once, not every entry: rounded halving is monotone
+    (x <= y gives fl(x / 2) <= fl(y / 2)), so the half of the largest entry
+    is the largest of the halves, bit for bit, NaN and infinities included.
     """
     return np.maximum(
-        ((dx[None, :, :, None] - g[:, :, None, :] - g[:, None, :, :]) / 2.0).max(axis=(1, 2, 3)),
-        ((dy[None, None] - g[:, :, :, None] - g[:, :, None, :]) / 2.0).max(axis=(1, 2, 3)))
+        (dx[None, :, :, None] - g[:, :, None, :] - g[:, None, :, :]).max(axis=(1, 2, 3)),
+        (dy[None, None] - g[:, :, :, None] - g[:, :, None, :]).max(axis=(1, 2, 3))) / 2.0
 
 
 def _relation_eps(g: np.ndarray, value_gaps, eps: np.ndarray) -> np.ndarray:

@@ -151,13 +151,17 @@ def greedy_basis(candidates) -> list[int]:
     on a non-finite entry or a norm past the float range).  The first nonzero
     candidate is kept; a later one when the kept unit vectors with it have a
     larger :func:`linalg.numerical_rank` at ``TOL_NUM`` than without.  So a
-    candidate's scale never decides whether it is kept.
+    candidate's scale never decides whether it is kept.  Once as many are
+    kept as the candidates have entries, the search stops: a matrix of that
+    many rows has no more singular values, so no rank passes the count.
     """
     if not candidates:
         return []
     unit, _ = linalg.equilibrate(np.column_stack([np.ravel(c) for c in candidates]))
     kept: list[int] = []
     for i in np.flatnonzero(unit.any(axis=0)).tolist():  # zero candidates are skipped
+        if len(kept) == unit.shape[0]:
+            break
         if not kept or linalg.numerical_rank(
                 np.linalg.svd(unit[:, kept + [i]], compute_uv=False), TOL_NUM) > len(kept):
             kept.append(i)

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, NotComparableError
 # op_norm stays importable from here: the benchmark's tracer test reads osdist.op_norm
-from .linalg import TOL_NUM, FactoredSpan, gram_rank, op_norm, top_singular  # noqa: F401
+from .linalg import (TOL_NUM, FactoredSpan, _replay_check, gram_rank, op_norm,  # noqa: F401
+                     top_singular)
 from .opsys import OperatorSystemSpan, _norms, _stack, build_system
 from .unitary import CoisDecision
 
@@ -601,14 +602,24 @@ def wt_classify(t: float, s: float, variant: str = "three_by_three",
     eye = np.eye(2, dtype=np.complex128)
     rows = np.array([eye.reshape(-1), ws.reshape(-1), ws.conj().T.reshape(-1)])
     coeffs, resid, _ = FactoredSpan(rows.T).fit((u @ wt @ u.conj().T).reshape(-1, 1))
-    moved = [(u @ g @ u.conj().T).reshape(-1) for g in (eye, wt, wt.conj().T)]
-    cert = {
-        "unitary": u,
-        "coefficients": coeffs[:, 0],
-        "residual": float(resid[0]),
-        "spans_match": gram_rank(list(rows) + moved) == 3,
-        "analysis": "span{I, W_t, W_t*} = {A : tr(H_t A) = 0} for H_t = [[t,-1],[-1,-t]]; "
-                    "U = Q_s Q_t^T maps eigenvectors of H_t to those of H_s, so "
-                    "U H_t U* is a positive multiple of H_s and U carries span onto span",
-    }
+    cert = {"unitary": u, "coefficients": coeffs[:, 0], "residual": float(resid[0])}
+    cert["spans_match"] = _certificate_checks(t, s, cert)[2]["pass"]  # the onto rank
+    cert["analysis"] = ("span{I, W_t, W_t*} = {A : tr(H_t A) = 0} for H_t = [[t,-1],[-1,-t]]; "
+                        "U = Q_s Q_t^T maps eigenvectors of H_t to those of H_s, so "
+                        "U H_t U* is a positive multiple of H_s and U carries span onto span")
     return CoisDecision("Isomorphic", "theorem-fast-path", cert)
+
+
+def _certificate_checks(t: float, s: float, cert: dict) -> list:
+    """The :func:`_replay_check` of a 2x2 :func:`wt_classify` certificate: U is
+    unitary, U W_t U* is a I + b W_s + c W_s*, and U carries span onto span."""
+    u, (a, b, c) = cert["unitary"], cert["coefficients"]
+    wt, ws = (wt_matrix(WtParams(x, "two_by_two")) for x in (t, s))
+    eye = np.eye(2)
+    span = [eye, ws, ws.conj().T]
+    moved = [u @ g @ u.conj().T for g in (eye, wt, wt.conj().T)]
+    onto = gram_rank([g.reshape(-1) for g in span + moved])
+    return [_replay_check("W_t unitary", u.conj().T @ u, eye),
+            _replay_check("W_t coefficients", moved[1], a * eye + b * ws + c * ws.conj().T,
+                          np.column_stack([g.ravel() for g in span]), cert["coefficients"]),
+            _replay_check("W_t onto rank", onto, 3)]

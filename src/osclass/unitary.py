@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NotUnitaryError
-from .linalg import TOL_NUM, FactoredSpan, as_matrix, bijection_sweep, eig_normal, op_norm
+from .linalg import (TOL_NUM, FactoredSpan, _replay_check, as_matrix, bijection_sweep,
+                     eig_normal, op_norm)
 
 TWO_PI = 2.0 * np.pi
 
@@ -305,6 +306,26 @@ def _bijection_decision(ss: CircleSet, tt: CircleSet, tol: float) -> CoisDecisio
             "residuals": [float(fwd_resid[0]), float(bwd_resid[0])],
         },
     )
+
+
+def _certificate_checks(ss: CircleSet, tt: CircleSet, cert: dict) -> list:
+    """The :func:`_replay_check` of an Isomorphic certificate with a rigid
+    motion (it moves ``tt`` onto ``ss``) or a bijection (each of the oracle's
+    fits a + b z + c conj z sends its spectrum onto the other); any other
+    certificate has nothing to replay."""
+    if "motion" in cert:
+        moved = RigidMotion(**cert["motion"]).apply_angles(tt.angles)
+        return [_replay_check("rigid motion", _hausdorff_angles(moved, ss.angles), 0.0)]
+    if "bijection" not in cert:
+        return []
+    zs, ws, perm = ss.points(), tt.points(), np.asarray(cert["bijection"])
+    checks = []
+    for half, src, dst in (("forward", zs, ws[perm]), ("backward", ws, zs[np.argsort(perm)])):
+        a, b, c = coeffs = cert[f"{half}_coeffs"]
+        basis = np.column_stack([np.ones_like(src), src, src.conj()])
+        checks.append(_replay_check(f"{half} span coefficients", a + b * src + c * src.conj(),
+                                    dst, basis, coeffs))
+    return checks
 
 
 def cois_unitary_oracle(u, v, tol: float = TOL_NUM) -> CoisDecision:

@@ -63,7 +63,7 @@ class TestSpectrumAndCanon:
         assert rep["size"] == 2
         assert rep["angles"] == pytest.approx([0.0, math.pi / 2])
 
-    @pytest.mark.parametrize("tol", [1e-8, 1e-7, 1e-6])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-7, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3])
     def test_spectrum_accepts_a_unitarity_defect_up_to_tol(self, tmp_path, tol):
         from test_unitary import near_unitary_draws
 
@@ -724,6 +724,29 @@ class TestVerifyWt2:
         verdicts = {c["check"]: c["pass"] for c in vrep["certificate_checks"]}
         assert verdicts == {"W_t unitary": True, "W_t coefficients": False,
                             "W_t onto rank": True}
+
+    @pytest.mark.parametrize("s", ["1e-4", "1e-6", "1e-8", "1e-9", "1e-10"])
+    def test_coefficients_that_cancel_replay(self, tmp_path, s):
+        # the coefficients grow as 1/s and cancel to entries of size 1; the
+        # fit is measured against the size of its terms, not of its value
+        _, path = stored_report(tmp_path, WT2_ARGV[:4] + ["--t", "1.0", "--s", s])
+        code, vrep, _ = call(["verify", str(path)])
+        assert code == EXIT_OK and vrep["verified"] is True
+
+    def test_a_coefficient_moved_by_a_millionth_fails_where_they_cancel(self, tmp_path):
+        rep, _ = stored_report(tmp_path, WT2_ARGV[:4] + ["--t", "1.0", "--s", "1e-10"])
+        coeffs = rep["certificate"]["coefficients"]
+        coeffs[1][0] *= 1 + 1e-6
+        path = tmp_path / "tampered.json"
+        path.write_text(canonical_report(rep) + "\n")
+        code, vrep, _ = call(["verify", str(path)])
+        assert code == EXIT_INVALID
+        checks = {c["check"]: c for c in vrep["certificate_checks"]}
+        assert {name: c["pass"] for name, c in checks.items()} == {
+            "W_t unitary": True, "W_t coefficients": False, "W_t onto rank": True}
+        # I, W_s and W_s* all have largest entry 1: the terms sum to sum |c_i|
+        scale = sum(abs(complex(*c)) for c in coeffs)
+        assert 4e-7 < checks["W_t coefficients"]["residual"] / scale < 6e-7
 
 
 @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])

@@ -343,12 +343,14 @@ def reference_eig_normal(a, tol=linalg.TOL_NUM):
         n = m.shape[0]
         return linalg.SpectralDecomposition(np.zeros(n, dtype=np.complex128),
                                             np.eye(n, dtype=np.complex128))
-    defect = op_norm(m @ m.conj().T - m.conj().T @ m) / nrm**2
+    cnorm = op_norm(m @ m.conj().T - m.conj().T @ m)
+    defect = cnorm / nrm**2
     if defect > tol:
         raise NotNormalError("commutator defect", defect, tol)
     half = m * (0.5 - 0.5j * linalg._PENCIL_THETA)
     w, q = np.linalg.eigh(half + half.conj().T)  # H + theta K
-    label = np.r_[0, np.cumsum(np.diff(w) > linalg._CLUSTER_GAP * nrm)]
+    cut = max(linalg._CLUSTER_GAP * nrm, 4.0 * np.sqrt(cnorm))
+    label = np.r_[0, np.cumsum(np.diff(w) > cut)]
     for c in np.flatnonzero(np.bincount(label) > 1):
         qc = q[:, label == c]
         v = np.linalg.eig(qc.conj().T @ m @ qc)[1]

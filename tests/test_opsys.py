@@ -95,6 +95,17 @@ def test_greedy_basis_checks_each_candidate():
     assert greedy_basis([np.ones(2), np.array([1e200, 1e200]), np.array([1e200, 0.0])]) == [0, 2]
 
 
+def test_greedy_basis_stops_once_the_kept_vectors_fill_every_row(monkeypatch):
+    # three kept vectors of length 3 span the rows: the last three candidates
+    # cannot raise the rank, so they take no SVD
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    rng = np.random.default_rng(3)
+    candidates = [*np.eye(3) + 0.1 * rng.standard_normal((3, 3)), *rng.standard_normal((3, 3))]
+    assert greedy_basis(candidates) == [0, 1, 2]
+    assert len(calls) == 2
+
+
 def test_build_system_empty_raises():
     with pytest.raises(EmptySystemError):
         build_system([], include_identity=True)
