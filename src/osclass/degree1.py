@@ -183,12 +183,14 @@ def _certificate_checks(d: PointSet, e: PointSet, witness: dict) -> list:
     checks = []
     for half, src, dst in (("forward", d, e.points[perm]),
                            ("backward", e, d.points[np.argsort(perm)])):
-        mono, coeffs = monomial_matrix(src), witness[half].coeffs.T
-        out = mono @ coeffs
-        checks.append(_replay_check(f"degree-1 {half} map", out, dst, mono, coeffs))
+        span = FactoredSpan(monomial_matrix(src))
+        with np.errstate(invalid="ignore"):  # a non-finite coefficient fails below
+            out = span.span @ witness[half].coeffs.T
+        checks.append(_replay_check(f"degree-1 {half} map", out, dst, span))
         prods = _coords_and_products(out)[:, src.ambient:]
-        fit = FactoredSpan(mono).fit(prods)[0]
-        checks.append(_replay_check(f"degree-1 {half} products", mono @ fit, prods, mono, fit))
+        # the products' own fit: a non-finite map output has none, and fails
+        own = span.span @ span.fit(prods)[0] if np.isfinite(prods).all() else np.nan
+        checks.append(_replay_check(f"degree-1 {half} products", own, prods, span))
     return checks
 
 

@@ -434,25 +434,38 @@ class FactoredSpan:
 
 
 #: A replayed certificate value passes within this of the magnitude of the
-#: terms that formed it (:func:`_replay_check`).
+#: terms that form the value it replays (:func:`_replay_check`).
 REPLAY_BOUND = 1e-7
 
 
-def _replay_check(name: str, predicted, expected, basis=None, coeffs=None) -> dict:
+def _replay_check(name: str, predicted, expected, span: FactoredSpan | None = None) -> dict:
     """The one pass rule of a replayed certificate value: the absolute residual
     ``max|predicted - expected|`` is at most ``REPLAY_BOUND`` times the size of
-    the terms that formed ``predicted``.  For a combination ``basis @ coeffs``
-    that is sum_i |c_i| max|b_i| over the columns b_i of ``basis``, the largest
-    over the columns of ``coeffs``: the componentwise backward-error scale
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Ch. 3),
-    which cancellation does not shrink.  Any other value takes max(1, max|expected|)."""
-    resid = float(np.max(np.abs(predicted - expected)))
-    if basis is None:
-        scale = max(1.0, float(np.max(np.abs(expected))))
+    the terms that form ``expected``, and that size is finite.
+
+    - When ``predicted`` is a certificate's combination of the columns b_i of
+      ``span`` (one output per column of ``expected``), the size is
+      sum_i |f_i| max|b_i| for the checker's own fit f of ``expected``
+      (:meth:`FactoredSpan.fit`), the largest over output columns: the
+      componentwise backward-error scale (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2nd ed., Ch. 3), which cancellation does not
+      shrink.  It comes from the fit, not from the certificate, so no
+      certificate widens its own bound (a large multiple of a near-null
+      combination of the span would).  A value the span test rejects at
+      ``REPLAY_BOUND``, or one that is not finite, has no fit and fails.
+    - Any other value takes max(1, max|expected|).
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf is a nan residual, and fails
+        resid = float(np.max(np.abs(predicted - expected)))
+    if span is None:
+        scale, inside = max(1.0, float(np.max(np.abs(expected)))), True
+    elif np.isfinite(expected).all():
+        fit, _, accepted = span.fit(expected, REPLAY_BOUND)
+        scale, inside = float((np.abs(span.span).max(axis=0) @ np.abs(fit)).max()), accepted.all()
     else:
-        peaks = np.abs(basis).max(axis=0)
-        scale = float((peaks @ np.abs(coeffs).reshape(peaks.size, -1)).max())
-    return {"check": name, "residual": resid, "pass": resid <= REPLAY_BOUND * scale}
+        scale, inside = math.inf, False
+    return {"check": name, "residual": resid,
+            "pass": bool(inside) and math.isfinite(scale) and resid <= REPLAY_BOUND * scale}
 
 
 #: Most nodes (partial bijections) one :func:`bijection_sweep` may visit; a

@@ -603,7 +603,7 @@ def wt_classify(t: float, s: float, variant: str = "three_by_three",
     rows = np.array([eye.reshape(-1), ws.reshape(-1), ws.conj().T.reshape(-1)])
     coeffs, resid, _ = FactoredSpan(rows.T).fit((u @ wt @ u.conj().T).reshape(-1, 1))
     cert = {"unitary": u, "coefficients": coeffs[:, 0], "residual": float(resid[0])}
-    cert["spans_match"] = _certificate_checks(t, s, cert)[2]["pass"]  # the onto rank
+    cert["spans_match"] = _onto_rank(u, wt, ws) == 3
     cert["analysis"] = ("span{I, W_t, W_t*} = {A : tr(H_t A) = 0} for H_t = [[t,-1],[-1,-t]]; "
                         "U = Q_s Q_t^T maps eigenvectors of H_t to those of H_s, so "
                         "U H_t U* is a positive multiple of H_s and U carries span onto span")
@@ -616,10 +616,16 @@ def _certificate_checks(t: float, s: float, cert: dict) -> list:
     u, (a, b, c) = cert["unitary"], cert["coefficients"]
     wt, ws = (wt_matrix(WtParams(x, "two_by_two")) for x in (t, s))
     eye = np.eye(2)
-    span = [eye, ws, ws.conj().T]
-    moved = [u @ g @ u.conj().T for g in (eye, wt, wt.conj().T)]
-    onto = gram_rank([g.reshape(-1) for g in span + moved])
+    span = FactoredSpan(np.column_stack([g.ravel() for g in (eye, ws, ws.conj().T)]))
     return [_replay_check("W_t unitary", u.conj().T @ u, eye),
-            _replay_check("W_t coefficients", moved[1], a * eye + b * ws + c * ws.conj().T,
-                          np.column_stack([g.ravel() for g in span]), cert["coefficients"]),
-            _replay_check("W_t onto rank", onto, 3)]
+            _replay_check("W_t coefficients", (a * eye + b * ws + c * ws.conj().T).ravel(),
+                          (u @ wt @ u.conj().T).ravel(), span),
+            _replay_check("W_t onto rank", _onto_rank(u, wt, ws), 3)]
+
+
+def _onto_rank(u: np.ndarray, wt: np.ndarray, ws: np.ndarray) -> int:
+    """The rank of span{I, W_s, W_s*} joined with its image U g U* of each g
+    in {I, W_t, W_t*}: 3 when conjugation by U carries span onto span."""
+    eye = np.eye(2)
+    moved = [u @ g @ u.conj().T for g in (eye, wt, wt.conj().T)]
+    return gram_rank([g.reshape(-1) for g in [eye, ws, ws.conj().T] + moved])

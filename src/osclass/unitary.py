@@ -321,10 +321,10 @@ def _certificate_checks(ss: CircleSet, tt: CircleSet, cert: dict) -> list:
     zs, ws, perm = ss.points(), tt.points(), np.asarray(cert["bijection"])
     checks = []
     for half, src, dst in (("forward", zs, ws[perm]), ("backward", ws, zs[np.argsort(perm)])):
-        a, b, c = coeffs = cert[f"{half}_coeffs"]
-        basis = np.column_stack([np.ones_like(src), src, src.conj()])
+        a, b, c = cert[f"{half}_coeffs"]
+        span = FactoredSpan(np.column_stack([np.ones_like(src), src, src.conj()]))
         checks.append(_replay_check(f"{half} span coefficients", a + b * src + c * src.conj(),
-                                    dst, basis, coeffs))
+                                    dst, span))
     return checks
 
 
