@@ -177,13 +177,14 @@ def _cmd_deg1(args) -> tuple[dict, int]:
 
 def _replay_deg1(args, report: dict) -> list:
     witness = report.get("witness")
-    if not (report.get("homeomorphic") and isinstance(witness, dict) and "forward" in witness):
+    if not (report.get("homeomorphic") and isinstance(witness, dict)):
         return []
     d, e = _decoded(args, _point_sets)
     decoded = {"bijection": io.parse_bijection(witness["bijection"], d.size)}
-    for half, src in (("forward", d), ("backward", e)):
-        coeffs = io._numbers(witness[half]["coeffs"], 2, io.parse_complex)
-        decoded[half] = degree1.DegreeOneMap(ambient=src.ambient, coeffs=coeffs)
+    if not args.via_opsys:  # the opsys route's witness is the bijection alone
+        for half, src in (("forward", d), ("backward", e)):
+            coeffs = io._numbers(witness[half]["coeffs"], 2, io.parse_complex)
+            decoded[half] = degree1.DegreeOneMap(ambient=src.ambient, coeffs=coeffs)
     return degree1._certificate_checks(d, e, decoded)
 
 

@@ -33,6 +33,8 @@ CONNECTIVE_BOUND = 16.0
 
 
 class Formula:
+    tag: str  # the connective's name, spelled once: the first entry of its key()
+
     def free_vars(self) -> tuple:
         raise NotImplementedError
 
@@ -43,49 +45,35 @@ class Formula:
 
 @dataclass(frozen=True)
 class Atom(Formula):
+    tag = "atom"
     relation: str
     variables: tuple
 
     def free_vars(self):
-        out = []
-        for v in self.variables:
-            if v not in out:
-                out.append(v)
-        return tuple(out)
+        return tuple(dict.fromkeys(self.variables))
 
     def key(self):
-        return ("atom", self.relation, self.variables)
+        return (self.tag, self.relation, self.variables)
 
 
 @dataclass(frozen=True)
-class Max(Formula):
+class _Lattice(Formula):
+    """The shape of ``Max`` and ``Min``."""
+
     left: Formula
     right: Formula
 
     def free_vars(self):
-        out = list(self.left.free_vars())
-        return tuple(out + [v for v in self.right.free_vars() if v not in out])
+        return tuple(dict.fromkeys(self.left.free_vars() + self.right.free_vars()))
 
     def key(self):
-        return ("max", self.left.key(), self.right.key())
+        return (self.tag, self.left.key(), self.right.key())
 
 
 @dataclass(frozen=True)
-class Min(Formula):
-    left: Formula
-    right: Formula
-
-    def free_vars(self):
-        out = list(self.left.free_vars())
-        return tuple(out + [v for v in self.right.free_vars() if v not in out])
-
-    def key(self):
-        return ("min", self.left.key(), self.right.key())
-
-
-@dataclass(frozen=True)
-class AddConst(Formula):
-    """x -> clip(x + q, -bound, bound) for a rational q."""
+class _Affine(Formula):
+    """The shape of ``AddConst``, x -> clip(x + q, -bound, bound), and of
+    ``Scale``, x -> clip(q x, -bound, bound), for a rational q."""
 
     const: Fraction
     arg: Formula
@@ -94,25 +82,13 @@ class AddConst(Formula):
         return self.arg.free_vars()
 
     def key(self):
-        return ("add", str(self.const), self.arg.key())
+        return (self.tag, str(self.const), self.arg.key())
 
 
 @dataclass(frozen=True)
-class Scale(Formula):
-    """x -> clip(q x, -bound, bound) for a rational q."""
+class _Quantifier(Formula):
+    """The shape of ``Sup`` and ``Inf`` over the points of one domain."""
 
-    const: Fraction
-    arg: Formula
-
-    def free_vars(self):
-        return self.arg.free_vars()
-
-    def key(self):
-        return ("scale", str(self.const), self.arg.key())
-
-
-@dataclass(frozen=True)
-class Sup(Formula):
     variable: str
     domain: int
     body: Formula
@@ -121,20 +97,31 @@ class Sup(Formula):
         return tuple(v for v in self.body.free_vars() if v != self.variable)
 
     def key(self):
-        return ("sup", self.variable, self.domain, self.body.key())
+        return (self.tag, self.variable, self.domain, self.body.key())
 
 
-@dataclass(frozen=True)
-class Inf(Formula):
-    variable: str
-    domain: int
-    body: Formula
+class Max(_Lattice):
+    tag = "max"
 
-    def free_vars(self):
-        return tuple(v for v in self.body.free_vars() if v != self.variable)
 
-    def key(self):
-        return ("inf", self.variable, self.domain, self.body.key())
+class Min(_Lattice):
+    tag = "min"
+
+
+class AddConst(_Affine):
+    tag = "add"
+
+
+class Scale(_Affine):
+    tag = "scale"
+
+
+class Sup(_Quantifier):
+    tag = "sup"
+
+
+class Inf(_Quantifier):
+    tag = "inf"
 
 
 def _clip(v: float) -> float:
@@ -209,8 +196,8 @@ def _relation_names(signature: Signature | None, m: FiniteStructure | None) -> l
     return sorted((n, arities[n]) for n in names)
 
 
-#: The unary connectives of the enumeration: Formula class, key tag, constant.
-_UNARY = ((AddConst, "add", Fraction(1)), (Scale, "scale", Fraction(1, 2)))
+#: The unary connectives of the enumeration: Formula class, constant.
+_UNARY = ((AddConst, Fraction(1)), (Scale, Fraction(1, 2)))
 
 
 def _term_table(names: list, depth: int) -> list:
@@ -234,20 +221,20 @@ def _term_table(names: list, depth: int) -> list:
                  + (n[(s - 3) // 2] if s % 2 else 0))
     if sum(n) > MAX_TERMS:
         raise CapacityError(f"the depth-{depth} enumeration has more than {MAX_TERMS} terms")
-    rows = sorted(((("atom", name, tup), Atom, (), None, 1)
+    rows = sorted((((Atom.tag, name, tup), Atom, (), None, 1)
                    for name, arity in names for tup in _canonical_tuples(arity)),
                   key=lambda r: r[0])
     start = [0, 0, len(rows)]  # the rows of size s are rows[start[s]:start[s + 1]]
     for s in range(2, depth + 1):
-        level = [((tag, str(q), rows[c][0]), kind, (c,), q, s)
-                 for c in range(start[s - 1], start[s]) for kind, tag, q in _UNARY]
+        level = [((kind.tag, str(q), rows[c][0]), kind, (c,), q, s)
+                 for c in range(start[s - 1], start[s]) for kind, q in _UNARY]
         for ls in range(1, s - 1):
             lo, hi = start[s - 1 - ls], start[s - ls]
             right = [r[0] for r in rows[lo:hi]]
-            level += [((tag, rows[a][0], rows[b][0]), kind, (a, b), None, s)
+            level += [((kind.tag, rows[a][0], rows[b][0]), kind, (a, b), None, s)
                       for a in range(start[ls], start[ls + 1])
                       for b in range(lo + bisect.bisect_left(right, rows[a][0]), hi)
-                      for kind, tag in ((Max, "max"), (Min, "min"))]
+                      for kind in (Max, Min)]
         level.sort(key=lambda r: r[0])
         rows += level
         start.append(len(rows))

@@ -453,17 +453,23 @@ def _replay_check(name: str, predicted, expected, span: FactoredSpan | None = No
       certificate widens its own bound (a large multiple of a near-null
       combination of the span would).  A value the span test rejects at
       ``REPLAY_BOUND``, or one that is not finite, has no fit and fails.
+    - ``predicted`` None, with a span, checks that ``expected`` lies in the
+      span: the combination is the one of that same fit f (whose coefficients
+      do not depend on the test's tolerance), and a non-finite ``expected``
+      has a nan residual.
     - Any other value takes max(1, max|expected|).
     """
-    with np.errstate(invalid="ignore"):  # inf - inf is a nan residual, and fails
-        resid = float(np.max(np.abs(predicted - expected)))
     if span is None:
         scale, inside = max(1.0, float(np.max(np.abs(expected)))), True
     elif np.isfinite(expected).all():
         fit, _, accepted = span.fit(expected, REPLAY_BOUND)
         scale, inside = float((np.abs(span.span).max(axis=0) @ np.abs(fit)).max()), accepted.all()
+        if predicted is None:
+            predicted = np.reshape(span.span @ fit, np.shape(expected))
     else:
         scale, inside = math.inf, False
+    with np.errstate(invalid="ignore"):  # inf - inf, or no fit to combine, is a nan residual
+        resid = float(np.max(np.abs((np.nan if predicted is None else predicted) - expected)))
     return {"check": name, "residual": resid,
             "pass": bool(inside) and math.isfinite(scale) and resid <= REPLAY_BOUND * scale}
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from osclass import degree1, linalg, osdist, unitary
-from osclass.degree1 import DegreeOneMap, PointSet, degree_one_homeomorphic
+from osclass.degree1 import DegreeOneMap, PointSet, deg1_via_opsys, degree_one_homeomorphic
 from osclass.osdist import wt_classify
 from osclass.unitary import cois_unitary_oracle, cois_unitary_theorem, spectrum
 from test_cli import ellipse_pair
@@ -72,6 +72,21 @@ def test_degree_one_maps_replay_and_a_moved_coefficient_fails_its_map():
         witness[half] = DegreeOneMap(1, coeffs)
         got = verdicts(degree1._certificate_checks(d, e, witness))
         assert got.pop(f"degree-1 {half} map") is False and all(got.values())
+
+
+def test_via_opsys_bijection_replays_and_a_swapped_pair_fails_both_checks():
+    z = np.array([0.3 + 1j, -2.0, 0.5j, 1.0, 2.0 - 1j])
+    d, e = PointSet(1, z), PointSet(1, 2 * z + 1j)
+    dec = deg1_via_opsys(d, e)
+    assert dec.witness == {"bijection": [0, 1, 2, 3, 4]}
+    checks = degree1._certificate_checks(d, e, dec.witness)
+    assert verdicts(checks) == {"function span forward": True, "function span backward": True}
+    # each residual is the distance of the pulled-back span from its own fit
+    fd, fe = (linalg.FactoredSpan(degree1._function_span(p)) for p in (d, e))
+    for check, span, pulled in zip(checks, (fd, fe), (fe.span, fd.span)):
+        assert check["residual"] == np.max(np.abs(span.span @ span.fit(pulled)[0] - pulled))
+    assert verdicts(degree1._certificate_checks(d, e, {"bijection": [1, 0, 2, 3, 4]})) == {
+        "function span forward": False, "function span backward": False}
 
 
 def test_wt_unitary_replays_and_a_moved_coefficient_fails():
@@ -178,6 +193,21 @@ class TestReplayRule:
         assert not linalg._replay_check("c", np.array([np.inf, np.inf]), np.ones(2), span)["pass"]
         assert not linalg._replay_check("c", np.ones(2), np.array([np.inf, 1.0]), span)["pass"]
         assert not linalg._replay_check("c", np.inf, np.inf)["pass"]
+
+    @pytest.mark.parametrize("expected", [np.array([1.0, 2.0, 4.0]),
+                                          np.array([[1.0, 0.0], [2.0, 1.0], [4.0, 3.0]])])
+    def test_a_value_in_the_span_is_its_own_fit_bit_for_bit(self, expected):
+        span = linalg.FactoredSpan(np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 3.0]]))
+        own = np.reshape(span.span @ span.fit(expected)[0], expected.shape)
+        check = linalg._replay_check("c", None, expected, span)
+        assert check["pass"] and check == linalg._replay_check("c", own, expected, span)
+        moved = expected + 1e-3 * (expected == 4.0)
+        assert not linalg._replay_check("c", None, moved, span)["pass"]
+
+    def test_a_value_in_the_span_that_is_not_finite_fails_with_a_nan_residual(self):
+        span = linalg.FactoredSpan(np.array([[1.0], [1.0]]))
+        check = linalg._replay_check("c", None, np.array([np.inf, 1.0]), span)
+        assert np.isnan(check["residual"]) and check["pass"] is False
 
     def test_other_values_keep_the_scale_of_the_expected_value_past_one(self):
         assert linalg._replay_check("c", 0.5e-7, 0.0)["pass"]

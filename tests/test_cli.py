@@ -605,6 +605,24 @@ class TestVerifyCertificates:
             "degree-1 backward map", "degree-1 backward products"]
         assert all(c["pass"] for c in vrep["certificate_checks"])
 
+    def test_via_opsys_witness_replays_both_function_spans(self, tmp_path):
+        z = np.array([0.3 + 1j, -2.0, 0.5j, 1.0, 2.0 - 1j])
+        fd = points_file(tmp_path, "d.json", z.reshape(-1, 1))
+        fe = points_file(tmp_path, "e.json", (2 * z.conj() + 1j).reshape(-1, 1))
+        rep, path = stored_report(tmp_path, ["deg1", fd, fe, "--via-opsys"])
+        assert rep["witness"] == {"bijection": [0, 1, 2, 3, 4]}
+        code, vrep, _ = call(["verify", str(path)])
+        assert code == EXIT_OK and vrep["verified"] is True
+        assert {c["check"]: c["pass"] for c in vrep["certificate_checks"]} == {
+            "function span forward": True, "function span backward": True}
+        rep["witness"]["bijection"] = [1, 0, 2, 3, 4]
+        path = tmp_path / "tampered.json"
+        path.write_text(canonical_report(rep) + "\n")
+        code, vrep, _ = call(["verify", str(path)])
+        assert code == EXIT_INVALID
+        assert {c["check"]: c["pass"] for c in vrep["certificate_checks"]} == {
+            "function span forward": False, "function span backward": False}
+
     @pytest.mark.parametrize("scale", [1e3, 1e6])
     def test_degree_one_witness_at_scale_replays(self, tmp_path, scale):
         # the products of an 8-point affine pair reach scale^2; the replay

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -180,6 +181,27 @@ def test_fingerprint_rejects_an_empty_first_domain():
         universal_fingerprint(m, 2)
     with pytest.raises(DimensionError):
         eval_formula(close_universally(Atom("d", ("x1", "x2"))), m)
+
+
+A, B = Atom("d", ("x1", "x2")), Atom("d", ("x2", "x1"))
+ONE_OF_EACH = [A, Max(A, B), Min(A, B), AddConst(Fraction(1), A), Scale(Fraction(1), A),
+               Sup("x1", 1, A), Inf("x1", 1, A)]
+
+
+@pytest.mark.parametrize("one,other", [(1, 2), (3, 4), (5, 6)])
+def test_connectives_of_one_shape_with_equal_fields_are_unequal(one, other):
+    one, other = ONE_OF_EACH[one], ONE_OF_EACH[other]
+    assert vars(one) == vars(other) and one != other and one.key() != other.key()
+    assert one == type(one)(*vars(one).values())
+    assert repr(other).startswith(type(other).__name__ + "(")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(other, next(iter(vars(other))), A)
+
+
+def test_each_tag_is_the_first_entry_of_its_key_and_the_seven_are_distinct():
+    tags = [type(phi).tag for phi in ONE_OF_EACH]
+    assert [phi.key()[0] for phi in ONE_OF_EACH] == tags
+    assert len(set(tags)) == 7
 
 
 def test_formula_base_class_is_abstract():
