@@ -5,7 +5,8 @@ the monomials ``z_i conj(z_j)`` (with ``z_0 = 1``) and has all pairwise
 products of output coordinates in the same monomial span.  For finite sets
 both conditions are span-membership tests against the monomial evaluation
 matrix, and the homeomorphism decision searches the bijections for one with
-a degree-1 map in each direction.
+a degree-1 map in each direction.  The coincidence check is blocked by
+``linalg.block_size``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ import numpy as np
 
 from . import opsys
 from .errors import CapacityError, DimensionError
-from .linalg import TOL_NUM, FactoredSpan, _replay_check, bijection_sweep
-
-#: Most coordinate differences per numpy block of the coincidence check.
-_PAIR_BLOCK = 1 << 16
+from .linalg import TOL_NUM, FactoredSpan, _replay_check, bijection_sweep, first_violation
 
 
 @dataclass(frozen=True)
@@ -37,16 +35,15 @@ class PointSet:
             raise DimensionError(f"points must have shape (m, {self.ambient}), got {p.shape}")
         if not np.isfinite(p).all():
             raise DimensionError("points must have finite coordinates")
-        m = p.shape[0]
-        step = max(1, _PAIR_BLOCK // max(1, p.size))
-        for lo in range(0, m, step):
-            rows = np.arange(lo, min(lo + step, m))
+
+        def close(lo: int, hi: int) -> np.ndarray:  # each pair once, as i < j
             with np.errstate(over="ignore"):  # a distance past the float range is no coincidence
-                close = np.linalg.norm(p[rows, None] - p, axis=2) <= TOL_NUM
-            close &= np.arange(m) > rows[:, None]  # each pair once, as i < j
-            if close.any():
-                i, j = np.unravel_index(np.argmax(close), close.shape)
-                raise DimensionError(f"points {rows[i]} and {j} coincide within tol")
+                near = np.linalg.norm(p[lo:hi, None] - p, axis=2) <= TOL_NUM
+            return near & (np.arange(len(p)) > np.arange(lo, hi)[:, None])
+
+        pair = first_violation(len(p), p.size, close)  # a row's coordinate differences
+        if pair is not None:
+            raise DimensionError("points {} and {} coincide within tol".format(*pair))
         object.__setattr__(self, "points", p)
 
     @property

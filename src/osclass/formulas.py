@@ -13,8 +13,7 @@ the enumeration's term table, one row per term: it evaluates each row once,
 as a numpy array over all assignments of the variables to the first domain
 built from its children's arrays, and takes each sentence's value as the
 first maximal entry of its term's array.  The assignments go in blocks of
-``_BLOCK_ENTRIES`` (2^16) term values, so memory stays flat however large
-the domain is, and ``MAX_TERMS`` bounds the table.
+``linalg.BLOCK_ENTRIES`` term values, and ``MAX_TERMS`` bounds the table.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, DimensionError
+from .linalg import block_size
 from .metric import FiniteStructure, Signature
 
 #: Clipping bound for the truncated connectives.
@@ -265,10 +265,6 @@ def close_universally(term: Formula, domain: int = 1) -> Formula:
     return phi
 
 
-#: Term values :func:`universal_fingerprint` holds at once, whatever the domain.
-_BLOCK_ENTRIES = 1 << 16
-
-
 def universal_fingerprint(m: FiniteStructure, depth: int = 3) -> np.ndarray:
     """Evaluations of the canonically enumerated restricted universal sentences.
 
@@ -302,10 +298,8 @@ def universal_fingerprint(m: FiniteStructure, depth: int = 3) -> np.ndarray:
     same prefix, and equal values are the same floats up to the sign of zero,
     which is exactly what the choice of the first one settles.
 
-    The assignments are walked in C-order blocks of ``_BLOCK_ENTRIES //
-    len(terms)``, with a running first-wins maximum, so at most about
-    ``_BLOCK_ENTRIES`` term values (a few times that in temporaries) are held
-    at once.
+    The assignments go in C-order blocks, ``len(terms)`` entries an
+    assignment, under a running first-wins maximum.
     """
     dom = np.asarray(m.domain(1), dtype=np.intp)
     if dom.size == 0:
@@ -322,7 +316,7 @@ def universal_fingerprint(m: FiniteStructure, depth: int = 3) -> np.ndarray:
     tables = [(m.table(name), np.array(recs, dtype=np.intp).T) for name, recs in atoms.items()]
     plan = [(kind, *(np.array(c) for c in zip(*recs))) for (_, kind), recs in groups.items()]
     total = dom.size ** nvars
-    block = max(1, _BLOCK_ENTRIES // len(terms))
+    block = block_size(len(terms))
     values = np.empty((len(terms), min(block, total)))
     rows = np.arange(len(terms))
     best = None

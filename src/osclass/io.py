@@ -202,13 +202,13 @@ def parse_bijection(obj, size: int) -> np.ndarray:
 
 
 def read_json(path: str) -> tuple[str, object]:
-    """The text of a JSON file and the value it holds; nesting past the
-    decoder's recursion limit is a format error too."""
+    """The text of a JSON file and the value it holds; bytes that are not
+    UTF-8 and nesting past the decoder's recursion limit are format errors too."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         return text, json.loads(text)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputFormatError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -25,6 +25,27 @@ from .errors import CapacityError, DimensionError, NotNormalError
 #: span) and the default of every ``tol`` a caller can set.
 TOL_NUM = 1e-9
 
+#: Entries in one block of numpy work, read by :func:`block_size` at each call.
+BLOCK_ENTRIES = 1 << 16
+
+
+def block_size(entries_per_item: int) -> int:
+    """The items of ``entries_per_item`` entries that fill one block, and at least 1."""
+    return max(1, BLOCK_ENTRIES // max(1, entries_per_item))
+
+
+def first_violation(count: int, entries_per_item: int, violations) -> tuple | None:
+    """The C-order first index of a True entry of the boolean arrays
+    ``violations(lo, hi)`` of items lo..hi-1 along axis 0, scanned
+    :func:`block_size` items at a time; None if there is none."""
+    step = block_size(entries_per_item)
+    for lo in range(0, count, step):
+        bad = violations(lo, min(lo + step, count))
+        if bad.any():
+            first = np.unravel_index(np.argmax(bad), bad.shape)
+            return (lo + int(first[0]), *map(int, first[1:]))
+    return None
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-d complex array, raising DimensionError otherwise."""

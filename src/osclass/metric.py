@@ -7,7 +7,8 @@ its critical epsilon (:func:`_critical_eps`) is the least eps at which that
 table is Katetov on both sides and an epsilon-bijection through the metric and
 every relation of the level-k sublanguage, lifted coordinatewise.  d_k is the
 least critical epsilon over the full correspondences (:func:`dk_bruteforce`),
-and :func:`dgh_structures` sums ``2^-k d_k``.
+and :func:`dgh_structures` sums ``2^-k d_k``.  The triangle check and the
+d_k search are blocked by ``linalg.block_size``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ except ImportError:  # numpy 1.x holds 32
     _NUMPY_MAXDIMS = 32
 
 from .errors import CapacityError, DimensionError
+from .linalg import block_size, first_violation
 
 #: Slack used for the metric-axiom and relation-bound checks.
 METRIC_SLACK = 1e-12
@@ -34,12 +36,6 @@ DEFAULT_DK_CAP = 8
 #: Exhaustive correspondence enumeration is used while |D| * |E| stays below this.
 EXHAUSTIVE_PAIR_LIMIT = 20
 
-#: Entries in the widest arrays of one block of numpy work: the triangle check
-#: tests, and the d_k search extends, bounds and scores, at most this many
-#: table entries at a time, so memory stays flat however large the structure
-#: or the search.
-DK_BLOCK_ENTRIES = 1 << 16
-
 #: Largest relation arity: :func:`_relation_eps` lifts a relation of arity r
 #: over 2r + 1 array axes, at most numpy's ``MAXDIMS``.
 MAX_ARITY = (_NUMPY_MAXDIMS - 1) // 2
@@ -48,6 +44,10 @@ MAX_ARITY = (_NUMPY_MAXDIMS - 1) // 2
 #: table in a JSON input, and a relation's value-gap table in the d_k search.
 #: A larger one raises CapacityError before it is allocated.
 MAX_TABLE_ENTRIES = 1 << 20
+
+#: Most levels of the weighted d_k sum: ``2.0 ** -1075`` is 0.0, so no level
+#: past this one can change the sum.
+MAX_LEVELS = 1074
 
 
 @dataclass(frozen=True)
@@ -114,17 +114,12 @@ class FiniteStructure:
             raise DimensionError("metric must be symmetric")
         if np.any(d < -METRIC_SLACK):
             raise DimensionError("metric must be nonnegative")
-        # entry (i, j, k): d(i, j) > d(i, k) + d(k, j), for a block of rows i
-        # whose two float temporaries take at most half of DK_BLOCK_ENTRIES
-        # entries; argwhere lists entries in C order, so the first is the least
-        # (i, j, k)
-        rows = max(1, DK_BLOCK_ENTRIES // (4 * m * m))
-        for start in range(0, m, rows):
-            block = d[start:start + rows]
-            bad = block[:, :, None] > block[:, None, :] + d.T + METRIC_SLACK
-            if bad.any():
-                i, j, k = np.argwhere(bad)[0]
-                raise DimensionError(f"triangle inequality fails at ({start + i},{j},{k})")
+        # entry (i, j, k): d(i, j) > d(i, k) + d(k, j); a row i counts 4 m^2
+        # entries, so its two float temporaries take half of its share
+        bad = first_violation(m, 4 * m * m, lambda lo, hi: d[lo:hi, :, None]
+                              > d[lo:hi, None, :] + d.T + METRIC_SLACK)
+        if bad is not None:
+            raise DimensionError("triangle inequality fails at ({},{},{})".format(*bad))
         rels = {}
         for name, table in self.relations.items():
             t = np.asarray(table, dtype=np.float64)
@@ -338,7 +333,7 @@ def _cover_search(dx: np.ndarray, dy: np.ndarray, value_gaps, best: float, batch
     meets it, no set is scored.
 
     Blocks: ``batch // 2`` nodes per expansion, two children each, so each
-    array of an expansion takes at most half of ``DK_BLOCK_ENTRIES`` entries.
+    array of an expansion takes at most half of ``linalg.BLOCK_ENTRIES`` entries.
     """
     p, q = len(dx), len(dy)
     size = p * q
@@ -395,7 +390,7 @@ def _graph_search(dx: np.ndarray, dy: np.ndarray, value_gaps, batch: int) -> flo
 
     Blocks: ``nodes`` partial maps per expansion, each with at most (smaller
     side) children; their gap tables and the widest array of one
-    expansion's bounds take at most half of ``DK_BLOCK_ENTRIES`` entries.
+    expansion's bounds take at most half of ``linalg.BLOCK_ENTRIES`` entries.
     """
     p, q = len(dx), len(dy)
     big, small = max(p, q), min(p, q)
@@ -424,7 +419,7 @@ def _graph_search(dx: np.ndarray, dy: np.ndarray, value_gaps, batch: int) -> flo
         return (g, kat, bound, np.concatenate([cells[rows], new[:, None]], axis=1), dist,
                 cover[rows] | 1 << img, count[rows] + fresh[rows, img])
 
-    nodes = max(1, DK_BLOCK_ENTRIES // (2 * small * p * q * big))
+    nodes = block_size(2 * small * p * q * big)
     zero = np.zeros(1, dtype=np.intp)
     root = (np.full((1, p, q), np.inf), np.full(1, -np.inf), np.full(1, -np.inf),
             np.zeros((1, 0), dtype=np.intp), np.zeros(1), zero, zero)
@@ -472,9 +467,8 @@ def dk_bruteforce(m: FiniteStructure, n: FiniteStructure, k: int = 1,
         value_gaps.append((tm.ndim, np.abs(tm.reshape(-1, 1) - tn.reshape(1, -1))))
     if not (p and q):
         raise DimensionError("no full correspondence exists between the domains")
-    # widest per-candidate array: the gap sums (pq)^2 or a relation's gap table
-    width = max([1, (p * q) ** 2] + [t.size for _, t in value_gaps])
-    batch = max(1, DK_BLOCK_ENTRIES // width)
+    # a candidate's widest array: the gap sums (pq)^2 or a relation's gap table
+    batch = block_size(max([(p * q) ** 2] + [t.size for _, t in value_gaps]))
     dx, dy = m.metric[np.ix_(dom_m, dom_m)], n.metric[np.ix_(dom_n, dom_n)]
     best = _graph_search(dx, dy, value_gaps, batch)
     if best > 0.0 and p * q <= EXHAUSTIVE_PAIR_LIMIT:
@@ -491,6 +485,9 @@ def _weighted_dk(m: FiniteStructure, n: FiniteStructure, k_max: int,
     """
     if k_max < 1:
         raise DimensionError(f"the weighted sum needs at least 1 level, got {k_max}")
+    if k_max > MAX_LEVELS:
+        raise CapacityError(f"the weighted sum would take {k_max} levels, past MAX_LEVELS = "
+                            f"{MAX_LEVELS}, beyond which a level's weight 2^-k is 0")
     sig = m.signature or n.signature
     searched: dict = {}
     levels = []

@@ -19,7 +19,8 @@ search, whose phases take their ratios from one :func:`_ratios` call each
 (:class:`_Plan` holds what they share), every norm from ``opsys._norms``,
 as ``amplified_norm``'s.  The iterates follow scipy's rules given these
 values: estimates, maps and reports are those of one scipy run per start
-whose norms are ``amplified_norm`` values, bit for bit.
+whose norms are ``amplified_norm`` values, bit for bit.  The norm chunks are
+blocked by ``linalg.block_size``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, NotComparableError
 # op_norm stays importable from here: the benchmark's tracer test reads osdist.op_norm
-from .linalg import (TOL_NUM, FactoredSpan, _replay_check, gram_rank, op_norm,  # noqa: F401
-                     top_singular)
+from .linalg import (TOL_NUM, FactoredSpan, _replay_check, block_size, gram_rank,  # noqa: F401
+                     op_norm, top_singular)
 from .opsys import OperatorSystemSpan, _norms, _stack, build_system
 from .unitary import CoisDecision
 
@@ -42,11 +43,6 @@ COND_BOUND = 1e12
 #: outer search evaluates its maps in batches of this size, which bounds the
 #: memory of a many-restart search; larger batches save no time.
 _BATCH_VERTICES = 1 << 13
-
-#: Most matrix entries one assemble-and-norm call of :func:`_ratios` builds,
-#: both systems' matrices together, which bounds the memory of a large
-#: lockstep batch.
-_NORM_ENTRIES = 1 << 15
 
 #: Denominator norm below which :func:`_ratios` scores an element's ratio 0.
 RATIO_FLOOR = 1e-14
@@ -132,8 +128,8 @@ class _Plan:
     Built once per ``amplified_map_norm`` or ``dn_search``: the two systems,
     the start template (the unit element ``I_n (x) e`` of each side, then
     ``starts - 1`` seeded random elements shared by every map), and
-    ``step``, the most elements of a chunk, which keeps a norm call at most
-    ``_NORM_ENTRIES`` matrix entries.  The plan of a ``dn_search``
+    ``step``, the most elements of a chunk, each counting its matrices on
+    both sides and their Gram products.  The plan of a ``dn_search``
     (``share``) also holds ``start_den``: the denominators of the first
     phase of every ascent, which depend on its template's vertex alone, so
     every map's first phase takes only its numerators.
@@ -146,7 +142,7 @@ class _Plan:
         noise = [rng.standard_normal(2 * level * level * x.dim) for _ in range(starts - 1)]
         self.template = [np.array([_complex_to_real(np.eye(level)[:, :, None] * s.unit_coeffs),
                                    *noise]) for s in (x, y)]
-        self.step = max(1, _NORM_ENTRIES // level ** 2 // (x.ambient_dim ** 2 + y.ambient_dim ** 2))
+        self.step = block_size(2 * level ** 2 * (x.ambient_dim ** 2 + y.ambient_dim ** 2))
         self.start_den = self._start_norms() if share else None
 
     def _start_norms(self) -> tuple:

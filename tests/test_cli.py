@@ -446,6 +446,17 @@ class TestGh:
         assert says in rep["error"]["message"]
         assert seconds < 1.0 and peak_kb < 200 * 1024  # the whole process, numpy included
 
+    def test_kmax_past_max_levels_exits_with_capacity_at_once(self, tmp_path):
+        # --kmax 1000000 used to write a 12.9 MB report of equal levels
+        m = structure_file(tmp_path, "m.json", [[0.0, 1.0], [1.0, 0.0]])
+        start = time.monotonic()
+        code, rep, _ = call(["gh-dist", m, m, "--kmax", "1075"])
+        assert time.monotonic() - start < 0.5
+        assert code == EXIT_CAPACITY and rep["error"]["kind"] == "capacity"
+        assert "MAX_LEVELS = 1074" in rep["error"]["message"]
+        code, rep, _ = call(["gh-dist", m, m, "--kmax", "1074"])
+        assert code == EXIT_OK and len(rep["per_level"]) == 1074
+
     def test_negative_cap_is_an_input_error(self, tmp_path):
         m = structure_file(tmp_path, "m.json", [[0.0, 1.0], [1.0, 0.0]])
         code, rep, _ = call(["gh-dist", m, m, "--cap", "-1"])
@@ -784,6 +795,36 @@ def test_deeply_nested_json_exits_invalid(tmp_path, command):
     code, rep, _ = call([command, str(p)])
     assert code == EXIT_INVALID
     assert rep["error"]["kind"] == "InputFormatError"
+
+
+#: Each subcommand that reads a file, with ``F`` where a file goes.
+FILE_READERS = [["spectrum", "F"], ["canon", "F"], ["unitary-cois", "F", "F"],
+                ["deg1", "F", "F"], ["norm", "F", "--element", "F"], ["osdist", "F", "F"],
+                ["gh-dist", "F", "F"], ["gh-theory", "F"], ["verify", "F"]]
+
+
+@pytest.mark.parametrize("argv", FILE_READERS, ids=lambda argv: argv[0])
+def test_a_file_that_is_not_utf8_exits_invalid(tmp_path, argv):
+    # a byte that starts no UTF-8 sequence used to end in a UnicodeDecodeError traceback
+    p = tmp_path / "latin.json"
+    p.write_bytes(b'{"rows": [[[1, 0]]]}\xff')
+    code, rep, _ = call([str(p) if a == "F" else a for a in argv])
+    assert code == EXIT_INVALID
+    assert rep["error"]["kind"] == "InputFormatError"
+    assert "can't decode byte 0xff" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_a_file_that_is_not_utf8_leaves_no_traceback(tmp_path, command):
+    p = tmp_path / "latin.json"
+    p.write_bytes(b'{"rows": [[[1, 0]]]}\xff')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "osclass.cli", command, str(p)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_INVALID and proc.stderr == ""
+    assert json.loads(proc.stdout)["error"]["kind"] == "InputFormatError"
 
 
 def test_a_bad_value_is_cut_short_in_the_report(tmp_path):

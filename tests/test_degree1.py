@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from osclass import degree1, opsys
+from osclass import degree1, linalg, opsys
 from osclass.errors import CapacityError, DimensionError
 from osclass.degree1 import (DegreeOneMap, PointSet, deg1_via_opsys,
                              degree_one_homeomorphic, is_degree_one_assignment,
@@ -62,6 +62,22 @@ class TestPointSet:
         with pytest.raises(DimensionError, match=f"points {i} and {j} coincide"):
             PointSet(n, pts)
         assert PointSet(n, random_points(rng, m, n)).size == m
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 17, 18, 40])
+    def test_small_budget_names_the_same_first_pair(self, monkeypatch, rows):
+        # rows 17, 18 and 25 each start a pair; (17, 30) is first in C order
+        # though (18, 19) has the smaller column.  A budget of `rows` rows a
+        # block puts 17 and 18 in one block or in two, crossing several blocks
+        # whenever rows < 40
+        m, n = 40, 2
+        pts = random_points(np.random.default_rng(31), m, n)
+        for i, j in ((17, 30), (18, 19), (25, 26)):
+            pts[j] = pts[i] + 0.5e-9
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", rows * m * n)
+        assert linalg.block_size(m * n) == rows
+        with pytest.raises(DimensionError, match="points 17 and 30 coincide"):
+            PointSet(n, pts)
+
 
 class TestAssignment:
     def test_affine_image_is_degree_one(self):

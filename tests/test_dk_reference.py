@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osclass import metric
+from osclass import linalg, metric
 from osclass.errors import DimensionError
 from osclass.metric import (EXHAUSTIVE_PAIR_LIMIT, FiniteStructure, RelationSymbol,
                             Signature, dgh_structures, dk_bruteforce)
@@ -148,7 +148,7 @@ def test_tiny_blocks_match_reference(monkeypatch, p, q, duplicates):
     # many decode chunks and many scoring blocks per chunk, ragged last ones;
     # the 5x5 grid pair is past 20 cells and not separated, so the graph
     # search runs on the Katetov bound alone
-    monkeypatch.setattr(metric, "DK_BLOCK_ENTRIES", 97)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 97)
     rng = np.random.default_rng([p, q, 1])
     build = grid_duplicates if duplicates else relational
     m, n = build(rng, p), build(rng, q)
@@ -400,14 +400,14 @@ EXHAUSTIVE_CASES = ["euclidean4x5", "euclidean5x4", "near-equilateral4x5", "grid
                     "ternary3x4", "nested4x5"]
 
 
-@pytest.mark.parametrize("block", [metric.DK_BLOCK_ENTRIES, 97], ids=["default", "97"])
+@pytest.mark.parametrize("block", [linalg.BLOCK_ENTRIES, 97], ids=["default", "97"])
 @pytest.mark.parametrize("name", EXHAUSTIVE_CASES)
 def test_cover_search_matches_reference(monkeypatch, name, block):
     m, n, k = exhaustive_case(name)
     cells = len(m.domain(k)) * len(n.domain(k))
     assert 12 <= cells <= EXHAUSTIVE_PAIR_LIMIT
     expected = float.fromhex(SLOW_REFERENCE[name]) if name in SLOW_REFERENCE else ref_dk(m, n, k)
-    monkeypatch.setattr(metric, "DK_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block)
     assert dk_bruteforce(m, n, k) == expected
 
 
@@ -425,7 +425,7 @@ def near_duplicates(p, q, seed):
     return tuple(FiniteStructure(grid_metric(pts)) for pts in sides)
 
 
-@pytest.mark.parametrize("block", [metric.DK_BLOCK_ENTRIES, 97], ids=["default", "97"])
+@pytest.mark.parametrize("block", [linalg.BLOCK_ENTRIES, 97], ids=["default", "97"])
 @pytest.mark.parametrize("p,q,seed", [(3, 4, 34), (3, 4, 367), (4, 3, 147), (4, 3, 163)])
 def test_cover_condition_on_near_duplicates(monkeypatch, p, q, seed, block):
     # on these pairs a cell set that misses a row or column scores up to
@@ -433,7 +433,7 @@ def test_cover_condition_on_near_duplicates(monkeypatch, p, q, seed, block):
     # coverage one cell late returns that lower value
     m, n = near_duplicates(p, q, seed)
     expected = ref_dk(m, n)
-    monkeypatch.setattr(metric, "DK_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block)
     assert dk_bruteforce(m, n) == expected
 
 
@@ -475,14 +475,14 @@ def test_triangle_check_names_the_first_violation(seed):
         assert str(err.value) == expected
 
 
-@pytest.mark.parametrize("block", [metric.DK_BLOCK_ENTRIES, 97], ids=["default", "97"])
+@pytest.mark.parametrize("block", [linalg.BLOCK_ENTRIES, 97], ids=["default", "97"])
 @pytest.mark.parametrize("row", ["first", "last"])
 @pytest.mark.parametrize("size", [40, 60, 90, 120])
 def test_triangle_check_names_the_first_violation_past_one_block(monkeypatch, size, row, block):
     # rows are checked block // (4 size^2) at a time; lengthen one side (i, size - 1)
     # past the sum of any two others, with i the first or the last row of the
     # second block, so rows i and size - 1 are the only ones that fail
-    monkeypatch.setattr(metric, "DK_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block)
     rows = max(1, block // (4 * size**2))
     i = rows if row == "first" else 2 * rows - 1
     assert i < size - 1
@@ -490,6 +490,24 @@ def test_triangle_check_names_the_first_violation_past_one_block(monkeypatch, si
     d[i, -1] = d[-1, i] = d[i, -1] + 6.0
     expected = ref_triangle_violation(d)
     assert expected.startswith(f"triangle inequality fails at ({i},")
+    with pytest.raises(DimensionError) as err:
+        FiniteStructure(d)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 9])
+def test_triangle_check_names_the_same_first_triple_in_small_blocks(monkeypatch, rows):
+    # sides (4, 8) and (6, 8) lengthened past any two others; a budget of
+    # `rows` rows a block (4 size^2 entries a row) crosses several blocks
+    # whenever rows < 9, and the scan still names row 4's first triple
+    size = 9
+    d = euclidean(np.random.default_rng(5), size)
+    for i in (4, 6):
+        d[i, -1] = d[-1, i] = d[i, -1] + 6.0
+    expected = ref_triangle_violation(d)
+    assert expected.startswith("triangle inequality fails at (4,")
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", rows * 4 * size**2)
+    assert linalg.block_size(4 * size**2) == rows
     with pytest.raises(DimensionError) as err:
         FiniteStructure(d)
     assert str(err.value) == expected

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from osclass import formulas
+from osclass import formulas, linalg
 from osclass.errors import CapacityError, DimensionError
 from osclass.formulas import (AddConst, Atom, Formula, Inf, Max, Min, Scale,
                               Sup, close_universally, enumerate_universal_terms,
@@ -169,7 +169,7 @@ def test_fingerprint_keeps_the_first_of_tied_zeros(values):
 
 def test_fingerprint_bytes_match_with_one_assignment_per_block(monkeypatch):
     # the running first-wins maximum across blocks keeps the sign of zero too
-    monkeypatch.setattr(formulas, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 1)
     for name in ("nested", "signed"):
         m, _ = FINGERPRINT_PANEL[name]
         assert universal_fingerprint(m, 4).tobytes() == reference_fingerprint(m, 4).tobytes()

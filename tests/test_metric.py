@@ -196,3 +196,12 @@ class TestDgh:
         monkeypatch.setattr(metric, "dk_bruteforce", counted)
         assert dgh_structures(s, t, k_max=3) == expected
         assert len(calls) == searches
+
+    def test_levels_past_max_levels_raise_before_any_search(self, monkeypatch):
+        # the weight of the first level past the limit is 0.0, of the last one not
+        assert 2.0 ** -(metric.MAX_LEVELS + 1) == 0.0 < 2.0 ** -metric.MAX_LEVELS
+        s, t = FiniteStructure(PATH3), FiniteStructure(1.5 * PATH3)
+        assert dgh_structures(s, t, k_max=metric.MAX_LEVELS) > 0.0
+        monkeypatch.setattr(metric, "dk_bruteforce", lambda *a: pytest.fail("searched"))
+        with pytest.raises(CapacityError, match="MAX_LEVELS = 1074"):
+            dgh_structures(s, t, k_max=metric.MAX_LEVELS + 1)

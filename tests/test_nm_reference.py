@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from osclass import opsys, osdist
+from osclass import linalg, opsys, osdist
 from osclass.linalg import top_singular
 from osclass.opsys import build_system
 from osclass.osdist import (COND_BOUND, LinearMapCoords, _nelder_mead, amplified_map_norm,
@@ -241,7 +241,7 @@ def test_norms_split_into_chunks_match_scipy(monkeypatch):
         for per in (1, 2, 3, 5):
             widest = 2 * per if x.ambient_dim == y.ambient_dim else per
             for level in (1, 2):
-                monkeypatch.setattr(osdist, "_NORM_ENTRIES", per * level * level * pair_entries)
+                monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 2 * per * level * level * pair_entries)
                 calls.clear()
                 assert (amplified_map_norm(x, y, u, level, 3, 20)
                         == ref_amplified_map_norm(x, y, u, level, 3, 20))

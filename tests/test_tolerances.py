@@ -2,8 +2,11 @@
 
 import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
+
+import osclass
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -104,3 +107,22 @@ def test_every_capacity_constant_has_a_row_with_its_value():
                     and CAPACITY_NAME.search(name)):
                 assert name in rows, f"{module}.{name} has no row in the Capacity table"
                 assert getattr(importlib.import_module(f"osclass.{rows[name][1]}"), name) == value
+
+
+
+#: Module-level int constants named like a working-set budget: only
+#: ``linalg.BLOCK_ENTRIES`` may be one (a ``MAX_*`` entry count is a capacity).
+BUDGET_NAME = re.compile(r"BLOCK|_ENTRIES$")
+
+
+def test_the_block_budget_is_defined_once():
+    # every blocked numpy loop sizes its blocks by linalg.block_size, so a
+    # second such constant would be a second budget
+    assert importlib.import_module("osclass.linalg").BLOCK_ENTRIES == 1 << 16
+    for info in pkgutil.iter_modules(osclass.__path__):
+        mod = importlib.import_module(f"osclass.{info.name}")
+        for name, value in vars(mod).items():
+            if (isinstance(value, int) and not isinstance(value, bool)
+                    and BUDGET_NAME.search(name) and not CAPACITY_NAME.search(name)):
+                assert (info.name, name) == ("linalg", "BLOCK_ENTRIES"), \
+                    f"{info.name}.{name} is a second block budget"
