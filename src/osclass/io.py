@@ -1,5 +1,11 @@
 """JSON dialect shared by the CLI: parsing of inputs and canonical reports.
 
+Input files are strict RFC 8259 JSON in UTF-8, decoded by orjson
+(:func:`load_json`): a number is a finite double, so NaN, Infinity, 1e400
+and a lone surrogate escape are format errors, and an integer literal past
+64 bits reads as a float, so it is never a count.  Reports are read back by
+the stdlib decoder in the writer's own dialect (:func:`read_json`).
+
 One rule reads each JSON type.  A number is a JSON number, true and false
 included as 1 and 0, never a string or null; a complex number is a number or
 an [re, im] pair, and arrays of numbers are nested lists (:func:`_numbers`).
@@ -16,6 +22,7 @@ import re
 import reprlib
 
 import numpy as np
+import orjson
 
 from .degree1 import PointSet
 from .errors import CapacityError, InputFormatError, OsclassError
@@ -201,19 +208,36 @@ def parse_bijection(obj, size: int) -> np.ndarray:
     return np.array(obj, dtype=int)
 
 
-def read_json(path: str) -> tuple[str, object]:
-    """The text of a JSON file and the value it holds; bytes that are not
-    UTF-8 and nesting past the decoder's recursion limit are format errors too."""
+#: orjson's words for a number literal past the double range, and ours
+_PAST_DOUBLE_RANGE = ("number is infinity when parsed as double", "number too large for a double")
+
+
+def _decode(path: str, loads) -> tuple[str, object]:
+    """The text of the UTF-8 file at ``path`` and the value ``loads`` reads from it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return text, json.loads(text)
+        return text, loads(text)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise InputFormatError(f"cannot read JSON from {path}: {exc}") from exc
+        # orjson's JSONDecodeError subclasses the stdlib's
+        message = str(exc).replace(*_PAST_DOUBLE_RANGE)
+        raise InputFormatError(f"cannot read JSON from {path}: {message}") from exc
+
+
+def read_json(path: str) -> tuple[str, object]:
+    """The text of a stored report and the value it holds, read by the stdlib
+    decoder: it reads back all that :func:`canonical_report` writes (integers
+    of any size, NaN and Infinity, the lone surrogates of a non-UTF-8 file
+    name), which orjson refuses.  Bytes that are not UTF-8 and nesting past
+    the decoder's recursion limit are format errors."""
+    return _decode(path, json.loads)
 
 
 def load_json(path: str):
-    return read_json(path)[1]
+    """The value of a JSON input file, read by orjson as strict RFC 8259:
+    for every valid input it gives the floats and integers (up to 64 bits)
+    of ``json.loads`` bit for bit, in a fraction of the time."""
+    return _decode(path, orjson.loads)[1]
 
 
 def _jsonable(value):

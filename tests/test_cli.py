@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -827,6 +828,62 @@ def test_a_file_that_is_not_utf8_leaves_no_traceback(tmp_path, command):
     assert json.loads(proc.stdout)["error"]["kind"] == "InputFormatError"
 
 
+#: Input text that ``json.loads`` reads but RFC 8259 or Unicode refuses, by name,
+#: as bytes, and whether the refusal says the number is too large.
+REFUSED_INPUTS = {
+    "nan": (b'{"rows": [[[NaN, 0]]]}', False),
+    "infinity": (b'{"rows": [[[Infinity, 0]]]}', False),
+    "minus-infinity": (b'{"rows": [[[-Infinity, 0]]]}', False),
+    "1e400": (b'{"rows": [[[1e400, 0]]]}', True),
+    "integer-past-double": (b'{"rows": [[[1' + b"0" * 400 + b', 0]]]}', True),
+    "lone-surrogate-key": (b'{"\\ud800": 1, "rows": [[[1, 0]]]}', False),
+    "bom": (b'\xef\xbb\xbf{"rows": [[[1, 0]]]}', False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_INPUTS))
+@pytest.mark.parametrize("argv", [a for a in FILE_READERS if a[0] != "verify"],
+                         ids=lambda argv: argv[0])
+def test_input_outside_strict_json_exits_invalid(tmp_path, argv, name):
+    # json.loads took NaN, Infinity, a number past the double range as inf
+    # and a lone surrogate; a NaN table entry ended in a DimensionError
+    text, too_large = REFUSED_INPUTS[name]
+    p = tmp_path / "bad.json"
+    p.write_bytes(text)
+    code, rep, _ = call([str(p) if a == "F" else a for a in argv])
+    assert code == EXIT_INVALID
+    assert rep["error"]["kind"] == "InputFormatError"
+    message = rep["error"]["message"]
+    assert message.startswith(f"cannot read JSON from {p}")
+    assert ("too large" in message) == too_large
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_INPUTS))
+def test_input_outside_strict_json_leaves_no_traceback(tmp_path, name):
+    p = tmp_path / "bad.json"
+    p.write_bytes(REFUSED_INPUTS[name][0])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "osclass.cli", "spectrum", str(p)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_INVALID and proc.stderr == ""
+    assert json.loads(proc.stdout)["error"]["kind"] == "InputFormatError"
+
+
+def test_report_on_a_file_name_that_is_not_utf8_replays(tmp_path):
+    # the command echo keeps the byte 0xff as the lone surrogate \udcff, which
+    # the report reader must take back although the input reader refuses it
+    f = matrix_file(tmp_path, os.fsdecode(b"u\xff.json"), np.diag([1.0, 1j, -1.0]))
+    code, _, text = call(["spectrum", f])
+    assert code == EXIT_OK and "\\udcff" in text
+    p = tmp_path / "r.json"
+    p.write_text(text + "\n")
+    code, rep, _ = call(["verify", str(p)])
+    assert code == EXIT_OK
+    assert rep["replay_identical"] is True and rep["verified"] is True
+
+
 def test_a_bad_value_is_cut_short_in_the_report(tmp_path):
     # the message used to embed the whole nested value, 1800 brackets here
     p = tmp_path / "nested.json"
@@ -978,21 +1035,41 @@ def test_unknown_subcommand_is_invalid():
 
 
 def test_cli_runs_without_scipy(tmp_path):
+    # every third-party module the CLI imports is a declared dependency;
+    # scipy serves the tests only, as a reference
     f = matrix_file(tmp_path, "u.json", np.roll(np.eye(5), 1, axis=0))
+    m = structure_file(tmp_path, "m.json", [[0, 1], [1, 0]], {"R": {"arity": 1, "table": [0, 1]}})
+    report = tmp_path / "r.json"
     script = textwrap.dedent(f"""
-        import io, json, sys
+        import io, json, sys, sysconfig
+        before = set(sys.modules)
         import osclass.cli
 
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-        assert not scipy_modules(), scipy_modules()
         out = io.StringIO()
         assert osclass.cli.run(["spectrum", {f!r}], stdout=out) == 0
         assert len(json.loads(out.getvalue())["angles"]) == 5
-        assert not scipy_modules(), scipy_modules()
+        with open({str(report)!r}, "w") as fh:
+            fh.write(out.getvalue())
+        assert osclass.cli.run(["verify", {str(report)!r}], stdout=io.StringIO()) == 0
+        assert osclass.cli.run(["gh-dist", {m!r}, {m!r}], stdout=io.StringIO()) == 0
+        assert osclass.cli.run(["gh-theory", {m!r}], stdout=io.StringIO()) == 0
+        # a third-party module is one installed in site-packages
+        site = {{sysconfig.get_path("purelib"), sysconfig.get_path("platlib")}}
+        print(json.dumps(sorted({{
+            name.partition(".")[0] for name in set(sys.modules) - before
+            if any(str(getattr(sys.modules[name], "__file__", None)).startswith(d) for d in site)
+        }})))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+
+    def names(specs):
+        return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower() for spec in specs}
+
+    declared = names(project["project"]["dependencies"])
+    assert json.loads(proc.stdout) == sorted(declared) == ["numpy", "orjson"]
+    assert "scipy" in names(project["project"]["optional-dependencies"]["test"])

@@ -529,3 +529,70 @@ def test_signed_zeros_of_a_fingerprint_reach_the_report(tmp_path):
     buf = StringIO()
     assert run(["gh-theory", str(path), "--depth", "1"], stdout=buf) == EXIT_OK
     assert_same(json.loads(buf.getvalue())["fingerprint"], [-0.0, 0.0, 1.0])
+
+
+# The input reader (orjson) against the stdlib decoder: the same bits on every
+# finite number, the same ints up to 64 bits, and float(int(s)) past them.
+
+@pytest.fixture(scope="module")
+def load(tmp_path_factory):
+    path = tmp_path_factory.mktemp("decode") / "value.json"
+
+    def load(text):
+        path.write_text(text, encoding="utf-8")
+        return io.load_json(str(path))
+
+    return load
+
+
+def typed(value):
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+finite_reprs = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+subnormal_reprs = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308).map(repr)
+edge_literals = st.sampled_from([
+    "0", "-0", "0.0", "-0.0", "0e0", "-0E-5", "5e-324", "-5e-324", "4.9e-324",
+    "2.4703282292062328e-324", "2.4703282292062327e-324", "1e-400", "-1e-400",
+    "2.2250738585072011e-308", "2.2250738585072014e-308", "1.7976931348623157e308",
+    "1.7976931348623158e308", "9007199254740993.0", "0.1", "1e23", "8.41e21"])
+
+
+@st.composite
+def long_decimals(draw):
+    """Decimals with 1-40 mantissa digits and exponents from -345 to 310."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=40))
+    point = draw(st.integers(0, len(digits)))
+    head, tail = digits[:point] or "0", digits[point:]
+    sign = draw(st.sampled_from(["", "-"]))
+    literal = f"{sign}{int(head)}" + (f".{tail}" if tail else "")
+    return literal + f"e{draw(st.integers(-345, 310))}"
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(finite_reprs, subnormal_reprs, edge_literals, long_decimals()),
+                min_size=1, max_size=50))
+def test_input_floats_have_the_bits_of_json_loads(load, literals):
+    literals = [s for s in literals if np.isfinite(json.loads(s))]
+    text = "[" + ",".join(literals) + "]"
+    assert [typed(v) for v in load(text)] == [typed(v) for v in json.loads(text)]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.integers(-2 ** 63, 2 ** 64 - 1),
+                          st.sampled_from([-2 ** 63, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1])),
+                min_size=1, max_size=50))
+def test_input_integers_within_64_bits_are_ints(load, values):
+    assert [typed(v) for v in load(json.dumps(values))] == [typed(v) for v in values]
+
+
+PAST_64_BITS = [2 ** 64, -2 ** 63 - 1, 2 ** 64 + 2 ** 11, 2 ** 64 + 2 ** 11 + 1,
+                2 ** 1024 - 2 ** 970 - 1, -(2 ** 1024 - 2 ** 970 - 1)]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.integers(2 ** 64, 10 ** 308), st.integers(-10 ** 308, -2 ** 63 - 1),
+                          st.sampled_from(PAST_64_BITS)),
+                min_size=1, max_size=50))
+def test_input_integers_past_64_bits_read_as_floats(load, values):
+    assert [typed(v) for v in load(json.dumps(values))] == [typed(float(v)) for v in values]
